@@ -68,15 +68,6 @@ class ExecutionOptions:
     seed: int = DEFAULT_SEED
 
 
-class ScriptError(TorsionlabError):
-    """Semantic error during script execution, with statement index."""
-
-    def __init__(self, index, statement, message):
-        super().__init__("statement %d (%s): %s"
-                         % (index + 1, statement.render().strip(), message))
-        self.index = index
-
-
 class _Session:
     def __init__(self, options):
         self.options = options

@@ -9,6 +9,10 @@ class VariableOutOfRange(TorsionlabError):
     """A monomial references a variable index outside its ring."""
 
 
+class InvalidPresentation(TorsionlabError, ValueError):
+    """A rewrite rule or ring presentation fails validation."""
+
+
 class RingMismatch(TorsionlabError):
     """Two operands live in different ring presentations."""
 

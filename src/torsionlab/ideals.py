@@ -28,13 +28,13 @@ DEFAULT_SATURATION_CAP = 64
 
 
 def _reduce_monomials(monos):
-    """Inclusion-reduced basis of a monomial list: drop duplicates and any
-    monomial divisible by another kept one."""
+    """Inclusion-reduced basis of a monomial list, as a grlex-sorted tuple:
+    drop duplicates and any monomial divisible by another kept one."""
     out = []
     for m in sorted(set(monos), key=grlex_key):
         if not any(k.divides(m) for k in out):
             out.append(m)
-    return out
+    return tuple(out)
 
 
 def monic_rewriting(ring):
@@ -48,10 +48,16 @@ def monic_rewriting(ring):
 
 
 class IdealHandle:
-    """Finite generator list inside a ring presentation."""
+    """Finite generator list inside a ring presentation.
+
+    Handles are immutable.  In monomial mode they keep their reduced
+    generator monomials and, from the first call of lifted_monomials, the
+    reduced lifted basis, both as tuples.  Every handle also memoizes its
+    monomial spans and its colons by monomials.
+    """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_span_cache",
-                 "_colon_memo")
+                 "_colon_memo", "_monomial_gens", "_lifted")
 
     def __init__(self, ring, elements, complete=True):
         gens = []
@@ -66,6 +72,7 @@ class IdealHandle:
                 e = Element(ring, {m: Fraction(1)})
             gens.append(e)
         monomial = ring.all_rhs_zero and all(g.is_monomial for g in gens)
+        monos = None
         if monomial:
             monos = _reduce_monomials([g.single_term()[0] for g in gens])
             gens = [Element(ring, {m: Fraction(1)}) for m in monos]
@@ -86,6 +93,8 @@ class IdealHandle:
         self.complete = complete
         self._span_cache = {}
         self._colon_memo = {}
+        self._monomial_gens = monos
+        self._lifted = None
 
     @classmethod
     def from_monomials(cls, ring, monos, complete=True):
@@ -115,7 +124,7 @@ class IdealHandle:
 
     def monomial_generators(self):
         self._require_monomial()
-        return [g.single_term()[0] for g in self.generators]
+        return self._monomial_gens
 
     def _require_monomial(self):
         if not self.is_monomial_mode:
@@ -125,9 +134,11 @@ class IdealHandle:
         """Generators plus rule lhs monomials: the polynomial-ring ideal
         whose image in the quotient is this ideal."""
         self._require_monomial()
-        return _reduce_monomials(
-            self.monomial_generators()
-            + [rule.lhs for rule in self.ring.rules])
+        if self._lifted is None:
+            self._lifted = _reduce_monomials(
+                self._monomial_gens
+                + tuple(rule.lhs for rule in self.ring.rules))
+        return self._lifted
 
     def contains_monomial(self, m):
         """Exact membership for a monomial, monomial mode only."""
@@ -136,7 +147,7 @@ class IdealHandle:
         if nf.is_zero:
             return True
         mono = nf.single_term()[0]
-        return any(g.divides(mono) for g in self.monomial_generators())
+        return any(g.divides(mono) for g in self._monomial_gens)
 
     def monomial_span(self, multiplier_bound):
         """For monic-rewriting rings with single-term generators: the set of
@@ -171,8 +182,7 @@ class IdealHandle:
         if self.ring is not other.ring:
             raise RingMismatch("ideals live in different rings")
         if self.is_monomial_mode and other.is_monomial_mode:
-            return ([g.canonical_key() for g in self.generators]
-                    == [g.canonical_key() for g in other.generators])
+            return self._monomial_gens == other._monomial_gens
         one = _mutual_inclusion(self, other)
         two = _mutual_inclusion(other, self)
         if one is True and two is True:

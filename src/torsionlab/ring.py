@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import RingMismatch, VariableOutOfRange
+from .errors import InvalidPresentation, RingMismatch, VariableOutOfRange
 
 
 class Monomial:
@@ -29,9 +29,14 @@ class Monomial:
 
     def __init__(self, pairs=()):
         cleaned = tuple(sorted((int(v), int(e)) for v, e in pairs if e))
+        # Indices must strictly increase: divides() relies on it.
+        last = -1
         for v, e in cleaned:
-            if v < 0 or e <= 0:
-                raise ValueError("bad monomial pair (%d, %d)" % (v, e))
+            if v <= last or e <= 0:
+                if v < 0 or e <= 0:
+                    raise ValueError("bad monomial pair (%d, %d)" % (v, e))
+                raise ValueError("repeated variable index %d" % v)
+            last = v
         self.pairs = cleaned
         self._hash = hash(cleaned)
 
@@ -85,8 +90,17 @@ class Monomial:
         return Monomial((v, e * k) for v, e in self.pairs)
 
     def divides(self, other):
-        it = dict(other.pairs)
-        return all(it.get(v, 0) >= e for v, e in self.pairs)
+        # One merge walk over both sorted pair tuples.
+        theirs = iter(other.pairs)
+        for v, e in self.pairs:
+            for w, f in theirs:
+                if w >= v:
+                    break
+            else:
+                return False
+            if w != v or f < e:
+                return False
+        return True
 
     def div(self, other):
         """Exact quotient self / other; other must divide self."""
@@ -141,14 +155,15 @@ class RewriteRule:
 
     def __init__(self, lhs, rhs=None):
         if lhs.is_one:
-            raise ValueError("rule lhs must not be the unit monomial")
+            raise InvalidPresentation("rule lhs must not be the unit monomial")
         if rhs is not None:
             coeff, mono = rhs
             coeff = Fraction(coeff)
             if coeff == 0:
-                raise ValueError("zero rhs coefficient; use rhs=None")
+                raise InvalidPresentation("zero rhs coefficient; use rhs=None")
             if mono.degree >= lhs.degree:
-                raise ValueError("rewrite rules must strictly decrease degree")
+                raise InvalidPresentation(
+                    "rewrite rules must strictly decrease degree")
             rhs = (coeff, mono)
         self.lhs = lhs
         self.rhs = rhs
@@ -171,13 +186,17 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from the normal-form cache and the
-    confluence_checked_to watermark recorded by check_local_confluence.
+    Instances are immutable apart from three caches and the
+    confluence_checked_to watermark recorded by check_local_confluence.  The
+    caches are the normal-form cache, the reachable-normal-form sets of the
+    confluence oracle, and the level cache: the tuple of normal monomials of
+    each degree enumerated so far, extended on demand by
+    normal_monomials_of_degree.
     """
 
     def __init__(self, num_vars, rules=()):
         if num_vars < 1:
-            raise ValueError("need at least one variable")
+            raise InvalidPresentation("need at least one variable")
         rules = tuple(rules)
         seen = set()
         for rule in rules:
@@ -188,7 +207,7 @@ class RingPresentation:
                 raise VariableOutOfRange(
                     "rule rhs exceeds variable range")
             if rule.lhs in seen:
-                raise ValueError(
+                raise InvalidPresentation(
                     "duplicate rule lhs %s" % format_monomial(rule.lhs))
             seen.add(rule.lhs)
         self.num_vars = num_vars
@@ -196,6 +215,8 @@ class RingPresentation:
         self.confluence_checked_to = 0
         self._nf_cache = {}
         self._nf_set_cache = {}
+        # No rule lhs is the unit monomial, so degree 0 holds just 1.
+        self._levels = [(Monomial.one(),)]
 
     def __repr__(self):
         return "RingPresentation(num_vars=%d, rules=%d)" % (
@@ -253,20 +274,26 @@ class RingPresentation:
         return self._first_applicable(m) is None
 
     def normal_monomials_of_degree(self, d):
-        """All normal monomials of total degree d, in grlex order."""
-        if d == 0:
-            return [Monomial.one()] if self.is_normal(Monomial.one()) else []
-        prev = self.normal_monomials_of_degree(d - 1)
-        out = []
-        for m in prev:
-            # Extend only by variables >= the largest used index so every
-            # monomial is produced exactly once.
-            for v in range(max(m.max_var(), 0), self.num_vars):
-                cand = m.mul(Monomial.variable(v))
-                if self.is_normal(cand):
-                    out.append(cand)
-        out.sort(key=grlex_key)
-        return out
+        """All normal monomials of total degree d, as a tuple in grlex order.
+
+        Levels are computed once per ring, each from the one below it.
+        """
+        if d < 0:
+            return ()
+        levels = self._levels
+        while len(levels) <= d:
+            out = []
+            for m in levels[-1]:
+                # Extend only by variables >= the largest used index so every
+                # monomial is produced exactly once.  Within one degree, grlex
+                # order is lex order of the sorted variable-index sequences,
+                # so extending a sorted level in this order needs no sort.
+                for v in range(max(m.max_var(), 0), self.num_vars):
+                    cand = m.mul(Monomial.variable(v))
+                    if self.is_normal(cand):
+                        out.append(cand)
+            levels.append(tuple(out))
+        return levels[d]
 
     def normal_monomials_up_to(self, d):
         out = []
@@ -412,14 +439,6 @@ def format_element(e):
 def normal_form(m, ring):
     """Normal form of a monomial in a ring presentation."""
     return ring.normal_form_monomial(m)
-
-
-def element_add(f, g):
-    return f.add(g)
-
-
-def element_mul(f, g):
-    return f.mul(g)
 
 
 def exhaustive_normal_forms(ring, m, _cache=None):

@@ -80,6 +80,17 @@ def test_ideal_before_ring_is_an_error(tmp_path, capsys):
     assert "before any ring" in out
 
 
+def test_invalid_ring_presentation_is_a_script_error(tmp_path, capsys):
+    path = _write(tmp_path, "ring R = vars X[0..1] rules "
+                            "{ X[0]^2 -> 0; X[0]^2 -> X[1] }\n")
+    code, out, err = _run(capsys, "run", path)
+    assert code == 2
+    assert err == ""
+    assert "status: error" in out
+    assert "error_at: 1" in out
+    assert "duplicate rule lhs X0^2" in out
+
+
 def test_examples_list(capsys):
     code, out, _ = _run(capsys, "examples", "--list")
     assert code == 0

@@ -222,3 +222,25 @@ def test_minimal_primes_oracle_agreement():
         primes = minimal_primes(instance.relations)
         assert sorted(primes, key=lambda s: (len(s), sorted(s))) == \
             minimal_prime_sets(instance.relations)
+
+
+def test_monomial_bases_are_cached_tuples():
+    rng = random.Random(59)
+    for i in range(10):
+        instance = random_instance(i, rng)
+        lhs = [rule.lhs for rule in instance.ring.rules]
+        for ideal in (instance.acting, instance.relations,
+                      instance.extension, instance.between):
+            gens = ideal.monomial_generators()
+            assert isinstance(gens, tuple)
+            assert gens == ideal.monomial_generators()
+            assert gens == tuple(g.single_term()[0] for g in ideal.generators)
+            lifted = ideal.lifted_monomials()
+            assert isinstance(lifted, tuple)
+            assert lifted == ideal.lifted_monomials()
+            # Reduced basis of generators plus rule lhs, checked directly.
+            pool = set(gens) | set(lhs)
+            assert set(lifted) <= pool
+            assert all(any(k.divides(m) for k in lifted) for m in pool)
+            assert not any(k.divides(m) for k in lifted for m in lifted
+                           if k != m)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionlab.errors import InvalidPresentation, TorsionlabError
+from torsionlab.harness import random_instance
 from torsionlab.ring import (
     Element,
     Monomial,
@@ -47,15 +51,31 @@ def test_binomial_square_in_square_zero_ring():
 
 
 def test_rule_validation():
-    with pytest.raises(ValueError):
+    # Typed for the CLI, and still a ValueError for existing callers.
+    assert issubclass(InvalidPresentation, TorsionlabError)
+    assert issubclass(InvalidPresentation, ValueError)
+    with pytest.raises(InvalidPresentation):
         RewriteRule(Monomial.one())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidPresentation):
         RewriteRule(_var(0, 2), (1, _var(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidPresentation):
         RewriteRule(_var(0, 2), (0, _var(1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidPresentation):
+        RingPresentation(0)
+    with pytest.raises(InvalidPresentation):
         RingPresentation(1, [RewriteRule(_var(0, 2)),
                              RewriteRule(_var(0, 2), (1, _var(0)))])
+
+
+def test_monomial_rejects_repeated_variable():
+    with pytest.raises(ValueError, match="repeated variable index 0"):
+        Monomial([(0, 1), (0, 2)])
+    with pytest.raises(ValueError, match="bad monomial pair"):
+        Monomial([(-1, 1)])
+    with pytest.raises(ValueError, match="bad monomial pair"):
+        Monomial([(0, -2)])
+    assert Monomial([(1, 2), (0, 1), (2, 0)]).pairs == ((0, 1), (1, 2))
+    assert _var(0).mul(_var(0, 2)) == _var(0, 3)
 
 
 def test_rule_variable_range_checked():
@@ -160,3 +180,51 @@ def test_format_round_trip_examples():
     assert format_element(e) == "-1 + 2*X0*X1"
     assert format_monomial(Monomial.one()) == "1"
     assert format_monomial(_var(1, 3)) == "X1^3"
+
+
+def _direct_normal_monomials(ring, d):
+    """Every monomial of degree d, filtered by is_normal, in grlex order."""
+    monos = (Monomial(Counter(combo).items())
+             for combo in itertools.combinations_with_replacement(
+                 range(ring.num_vars), d))
+    return tuple(sorted((m for m in monos if ring.is_normal(m)),
+                        key=grlex_key))
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_level_cache_matches_direct_enumeration(descending):
+    rng = random.Random(53)
+    for i in range(12):
+        template = random_instance(i, rng).ring
+        top = template.finite_basis_max_degree() + 1
+        # A fresh ring with the same rules starts with a cold level cache.
+        ring = RingPresentation(template.num_vars, template.rules)
+        degrees = range(top, -1, -1) if descending else range(top + 1)
+        for d in degrees:
+            assert ring.normal_monomials_of_degree(d) == \
+                _direct_normal_monomials(ring, d)
+        assert ring.normal_monomials_of_degree(top) == ()
+        assert ring.normal_monomials_of_degree(-1) == ()
+        assert ring.normal_monomials_up_to(top) == [
+            m for d in range(top + 1) for m in _direct_normal_monomials(ring, d)]
+
+
+def _dict_divides(a, b):
+    """The dict-based divisibility test that divides() replaced."""
+    it = dict(b.pairs)
+    return all(it.get(v, 0) >= e for v, e in a.pairs)
+
+
+_exponent_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=3), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_maps, _exponent_maps, _exponent_maps)
+def test_divides_matches_dict_definition(ea, eb, ec):
+    a, b, c = (Monomial(e.items()) for e in (ea, eb, ec))
+    assert a.divides(b) == _dict_divides(a, b)
+    assert b.divides(a) == _dict_divides(b, a)
+    assert a.divides(a.mul(c))
+    assert Monomial.one().divides(a)
