@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .errors import (
     InvalidPresentation,
+    InvalidSchedule,
     NonConfluent,
     NotMonomialMode,
     ParseError,
@@ -86,6 +87,17 @@ from .families import (
     stable_query,
 )
 from .dsl import Script, expand_ideal, expand_ring, parse
-from .cli import ExecutionOptions, execute, main
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The cli names resolve on first use: importing torsionlab.cli here would
+# make `python -m torsionlab.cli` find the module already loaded and warn.
+_CLI_NAMES = ("ExecutionOptions", "execute", "main")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + [
+    "cli", *_CLI_NAMES]
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -199,11 +199,7 @@ def _execute_statement(session, stmt):
     if isinstance(stmt, RunExampleStatement):
         levels, window = session.schedules.get(
             stmt.tag, (DEFAULT_LEVELS, options.stability_window))
-        try:
-            report = replicate_example(stmt.tag, levels, window,
-                                       options.seed)
-        except ValueError as exc:
-            raise TorsionlabError(str(exc))
+        report = replicate_example(stmt.tag, levels, window, options.seed)
         if not report.all_pass:
             session.failed = True
         return reports.example_tree(report)
@@ -357,7 +353,7 @@ def main(argv=None):
                   else options.stability_window)
         try:
             report = replicate_example(tag, levels, window, options.seed)
-        except (TorsionlabError, ValueError) as exc:
+        except TorsionlabError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         sys.stdout.write(reports.render(reports.example_tree(report),

@@ -13,6 +13,10 @@ class InvalidPresentation(TorsionlabError, ValueError):
     """A rewrite rule or ring presentation fails validation."""
 
 
+class InvalidSchedule(TorsionlabError, ValueError):
+    """A family level or stability window is out of range."""
+
+
 class RingMismatch(TorsionlabError):
     """Two operands live in different ring presentations."""
 

@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NonConfluent, UnknownTag
+from .errors import InvalidSchedule, NonConfluent, UnknownTag
 from .ideals import (
     IdealHandle,
     ideal_colon,
@@ -87,10 +87,21 @@ class ExampleReport:
             c.passed and c.stable for c in self.claims)
 
 
+def _check_level(level):
+    if level < 0 or level > MAX_LEVEL:
+        raise InvalidSchedule("level %d outside 0..%d" % (level, MAX_LEVEL))
+
+
+def _check_schedule(levels, window):
+    if window < 2:
+        raise InvalidSchedule("window must be at least 2")
+    if list(levels) != sorted(set(levels)):
+        raise InvalidSchedule("levels must be strictly increasing")
+
+
 def instantiate(family, level):
     """Expand the family patterns at this level and certify confluence."""
-    if level < 0 or level > MAX_LEVEL:
-        raise ValueError("level %d outside 0..%d" % (level, MAX_LEVEL))
+    _check_level(level)
     ring, ideals = family.build(level)
     report = check_local_confluence(ring, CONFLUENCE_BOUND)
     if not report.ok:
@@ -684,10 +695,10 @@ def replicate_example(tag, levels=DEFAULT_LEVELS, window=DEFAULT_WINDOW,
     """Evaluate the family's claim bundle over the level schedule."""
     family = get_family(tag)
     levels = tuple(levels)
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be strictly increasing")
+    _check_schedule(levels, window)
+    # Reject a bad level before instantiating any: instantiation is costly.
+    for level in levels:
+        _check_level(level)
     start = time.perf_counter()
     instantiated = []
     confluence_ok = True
@@ -720,10 +731,7 @@ def stable_query(evaluate, levels, window):
     Returns (last value, per-level evidence, stable flag).
     """
     levels = tuple(levels)
-    if window < 2:
-        raise ValueError("window must be at least 2")
-    if list(levels) != sorted(set(levels)):
-        raise ValueError("levels must be strictly increasing")
+    _check_schedule(levels, window)
     evidence = [(level, evaluate(level)) for level in levels]
     tail = [v for _, v in evidence[-window:]]
     stable = len(set(map(repr, tail))) <= 1

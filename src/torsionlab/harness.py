@@ -15,17 +15,10 @@ from dataclasses import dataclass
 
 from .ideals import IdealHandle, ideal_colon_ideal, ideal_sum
 from .ring import Monomial, RewriteRule, RingPresentation
-from .spectrum import (
-    assassins_cyclic,
-    assassins_subquotient,
-    difference_variety,
-    in_variety,
-    intersect_variety,
-    weak_assassins_cyclic,
-    weak_assassins_subquotient,
-)
+from .spectrum import assassin_scan, difference_variety, intersect_variety
 from .torsion import (
     bounded_torsion_exponent,
+    centredness_flags,
     fairness_from_parts,
     gamma_large_cyclic,
     gamma_small_cyclic,
@@ -200,16 +193,6 @@ class _Checker:
                 self.instance.script))
 
 
-def _centredness_witnesses(acting, relations, base_assf, iteration_cap=64):
-    """(centred witness, half-centred witness) for one acting ideal."""
-    small = gamma_small_cyclic(acting, relations, iteration_cap)
-    meet = intersect_variety(base_assf.primes, acting)
-    centred = (not small.is_zero_submodule) or not meet
-    inside = all(in_variety(p, acting) for p in base_assf.primes)
-    half = (not inside) or small.is_whole_module
-    return centred and half
-
-
 def check_instance(instance):
     """Run every per-instance proposition; returns (checks, violations,
     witness flags for the corpus-level closure assertion)."""
@@ -225,16 +208,12 @@ def check_instance(instance):
     g = small.preimage
     h = large.preimage
 
-    base_ass = assassins_cyclic(b, bound)
-    base_assf = weak_assassins_cyclic(b, bound)
-    sub_s_ass = assassins_subquotient(g, b, bound)
-    sub_s_assf = weak_assassins_subquotient(g, b, bound)
-    quo_s_ass = assassins_cyclic(g, bound)
-    quo_s_assf = weak_assassins_cyclic(g, bound)
-    sub_l_ass = assassins_subquotient(h, b, bound)
-    sub_l_assf = weak_assassins_subquotient(h, b, bound)
-    quo_l_ass = assassins_cyclic(h, bound)
-    quo_l_assf = weak_assassins_cyclic(h, bound)
+    unit = IdealHandle.unit(instance.ring)
+    base_ass, base_assf = assassin_scan(unit, b, bound)
+    sub_s_ass, sub_s_assf = assassin_scan(g, b, bound)
+    quo_s_ass, quo_s_assf = assassin_scan(unit, g, bound)
+    sub_l_ass, sub_l_assf = assassin_scan(h, b, bound)
+    quo_l_ass, quo_l_assf = assassin_scan(unit, h, bound)
 
     all_reports = [base_ass, base_assf, sub_s_ass, sub_s_assf, quo_s_ass,
                    quo_s_assf, sub_l_ass, sub_l_assf, quo_l_ass, quo_l_assf]
@@ -298,7 +277,7 @@ def check_instance(instance):
              "verdicts %s" % (tuple(cmp.holds for cmp in report.comparisons),))
 
     small2 = gamma_small_cyclic(a2, b)
-    sub2_assf = weak_assassins_subquotient(small2.preimage, b, bound)
+    sub2_assf = assassin_scan(small2.preimage, b, bound)[1]
     wq2 = sub2_assf.prime_set == frozenset(
         intersect_variety(base_assf.primes, a2))
     ck.check("between-quasifair-implication", (not wq2) or wq)
@@ -313,10 +292,8 @@ def check_instance(instance):
     ck.check("zero-module-iff-empty-weak",
              b.is_unit == (not base_assf.prime_set))
 
-    c_sub_ass = assassins_subquotient(c, b, bound)
-    c_sub_assf = weak_assassins_subquotient(c, b, bound)
-    c_quo_ass = assassins_cyclic(c, bound)
-    c_quo_assf = weak_assassins_cyclic(c, bound)
+    c_sub_ass, c_sub_assf = assassin_scan(c, b, bound)
+    c_quo_ass, c_quo_assf = assassin_scan(unit, c, bound)
     ck.check("exact-sequence-ass",
              c_sub_ass.prime_set <= base_ass.prime_set
              and base_ass.prime_set
@@ -355,10 +332,12 @@ def check_instance(instance):
     ck.check("large-torsion-radical",
              large_again.preimage.equals(h) is True)
 
+    a_sum = ideal_sum(a, a2)
     witness_flags = {
         "acting": report.centred_witness_ok and report.half_centred_witness_ok,
-        "between": _centredness_witnesses(a2, b, base_assf),
-        "sum": _centredness_witnesses(ideal_sum(a, a2), b, base_assf),
+        "between": all(centredness_flags(a2, small2, base_assf)),
+        "sum": all(centredness_flags(
+            a_sum, gamma_small_cyclic(a_sum, b), base_assf)),
     }
     return ck.count, ck.violations, witness_flags
 

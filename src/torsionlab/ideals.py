@@ -484,9 +484,51 @@ class SaturationResult:
     steps: int
 
 
+def _power_kill_exponent(acting, module, target, iteration_cap):
+    """Smallest n <= iteration_cap with acting^n * module inside target, or
+    None.  Monomial mode only."""
+    current = module
+    for n in range(iteration_cap + 1):
+        if all(target.contains_monomial(g)
+               for g in current.monomial_generators()):
+            return n
+        current = ideal_product(acting, current)
+    return None
+
+
+def _monomial_saturation(ideal, other):
+    """(I : J^inf) in monomial mode, J nonzero.
+
+    For a monomial g, the lifted basis of I with the exponents on supp(g)
+    set to zero generates (I : g^inf); (I : J^inf) is the intersection of
+    those over the generators of J (Miller & Sturmfels, GTM 227, ch. 1).
+    """
+    acc = None
+    for g in other.monomial_generators():
+        drop = g.support
+        part = IdealHandle.from_monomials(ideal.ring, [
+            Monomial((v, e) for v, e in m.pairs if v not in drop)
+            for m in ideal.lifted_monomials()], complete=ideal.complete)
+        acc = part if acc is None else ideal_intersection(acc, part)
+    return acc
+
+
 def ideal_saturation(ideal, other, iteration_cap=DEFAULT_SATURATION_CAP):
-    """Ascending chain I, (I:J), ((I:J):J), ... until it stops moving."""
+    """(I : J^inf), with the steps of the ascending chain I, (I:J),
+    ((I:J):J), ... until it stops moving.
+
+    The chain stops at the first n with J^n * (I : J^inf) inside I.  In
+    monomial mode with J nonzero the saturation has a closed form, so that
+    n is found directly; the chain itself runs in general mode and when no
+    such n is below the cap.
+    """
     _check_shared_ring(ideal, other)
+    if ideal.is_monomial_mode and other.is_monomial_mode and not other.is_zero:
+        sat = _monomial_saturation(ideal, other)
+        steps = _power_kill_exponent(other, sat, ideal, iteration_cap - 1)
+        if steps is not None:
+            # At step 0 the chain hands back I itself.
+            return SaturationResult(ideal if steps == 0 else sat, True, steps)
     current = ideal
     for step in range(iteration_cap):
         nxt = ideal_colon_ideal(current, other)

@@ -186,12 +186,14 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from three caches and the
+    Instances are immutable apart from four caches and the
     confluence_checked_to watermark recorded by check_local_confluence.  The
     caches are the normal-form cache, the reachable-normal-form sets of the
-    confluence oracle, and the level cache: the tuple of normal monomials of
+    confluence oracle, the level cache (the tuple of normal monomials of
     each degree enumerated so far, extended on demand by
-    normal_monomials_of_degree.
+    normal_monomials_of_degree), and the assassin memo of
+    spectrum.assassin_scan: the (ass, ass^f) report pair per numerator
+    generators, denominator generators and witness bound.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -217,6 +219,7 @@ class RingPresentation:
         self._nf_set_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
+        self._assassin_memo = {}
 
     def __repr__(self):
         return "RingPresentation(num_vars=%d, rules=%d)" % (

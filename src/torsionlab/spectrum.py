@@ -8,7 +8,10 @@ The zero prime (empty set) exists only in rule-free rings.
 Assassins are computed from monomial witnesses.  Modules here are spanned by
 monomials and graded by exponent vectors, and associated primes of such
 modules are annihilators of monomial elements, so a complete witness scan
-yields the complete assassin.
+yields the complete assassin.  One scan yields both ass and ass^f: each
+witness annihilator is tested for primality and split into its minimal
+primes.  The pair of reports is memoized on the ring, keyed by the content
+of the two ideals and the witness bound.
 """
 
 from __future__ import annotations
@@ -138,10 +141,6 @@ def _witness_scan(numerator, denominator, bound):
     once the boundary is at least the largest numerator generator degree,
     so an empty boundary level certifies nothing was missed.
     """
-    if numerator.ring is not denominator.ring:
-        raise RingMismatch("numerator and denominator in different rings")
-    numerator._require_monomial()
-    denominator._require_monomial()
     ring = numerator.ring
     witnesses = []
     for d in range(bound + 1):
@@ -166,43 +165,60 @@ def _annihilator(denominator, m):
     return hit
 
 
-def assassins_subquotient(numerator, denominator, witness_bound=None):
-    """ass of the module (numerator + denominator) / denominator."""
+def assassin_scan(numerator, denominator, witness_bound=None):
+    """(ass, ass^f) of the module (numerator + denominator) / denominator.
+
+    One witness scan serves both reports.  A witness's annihilator gives an
+    ass prime when it is prime, and its minimal primes are ass^f primes.
+    The pair is memoized on the ring by the reduced generators of both
+    ideals and the resolved bound, so equal ideals in different handles
+    share one scan.
+    """
+    if numerator.ring is not denominator.ring:
+        raise RingMismatch("numerator and denominator in different rings")
     if witness_bound is None:
         witness_bound = default_witness_bound(denominator)
-    witnesses, complete = _witness_scan(numerator, denominator, witness_bound)
-    pairs = []
-    for m in witnesses:
-        s = prime_variable_set(_annihilator(denominator, m))
-        if s is not None:
-            pairs.append((s, m))
-    primes, aligned = _sorted_primes(pairs)
-    return AssassinReport(primes, aligned, witness_bound, complete)
+    key = (numerator.monomial_generators(),
+           denominator.monomial_generators(), witness_bound)
+    memo = numerator.ring._assassin_memo
+    reports = memo.get(key)
+    if reports is None:
+        witnesses, complete = _witness_scan(
+            numerator, denominator, witness_bound)
+        ass_pairs = []
+        assf_pairs = []
+        for m in witnesses:
+            annihilator = _annihilator(denominator, m)
+            s = prime_variable_set(annihilator)
+            if s is not None:
+                ass_pairs.append((s, m))
+            assf_pairs.extend((p, m) for p in minimal_primes(annihilator))
+        reports = memo[key] = tuple(
+            AssassinReport(*_sorted_primes(pairs), witness_bound, complete)
+            for pairs in (ass_pairs, assf_pairs))
+    return reports
+
+
+def assassins_subquotient(numerator, denominator, witness_bound=None):
+    """ass of the module (numerator + denominator) / denominator."""
+    return assassin_scan(numerator, denominator, witness_bound)[0]
 
 
 def weak_assassins_subquotient(numerator, denominator, witness_bound=None):
     """ass^f of the module: primes minimal over some witness annihilator."""
-    if witness_bound is None:
-        witness_bound = default_witness_bound(denominator)
-    witnesses, complete = _witness_scan(numerator, denominator, witness_bound)
-    pairs = []
-    for m in witnesses:
-        for s in minimal_primes(_annihilator(denominator, m)):
-            pairs.append((s, m))
-    primes, aligned = _sorted_primes(pairs)
-    return AssassinReport(primes, aligned, witness_bound, complete)
+    return assassin_scan(numerator, denominator, witness_bound)[1]
 
 
 def assassins_cyclic(denominator, witness_bound=None):
     """ass(R / denominator)."""
-    return assassins_subquotient(
-        IdealHandle.unit(denominator.ring), denominator, witness_bound)
+    return assassin_scan(
+        IdealHandle.unit(denominator.ring), denominator, witness_bound)[0]
 
 
 def weak_assassins_cyclic(denominator, witness_bound=None):
     """ass^f(R / denominator)."""
-    return weak_assassins_subquotient(
-        IdealHandle.unit(denominator.ring), denominator, witness_bound)
+    return assassin_scan(
+        IdealHandle.unit(denominator.ring), denominator, witness_bound)[1]
 
 
 def _as_element(ring, m):

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 from .ideals import (
     IdealHandle,
+    _power_kill_exponent,
     ideal_intersection,
-    ideal_product,
     ideal_saturation,
 )
 from .spectrum import (
     assassins_cyclic,
-    assassins_subquotient,
     difference_variety,
     intersect_variety,
     weak_assassins_cyclic,
@@ -85,13 +84,7 @@ def bounded_torsion_exponent(acting, preimage, relations,
     When this exists the torsion submodule preimage/relations is killed by a
     single power of the acting ideal.
     """
-    current = preimage
-    for n in range(iteration_cap + 1):
-        if all(relations.contains_monomial(g)
-               for g in current.monomial_generators()):
-            return n
-        current = ideal_product(acting, current)
-    return None
+    return _power_kill_exponent(acting, preimage, relations, iteration_cap)
 
 
 VERDICT_NAMES = (
@@ -144,6 +137,20 @@ def _compare(name, left_report, right_primes):
         left_report.complete)
 
 
+def centredness_flags(acting, small, base_assf):
+    """(centred, half-centred) witness flags of R/relations at the acting
+    ideal, from its small torsion and its weak assassin.
+
+    Centred: the small torsion is nonzero whenever some weak associated
+    prime contains the acting ideal.  Half-centred: it is the whole module
+    whenever every weak associated prime contains the acting ideal.
+    """
+    meet = frozenset(intersect_variety(base_assf.primes, acting))
+    centred = (not small.is_zero_submodule) or not meet
+    half_centred = (not base_assf.prime_set <= meet) or small.is_whole_module
+    return centred, half_centred
+
+
 def fairness_from_parts(acting, relations, small, large, base_ass, base_assf,
                         small_sub_assf, small_quot_ass, small_quot_assf,
                         large_sub_assf, large_quot_ass, large_quot_assf):
@@ -162,9 +169,7 @@ def fairness_from_parts(acting, relations, small, large, base_ass, base_assf,
         _compare("weakly_large_quasifair", large_sub_assf, assf_meet),
     )
 
-    centred_ok = (not small.is_zero_submodule) or not assf_meet
-    half_centred_ok = (not frozenset(base_assf.primes)
-                       <= frozenset(assf_meet)) or small.is_whole_module
+    centred_ok, half_centred_ok = centredness_flags(acting, small, base_assf)
     functors_agree = small.preimage.equals(large.preimage) is True
 
     complete = (small.stabilized and large.stabilized

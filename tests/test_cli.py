@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +178,39 @@ def test_run_family_schedule_from_script(tmp_path, capsys):
     assert code == 0
     assert "confluence_ok: true" in out
     assert "window: 2" in out
+
+
+def test_run_bad_family_schedule_is_script_error(tmp_path, capsys):
+    path = _write(tmp_path,
+                  "family nil40A levels 4..20 window 3\nrun example nil40A\n")
+    code, out, _ = _run(capsys, "--format", "json", "run", path)
+    assert code == 2
+    tree = json.loads(out)
+    assert tree["status"] == "error"
+    assert tree["error_at"] == 2
+    assert tree["statements"][1]["error"] == "level 16 outside 0..15"
+
+
+def test_module_entry_point_runs_without_warnings():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "torsionlab.cli", "run",
+         "scripts/fairness_demo.tl"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "status: ok" in done.stdout
+
+
+def test_package_resolves_cli_names_lazily():
+    import torsionlab
+    assert torsionlab.main is cli.main
+    assert torsionlab.execute is cli.execute
+    assert torsionlab.ExecutionOptions is cli.ExecutionOptions
+    assert {"main", "execute", "ExecutionOptions"} <= set(torsionlab.__all__)
+    with pytest.raises(AttributeError):
+        torsionlab.no_such_name

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from torsionlab.errors import UnknownTag
+from torsionlab.errors import InvalidSchedule, TorsionlabError, UnknownTag
 from torsionlab.families import (
     ClaimResult,
     DEFAULT_LEVELS,
@@ -78,6 +78,23 @@ def test_replicate_validates_schedule():
         replicate_example("nil40A", levels=(5, 4, 6))
     with pytest.raises(UnknownTag):
         replicate_example("bogus")
+
+
+def test_schedule_errors_are_typed():
+    family = get_family("nil40A")
+    attempts = (
+        lambda: instantiate(family, MAX_LEVEL + 1),
+        lambda: replicate_example("nil40A", levels=(4, 5), window=1),
+        lambda: replicate_example("nil40A", levels=(5, 4, 6)),
+        lambda: replicate_example("nil40A", levels=(4, MAX_LEVEL + 1)),
+        lambda: stable_query(lambda level: level, levels=(4, 5), window=1),
+        lambda: stable_query(lambda level: level, levels=(5, 4), window=2),
+    )
+    for attempt in attempts:
+        with pytest.raises(InvalidSchedule) as exc:
+            attempt()
+        assert isinstance(exc.value, TorsionlabError)
+        assert isinstance(exc.value, ValueError)
 
 
 def test_replicate_small_window_passes_and_is_deterministic():

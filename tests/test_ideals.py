@@ -244,3 +244,71 @@ def test_monomial_bases_are_cached_tuples():
             assert all(any(k.divides(m) for k in lifted) for m in pool)
             assert not any(k.divides(m) for k in lifted for m in lifted
                            if k != m)
+
+
+def _colon_chain(ideal, other, cap):
+    """The ascending chain I, (I:J), ((I:J):J), ... run explicitly, as
+    (ideal, stabilized, steps)."""
+    current = ideal
+    for step in range(cap):
+        nxt = ideal_colon_ideal(current, other)
+        if nxt.equals(current) is True:
+            return current, True, step
+        current = nxt
+    return current, False, cap
+
+
+def _saturation_pairs(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        b, c = instance.relations, instance.extension
+        for other in (instance.acting, instance.between,
+                      IdealHandle.unit(ring)):
+            yield b, other
+            yield c, other
+        for m in instance.acting.monomial_generators():
+            yield b, IdealHandle.from_monomials(ring, [m])
+
+
+@pytest.mark.parametrize("cap", (1, 2, 3, 64))
+def test_monomial_saturation_matches_colon_chain(cap, monkeypatch):
+    import torsionlab.ideals as ideals_module
+    chain_calls = []
+    real = ideals_module.ideal_colon_ideal
+    monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
+                        lambda *args: chain_calls.append(args) or real(*args))
+    outcomes = set()
+    for ideal, other in _saturation_pairs(40, 61):
+        before = len(chain_calls)
+        got = ideal_saturation(ideal, other, cap)
+        ran_chain = len(chain_calls) > before
+        expected, stabilized, steps = _colon_chain(ideal, other, cap)
+        assert got.ideal.equals(expected) is True
+        assert (got.stabilized, got.steps) == (stabilized, steps)
+        assert got.ideal.complete == expected.complete
+        # The chain runs only when it cannot stop below the cap.
+        assert ran_chain == (not stabilized)
+        outcomes.add(stabilized)
+    assert outcomes == ({True} if cap == 64 else {True, False})
+
+
+def test_general_mode_saturation_runs_the_chain(monkeypatch):
+    import torsionlab.ideals as ideals_module
+    ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(0))),
+                                RewriteRule(_var(1, 2), (1, _var(1)))])
+    b = IdealHandle.from_monomials(ring, [_var(0).mul(_var(1))])
+    a = IdealHandle.from_monomials(ring, [_var(0)])
+    assert not b.is_monomial_mode
+    chain_calls = []
+    real = ideals_module.ideal_colon_ideal
+    monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
+                        lambda *args: chain_calls.append(args) or real(*args))
+    for cap in (1, 64):
+        result = ideal_saturation(b, a, cap)
+        expected, stabilized, steps = _colon_chain(b, a, cap)
+        assert result.ideal.generators == expected.generators
+        assert (result.stabilized, result.steps) == (stabilized, steps)
+    assert chain_calls
+    assert format_ideal(result.ideal) == "ideal(X0*X1, X1)"

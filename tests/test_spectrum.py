@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 from torsionlab.harness import random_instance
-from torsionlab.ideals import IdealHandle, ideal_colon
+from torsionlab.ideals import IdealHandle, ideal_colon, minimal_primes
 from torsionlab.oracles import assassin_sets, weak_assassin_sets
 from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
 from torsionlab.spectrum import (
+    assassin_scan,
     assassins_cyclic,
     assassins_subquotient,
+    default_witness_bound,
     format_prime,
     is_prime_ideal,
     prime_ideal,
@@ -18,6 +21,9 @@ from torsionlab.spectrum import (
     spectrum,
     weak_assassins_cyclic,
 )
+
+# The package re-exports the function spectrum under the module's name.
+spectrum_module = importlib.import_module("torsionlab.spectrum")
 
 
 def _var(i, e=1):
@@ -116,3 +122,55 @@ def test_weak_assassin_oracle_agreement():
             instance.relations, instance.witness_bound,
             verify_bound=instance.witness_bound + 1)
         assert sorted(report.primes, key=lambda s: (len(s), sorted(s))) == expected
+
+
+def test_assassin_scan_shared_by_equal_handles(monkeypatch):
+    calls = []
+    real = spectrum_module._witness_scan
+    monkeypatch.setattr(spectrum_module, "_witness_scan",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(67)
+    for i in range(10):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        gens = instance.relations.monomial_generators()
+        first = IdealHandle.from_monomials(ring, gens)
+        second = IdealHandle.from_monomials(ring, gens[::-1])
+        before = len(calls)
+        one = assassin_scan(IdealHandle.unit(ring), first)
+        two = assassin_scan(IdealHandle.unit(ring), second,
+                            default_witness_bound(second))
+        assert one == two
+        assert one[0] == assassins_cyclic(instance.relations)
+        assert one[1] == weak_assassins_cyclic(instance.relations)
+        assert len(calls) == before + 1
+
+
+def test_assassin_scan_matches_per_witness_recomputation():
+    rng = random.Random(71)
+    for i in range(12):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        bound = instance.witness_bound
+        unit = IdealHandle.unit(ring)
+        for numerator, denominator in ((unit, instance.relations),
+                                       (instance.extension, instance.relations),
+                                       (unit, instance.extension)):
+            ass, assf = assassin_scan(numerator, denominator, bound)
+            witnesses, complete = spectrum_module._witness_scan(
+                numerator, denominator, bound)
+            # Witnesses come in grlex order, so the first one per prime is
+            # the smallest.
+            expect_ass, expect_assf = {}, {}
+            for m in witnesses:
+                annihilator = ideal_colon(denominator,
+                                          Element.from_monomial(ring, m))
+                prime = prime_variable_set(annihilator)
+                if prime is not None:
+                    expect_ass.setdefault(prime, m)
+                for prime in minimal_primes(annihilator):
+                    expect_assf.setdefault(prime, m)
+            assert dict(ass.witnesses) == expect_ass
+            assert dict(assf.witnesses) == expect_assf
+            assert ass.complete == assf.complete == complete
+            assert ass.witness_bound == assf.witness_bound == bound
