@@ -26,7 +26,6 @@ from .ring import (
     format_element,
     format_monomial,
     grlex_key,
-    normal_form,
 )
 from .ideals import (
     IdealHandle,

@@ -41,7 +41,6 @@ from .families import (
 )
 from .harness import DEFAULT_INSTANCES, DEFAULT_SEED, proposition_harness
 from .ideals import (
-    IdealHandle,
     format_ideal,
     ideal_colon,
     ideal_colon_ideal,

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotMonomialMode, RingMismatch, UnitIdeal
-from .ring import Element, Monomial, format_monomial, grlex_key
+from .ring import Element, Monomial, grlex_key
 
 MONOMIAL_MODE = "monomial"
 GENERAL_MODE = "general"
@@ -35,6 +35,14 @@ def _reduce_monomials(monos):
         if not any(k.divides(m) for k in out):
             out.append(m)
     return tuple(out)
+
+
+def _colon_basis(ideal, m):
+    """Reduced lifted basis of (I : m) for a monomial-mode I and monomial m:
+    each lifted basis monomial of I divided by its gcd with m, reduced
+    (Miller & Sturmfels, GTM 227, ch. 1)."""
+    return _reduce_monomials(
+        [g.div(g.gcd(m)) for g in ideal.lifted_monomials()])
 
 
 def monic_rewriting(ring):
@@ -53,11 +61,11 @@ class IdealHandle:
     Handles are immutable.  In monomial mode they keep their reduced
     generator monomials and, from the first call of lifted_monomials, the
     reduced lifted basis, both as tuples.  Every handle also memoizes its
-    monomial spans and its colons by monomials.
+    monomial spans.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_span_cache",
-                 "_colon_memo", "_monomial_gens", "_lifted")
+                 "_monomial_gens", "_lifted")
 
     def __init__(self, ring, elements, complete=True):
         gens = []
@@ -92,7 +100,6 @@ class IdealHandle:
         self.mode = mode
         self.complete = complete
         self._span_cache = {}
-        self._colon_memo = {}
         self._monomial_gens = monos
         self._lifted = None
 
@@ -426,45 +433,44 @@ def ideal_colon(ideal, f, multiplier_degree_bound=None):
     if f.is_zero:
         return IdealHandle.unit(ideal.ring)
     if ideal.is_monomial_mode and f.is_single_term:
-        m = f.single_term()[0]
-        quotients = [g.div(g.gcd(m)) for g in ideal.lifted_monomials()]
-        return IdealHandle.from_monomials(ideal.ring, [
-            q for q in quotients
-            if not ideal.ring.normal_form_monomial(q).is_zero
-        ], complete=ideal.complete)
+        # Non-normal quotients are zero in the ring; the handle drops them.
+        return IdealHandle.from_monomials(
+            ideal.ring, _colon_basis(ideal, f.single_term()[0]),
+            complete=ideal.complete)
     if multiplier_degree_bound is None:
         multiplier_degree_bound = f.degree + 2
+    return _bounded_colon(ideal, (f,), multiplier_degree_bound)
+
+
+def _bounded_colon(ideal, factors, bound):
+    """Sound bounded search for (I : <factors>): the normal monomials up to
+    the bound whose product with every factor is certified in I, flagged
+    incomplete."""
     found = []
-    for m in ideal.ring.normal_monomials_up_to(multiplier_degree_bound):
+    for m in ideal.ring.normal_monomials_up_to(bound):
         g = Element(ideal.ring, {m: Fraction(1)})
-        if ideal_membership(g.mul(f), ideal, multiplier_degree_bound).is_yes:
+        if all(ideal_membership(g.mul(h), ideal, bound).is_yes
+               for h in factors):
             found.append(g)
     return IdealHandle(ideal.ring, found, complete=False)
 
 
 def ideal_colon_ideal(ideal, other, multiplier_degree_bound=None):
-    """(I : J) as the intersection over generators of J of (I : g)."""
+    """(I : J) as the intersection over generators of J of (I : g); one
+    bounded search for all of them when a rule has a nonzero rhs."""
     _check_shared_ring(ideal, other)
     if other.is_zero:
         return IdealHandle.unit(ideal.ring)
-    parts = [ideal_colon(ideal, g, multiplier_degree_bound)
-             for g in other.generators]
-    if all(p.is_monomial_mode for p in parts):
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = ideal_intersection(acc, p)
+    if ideal.ring.all_rhs_zero:
+        acc = None
+        for g in other.generators:
+            part = ideal_colon(ideal, g, multiplier_degree_bound)
+            acc = part if acc is None else ideal_intersection(acc, part)
         return acc
-    # Sound bounded intersection: keep monomials certified in every part.
     bound = multiplier_degree_bound
     if bound is None:
-        bound = max((g.degree for g in other.generators), default=0) + 2
-    found = []
-    for m in ideal.ring.normal_monomials_up_to(bound):
-        g = Element(ideal.ring, {m: Fraction(1)})
-        if all(ideal_membership(g.mul(h), ideal, bound).is_yes
-               for h in other.generators):
-            found.append(g)
-    return IdealHandle(ideal.ring, found, complete=False)
+        bound = max(g.degree for g in other.generators) + 2
+    return _bounded_colon(ideal, other.generators, bound)
 
 
 def _mutual_inclusion(a, b):
@@ -544,11 +550,9 @@ def ideal_radical(ideal):
     ideal._require_monomial()
     if ideal.is_unit:
         return IdealHandle.unit(ideal.ring)
-    monos = [g.squarefree() for g in ideal.lifted_monomials()]
-    return IdealHandle.from_monomials(ideal.ring, [
-        m for m in monos
-        if not ideal.ring.normal_form_monomial(m).is_zero
-    ], complete=ideal.complete)
+    return IdealHandle.from_monomials(
+        ideal.ring, [g.squarefree() for g in ideal.lifted_monomials()],
+        complete=ideal.complete)
 
 
 def minimal_transversals(edges):
@@ -586,9 +590,13 @@ def minimal_primes(ideal):
     is the unique answer.
     """
     ideal._require_monomial()
-    if ideal.is_unit:
-        raise UnitIdeal("the unit ideal has no minimal primes")
-    supports = [m.support for m in ideal.lifted_monomials()]
+    return _basis_minimal_primes(ideal.lifted_monomials())
+
+
+def _basis_minimal_primes(basis):
+    """Minimal primes over the monomial ideal with this reduced lifted basis:
+    the minimal transversals of the basis supports."""
+    supports = [m.support for m in basis]
     if any(not s for s in supports):
-        raise UnitIdeal("a unit generator slipped through")
+        raise UnitIdeal("the unit ideal has no minimal primes")
     return [frozenset(p) for p in minimal_transversals(supports)]

@@ -11,7 +11,6 @@ reproducible even before confluence has been certified.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -437,11 +436,6 @@ def format_element(e):
         else:
             parts.append("%s*%s" % (format_coefficient(c), format_monomial(m)))
     return " + ".join(parts)
-
-
-def normal_form(m, ring):
-    """Normal form of a monomial in a ring presentation."""
-    return ring.normal_form_monomial(m)
 
 
 def exhaustive_normal_forms(ring, m, _cache=None):

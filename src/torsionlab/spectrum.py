@@ -8,10 +8,11 @@ The zero prime (empty set) exists only in rule-free rings.
 Assassins are computed from monomial witnesses.  Modules here are spanned by
 monomials and graded by exponent vectors, and associated primes of such
 modules are annihilators of monomial elements, so a complete witness scan
-yields the complete assassin.  One scan yields both ass and ass^f: each
-witness annihilator is tested for primality and split into its minimal
-primes.  The pair of reports is memoized on the ring, keyed by the content
-of the two ideals and the witness bound.
+yields the complete assassin.  One scan yields both ass and ass^f.  Each
+witness annihilator is kept only as its reduced lifted basis: the basis
+shows whether the annihilator is prime and gives its minimal primes.  The
+pair of reports is memoized on the ring, keyed by the content of the two
+ideals and the witness bound.
 """
 
 from __future__ import annotations
@@ -20,12 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import RingMismatch
-from .ideals import (
-    IdealHandle,
-    ideal_colon,
-    minimal_primes,
-)
-from .ring import Monomial, format_monomial, grlex_key
+from .ideals import IdealHandle, _basis_minimal_primes, _colon_basis
+from .ring import Monomial, grlex_key
 
 
 def format_prime(vars_set):
@@ -33,14 +30,18 @@ def format_prime(vars_set):
 
 
 def prime_variable_set(ideal) -> Optional[frozenset]:
-    """The canonical variable set if the ideal is prime, else None.
-
-    A monomial-mode ideal is prime exactly when its lifted reduced basis
-    consists of single variables: any higher-degree basis monomial splits
-    into factors outside the ideal.
-    """
+    """The canonical variable set if the ideal is prime, else None."""
     ideal._require_monomial()
-    basis = ideal.lifted_monomials()
+    return _basis_prime(ideal.lifted_monomials())
+
+
+def _basis_prime(basis):
+    """The variable set of the monomial ideal with this reduced lifted basis
+    if that ideal is prime, else None.
+
+    It is prime exactly when the basis consists of single variables: any
+    higher-degree basis monomial splits into factors outside the ideal.
+    """
     if any(m.degree != 1 for m in basis):
         return None
     return frozenset(m.max_var() for m in basis)
@@ -156,20 +157,12 @@ def _witness_scan(numerator, denominator, bound):
     return witnesses, complete
 
 
-def _annihilator(denominator, m):
-    """(denominator : m), memoized on the denominator handle."""
-    hit = denominator._colon_memo.get(m)
-    if hit is None:
-        hit = ideal_colon(denominator, _as_element(denominator.ring, m))
-        denominator._colon_memo[m] = hit
-    return hit
-
-
 def assassin_scan(numerator, denominator, witness_bound=None):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
-    One witness scan serves both reports.  A witness's annihilator gives an
-    ass prime when it is prime, and its minimal primes are ass^f primes.
+    One witness scan serves both reports.  A witness's annihilator, the
+    colon (denominator : m) as a lifted basis, gives an ass prime when it
+    is prime, and its minimal primes are ass^f primes.
     The pair is memoized on the ring by the reduced generators of both
     ideals and the resolved bound, so equal ideals in different handles
     share one scan.
@@ -188,11 +181,11 @@ def assassin_scan(numerator, denominator, witness_bound=None):
         ass_pairs = []
         assf_pairs = []
         for m in witnesses:
-            annihilator = _annihilator(denominator, m)
-            s = prime_variable_set(annihilator)
+            basis = _colon_basis(denominator, m)
+            s = _basis_prime(basis)
             if s is not None:
                 ass_pairs.append((s, m))
-            assf_pairs.extend((p, m) for p in minimal_primes(annihilator))
+            assf_pairs.extend((p, m) for p in _basis_minimal_primes(basis))
         reports = memo[key] = tuple(
             AssassinReport(*_sorted_primes(pairs), witness_bound, complete)
             for pairs in (ass_pairs, assf_pairs))
@@ -219,8 +212,3 @@ def weak_assassins_cyclic(denominator, witness_bound=None):
     """ass^f(R / denominator)."""
     return assassin_scan(
         IdealHandle.unit(denominator.ring), denominator, witness_bound)[1]
-
-
-def _as_element(ring, m):
-    from .ring import Element
-    return Element.from_monomial(ring, m)

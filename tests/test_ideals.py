@@ -246,6 +246,42 @@ def test_monomial_bases_are_cached_tuples():
                            if k != m)
 
 
+def test_colon_by_monomial_uses_the_basis_helper():
+    from torsionlab.ideals import _colon_basis
+    rng = random.Random(73)
+    checked = 0
+    for i in range(15):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        for ideal in (instance.relations, instance.extension):
+            for m in ring.normal_monomials_up_to(instance.witness_bound):
+                basis = _colon_basis(ideal, m)
+                colon = ideal_colon(ideal, Element.from_monomial(ring, m))
+                assert colon.lifted_monomials() == basis
+                assert colon.monomial_generators() == tuple(
+                    q for q in basis if ring.is_normal(q))
+                assert colon.complete == ideal.complete
+                checked += 1
+    assert checked >= 500
+
+
+def test_general_mode_colon_by_ideal_is_one_bounded_search(monkeypatch):
+    import torsionlab.ideals as ideals_module
+    from torsionlab.families import get_family, instantiate
+    from torsionlab.ring import format_element
+    ring, ideals = instantiate(get_family("idem50C"), 4)
+    colon_calls = []
+    real = ideals_module.ideal_colon
+    monkeypatch.setattr(ideals_module, "ideal_colon",
+                        lambda *args: colon_calls.append(args) or real(*args))
+    result = ideal_colon_ideal(ideals["b"], ideals["a"])
+    assert colon_calls == []
+    assert not result.is_monomial_mode and not result.complete
+    # The generators of the per-generator intersection of bounded colons.
+    assert [format_element(g) for g in result.generators] == [
+        "X0*X1", "X0*X1*X2", "X0*X1*X3", "X0*X1*X4", "X0^2*X1", "X0^2*X2"]
+
+
 def _colon_chain(ideal, other, cap):
     """The ascending chain I, (I:J), ((I:J):J), ... run explicitly, as
     (ideal, stabilized, steps)."""

@@ -21,6 +21,7 @@ from torsionlab.spectrum import (
     spectrum,
     weak_assassins_cyclic,
 )
+from torsionlab.torsion import gamma_small_cyclic
 
 # The package re-exports the function spectrum under the module's name.
 spectrum_module = importlib.import_module("torsionlab.spectrum")
@@ -148,14 +149,16 @@ def test_assassin_scan_shared_by_equal_handles(monkeypatch):
 
 def test_assassin_scan_matches_per_witness_recomputation():
     rng = random.Random(71)
-    for i in range(12):
+    for i in range(40):
         instance = random_instance(i, rng)
         ring = instance.ring
         bound = instance.witness_bound
         unit = IdealHandle.unit(ring)
+        small = gamma_small_cyclic(instance.acting, instance.relations)
         for numerator, denominator in ((unit, instance.relations),
                                        (instance.extension, instance.relations),
-                                       (unit, instance.extension)):
+                                       (unit, instance.extension),
+                                       (small.preimage, instance.relations)):
             ass, assf = assassin_scan(numerator, denominator, bound)
             witnesses, complete = spectrum_module._witness_scan(
                 numerator, denominator, bound)
