@@ -17,7 +17,6 @@ from .errors import (
     VariableOutOfRange,
 )
 from .ring import (
-    ConfluenceReport,
     Element,
     Monomial,
     RewriteRule,
@@ -46,14 +45,12 @@ from .ideals import (
 from .spectrum import (
     AssassinReport,
     assassins_cyclic,
-    assassins_subquotient,
     format_prime,
     is_prime_ideal,
     prime_ideal,
     prime_variable_set,
     spectrum,
     weak_assassins_cyclic,
-    weak_assassins_subquotient,
 )
 from .torsion import (
     FairnessComparison,

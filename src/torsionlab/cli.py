@@ -31,7 +31,7 @@ from .dsl import (
     expand_ring,
     parse,
 )
-from .errors import ParseError, TorsionlabError
+from .errors import NonConfluent, ParseError, TorsionlabError
 from .families import (
     DEFAULT_LEVELS,
     DEFAULT_WINDOW,
@@ -41,6 +41,7 @@ from .families import (
 )
 from .harness import DEFAULT_INSTANCES, DEFAULT_SEED, proposition_harness
 from .ideals import (
+    DEFAULT_ITERATION_CAP,
     format_ideal,
     ideal_colon,
     ideal_colon_ideal,
@@ -49,9 +50,9 @@ from .ideals import (
     ideal_saturation,
     minimal_primes,
 )
+from .ring import check_local_confluence
 from .spectrum import assassins_cyclic, format_prime, weak_assassins_cyclic
 from .torsion import (
-    DEFAULT_ITERATION_CAP,
     fairness_report,
     gamma_large_cyclic,
     gamma_small_cyclic,
@@ -85,17 +86,6 @@ class _Session:
         if isinstance(argument, NameRef):
             return self.ideal_named(argument.name)[1]
         raise TorsionlabError("expected an ideal name")
-
-    def ring_for_elements(self):
-        if self.current_ring is None:
-            raise TorsionlabError("no ring defined yet")
-        return self.rings[self.current_ring]
-
-    def resolve_element(self, argument):
-        if isinstance(argument, NameRef):
-            raise TorsionlabError(
-                "expected an element, got the name %r" % argument.name)
-        return expand_element(argument, self.ring_for_elements())
 
     def same_ring(self, *names):
         rings = {self.ideal_named(n)[0] for n in names}
@@ -161,6 +151,9 @@ def _execute_statement(session, stmt):
     options = session.options
     if isinstance(stmt, RingStatement):
         ring = expand_ring(stmt)
+        failures = check_local_confluence(ring)
+        if failures:
+            raise NonConfluent(str(failures[0]))
         session.rings[stmt.name] = ring
         session.current_ring = stmt.name
         return {"ring": stmt.name, "variables": ring.num_vars,
@@ -342,11 +335,6 @@ def main(argv=None):
             sys.stdout.write(reports.render(tree, options.fmt))
             return 0
         tag = args.run
-        try:
-            get_family(tag)
-        except TorsionlabError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
         levels = args.levels if args.levels is not None else DEFAULT_LEVELS
         window = (args.window if args.window is not None
                   else options.stability_window)

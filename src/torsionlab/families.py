@@ -36,7 +36,6 @@ from .ring import (
 )
 
 MAX_LEVEL = 15  # at most 16 variables
-CONFLUENCE_BOUND = 8
 DEFAULT_LEVELS = tuple(range(4, 11))
 DEFAULT_WINDOW = 3
 DEFAULT_SEED = 42
@@ -103,11 +102,11 @@ def instantiate(family, level):
     """Expand the family patterns at this level and certify confluence."""
     _check_level(level)
     ring, ideals = family.build(level)
-    report = check_local_confluence(ring, CONFLUENCE_BOUND)
-    if not report.ok:
+    failures = check_local_confluence(ring)
+    if failures:
         raise NonConfluent(
             "family %s at level %d has %d non-joinable critical pairs"
-            % (family.tag, level, len(report.failures)))
+            % (family.tag, level, len(failures)))
     return ring, ideals
 
 

@@ -19,7 +19,7 @@ from .spectrum import assassin_scan, difference_variety, intersect_variety
 from .torsion import (
     bounded_torsion_exponent,
     centredness_flags,
-    fairness_from_parts,
+    fairness_report,
     gamma_large_cyclic,
     gamma_small_cyclic,
 )
@@ -203,23 +203,16 @@ def check_instance(instance):
     bound = instance.witness_bound
     ck = _Checker(instance)
 
-    small = gamma_small_cyclic(a, b)
-    large = gamma_large_cyclic(a, b)
+    report = fairness_report(a, b, bound)
+    small, large = report.small, report.large
     g = small.preimage
     h = large.preimage
+    ((base_ass, base_assf), (sub_s_ass, sub_s_assf), (quo_s_ass, quo_s_assf),
+     (sub_l_ass, sub_l_assf), (quo_l_ass, quo_l_assf)) = report.scans
 
-    unit = IdealHandle.unit(instance.ring)
-    base_ass, base_assf = assassin_scan(unit, b, bound)
-    sub_s_ass, sub_s_assf = assassin_scan(g, b, bound)
-    quo_s_ass, quo_s_assf = assassin_scan(unit, g, bound)
-    sub_l_ass, sub_l_assf = assassin_scan(h, b, bound)
-    quo_l_ass, quo_l_assf = assassin_scan(unit, h, bound)
-
-    all_reports = [base_ass, base_assf, sub_s_ass, sub_s_assf, quo_s_ass,
-                   quo_s_assf, sub_l_ass, sub_l_assf, quo_l_ass, quo_l_assf]
     ck.check("scan-completeness",
              small.stabilized and large.stabilized
-             and all(r.complete for r in all_reports),
+             and all(r.complete for pair in report.scans for r in pair),
              "witness bound %d" % bound)
 
     ck.check("subfunctor-chain",
@@ -258,10 +251,6 @@ def check_instance(instance):
     ck.check("quot-large-avoids-variety",
              not intersect_variety(quo_l_ass.primes, a))
 
-    report = fairness_from_parts(
-        a, b, small, large, base_ass, base_assf,
-        sub_s_assf, quo_s_ass, quo_s_assf,
-        sub_l_assf, quo_l_ass, quo_l_assf)
     ck.check("fairness-complete", report.complete)
     wf = report.verdict("weakly_fair")
     wq = report.verdict("weakly_quasifair")
@@ -285,15 +274,13 @@ def check_instance(instance):
     ck.check("ass-subset-weak",
              all(r_ass.prime_set <= r_assf.prime_set
                  and r_ass.prime_set == r_assf.prime_set
-                 for r_ass, r_assf in [
-                     (base_ass, base_assf), (sub_s_ass, sub_s_assf),
-                     (quo_s_ass, quo_s_assf), (sub_l_ass, sub_l_assf),
-                     (quo_l_ass, quo_l_assf)]))
+                 for r_ass, r_assf in report.scans))
     ck.check("zero-module-iff-empty-weak",
              b.is_unit == (not base_assf.prime_set))
 
     c_sub_ass, c_sub_assf = assassin_scan(c, b, bound)
-    c_quo_ass, c_quo_assf = assassin_scan(unit, c, bound)
+    c_quo_ass, c_quo_assf = assassin_scan(
+        IdealHandle.unit(instance.ring), c, bound)
     ck.check("exact-sequence-ass",
              c_sub_ass.prime_set <= base_ass.prime_set
              and base_ass.prime_set

@@ -24,7 +24,7 @@ from .ring import Element, Monomial, grlex_key
 MONOMIAL_MODE = "monomial"
 GENERAL_MODE = "general"
 
-DEFAULT_SATURATION_CAP = 64
+DEFAULT_ITERATION_CAP = 64
 
 
 def _reduce_monomials(monos):
@@ -519,7 +519,7 @@ def _monomial_saturation(ideal, other):
     return acc
 
 
-def ideal_saturation(ideal, other, iteration_cap=DEFAULT_SATURATION_CAP):
+def ideal_saturation(ideal, other, iteration_cap=DEFAULT_ITERATION_CAP):
     """(I : J^inf), with the steps of the ascending chain I, (I:J),
     ((I:J):J), ... until it stops moving.
 

@@ -13,6 +13,36 @@ from itertools import combinations
 from .ring import Monomial
 
 
+def exhaustive_normal_forms(ring, m):
+    """Set of all normal forms reachable from a monomial under every
+    rewriting strategy, as canonical element keys: () for zero and
+    ((pairs, coeff),) for coeff * monomial.  One-term states stay one-term.
+
+    On a confluent rule set the returned set is a singleton.
+    """
+    cache = {}
+
+    def forms(mono):
+        cached = cache.get(mono)
+        if cached is not None:
+            return cached
+        out = set()
+        applicable = [rule for rule in ring.rules if rule.lhs.divides(mono)]
+        if not applicable:
+            out.add(((mono.pairs, 1),))
+        for rule in applicable:
+            if rule.rhs is None:
+                out.add(())
+                continue
+            rc, rm = rule.rhs
+            for key in forms(mono.div(rule.lhs).mul(rm)):
+                out.add(tuple((pairs, c * rc) for pairs, c in key))
+        result = cache[mono] = frozenset(out)
+        return result
+
+    return forms(m)
+
+
 def colon_monomials(ideal, factor, bound):
     """All normal monomials m of degree <= bound with m * factor in the
     ideal, straight from the definition."""

@@ -185,14 +185,11 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from four caches and the
-    confluence_checked_to watermark recorded by check_local_confluence.  The
-    caches are the normal-form cache, the reachable-normal-form sets of the
-    confluence oracle, the level cache (the tuple of normal monomials of
-    each degree enumerated so far, extended on demand by
-    normal_monomials_of_degree), and the assassin memo of
-    spectrum.assassin_scan: the (ass, ass^f) report pair per numerator
-    generators, denominator generators and witness bound.
+    Instances are immutable apart from three caches: the normal-form cache,
+    the level cache (the tuple of normal monomials of each degree enumerated
+    so far, extended on demand by normal_monomials_of_degree), and the
+    assassin memo of spectrum.assassin_scan: the (ass, ass^f) report pair
+    per numerator generators, denominator generators and witness bound.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -213,9 +210,7 @@ class RingPresentation:
             seen.add(rule.lhs)
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
-        self.confluence_checked_to = 0
         self._nf_cache = {}
-        self._nf_set_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
         self._assassin_memo = {}
@@ -405,9 +400,6 @@ class Element:
                     acc[m] = acc.get(m, 0) + c * c1 * c2
         return Element(self.ring, acc)
 
-    def mul_monomial(self, m, coeff=1):
-        return self.mul(Element.from_monomial(self.ring, m, coeff))
-
     def __eq__(self, other):
         return (isinstance(other, Element) and self.ring is other.ring
                 and self.terms == other.terms)
@@ -438,113 +430,56 @@ def format_element(e):
     return " + ".join(parts)
 
 
-def exhaustive_normal_forms(ring, m, _cache=None):
-    """Set of all normal forms reachable from a monomial under every
-    rewriting strategy.  One-term states stay one-term, so the set consists
-    of canonical element keys of 0 or coeff*monomial results.
-
-    This is the independent oracle for the deterministic strategy: on a
-    locally confluent system the returned set is a singleton.
-    """
-    if _cache is None:
-        _cache = ring._nf_set_cache
-    cached = _cache.get(m)
-    if cached is not None:
-        return cached
-    applicable = [rule for rule in ring.rules if rule.lhs.divides(m)]
-    if not applicable:
-        result = frozenset({Element(ring, {m: Fraction(1)}).canonical_key()})
-    else:
-        out = set()
-        for rule in applicable:
-            if rule.rhs is None:
-                out.add(Element.zero(ring).canonical_key())
-                continue
-            rc, rm = rule.rhs
-            nxt = m.div(rule.lhs).mul(rm)
-            for key in exhaustive_normal_forms(ring, nxt, _cache):
-                scaled = Element(
-                    ring, {Monomial(p): c * rc for p, c in key})
-                out.add(scaled.canonical_key())
-        result = frozenset(out)
-    _cache[m] = result
-    return result
-
-
 @dataclass(frozen=True)
 class CriticalPairResult:
+    """A critical pair whose two one-step reducts have different normal
+    forms."""
     lhs1: Monomial
     lhs2: Monomial
     overlap: Monomial
-    joinable: bool
-    left_forms: frozenset
-    right_forms: frozenset
+    left: Element  # normal form of the reduct by the lhs1 rule
+    right: Element  # normal form of the reduct by the lhs2 rule
+
+    def __str__(self):
+        return "rules on %s and %s do not join at %s: %s vs %s" % (
+            format_monomial(self.lhs1), format_monomial(self.lhs2),
+            format_monomial(self.overlap), format_element(self.left),
+            format_element(self.right))
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    degree_bound: int
-    pairs_examined: int
-    failures: tuple
-
-    @property
-    def ok(self):
-        return not self.failures
-
-
-def _one_step(ring, m, rule):
-    """Apply rule at monomial m (rule.lhs must divide m); returns Element."""
-    q = m.div(rule.lhs)
+def _reduct_normal_form(ring, overlap, rule):
+    """Normal form of the one-step reduct of overlap by rule."""
     if rule.rhs is None:
         return Element.zero(ring)
     rc, rm = rule.rhs
-    return Element(ring, {q.mul(rm): rc})
+    return ring.normal_form_monomial(overlap.div(rule.lhs).mul(rm)).scale(rc)
 
 
-def _reachable_forms(ring, elem):
-    if elem.is_zero:
-        return frozenset({elem.canonical_key()})
-    ((m, c),) = elem.terms.items()
-    out = set()
-    for key in exhaustive_normal_forms(ring, m):
-        scaled = Element(ring, {Monomial(p): cc * c for p, cc in key})
-        out.add(scaled.canonical_key())
-    return frozenset(out)
+def check_local_confluence(ring):
+    """The critical pairs of the rules that do not join; () means the rules
+    are confluent.
 
-
-def check_local_confluence(ring, degree_bound):
-    """Examine every critical pair whose overlap degree is within the bound.
-
-    A critical pair of two rules is formed at the lcm of their lhs monomials.
-    Rules with coprime lhs always join (reduce the two factors independently),
-    and two rules rewriting to zero trivially join at zero; the remaining
-    pairs are decided by intersecting exhaustively enumerated sets of
-    reachable normal forms.  Strict degree decrease makes every reduction
-    terminate, so joinability of all local pairs up to the bound gives
-    confluence on monomials of degree up to the bound.
+    A critical pair of two rules is formed at the lcm of their lhs
+    monomials.  Rules with coprime lhs always join (reduce the two factors
+    independently), and two rules rewriting to zero join at zero.  Every
+    rule strictly lowers degree, so rewriting terminates, and by Newman's
+    lemma with the critical-pair lemma the rules are confluent exactly when
+    every remaining pair joins.  Under confluence normal forms are unique,
+    so a pair joins exactly when the normal forms of its two reducts under
+    the fixed strategy agree.
     """
     failures = []
-    examined = 0
     rules = ring.rules
-    for i in range(len(rules)):
-        for j in range(i + 1, len(rules)):
-            r1, r2 = rules[i], rules[j]
-            overlap = r1.lhs.lcm(r2.lhs)
-            if overlap.degree > degree_bound:
-                continue
-            examined += 1
+    for i, r1 in enumerate(rules):
+        for r2 in rules[i + 1:]:
             if r1.rhs is None and r2.rhs is None:
                 continue
             if r1.lhs.gcd(r2.lhs).is_one:
-                # Coprime lhs: both reducts rewrite to the product of the
-                # two rhs sides, so the pair joins without search.
                 continue
-            left = _reachable_forms(ring, _one_step(ring, overlap, r1))
-            right = _reachable_forms(ring, _one_step(ring, overlap, r2))
-            if not (left & right):
+            overlap = r1.lhs.lcm(r2.lhs)
+            left = _reduct_normal_form(ring, overlap, r1)
+            right = _reduct_normal_form(ring, overlap, r2)
+            if left != right:
                 failures.append(CriticalPairResult(
-                    r1.lhs, r2.lhs, overlap, False, left, right))
-    report = ConfluenceReport(degree_bound, examined, tuple(failures))
-    if report.ok:
-        ring.confluence_checked_to = max(ring.confluence_checked_to, degree_bound)
-    return report
+                    r1.lhs, r2.lhs, overlap, left, right))
+    return tuple(failures)

@@ -107,12 +107,6 @@ class AssassinReport:
     def prime_set(self):
         return frozenset(self.primes)
 
-    def witness_for(self, prime):
-        for p, m in self.witnesses:
-            if p == prime:
-                return m
-        return None
-
 
 def default_witness_bound(denominator):
     """Degree of the lcm of the reduced generators, plus two."""
@@ -190,16 +184,6 @@ def assassin_scan(numerator, denominator, witness_bound=None):
             AssassinReport(*_sorted_primes(pairs), witness_bound, complete)
             for pairs in (ass_pairs, assf_pairs))
     return reports
-
-
-def assassins_subquotient(numerator, denominator, witness_bound=None):
-    """ass of the module (numerator + denominator) / denominator."""
-    return assassin_scan(numerator, denominator, witness_bound)[0]
-
-
-def weak_assassins_subquotient(numerator, denominator, witness_bound=None):
-    """ass^f of the module: primes minimal over some witness annihilator."""
-    return assassin_scan(numerator, denominator, witness_bound)[1]
 
 
 def assassins_cyclic(denominator, witness_bound=None):

@@ -18,20 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ideals import (
+    DEFAULT_ITERATION_CAP,
     IdealHandle,
     _power_kill_exponent,
     ideal_intersection,
     ideal_saturation,
 )
-from .spectrum import (
-    assassins_cyclic,
-    difference_variety,
-    intersect_variety,
-    weak_assassins_cyclic,
-    weak_assassins_subquotient,
-)
-
-DEFAULT_ITERATION_CAP = 64
+from .spectrum import assassin_scan, difference_variety, intersect_variety
 
 SMALL = "small"
 LARGE = "large"
@@ -117,6 +110,9 @@ class FairnessReport:
     half_centred_witness_ok: bool
     functors_agree: bool
     complete: bool
+    # (ass, ass^f) report pairs of R/relations, small torsion,
+    # R/small preimage, large torsion and R/large preimage; not rendered.
+    scans: tuple
 
     def verdict(self, name):
         for comparison in self.comparisons:
@@ -151,11 +147,29 @@ def centredness_flags(acting, small, base_assf):
     return centred, half_centred
 
 
-def fairness_from_parts(acting, relations, small, large, base_ass, base_assf,
-                        small_sub_assf, small_quot_ass, small_quot_assf,
-                        large_sub_assf, large_quot_ass, large_quot_assf):
-    """Assemble a FairnessReport from precomputed torsion results and
-    assassin reports (shared with callers that need the parts anyway)."""
+def fairness_report(acting, relations, witness_bound=None,
+                    iteration_cap=DEFAULT_ITERATION_CAP):
+    """All six fairness verdicts for the module R/relations at the acting
+    ideal, plus centredness witnesses.
+
+    With a None witness bound each assassin scan picks its own default; an
+    explicit bound is applied to every scan.  The complete flag reports
+    whether every scan was certified complete and both saturations
+    stabilized; verdicts from incomplete scans are advisory.
+    """
+    small = gamma_small_cyclic(acting, relations, iteration_cap)
+    large = gamma_large_cyclic(acting, relations, iteration_cap)
+    unit = IdealHandle.unit(relations.ring)
+    scans = tuple(assassin_scan(numerator, denominator, witness_bound)
+                  for numerator, denominator in (
+                      (unit, relations),
+                      (small.preimage, relations),
+                      (unit, small.preimage),
+                      (large.preimage, relations),
+                      (unit, large.preimage)))
+    ((base_ass, base_assf), (_, small_sub_assf),
+     (small_quot_ass, small_quot_assf), (_, large_sub_assf),
+     (large_quot_ass, large_quot_assf)) = scans
     ass_minus = difference_variety(base_ass.primes, acting)
     assf_minus = difference_variety(base_assf.primes, acting)
     assf_meet = intersect_variety(base_assf.primes, acting)
@@ -178,31 +192,7 @@ def fairness_from_parts(acting, relations, small, large, base_ass, base_assf,
 
     return FairnessReport(
         acting, relations, small, large, comparisons,
-        centred_ok, half_centred_ok, functors_agree, complete)
-
-
-def fairness_report(acting, relations, witness_bound=None,
-                    iteration_cap=DEFAULT_ITERATION_CAP):
-    """All six fairness verdicts for the module R/relations at the acting
-    ideal, plus centredness witnesses.
-
-    With a None witness bound each assassin scan picks its own default; an
-    explicit bound is applied to every scan.  The complete flag reports
-    whether every scan was certified complete and both saturations
-    stabilized; verdicts from incomplete scans are advisory.
-    """
-    small = gamma_small_cyclic(acting, relations, iteration_cap)
-    large = gamma_large_cyclic(acting, relations, iteration_cap)
-    return fairness_from_parts(
-        acting, relations, small, large,
-        assassins_cyclic(relations, witness_bound),
-        weak_assassins_cyclic(relations, witness_bound),
-        weak_assassins_subquotient(small.preimage, relations, witness_bound),
-        assassins_cyclic(small.preimage, witness_bound),
-        weak_assassins_cyclic(small.preimage, witness_bound),
-        weak_assassins_subquotient(large.preimage, relations, witness_bound),
-        assassins_cyclic(large.preimage, witness_bound),
-        weak_assassins_cyclic(large.preimage, witness_bound))
+        centred_ok, half_centred_ok, functors_agree, complete, scans)
 
 
 def is_bounded_small_torsion(acting, relations,

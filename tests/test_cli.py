@@ -95,6 +95,24 @@ def test_invalid_ring_presentation_is_a_script_error(tmp_path, capsys):
     assert "duplicate rule lhs X0^2" in out
 
 
+def test_non_confluent_ring_is_a_script_error(tmp_path, capsys):
+    # X0^2*X1 rewrites to 0 by the first rule and to X1 by the second.
+    path = _write(tmp_path, "ring R = vars X[0..1] rules "
+                            "{ X[0]*X[1] -> X[1]; X[0]^2 -> 0 }\n"
+                            "ideal a = < X[0] >\n"
+                            "ideal b = < X[1]^2 >\n"
+                            "query gamma(a; b)\n")
+    code, out, err = _run(capsys, "--format", "json", "run", path)
+    assert code == 2
+    assert err == ""
+    tree = json.loads(out)
+    assert tree["status"] == "error"
+    assert tree["error_at"] == 1
+    (statement,) = tree["statements"]
+    assert statement["error"] == (
+        "rules on X0^2 and X0*X1 do not join at X0^2*X1: 0 vs X1")
+
+
 def test_examples_list(capsys):
     code, out, _ = _run(capsys, "examples", "--list")
     assert code == 0

@@ -17,7 +17,7 @@ from torsionlab.families import (
     stable_query,
 )
 from torsionlab.ideals import format_ideal
-from torsionlab.ring import Monomial, format_monomial
+from torsionlab.ring import Monomial, check_local_confluence, format_monomial
 
 
 def test_registry_lists_seven_tags_sorted():
@@ -46,9 +46,16 @@ def test_instantiate_certifies_confluence():
     expect_quotient = {"idem50C", "nil40A", "nil40D"}
     for tag in family_tags():
         ring, ideals = instantiate(get_family(tag), 4)
-        assert ring.confluence_checked_to >= 8
+        assert check_local_confluence(ring) == ()
         assert "a" in ideals
         assert ("b" in ideals) == (tag in expect_quotient)
+
+
+def test_every_family_is_confluent_at_every_level():
+    for tag in family_tags():
+        for level in range(MAX_LEVEL + 1):
+            ring, _ = instantiate(get_family(tag), level)
+            assert check_local_confluence(ring) == (), (tag, level)
 
 
 def test_nil40A_level_four_shape():

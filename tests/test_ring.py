@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from torsionlab.errors import InvalidPresentation, TorsionlabError
 from torsionlab.harness import random_instance
+from torsionlab.oracles import exhaustive_normal_forms
 from torsionlab.ring import (
     Element,
     Monomial,
     RewriteRule,
     RingPresentation,
     check_local_confluence,
-    exhaustive_normal_forms,
     format_element,
     format_monomial,
     grlex_key,
@@ -99,18 +99,18 @@ def test_normal_monomials_count_in_square_zero_ring():
 
 def test_confluence_of_disjoint_power_rules():
     ring = RingPresentation(3, [RewriteRule(_var(i, i + 2)) for i in range(3)])
-    report = check_local_confluence(ring, 8)
-    assert report.ok
-    assert ring.confluence_checked_to >= 8
+    assert check_local_confluence(ring) == ()
 
 
 def test_non_confluent_overlap_is_detected():
     # X0^2 -> X0 and X0^3 -> X1 disagree on X0^3.
     ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(0))),
                                 RewriteRule(_var(0, 3), (1, _var(1)))])
-    report = check_local_confluence(ring, 4)
-    assert not report.ok
-    assert len(report.failures) == 1
+    (failure,) = check_local_confluence(ring)
+    assert (failure.lhs1, failure.lhs2, failure.overlap) == (
+        _var(0, 2), _var(0, 3), _var(0, 3))
+    assert (format_element(failure.left), format_element(failure.right)) == (
+        "X0", "X1")
 
 
 def test_exhaustive_forms_agree_with_normal_form():
@@ -130,13 +130,59 @@ def test_exhaustive_forms_agree_with_normal_form():
             else:
                 rules.append(RewriteRule(lhs, (1, _var(rng.randrange(n)))))
         ring = RingPresentation(n, rules)
-        if not check_local_confluence(ring, 6).ok:
+        if check_local_confluence(ring):
             continue
         for m in ring.normal_monomials_up_to(2):
             probe = m.mul(_var(rng.randrange(n), rng.randint(1, 3)))
             forms = exhaustive_normal_forms(ring, probe)
             nf = ring.normal_form_monomial(probe)
             assert forms == frozenset({nf.canonical_key()})
+
+
+def _random_rule_set(rng):
+    n = rng.randint(1, 3)
+    rules = {}
+    for _ in range(rng.randint(2, 4)):
+        lhs = Monomial((v, rng.randint(1, 2)) for v in range(n)
+                       if rng.random() < 0.6)
+        if lhs.is_one or lhs in rules:
+            continue
+        if rng.random() < 0.3:
+            rules[lhs] = RewriteRule(lhs)
+        else:
+            rhs = Monomial((v, 1) for v in range(n) if rng.random() < 0.4)
+            while rhs.degree >= lhs.degree:
+                rhs = Monomial(rhs.pairs[1:])
+            rules[lhs] = RewriteRule(lhs, (rng.choice((1, 2, -1)), rhs))
+    return RingPresentation(n, rules.values())
+
+
+def _monomials_up_to(n, degree):
+    for exps in itertools.product(range(degree + 1), repeat=n):
+        if sum(exps) <= degree:
+            yield Monomial(enumerate(exps))
+
+
+def test_confluence_check_agrees_with_exhaustive_oracle():
+    # Any non-joinable critical pair shows two normal forms at its overlap,
+    # so checking every monomial up to the largest overlap degree decides
+    # confluence.
+    rng = random.Random(5)
+    verdicts = Counter()
+    for _ in range(2000):
+        ring = _random_rule_set(rng)
+        lhs = [rule.lhs for rule in ring.rules]
+        top = max((a.lcm(b).degree for a, b
+                   in itertools.combinations_with_replacement(lhs, 2)),
+                  default=0)
+        unique = all(
+            len(exhaustive_normal_forms(ring, m)) == 1
+            for m in _monomials_up_to(ring.num_vars, top))
+        confluent = check_local_confluence(ring) == ()
+        assert confluent == unique, ring.rules
+        verdicts[confluent] += 1
+    assert verdicts[False] >= 500
+    assert verdicts[True] >= 500
 
 
 def test_all_rhs_zero_preserves_or_kills_monomials():
