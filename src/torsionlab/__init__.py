@@ -61,7 +61,6 @@ from .torsion import (
     fairness_report,
     gamma_large_cyclic,
     gamma_small_cyclic,
-    is_bounded_small_torsion,
     radical_probe,
 )
 from .harness import (
@@ -80,7 +79,6 @@ from .families import (
     get_family,
     instantiate,
     replicate_example,
-    stable_query,
 )
 from .dsl import Script, expand_ideal, expand_ring, parse
 

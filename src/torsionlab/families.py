@@ -9,6 +9,12 @@ stable across the trailing window.
 Probe device used throughout: non-vanishing of a^n * f in the limit ring is
 certified at a finite level by multiplying f with powers of variables not
 occurring in f, which keeps the product in normal form.
+
+No claim builds a power of the acting ideal.  "m lies in a^n" is
+power_order(a, m) >= n, the most generators of a whose product divides m;
+"a^n * X_i lies in b" (or is zero) is a walk over the products of a's
+generators that keep X_i outside b, through ideals._power_kill_exponent.
+The nil40A relations are built directly as their reduced basis.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from itertools import combinations
 from .errors import InvalidSchedule, NonConfluent, UnknownTag
 from .ideals import (
     IdealHandle,
+    _power_kill_exponent,
     ideal_colon,
-    ideal_colon_ideal,
     ideal_membership,
-    ideal_product,
+    power_order,
 )
 from .ring import (
     Element,
@@ -126,10 +132,10 @@ def _product_of_vars(indices):
     return acc
 
 
-def _ideal_inside(ideal, target):
-    """Every generator of ideal lies in target (exact, monomial mode)."""
-    return all(target.contains_monomial(m)
-               for m in ideal.monomial_generators())
+def _kills_variable(acting, power, v, target):
+    """acting^power * X_v lies inside target (monomial mode)."""
+    module = IdealHandle.from_monomials(target.ring, [Monomial.variable(v)])
+    return _power_kill_exponent(acting, module, target, power) is not None
 
 
 # ---------------------------------------------------------------- nil40A
@@ -139,69 +145,49 @@ def _build_nil40A(level):
     ring = RingPresentation(n, [
         RewriteRule(Monomial.variable(v, 2)) for v in range(n)])
     acting = _variables_ideal(ring)
-    gens = []
-    for i in range(n):
-        others = [v for v in range(n) if v != i]
-        for combo in combinations(others, i):
-            gens.append(Monomial.variable(i).mul(_product_of_vars(combo)))
-    relations = IdealHandle.from_monomials(ring, gens)
+    # X_i times i other variables is a multiple of X_k * X_S, k the least
+    # index of the product and S a k-subset of the indices above k; those
+    # products are the reduced basis.
+    relations = IdealHandle.from_monomials(ring, [
+        _product_of_vars((k,) + above)
+        for k in range(n) for above in combinations(range(k + 1, n), k)])
     return ring, {"a": acting, "b": relations}
-
-
-def _powers_up_to(acting, count):
-    """[acting^0, acting^1, ..., acting^count] built along one chain."""
-    chain = [IdealHandle.unit(acting.ring)]
-    for _ in range(count):
-        chain.append(ideal_product(chain[-1], acting))
-    return chain
 
 
 def _nil40A_probe_whole_ring(ring, ideals, level, rng):
     # a^n * 1 stays nonzero while fresh variables remain: the squarefree
     # product X_1..X_n lies in a^n and is a nonzero normal form.
-    powers = _powers_up_to(ideals["a"], max(level - 1, 0))
     for n in range(1, level):
         probe = _product_of_vars(range(1, n + 1))
         if ring.normal_form_monomial(probe).is_zero:
             return False
-        if not ideal_membership(
-                _monomial_elem(ring, probe), powers[n]).is_yes:
+        if power_order(ideals["a"], probe) < n:
             return False
     return True
 
 
 def _nil40A_generators_torsion(ring, ideals, level, rng):
-    powers = _powers_up_to(ideals["a"], max(level - 2, 0))
-    for i in range(0, max(level - 1, 0)):
-        prod = ideal_product(
-            powers[i],
-            IdealHandle.from_monomials(ring, [Monomial.variable(i)]))
-        if not _ideal_inside(prod, ideals["b"]):
-            return False
-    return True
+    return all(_kills_variable(ideals["a"], i, i, ideals["b"])
+               for i in range(0, max(level - 1, 0)))
 
 
 def _nil40A_unit_not_torsion(ring, ideals, level, rng):
     # X_n..X_{2n-1} lies in a^n but escapes b, so a^n * 1 is not inside b.
-    powers = _powers_up_to(ideals["a"], (level + 1) // 2)
     ok = True
     for n in range(1, level + 1):
         if 2 * n - 1 > level:
             break
         probe = _product_of_vars(range(n, 2 * n))
         ok = ok and not ring.normal_form_monomial(probe).is_zero
-        ok = ok and ideal_membership(
-            _monomial_elem(ring, probe), powers[n]).is_yes
+        ok = ok and power_order(ideals["a"], probe) >= n
         ok = ok and not ideals["b"].contains_monomial(probe)
     return ok
 
 
 def _nil40A_top_power_nonzero(ring, ideals, level, rng):
     probe = _product_of_vars(range(0, level + 1))
-    powers = _powers_up_to(ideals["a"], level + 1)
     return (not ring.normal_form_monomial(probe).is_zero
-            and ideal_membership(
-                _monomial_elem(ring, probe), powers[level + 1]).is_yes)
+            and power_order(ideals["a"], probe) >= level + 1)
 
 
 # ---------------------------------------------------------------- nil40B
@@ -220,24 +206,17 @@ def _build_nil40B(level):
 def _nil40B_generators_torsion(ring, ideals, level, rng):
     # a^i kills X_i: mixed products vanish by the pair rules and the pure
     # power by the X_i^{i+1} rule.
-    powers = _powers_up_to(ideals["a"], level)
-    for i in range(1, level + 1):
-        prod = ideal_product(
-            powers[i],
-            IdealHandle.from_monomials(ring, [Monomial.variable(i)]))
-        if not prod.is_zero:
-            return False
-    return True
+    zero = IdealHandle.zero(ring)
+    return all(_kills_variable(ideals["a"], i, i, zero)
+               for i in range(1, level + 1))
 
 
 def _nil40B_unit_not_torsion(ring, ideals, level, rng):
-    powers = _powers_up_to(ideals["a"], level)
     for n in range(1, level + 1):
         probe = Monomial.variable(n, n)
         if ring.normal_form_monomial(probe).is_zero:
             return False
-        if not ideal_membership(
-                _monomial_elem(ring, probe), powers[n]).is_yes:
+        if power_order(ideals["a"], probe) < n:
             return False
     return True
 
@@ -257,26 +236,19 @@ def _build_nil40C(level):
 
 
 def _nil40C_generators_torsion(ring, ideals, level, rng):
-    powers = _powers_up_to(ideals["a"], level + 1)
-    for i in range(0, level + 1):
-        prod = ideal_product(
-            powers[i + 1],
-            IdealHandle.from_monomials(ring, [Monomial.variable(i)]))
-        if not prod.is_zero:
-            return False
-    return True
+    zero = IdealHandle.zero(ring)
+    return all(_kills_variable(ideals["a"], i + 1, i, zero)
+               for i in range(0, level + 1))
 
 
 def _nil40C_unit_not_torsion(ring, ideals, level, rng):
-    powers = _powers_up_to(ideals["a"], (level + 1) // 2)
     for n in range(1, level + 1):
         if 2 * n - 1 > level:
             break
         probe = _product_of_vars(range(n, 2 * n))
         if ring.normal_form_monomial(probe).is_zero:
             return False
-        if not ideal_membership(
-                _monomial_elem(ring, probe), powers[n]).is_yes:
+        if power_order(ideals["a"], probe) < n:
             return False
     return True
 
@@ -320,31 +292,8 @@ def _nil40D_fresh_power_probe(ring, ideals, level, rng):
 
 
 def _nil40D_generators_torsion(ring, ideals, level, rng):
-    # Reduced bases of the acting-ideal powers grow combinatorially here,
-    # so the inclusion a^i * X_i <= b is checked on generator products
-    # directly, each multiset of generators visited once (nondecreasing
-    # index order) with zero products pruned.
-    b = ideals["b"]
-    gens = sorted(ideals["a"].monomial_generators(), key=lambda g: g.max_var())
-
-    def walk(m, pos, depth):
-        if 1 <= depth <= level:
-            shifted = ring.normal_form_monomial(
-                m.mul(Monomial.variable(depth)))
-            if not shifted.is_zero and not b.contains_monomial(
-                    shifted.single_term()[0]):
-                return False
-        if depth == level:
-            return True
-        for p in range(pos, len(gens)):
-            grown = ring.normal_form_monomial(m.mul(gens[p]))
-            if grown.is_zero:
-                continue
-            if not walk(grown.single_term()[0], p, depth + 1):
-                return False
-        return True
-
-    return walk(Monomial.one(), 0, 0)
+    return all(_kills_variable(ideals["a"], i, i, ideals["b"])
+               for i in range(1, level + 1))
 
 
 def _nil40D_unit_not_torsion(ring, ideals, level, rng):
@@ -357,10 +306,9 @@ def _nil40D_unit_not_torsion(ring, ideals, level, rng):
             return False
         if ideals["b"].contains_monomial(probe):
             return False
-    # Directly: 1 is not in (b : a^2).
-    squared = ideal_product(ideals["a"], ideals["a"])
-    col = ideal_colon_ideal(ideals["b"], squared)
-    return not col.contains_monomial(Monomial.one())
+    # Directly: 1 is not in (b : a^2), that is, a^2 is not inside b.
+    unit = IdealHandle.unit(ring)
+    return _power_kill_exponent(ideals["a"], unit, ideals["b"], 2) is None
 
 
 # ---------------------------------------------------------------- idem50A
@@ -723,15 +671,3 @@ def replicate_example(tag, levels=DEFAULT_LEVELS, window=DEFAULT_WINDOW,
     return ExampleReport(tag, levels, window, seed, tuple(claims),
                          confluence_ok, elapsed)
 
-
-def stable_query(evaluate, levels, window):
-    """Evaluate a per-level query; stable when the trailing window agrees.
-
-    Returns (last value, per-level evidence, stable flag).
-    """
-    levels = tuple(levels)
-    _check_schedule(levels, window)
-    evidence = [(level, evaluate(level)) for level in levels]
-    tail = [v for _, v in evidence[-window:]]
-    stable = len(set(map(repr, tail))) <= 1
-    return evidence[-1][1], evidence, stable

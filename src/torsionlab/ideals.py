@@ -14,6 +14,7 @@ Two regimes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -492,14 +493,59 @@ class SaturationResult:
 
 def _power_kill_exponent(acting, module, target, iteration_cap):
     """Smallest n <= iteration_cap with acting^n * module inside target, or
-    None.  Monomial mode only."""
-    current = module
-    for n in range(iteration_cap + 1):
-        if all(target.contains_monomial(g)
-               for g in current.monomial_generators()):
+    None.  Monomial mode only.
+
+    Walks the products of n generators of acting, level by level, keeping
+    each with the module generators it still sends outside target.  Once
+    p * m lies in target so does every multiple of it, so a product with
+    none left is dropped, and the first empty level is n.  No power of
+    acting is built as an ideal (Cox, Little & O'Shea, ch. 9 section 2).
+    """
+    outside = tuple(m for m in module.monomial_generators()
+                    if not target.contains_monomial(m))
+    if not outside:
+        return 0
+    gens = acting.monomial_generators()
+    level = {Monomial.one(): outside}
+    for n in range(1, iteration_cap + 1):
+        grown = {}
+        for p, escaping in level.items():
+            for g in gens:
+                q = p.mul(g)
+                if q not in grown:
+                    grown[q] = tuple(m for m in escaping
+                                     if not target.contains_monomial(q.mul(m)))
+        level = {q: escaping for q, escaping in grown.items() if escaping}
+        if not level:
             return n
-        current = ideal_product(acting, current)
     return None
+
+
+def power_order(acting, m):
+    """Largest k with the normal monomial m in acting^k (monomial mode): the
+    most generators of acting whose product divides m.  Unbounded (inf)
+    when acting is the unit ideal."""
+    gens = acting.monomial_generators()
+    if acting.is_unit:
+        return math.inf
+    memo = {}
+
+    def order(d):
+        got = memo.get(d)
+        if got is None:
+            got = 0
+            if not d.is_one:
+                # A best product either uses a generator on the first
+                # variable of d, or divides d with that variable dropped.
+                v = d.pairs[0][0]
+                got = order(Monomial(d.pairs[1:]))
+                for g in gens:
+                    if g.pairs[0][0] == v and g.divides(d):
+                        got = max(got, 1 + order(d.div(g)))
+            memo[d] = got
+        return got
+
+    return order(m)
 
 
 def _monomial_saturation(ideal, other):

@@ -195,15 +195,6 @@ def fairness_report(acting, relations, witness_bound=None,
         centred_ok, half_centred_ok, functors_agree, complete, scans)
 
 
-def is_bounded_small_torsion(acting, relations,
-                             iteration_cap=DEFAULT_ITERATION_CAP):
-    """Smallest n with acting^n killing the whole small torsion submodule
-    of R/relations, or None if no such n up to the cap exists."""
-    g = gamma_small_cyclic(acting, relations, iteration_cap)
-    return bounded_torsion_exponent(acting, g.preimage, relations,
-                                    iteration_cap)
-
-
 def radical_probe(acting, corpus, iteration_cap=DEFAULT_ITERATION_CAP):
     """Is each torsion functor a radical on these modules?
 

@@ -14,7 +14,6 @@ from torsionlab.families import (
     get_family,
     instantiate,
     replicate_example,
-    stable_query,
 )
 from torsionlab.ideals import format_ideal
 from torsionlab.ring import Monomial, check_local_confluence, format_monomial
@@ -94,8 +93,6 @@ def test_schedule_errors_are_typed():
         lambda: replicate_example("nil40A", levels=(4, 5), window=1),
         lambda: replicate_example("nil40A", levels=(5, 4, 6)),
         lambda: replicate_example("nil40A", levels=(4, MAX_LEVEL + 1)),
-        lambda: stable_query(lambda level: level, levels=(4, 5), window=1),
-        lambda: stable_query(lambda level: level, levels=(5, 4), window=2),
     )
     for attempt in attempts:
         with pytest.raises(InvalidSchedule) as exc:
@@ -115,16 +112,6 @@ def test_replicate_small_window_passes_and_is_deterministic():
     for claim in first.claims:
         assert claim.passed and claim.stable
         assert [level for level, _ in claim.values] == [4, 5, 6]
-
-
-def test_stable_query_semantics():
-    value, evidence, stable = stable_query(
-        lambda level: level >= 0, levels=(4, 5, 6, 7), window=3)
-    assert value is True and stable
-    assert [lvl for lvl, _ in evidence] == [4, 5, 6, 7]
-    _, _, wobbling = stable_query(
-        lambda level: level % 2 == 0, levels=(4, 5, 6, 7), window=3)
-    assert not wobbling
 
 
 def test_all_pass_requires_every_claim_and_confluence():
@@ -158,3 +145,25 @@ def test_shipped_script_matches_registry_instance():
         assert sorted(format_monomial(m) for m in handle.monomial_generators()) \
             == sorted(format_monomial(m)
                       for m in fam_ideals[key].monomial_generators())
+
+
+def test_generator_torsion_claims_are_tight():
+    # The exact kill exponent of (X_i) meets or undercuts each claim's
+    # power, and one cap lower gives None: every claim is able to fail.
+    from torsionlab.ideals import IdealHandle, _power_kill_exponent
+    for level in range(4, 9):
+        expected = {
+            "nil40B": {i: i for i in range(1, level + 1)},
+            "nil40C": {i: min(i + 1, level // 2 + 1)
+                       for i in range(level + 1)},
+            "nil40D": {i: i for i in range(1, level + 1)},
+        }
+        for tag, exponents in expected.items():
+            ring, ideals = instantiate(get_family(tag), level)
+            target = ideals.get("b", IdealHandle.zero(ring))
+            for i, n in exponents.items():
+                module = IdealHandle.from_monomials(ring, [Monomial.variable(i)])
+                assert _power_kill_exponent(
+                    ideals["a"], module, target, level + 2) == n
+                assert _power_kill_exponent(
+                    ideals["a"], module, target, n - 1) is None

@@ -10,6 +10,7 @@ from torsionlab.errors import RingMismatch
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
+    _power_kill_exponent,
     brute_force_membership,
     format_ideal,
     ideal_colon,
@@ -23,6 +24,7 @@ from torsionlab.ideals import (
     ideal_sum,
     minimal_primes,
     minimal_transversals,
+    power_order,
 )
 from torsionlab.oracles import (
     colon_monomials,
@@ -31,6 +33,7 @@ from torsionlab.oracles import (
     saturation_monomials,
 )
 from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
+from torsionlab.torsion import gamma_large_cyclic
 
 
 def _var(i, e=1):
@@ -348,3 +351,82 @@ def test_general_mode_saturation_runs_the_chain(monkeypatch):
         assert (result.stabilized, result.steps) == (stabilized, steps)
     assert chain_calls
     assert format_ideal(result.ideal) == "ideal(X0*X1, X1)"
+
+
+def _product_chain_kill_exponent(acting, module, target, cap):
+    """Reference: acting^n * module built as an ideal, one product per
+    step, until its generators lie in target."""
+    current = module
+    for n in range(cap + 1):
+        if all(target.contains_monomial(g)
+               for g in current.monomial_generators()):
+            return n
+        current = ideal_product(acting, current)
+    return None
+
+
+def _kill_exponent_triples(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        a, b = instance.acting, instance.relations
+        yield a, ideal_saturation(b, a).ideal, b
+        yield a, gamma_large_cyclic(a, b).preimage, b
+        yield a, instance.extension, b
+        yield a, IdealHandle.unit(ring), b
+        for gen in a.monomial_generators():
+            principal = IdealHandle.from_monomials(ring, [gen])
+            yield principal, ideal_saturation(b, principal).ideal, b
+
+
+def test_power_kill_exponent_matches_product_chain():
+    results = set()
+    for acting, module, target in _kill_exponent_triples(300, 67):
+        top = _product_chain_kill_exponent(acting, module, target, 8)
+        for cap in range(9):
+            # The chain stops at the same n under every cap it fits.
+            expected = top if top is not None and top <= cap else None
+            assert _power_kill_exponent(acting, module, target, cap) == expected
+            results.add(expected)
+    assert None in results and {1, 2, 3, 4} <= results
+
+
+def test_power_kill_exponent_edge_cases():
+    ring = RingPresentation(2, [RewriteRule(_var(0, 2)),
+                                RewriteRule(_var(1, 2))])
+    zero, unit = IdealHandle.zero(ring), IdealHandle.unit(ring)
+    a = IdealHandle.from_monomials(ring, [_var(0), _var(1)])
+    x0 = IdealHandle.from_monomials(ring, [_var(0)])
+    # Zero acting ideal: a^1 * M = 0 already.
+    assert _power_kill_exponent(zero, unit, zero, 5) == 1
+    assert _power_kill_exponent(zero, unit, zero, 0) is None
+    # Unit acting ideal: every power is M itself.
+    assert _power_kill_exponent(unit, x0, zero, 8) is None
+    assert _power_kill_exponent(unit, x0, x0, 8) == 0
+    # Zero module, and a module inside the target.
+    assert _power_kill_exponent(a, zero, zero, 0) == 0
+    assert _power_kill_exponent(a, x0, a, 0) == 0
+    # X0*X1 survives a^2, every product of three generators dies.
+    assert _power_kill_exponent(a, unit, zero, 3) == 3
+    assert _power_kill_exponent(a, unit, zero, 2) is None
+    assert _power_kill_exponent(a, x0, zero, 2) == 2
+    assert _power_kill_exponent(a, x0, zero, 1) is None
+
+
+def test_power_order_matches_power_membership():
+    rng = random.Random(71)
+    checked = 0
+    for i in range(30):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        for acting in (instance.acting, instance.between,
+                       IdealHandle.zero(ring), IdealHandle.unit(ring)):
+            powers = [ideal_power(acting, n) for n in range(6)]
+            for m in ring.normal_monomials_up_to(4):
+                order = power_order(acting, m)
+                f = Element.from_monomial(ring, m)
+                for n, power in enumerate(powers):
+                    assert (order >= n) == ideal_membership(f, power).is_yes
+                    checked += 1
+    assert checked >= 5000

@@ -1,7 +1,9 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+module-level function is referenced somewhere in the package.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
-The package __init__.py is exempt: its imports are re-exports.
+The package __init__.py is exempt from the import check: its imports are
+re-exports.  Dunder functions are exempt from the reference check.
 """
 
 from __future__ import annotations
@@ -27,6 +29,32 @@ def _unused_imports(tree):
                   if name not in used)
 
 
+def _unreferenced_private_functions(trees):
+    """(file, line, name) of each module-level _private function that no
+    code references, its own body apart."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    defined = [(path, node.lineno, node.name)
+               for path, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, functions) and node.name.startswith("_")
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))]
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            owner = top.name if isinstance(top, functions) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return sorted(entry for entry in defined if entry[2] not in used)
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
@@ -40,3 +68,19 @@ def test_no_unused_imports():
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom x import y, z as w\nprint(y)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "w")]
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_functions(trees) == []
+
+
+def test_unreferenced_private_function_is_reported():
+    source = ("def _used():\n    pass\n\n"
+              "def _recursive():\n    return _recursive()\n\n"
+              "def __getattr__(name):\n    pass\n\n"
+              "def public():\n    return _used()\n")
+    trees = {"m.py": ast.parse(source), "n.py": ast.parse("x = m._gone\n")}
+    assert _unreferenced_private_functions(trees) == [
+        ("m.py", 4, "_recursive")]

@@ -13,7 +13,6 @@ from torsionlab.torsion import (
     fairness_report,
     gamma_large_cyclic,
     gamma_small_cyclic,
-    is_bounded_small_torsion,
     radical_probe,
 )
 
@@ -84,7 +83,6 @@ def test_bounded_torsion_exponent_on_nilpotent_ring():
     zero = IdealHandle.zero(ring)
     # X0*X1 survives degree 2, every degree-3 product dies
     assert bounded_torsion_exponent(a, IdealHandle.unit(ring), zero) == 3
-    assert is_bounded_small_torsion(a, zero) == 3
 
 
 def test_fairness_all_verdicts_on_artinian_instance():
