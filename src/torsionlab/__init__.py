@@ -46,7 +46,6 @@ from .spectrum import (
     AssassinReport,
     assassins_cyclic,
     format_prime,
-    is_prime_ideal,
     prime_ideal,
     prime_variable_set,
     spectrum,

@@ -7,6 +7,11 @@ rational multiple of a smaller monomial).  Coefficients are exact rationals
 throughout.  Normal forms are computed with a fixed deterministic strategy
 (smallest applicable lhs in graded lex order first), so results are
 reproducible even before confluence has been certified.
+
+A monomial's pairs hold one invariant: variable indices strictly increase
+and exponents are positive.  The public ``Monomial`` constructor checks it
+on every input; the private ``_trusted_monomial`` assumes it and serves
+only the monomial operations of this module, whose results keep it.
 """
 
 from __future__ import annotations
@@ -20,15 +25,19 @@ from .errors import InvalidPresentation, RingMismatch, VariableOutOfRange
 class Monomial:
     """Finitely supported exponent vector, stored as sorted (var, exp) pairs.
 
-    The empty vector is the unit monomial 1.  Exponents are kept strictly
-    positive; an absent index means exponent zero.
+    The empty vector is the unit monomial 1.  Invariant: the variable
+    indices of ``pairs`` strictly increase and every exponent is positive;
+    an absent index means exponent zero.  ``Monomial(...)`` takes pairs from
+    outside (the DSL, the harness, the families) and checks the invariant.
+    ``mul``, ``div``, ``gcd``, ``lcm``, ``pow`` and ``squarefree`` build
+    their results from operands that already hold it, so they go through
+    ``_trusted_monomial``, which checks nothing.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ("pairs", "degree", "_hash", "_support")
 
     def __init__(self, pairs=()):
         cleaned = tuple(sorted((int(v), int(e)) for v, e in pairs if e))
-        # Indices must strictly increase: divides() relies on it.
         last = -1
         for v, e in cleaned:
             if v <= last or e <= 0:
@@ -37,11 +46,13 @@ class Monomial:
                 raise ValueError("repeated variable index %d" % v)
             last = v
         self.pairs = cleaned
+        self.degree = sum(e for _, e in cleaned)
         self._hash = hash(cleaned)
+        self._support = None
 
     @classmethod
     def one(cls):
-        return cls(())
+        return _ONE
 
     @classmethod
     def variable(cls, index, exp=1):
@@ -61,12 +72,10 @@ class Monomial:
         return not self.pairs
 
     @property
-    def degree(self):
-        return sum(e for _, e in self.pairs)
-
-    @property
     def support(self):
-        return frozenset(v for v, _ in self.pairs)
+        if self._support is None:
+            self._support = frozenset(v for v, _ in self.pairs)
+        return self._support
 
     def exponent(self, var):
         for v, e in self.pairs:
@@ -78,15 +87,33 @@ class Monomial:
         return self.pairs[-1][0] if self.pairs else -1
 
     def mul(self, other):
-        acc = dict(self.pairs)
-        for v, e in other.pairs:
-            acc[v] = acc.get(v, 0) + e
-        return Monomial(acc.items())
+        a, b = self.pairs, other.pairs
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            p, q = a[i], b[j]
+            if p[0] < q[0]:
+                out.append(p)
+                i += 1
+            elif q[0] < p[0]:
+                out.append(q)
+                j += 1
+            else:
+                out.append((p[0], p[1] + q[1]))
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _trusted_monomial(tuple(out), self.degree + other.degree)
 
     def pow(self, k):
         if k < 0:
             raise ValueError("negative power")
-        return Monomial((v, e * k) for v, e in self.pairs)
+        if k == 0:
+            return _ONE
+        return _trusted_monomial(tuple((v, e * k) for v, e in self.pairs),
+                                 self.degree * k)
 
     def divides(self, other):
         # One merge walk over both sorted pair tuples.
@@ -103,26 +130,81 @@ class Monomial:
 
     def div(self, other):
         """Exact quotient self / other; other must divide self."""
-        acc = dict(self.pairs)
-        for v, e in other.pairs:
-            have = acc.get(v, 0)
-            if have < e:
+        out = []
+        mine = iter(self.pairs)
+        for w, f in other.pairs:
+            for p in mine:
+                if p[0] >= w:
+                    break
+                out.append(p)
+            else:
                 raise ValueError("non-exact monomial division")
-            acc[v] = have - e
-        return Monomial(acc.items())
+            v, e = p
+            if v != w or e < f:
+                raise ValueError("non-exact monomial division")
+            if e != f:
+                out.append((v, e - f))
+        out.extend(mine)
+        return _trusted_monomial(tuple(out), self.degree - other.degree)
 
     def gcd(self, other):
-        it = dict(other.pairs)
-        return Monomial((v, min(e, it[v])) for v, e in self.pairs if v in it)
+        a, b = self.pairs, other.pairs
+        na, nb = len(a), len(b)
+        out = []
+        degree = i = j = 0
+        while i < na and j < nb:
+            v, e = a[i]
+            w, f = b[j]
+            if v < w:
+                i += 1
+            elif w < v:
+                j += 1
+            else:
+                g = e if e < f else f
+                out.append((v, g))
+                degree += g
+                i += 1
+                j += 1
+        return _trusted_monomial(tuple(out), degree)
 
     def lcm(self, other):
-        acc = dict(self.pairs)
-        for v, e in other.pairs:
-            acc[v] = max(acc.get(v, 0), e)
-        return Monomial(acc.items())
+        a, b = self.pairs, other.pairs
+        na, nb = len(a), len(b)
+        out = []
+        i = j = 0
+        while i < na and j < nb:
+            p, q = a[i], b[j]
+            if p[0] < q[0]:
+                out.append(p)
+                i += 1
+            elif q[0] < p[0]:
+                out.append(q)
+                j += 1
+            else:
+                out.append(p if p[1] >= q[1] else q)
+                i += 1
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return _trusted_monomial(tuple(out), sum(e for _, e in out))
 
     def squarefree(self):
-        return Monomial((v, 1) for v, _ in self.pairs)
+        return _trusted_monomial(tuple((v, 1) for v, _ in self.pairs),
+                                 len(self.pairs))
+
+
+def _trusted_monomial(pairs, degree):
+    """A Monomial from pairs that already hold the invariant, and their
+    exponent sum; nothing is checked."""
+    m = object.__new__(Monomial)
+    m.pairs = pairs
+    m.degree = degree
+    m._hash = hash(pairs)
+    m._support = None
+    return m
+
+
+_ONE = _trusted_monomial((), 0)
 
 
 def grlex_key(m):
@@ -210,6 +292,13 @@ class RingPresentation:
             seen.add(rule.lhs)
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
+        # A rule can apply to m only if the smallest variable of its lhs
+        # occurs in m: bucket the rules by that variable, each with its
+        # position in the grlex rule order.
+        self._rules_by_var = {}
+        for pos, rule in enumerate(self.rules):
+            self._rules_by_var.setdefault(rule.lhs.pairs[0][0], []).append(
+                (pos, rule))
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
@@ -229,17 +318,27 @@ class RingPresentation:
                 "monomial %s exceeds variable range" % format_monomial(m))
 
     def _first_applicable(self, m):
-        for rule in self.rules:
-            if rule.lhs.divides(m):
-                return rule
-        return None
+        """The first rule in grlex order whose lhs divides m, or None."""
+        best = None
+        best_pos = len(self.rules)
+        buckets = self._rules_by_var
+        for v, _ in m.pairs:
+            for pos, rule in buckets.get(v, ()):
+                if pos >= best_pos:
+                    break
+                if rule.lhs.divides(m):
+                    best, best_pos = rule, pos
+                    break
+        return best
 
     def normal_form_monomial(self, m):
         """Normal form of a monomial as an Element (0 or coeff * monomial)."""
-        self.check_variable_range(m)
+        # Every cached key was range-checked, or reached from a checked key
+        # by rules whose monomials are in range, so a hit needs no check.
         cached = self._nf_cache.get(m)
         if cached is not None:
             return cached
+        self.check_variable_range(m)
         path = []
         coeff = Fraction(1)
         cur = m

@@ -47,10 +47,6 @@ def _basis_prime(basis):
     return frozenset(m.max_var() for m in basis)
 
 
-def is_prime_ideal(ideal) -> bool:
-    return prime_variable_set(ideal) is not None
-
-
 def prime_ideal(ring, vars_set):
     """The ideal generated by the variables in vars_set."""
     return IdealHandle.from_monomials(

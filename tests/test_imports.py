@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and every private
-module-level function is referenced somewhere in the package.
+"""Every name a module imports is used in that module, every private
+module-level function is referenced somewhere in the package, and the
+unchecked Monomial constructor is used only in ring.py.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -12,6 +13,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "torsionlab"
+TRUSTED_CONSTRUCTOR = "_trusted_monomial"
 
 
 def _unused_imports(tree):
@@ -55,6 +57,18 @@ def _unreferenced_private_functions(trees):
     return sorted(entry for entry in defined if entry[2] not in used)
 
 
+def _trusted_constructor_uses(trees):
+    """(file, line) of each reference to ring._trusted_monomial outside
+    ring.py, which alone keeps the invariant that constructor skips."""
+    return sorted(
+        (path, node.lineno)
+        for path, tree in trees.items() if path != "ring.py"
+        for node in ast.walk(tree)
+        if TRUSTED_CONSTRUCTOR in (getattr(node, "id", None),
+                                   getattr(node, "attr", None),
+                                   getattr(node, "name", None)))
+
+
 def test_no_unused_imports():
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
@@ -84,3 +98,25 @@ def test_unreferenced_private_function_is_reported():
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("x = m._gone\n")}
     assert _unreferenced_private_functions(trees) == [
         ("m.py", 4, "_recursive")]
+
+
+def test_trusted_constructor_stays_in_ring():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    # The name still exists, so the check below cannot pass vacuously.
+    assert TRUSTED_CONSTRUCTOR in {node.name for node in trees["ring.py"].body
+                                   if isinstance(node, ast.FunctionDef)}
+    assert _trusted_constructor_uses(trees) == []
+
+
+def test_trusted_constructor_use_is_reported():
+    trees = {
+        "ring.py": ast.parse("def _trusted_monomial(p, d):\n    pass\n\n"
+                             "one = _trusted_monomial((), 0)\n"),
+        "ideals.py": ast.parse("from .ring import _trusted_monomial\n"),
+        "cli.py": ast.parse("from . import ring\n\n"
+                            "m = ring._trusted_monomial(((0, 1),), 1)\n"),
+        "dsl.py": ast.parse("trusted_monomial = 1\n"),
+    }
+    assert _trusted_constructor_uses(trees) == [("cli.py", 3),
+                                                ("ideals.py", 1)]

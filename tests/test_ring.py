@@ -10,7 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab.errors import InvalidPresentation, TorsionlabError
+from torsionlab.errors import (
+    InvalidPresentation,
+    TorsionlabError,
+    VariableOutOfRange,
+)
+from torsionlab.families import FAMILIES, instantiate
 from torsionlab.harness import random_instance
 from torsionlab.oracles import exhaustive_normal_forms
 from torsionlab.ring import (
@@ -157,10 +162,15 @@ def _random_rule_set(rng):
     return RingPresentation(n, rules.values())
 
 
+def _monomials_of_degree(n, d):
+    """Every monomial of degree d in n variables, in grlex order."""
+    for combo in itertools.combinations_with_replacement(range(n), d):
+        yield Monomial(Counter(combo).items())
+
+
 def _monomials_up_to(n, degree):
-    for exps in itertools.product(range(degree + 1), repeat=n):
-        if sum(exps) <= degree:
-            yield Monomial(enumerate(exps))
+    for d in range(degree + 1):
+        yield from _monomials_of_degree(n, d)
 
 
 def test_confluence_check_agrees_with_exhaustive_oracle():
@@ -230,9 +240,7 @@ def test_format_round_trip_examples():
 
 def _direct_normal_monomials(ring, d):
     """Every monomial of degree d, filtered by is_normal, in grlex order."""
-    monos = (Monomial(Counter(combo).items())
-             for combo in itertools.combinations_with_replacement(
-                 range(ring.num_vars), d))
+    monos = _monomials_of_degree(ring.num_vars, d)
     return tuple(sorted((m for m in monos if ring.is_normal(m)),
                         key=grlex_key))
 
@@ -274,3 +282,80 @@ def test_divides_matches_dict_definition(ea, eb, ec):
     assert b.divides(a) == _dict_divides(b, a)
     assert a.divides(a.mul(c))
     assert Monomial.one().divides(a)
+
+
+_canonical_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=11),
+    st.integers(min_value=1, max_value=6), max_size=12)
+
+
+def _from_dict(exps):
+    """The checked constructor on dict arithmetic done here."""
+    return Monomial(exps.items())
+
+
+def _assert_same_monomial(got, want):
+    assert got.pairs == want.pairs
+    assert hash(got) == hash(want)
+    assert got == want
+    assert got.degree == want.degree
+    assert got.support == want.support
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canonical_maps, _canonical_maps)
+def test_merge_walk_ops_match_dict_arithmetic(ea, eb):
+    a, b = _from_dict(ea), _from_dict(eb)
+    both = set(ea) & set(eb)
+    product = {v: ea.get(v, 0) + eb.get(v, 0) for v in set(ea) | set(eb)}
+    gcd = {v: min(ea[v], eb[v]) for v in both}
+    lcm = {v: max(ea.get(v, 0), eb.get(v, 0)) for v in set(ea) | set(eb)}
+    _assert_same_monomial(a.mul(b), _from_dict(product))
+    _assert_same_monomial(a.gcd(b), _from_dict(gcd))
+    _assert_same_monomial(a.lcm(b), _from_dict(lcm))
+    _assert_same_monomial(
+        a.div(a.gcd(b)), _from_dict({v: e - gcd.get(v, 0)
+                                     for v, e in ea.items()}))
+    _assert_same_monomial(a.mul(b).div(b), a)
+    _assert_same_monomial(a.pow(3), _from_dict({v: 3 * e
+                                                for v, e in ea.items()}))
+    _assert_same_monomial(a.pow(0), Monomial.one())
+    _assert_same_monomial(a.squarefree(), _from_dict(dict.fromkeys(ea, 1)))
+    if not b.divides(a):
+        with pytest.raises(ValueError, match="non-exact"):
+            a.div(b)
+
+
+def _assert_index_matches_linear_scan(ring):
+    top = max((rule.lhs.degree for rule in ring.rules), default=0) + 1
+    for m in _monomials_up_to(ring.num_vars, top):
+        expected = next((r for r in ring.rules if r.lhs.divides(m)), None)
+        assert ring._first_applicable(m) is expected, (ring.rules, m)
+
+
+def test_rule_index_matches_linear_scan_on_families():
+    for family in FAMILIES.values():
+        for level in range(9):
+            ring, _ = instantiate(family, level)
+            _assert_index_matches_linear_scan(ring)
+
+
+def test_rule_index_matches_linear_scan_on_random_rings():
+    rng = random.Random(61)
+    for i in range(50):
+        _assert_index_matches_linear_scan(random_instance(i, rng).ring)
+    rng = random.Random(5)
+    for _ in range(2000):
+        _assert_index_matches_linear_scan(_random_rule_set(rng))
+
+
+def test_warm_normal_form_cache_still_checks_range():
+    ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(1))),
+                                RewriteRule(_var(1, 2))])
+    for m in _monomials_up_to(2, 4):
+        ring.normal_form_monomial(m)
+    assert len(ring._nf_cache) >= 15
+    for m in (_var(2), _var(0).mul(_var(5)), _var(1, 3).mul(_var(2))):
+        with pytest.raises(VariableOutOfRange):
+            ring.normal_form_monomial(m)
+    assert all(m.max_var() < ring.num_vars for m in ring._nf_cache)

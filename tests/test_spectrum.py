@@ -14,7 +14,6 @@ from torsionlab.spectrum import (
     assassins_cyclic,
     default_witness_bound,
     format_prime,
-    is_prime_ideal,
     prime_ideal,
     prime_variable_set,
     spectrum,
@@ -43,7 +42,6 @@ def test_spectrum_of_nilpotent_ring_is_maximal_ideal_only():
 def test_prime_ideal_round_trip():
     ring = RingPresentation(3)
     ideal = prime_ideal(ring, {0, 2})
-    assert is_prime_ideal(ideal)
     assert prime_variable_set(ideal) == frozenset({0, 2})
     assert format_prime(frozenset({0, 2})) == "prime(X0, X2)"
 
