@@ -9,7 +9,13 @@ Two regimes:
   minimal primes correct inside the quotient ring.
 * general mode: anything else.  Membership is a certificate search by exact
   linear algebra and is semi-decidable (yes/unknown); colon by a non-monomial
-  is a bounded sound search flagged incomplete.
+  is a bounded sound search flagged incomplete.  When every rule is monic
+  and every generator a single term, the ideal is spanned by monomials and
+  membership is termwise: a term divisible by a generator is hit by the
+  quotient, and any other term only by a product that reduces, whose
+  multiplier is a multiple of the monomial colon (rule lhs : generator).
+  The targets of those products are kept per generator and extended degree
+  by degree, so a repeated or smaller bound recomputes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotMonomialMode, RingMismatch, UnitIdeal
-from .ring import Element, Monomial, grlex_key
+from .ring import FRACTION_ONE, Element, Monomial, grlex_key
 
 MONOMIAL_MODE = "monomial"
 GENERAL_MODE = "general"
@@ -38,12 +44,11 @@ def _reduce_monomials(monos):
     return tuple(out)
 
 
-def _colon_basis(ideal, m):
-    """Reduced lifted basis of (I : m) for a monomial-mode I and monomial m:
-    each lifted basis monomial of I divided by its gcd with m, reduced
-    (Miller & Sturmfels, GTM 227, ch. 1)."""
-    return _reduce_monomials(
-        [g.div(g.gcd(m)) for g in ideal.lifted_monomials()])
+def _colon_basis(basis, m):
+    """Reduced basis of (J : m) for the monomial ideal J spanned by the basis
+    monomials and a monomial m: each basis monomial divided by its gcd with
+    m, reduced (Miller & Sturmfels, GTM 227, ch. 1)."""
+    return _reduce_monomials([g.div(g.gcd(m)) for g in basis])
 
 
 def monic_rewriting(ring):
@@ -61,12 +66,15 @@ class IdealHandle:
 
     Handles are immutable.  In monomial mode they keep their reduced
     generator monomials and, from the first call of lifted_monomials, the
-    reduced lifted basis, both as tuples.  Every handle also memoizes its
-    monomial spans.
+    reduced lifted basis, both as tuples.  A monomial-spanned handle keeps,
+    from the first call of span_witness, per generator the normal monomials
+    of the colon (rule lhs : generator) and the targets of the reducing
+    products with their grlex-first multipliers, up to the largest
+    multiplier degree asked so far.
     """
 
-    __slots__ = ("ring", "generators", "mode", "complete", "_span_cache",
-                 "_monomial_gens", "_lifted")
+    __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
+                 "_lifted", "_span", "_span_degree")
 
     def __init__(self, ring, elements, complete=True):
         gens = []
@@ -78,13 +86,13 @@ class IdealHandle:
             if e.is_single_term:
                 # Units of the coefficient field never change the ideal.
                 m, c = e.single_term()
-                e = Element(ring, {m: Fraction(1)})
+                e = Element(ring, {m: FRACTION_ONE})
             gens.append(e)
         monomial = ring.all_rhs_zero and all(g.is_monomial for g in gens)
         monos = None
         if monomial:
             monos = _reduce_monomials([g.single_term()[0] for g in gens])
-            gens = [Element(ring, {m: Fraction(1)}) for m in monos]
+            gens = [Element(ring, {m: FRACTION_ONE}) for m in monos]
             mode = MONOMIAL_MODE
         else:
             seen = set()
@@ -100,9 +108,10 @@ class IdealHandle:
         self.generators = tuple(gens)
         self.mode = mode
         self.complete = complete
-        self._span_cache = {}
         self._monomial_gens = monos
         self._lifted = None
+        self._span = None
+        self._span_degree = -1
 
     @classmethod
     def from_monomials(cls, ring, monos, complete=True):
@@ -157,28 +166,51 @@ class IdealHandle:
         mono = nf.single_term()[0]
         return any(g.divides(mono) for g in self._monomial_gens)
 
-    def monomial_span(self, multiplier_bound):
-        """For monic-rewriting rings with single-term generators: the set of
-        monomials of the form NF(m * g) with multiplier degree within the
-        bound, each mapped to one witness (generator index, multiplier)."""
-        if not (monic_rewriting(self.ring)
-                and all(g.is_single_term for g in self.generators)):
-            raise NotMonomialMode("monomial span needs a monomial-spanned ideal")
-        cached = self._span_cache.get(multiplier_bound)
-        if cached is not None:
-            return cached
-        span = {}
-        for k, g in enumerate(self.generators):
-            gm = g.single_term()[0]
-            for m in self.ring.normal_monomials_up_to(multiplier_bound):
-                nf = self.ring.normal_form_monomial(gm.mul(m))
-                if nf.is_zero:
-                    continue
-                mono = nf.single_term()[0]
-                if mono not in span:
-                    span[mono] = (k, m)
-        self._span_cache[multiplier_bound] = span
-        return span
+    def span_witness(self, t, bound):
+        """For a monomial-spanned ideal and a normal monomial t: the first
+        generator index k, with the grlex-first normal multiplier m of
+        degree at most bound, such that NF(g_k * m) = t; None if none.
+
+        Rules lower degree, so a product that reduces to t has degree above
+        t, and one that does not reduce is t itself.  Hence a generator that
+        divides t is hit first by the quotient, and one that does not only
+        through a reducing product, whose multiplier is a multiple of a
+        normal monomial of the colon (rule lhs : g_k).  Grlex order puts
+        lower degrees first, so the first multiplier found up to any degree
+        is the first one overall.  The caller checks is_monomial_spanned.
+        """
+        if self._span is None:
+            lhs = tuple(rule.lhs for rule in self.ring.rules)
+            self._span = []
+            for g in self.generators:
+                gm = g.single_term()[0]
+                colon = tuple(q for q in _colon_basis(lhs, gm)
+                              if self.ring.is_normal(q))
+                self._span.append((gm, colon, {}))
+        for k, (g, _, first) in enumerate(self._span):
+            if g.divides(t):
+                if t.degree - g.degree <= bound:
+                    return k, t.div(g)
+                continue
+            if bound > self._span_degree:
+                self._extend_span(bound)
+            m = first.get(t)
+            if m is not None and m.degree <= bound:
+                return k, m
+        return None
+
+    def _extend_span(self, bound):
+        """Record the targets of the reducing products g_k * m with normal
+        multipliers of degree up to bound, each with its first m."""
+        ring = self.ring
+        for d in range(self._span_degree + 1, bound + 1):
+            level = ring.normal_monomials_of_degree(d)
+            for g, colon, first in self._span:
+                for m in level:
+                    if any(q.divides(m) for q in colon):
+                        for t in ring.normal_form_monomial(g.mul(m)).terms:
+                            first.setdefault(t, m)
+        self._span_degree = bound
 
     @property
     def is_monomial_spanned(self):
@@ -259,10 +291,9 @@ def ideal_membership(f, ideal, multiplier_degree_bound=None):
         multiplier_degree_bound = f.degree + 2
     if ideal.is_monomial_spanned:
         # The ideal is a monomial subspace, so membership is termwise.
-        span = ideal.monomial_span(multiplier_degree_bound)
         parts = {}
         for m in f.monomials():
-            hit = span.get(m)
+            hit = ideal.span_witness(m, multiplier_degree_bound)
             if hit is None:
                 return MembershipAnswer(
                     "unknown", search_bound=multiplier_degree_bound)
@@ -436,7 +467,8 @@ def ideal_colon(ideal, f, multiplier_degree_bound=None):
     if ideal.is_monomial_mode and f.is_single_term:
         # Non-normal quotients are zero in the ring; the handle drops them.
         return IdealHandle.from_monomials(
-            ideal.ring, _colon_basis(ideal, f.single_term()[0]),
+            ideal.ring,
+            _colon_basis(ideal.lifted_monomials(), f.single_term()[0]),
             complete=ideal.complete)
     if multiplier_degree_bound is None:
         multiplier_degree_bound = f.degree + 2

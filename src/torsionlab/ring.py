@@ -206,6 +206,9 @@ def _trusted_monomial(pairs, degree):
 
 _ONE = _trusted_monomial((), 0)
 
+# The unit coefficient, shared: Fractions are immutable.
+FRACTION_ONE = Fraction(1)
+
 
 def grlex_key(m):
     """Sort key: graded, then lexicographic with earlier variables greater.
@@ -340,7 +343,7 @@ class RingPresentation:
             return cached
         self.check_variable_range(m)
         path = []
-        coeff = Fraction(1)
+        coeff = FRACTION_ONE
         cur = m
         result = None
         while True:
@@ -357,11 +360,12 @@ class RingPresentation:
                 result = Element.zero(self)
                 break
             rc, rm = rule.rhs
-            coeff = coeff * rc
+            if rc != 1:
+                coeff = coeff * rc
             cur = cur.div(rule.lhs).mul(rm)
         # Cache the normal form of every monomial along the reduction path.
         for mono, c in path:
-            self._nf_cache[mono] = result.scale(Fraction(1) / c) if c != 1 else result
+            self._nf_cache[mono] = result.scale(FRACTION_ONE / c) if c != 1 else result
         if m not in self._nf_cache:
             self._nf_cache[m] = result
         return self._nf_cache[m]
@@ -468,11 +472,11 @@ class Element:
         return max((m.degree for m in self.terms), default=0)
 
     def scale(self, coeff):
+        if coeff == 1:
+            return self
         coeff = Fraction(coeff)
         if coeff == 0:
             return Element.zero(self.ring)
-        if coeff == 1:
-            return self
         return Element(self.ring, {m: c * coeff for m, c in self.terms.items()})
 
     def _check_ring(self, other):
@@ -494,9 +498,10 @@ class Element:
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
+                c12 = c1 * c2
                 nf = self.ring.normal_form_monomial(m1.mul(m2))
                 for m, c in nf.terms.items():
-                    acc[m] = acc.get(m, 0) + c * c1 * c2
+                    acc[m] = acc.get(m, 0) + c * c12
         return Element(self.ring, acc)
 
     def __eq__(self, other):

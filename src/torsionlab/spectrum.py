@@ -171,7 +171,7 @@ def assassin_scan(numerator, denominator, witness_bound=None):
         ass_pairs = []
         assf_pairs = []
         for m in witnesses:
-            basis = _colon_basis(denominator, m)
+            basis = _colon_basis(denominator.lifted_monomials(), m)
             s = _basis_prime(basis)
             if s is not None:
                 ass_pairs.append((s, m))

@@ -232,3 +232,26 @@ def test_package_resolves_cli_names_lazily():
     assert {"main", "execute", "ExecutionOptions"} <= set(torsionlab.__all__)
     with pytest.raises(AttributeError):
         torsionlab.no_such_name
+
+
+def test_cached_normal_forms_keep_fraction_coefficients(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from torsionlab.ring import RingPresentation
+    rings = []
+    real = RingPresentation.__init__
+
+    def record(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        rings.append(self)
+
+    monkeypatch.setattr(RingPresentation, "__init__", record)
+    root = Path(__file__).resolve().parent.parent
+    for name in ("idem50C", "fairness_demo"):
+        assert cli.main(["run", str(root / "scripts" / (name + ".tl"))]) == 0
+    capsys.readouterr()
+    assert rings
+    cached = [c for ring in rings for nf in ring._nf_cache.values()
+              for c in nf.terms.values()]
+    assert len(cached) >= 1000
+    assert all(type(c) is Fraction for c in cached)

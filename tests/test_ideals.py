@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from torsionlab.errors import RingMismatch
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
+    MembershipAnswer,
     _power_kill_exponent,
     brute_force_membership,
     format_ideal,
@@ -258,7 +260,7 @@ def test_colon_by_monomial_uses_the_basis_helper():
         ring = instance.ring
         for ideal in (instance.relations, instance.extension):
             for m in ring.normal_monomials_up_to(instance.witness_bound):
-                basis = _colon_basis(ideal, m)
+                basis = _colon_basis(ideal.lifted_monomials(), m)
                 colon = ideal_colon(ideal, Element.from_monomial(ring, m))
                 assert colon.lifted_monomials() == basis
                 assert colon.monomial_generators() == tuple(
@@ -430,3 +432,128 @@ def test_power_order_matches_power_membership():
                     assert (order >= n) == ideal_membership(f, power).is_yes
                     checked += 1
     assert checked >= 5000
+
+
+def _exhaustive_span(ideal, bound):
+    """Reference for span_witness, exhaustive for one bound: every
+    generator in order times every normal multiplier up to the bound in
+    grlex order, normalized; the first (k, m) reaching a monomial wins."""
+    ring = ideal.ring
+    span = {}
+    for k, g in enumerate(ideal.generators):
+        gm = g.single_term()[0]
+        for m in ring.normal_monomials_up_to(bound):
+            nf = ring.normal_form_monomial(gm.mul(m))
+            if not nf.is_zero:
+                span.setdefault(nf.single_term()[0], (k, m))
+    return span
+
+
+def _span_membership(f, span, bound):
+    """The termwise membership answer of f read off an exhaustive span."""
+    parts = {}
+    for t in f.monomials():
+        hit = span.get(t)
+        if hit is None:
+            return MembershipAnswer("unknown", search_bound=bound)
+        k, m = hit
+        parts.setdefault(k, []).append((m, f.terms[t]))
+    cert = tuple((k, Element.from_terms(f.ring, pairs))
+                 for k, pairs in sorted(parts.items()))
+    return MembershipAnswer("yes", certificate=cert, search_bound=bound)
+
+
+def _random_monomial(rng, num_vars, degree):
+    m = Monomial.one()
+    for _ in range(degree):
+        m = m.mul(_var(rng.randrange(num_vars)))
+    return m
+
+
+def _random_monic_ring(rng):
+    """A ring over 1..4 variables whose rules are power rules X^a -> X^b or
+    -> 0 and random monomial rules L -> M with deg M < deg L, or -> 0.  Not
+    always confluent: the termwise span does not need confluence."""
+    n = rng.randint(1, 4)
+    rules = {}
+    for v in range(n):
+        if rng.random() < 0.6:
+            a = rng.randint(2, 4)
+            rules[_var(v, a)] = (None if rng.random() < 0.3
+                                 else (1, _var(v, rng.randint(1, a - 1))))
+    for _ in range(rng.randint(0, 3)):
+        lhs = _random_monomial(rng, n, rng.randint(2, 4))
+        if lhs not in rules:
+            rules[lhs] = (None if rng.random() < 0.3 else
+                          (1, _random_monomial(rng, n,
+                                               rng.randrange(lhs.degree))))
+    return RingPresentation(n, [RewriteRule(lhs, rhs)
+                                for lhs, rhs in rules.items()])
+
+
+def test_span_witness_matches_the_exhaustive_span():
+    rng = random.Random(83)
+    rings = queries = yes = through_reduction = 0
+    while rings < 300:
+        ring = _random_monic_ring(rng)
+        ideal = IdealHandle(ring, [
+            Element.from_monomial(ring, _random_monomial(
+                rng, ring.num_vars, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))])
+        if ideal.is_monomial_mode or ideal.is_zero:
+            continue
+        assert ideal.is_monomial_spanned
+        rings += 1
+        gens = [g.single_term()[0] for g in ideal.generators]
+        terms = ring.normal_monomials_up_to(4)
+        elements = [Element.from_monomial(ring, t) for t in terms]
+        for _ in range(3):
+            f = Element.zero(ring)
+            for t in rng.sample(terms, min(3, len(terms))):
+                f = f.add(Element.from_monomial(
+                    ring, t, rng.choice([1, -1, 2, Fraction(1, 2)])))
+            elements.append(f)
+        spans = {}
+        # Out of order, so a smaller bound follows a larger one.
+        for bound in (0, 1, 2, 3, 5, 2, 4):
+            if bound not in spans:
+                spans[bound] = _exhaustive_span(ideal, bound)
+            span = spans[bound]
+            for f in elements:
+                got = ideal_membership(f, ideal, bound)
+                assert got == _span_membership(f, span, bound), (
+                    ring.rules, ideal, f, bound)
+                queries += 1
+            for t in terms:
+                hit = span.get(t)
+                if hit is not None:
+                    yes += 1
+                    through_reduction += not gens[hit[0]].divides(t)
+    assert queries >= 50000
+    # Hits come both through a generator that divides the term and through
+    # one that does not, so the division and the reduction path both run.
+    assert through_reduction >= 1000 and yes - through_reduction >= 1000
+
+
+def test_span_witness_extends_its_maps_once_per_degree(monkeypatch):
+    from torsionlab.families import get_family, instantiate
+    ring, ideals = instantiate(get_family("idem50C"), 6)
+    b = ideals["b"]
+    terms = ring.normal_monomials_up_to(4)
+    level5 = ring.normal_monomials_of_degree(5)
+    calls = []
+    real = RingPresentation.normal_form_monomial
+    monkeypatch.setattr(RingPresentation, "normal_form_monomial",
+                        lambda self, m: calls.append(m) or real(self, m))
+
+    def query(bound):
+        return [b.span_witness(t, bound) for t in terms]
+
+    at4 = query(4)
+    made = len(calls)
+    assert made > 0
+    assert query(4) == at4
+    query(2)
+    assert len(calls) == made
+    query(5)
+    assert 0 < len(calls) - made <= len(b.generators) * len(level5)
