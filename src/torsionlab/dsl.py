@@ -412,7 +412,7 @@ class _Parser:
         self.expect("[")
         low_tok = self.current
         low = self.expect_int()
-        self.expect_dots()
+        self.expect("..")
         high = self.expect_int()
         self.expect("]")
         if low != 0:
@@ -428,13 +428,6 @@ class _Parser:
                     self.expect("}")
                     break
         return RingStatement(name, high, tuple(rules))
-
-    def expect_dots(self):
-        tok = self.current
-        if tok.kind == "punct" and tok.value == "..":
-            self.pos += 1
-            return tok
-        self.error({".."})
 
     def parse_rule(self):
         lhs = self.parse_term(allow_coeff=False)
@@ -497,7 +490,7 @@ class _Parser:
         tag = self.expect_ident()
         self.expect_ident("levels")
         low = self.expect_int()
-        self.expect_dots()
+        self.expect("..")
         high = self.expect_int()
         self.expect_ident("window")
         window = self.expect_int()
@@ -559,7 +552,7 @@ class _Parser:
             names.append(self.expect_ident())
         self.expect_ident("in")
         low = self.expect_int()
-        self.expect_dots()
+        self.expect("..")
         high = self.expect_int()
         return RangeBinding(tuple(names), low, high)
 

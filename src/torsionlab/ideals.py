@@ -7,15 +7,15 @@ Two regimes:
   lifted polynomial-ring ideal (generators plus the rule lhs monomials) and
   map results back by normalization; that is what makes colon, radical and
   minimal primes correct inside the quotient ring.
-* general mode: anything else.  Membership is a certificate search by exact
-  linear algebra and is semi-decidable (yes/unknown); colon by a non-monomial
-  is a bounded sound search flagged incomplete.  When every rule is monic
-  and every generator a single term, the ideal is spanned by monomials and
-  membership is termwise: a term divisible by a generator is hit by the
-  quotient, and any other term only by a product that reduces, whose
-  multiplier is a multiple of the monomial colon (rule lhs : generator).
-  The targets of those products are kept per generator and extended degree
-  by degree, so a repeated or smaller bound recomputes nothing.
+* general mode: anything else.  When every generator is a single term and
+  the ring is confluent, membership is still exact and termwise: the rules
+  plus g -> 0 for each generator complete to a Groebner basis by adding
+  monomials only, so a normal term lies in the ideal exactly when one of
+  those vanishing monomials divides it.  Two cases stay bounded: membership
+  in an ideal with a polynomial generator, or in a non-confluent ring, is a
+  certificate search by exact linear algebra (yes/unknown), and colon by a
+  non-monomial or in a ring with a nonzero rule rhs is a sound search
+  flagged incomplete.
 """
 
 from __future__ import annotations
@@ -26,12 +26,21 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NotMonomialMode, RingMismatch, UnitIdeal
-from .ring import FRACTION_ONE, Element, Monomial, grlex_key
+from .ring import (
+    FRACTION_ONE,
+    Element,
+    Monomial,
+    check_local_confluence,
+    grlex_key,
+)
 
 MONOMIAL_MODE = "monomial"
 GENERAL_MODE = "general"
 
 DEFAULT_ITERATION_CAP = 64
+
+# The derived vanishing monomials of a handle before its first query.
+_NOT_YET = object()
 
 
 def _reduce_monomials(monos):
@@ -51,30 +60,19 @@ def _colon_basis(basis, m):
     return _reduce_monomials([g.div(g.gcd(m)) for g in basis])
 
 
-def monic_rewriting(ring):
-    """Every rule sends its lhs to zero or to a plain monomial (coeff 1).
-
-    In such rings normal forms of monomials are zero or monic monomials, so
-    an ideal generated by single terms is spanned by monomials and element
-    membership can be decided termwise.
-    """
-    return all(rule.rhs is None or rule.rhs[0] == 1 for rule in ring.rules)
-
-
 class IdealHandle:
     """Finite generator list inside a ring presentation.
 
-    Handles are immutable.  In monomial mode they keep their reduced
-    generator monomials and, from the first call of lifted_monomials, the
-    reduced lifted basis, both as tuples.  A monomial-spanned handle keeps,
-    from the first call of span_witness, per generator the normal monomials
-    of the colon (rule lhs : generator) and the targets of the reducing
-    products with their grlex-first multipliers, up to the largest
-    multiplier degree asked so far.
+    Handles are immutable.  Handles generated by single terms keep their
+    generator monomials, reduced in monomial mode, and in monomial mode from
+    the first call of lifted_monomials the reduced lifted basis, both as
+    tuples.  From the first membership query, such a handle in a confluent
+    ring keeps its derived vanishing monomials, each with its certificate
+    (see _derived_vanishing); any other handle keeps None there.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_span", "_span_degree")
+                 "_lifted", "_derived")
 
     def __init__(self, ring, elements, complete=True):
         gens = []
@@ -104,14 +102,15 @@ class IdealHandle:
                     uniq.append(g)
             gens = uniq
             mode = GENERAL_MODE
+            if all(g.is_single_term for g in gens):
+                monos = tuple(g.single_term()[0] for g in gens)
         self.ring = ring
         self.generators = tuple(gens)
         self.mode = mode
         self.complete = complete
         self._monomial_gens = monos
         self._lifted = None
-        self._span = None
-        self._span_degree = -1
+        self._derived = _NOT_YET
 
     @classmethod
     def from_monomials(cls, ring, monos, complete=True):
@@ -166,56 +165,50 @@ class IdealHandle:
         mono = nf.single_term()[0]
         return any(g.divides(mono) for g in self._monomial_gens)
 
-    def span_witness(self, t, bound):
-        """For a monomial-spanned ideal and a normal monomial t: the first
-        generator index k, with the grlex-first normal multiplier m of
-        degree at most bound, such that NF(g_k * m) = t; None if none.
+    def _derived_vanishing(self):
+        """The monomials beyond the generators that vanish in R/I, each with
+        its certificate ((generator index, multiplier), ...); None unless
+        every generator is a single term and the ring is confluent.
 
-        Rules lower degree, so a product that reduces to t has degree above
-        t, and one that does not reduce is t itself.  Hence a generator that
-        divides t is hit first by the quotient, and one that does not only
-        through a reducing product, whose multiplier is a multiple of a
-        normal monomial of the colon (rule lhs : g_k).  Grlex order puts
-        lower degrees first, so the first multiplier found up to any degree
-        is the first one overall.  The caller checks is_monomial_spanned.
+        Confluent rules are a Groebner basis, so adding g -> 0 per generator
+        leaves only the pairs of a rule lhs -> c*rhs with a vanishing z that
+        shares a variable (Buchberger's criterion).  Their S-polynomial is
+        the single term c*NF((L/lhs)*rhs) = c*c2*u at L = lcm(lhs, z); a u
+        no vanishing monomial divides is added, with u = (L/z)*z / (c*c2)
+        in R as its certificate.  Dickson's lemma ends the loop.  A normal
+        term is in I exactly when a generator or a derived monomial
+        divides it (Eisenbud & Sturmfels, Duke Math. J. 1996).
         """
-        if self._span is None:
-            lhs = tuple(rule.lhs for rule in self.ring.rules)
-            self._span = []
-            for g in self.generators:
-                gm = g.single_term()[0]
-                colon = tuple(q for q in _colon_basis(lhs, gm)
-                              if self.ring.is_normal(q))
-                self._span.append((gm, colon, {}))
-        for k, (g, _, first) in enumerate(self._span):
-            if g.divides(t):
-                if t.degree - g.degree <= bound:
-                    return k, t.div(g)
-                continue
-            if bound > self._span_degree:
-                self._extend_span(bound)
-            m = first.get(t)
-            if m is not None and m.degree <= bound:
-                return k, m
-        return None
-
-    def _extend_span(self, bound):
-        """Record the targets of the reducing products g_k * m with normal
-        multipliers of degree up to bound, each with its first m."""
-        ring = self.ring
-        for d in range(self._span_degree + 1, bound + 1):
-            level = ring.normal_monomials_of_degree(d)
-            for g, colon, first in self._span:
-                for m in level:
-                    if any(q.divides(m) for q in colon):
-                        for t in ring.normal_form_monomial(g.mul(m)).terms:
-                            first.setdefault(t, m)
-        self._span_degree = bound
-
-    @property
-    def is_monomial_spanned(self):
-        return (monic_rewriting(self.ring)
-                and all(g.is_single_term for g in self.generators))
+        if self._derived is _NOT_YET:
+            ring = self.ring
+            gens = self._monomial_gens
+            self._derived = None
+            if self.is_monomial_mode:
+                # No rule has a rhs, so no pair arises.
+                self._derived = ()
+            elif gens is not None and not check_local_confluence(ring):
+                one = Element(ring, {Monomial.one(): FRACTION_ONE})
+                vanishing = [(g, ((k, one),)) for k, g in enumerate(gens)]
+                # The loop also visits the monomials it appends.
+                for z, cert in vanishing:
+                    for rule in ring.rules:
+                        if rule.rhs is None or rule.lhs.gcd(z).is_one:
+                            continue
+                        c, rhs = rule.rhs
+                        lcm = rule.lhs.lcm(z)
+                        nf = ring.normal_form_monomial(
+                            lcm.div(rule.lhs).mul(rhs))
+                        if nf.is_zero:
+                            continue
+                        u, c2 = nf.single_term()
+                        if any(v.divides(u) for v, _ in vanishing):
+                            continue
+                        q = ring.normal_form_monomial(lcm.div(z)).scale(
+                            1 / (c * c2))
+                        vanishing.append(
+                            (u, tuple((k, q.mul(h)) for k, h in cert)))
+                self._derived = tuple(vanishing[len(gens):])
+        return self._derived
 
     def equals(self, other):
         """Ideal equality; may return None (undecided) in general mode."""
@@ -247,9 +240,10 @@ def format_ideal(ideal):
 class MembershipAnswer:
     """Yes answers always carry a certificate that re-multiplies to f.
 
-    An "unknown" verdict from a bounded search means no certificate with
-    multiplier degree up to search_bound exists; general mode never asserts
-    a hard no.
+    The termwise decision answers yes or no and has no search_bound.  An
+    "unknown" verdict comes only from the certificate search and means no
+    certificate with multiplier degree up to search_bound exists; that
+    search never asserts a hard no.
     """
     verdict: str  # "yes" | "no" | "unknown"
     certificate: Optional[tuple] = None  # ((generator index, Element), ...)
@@ -266,44 +260,41 @@ def _check_shared_ring(a, b):
 
 
 def ideal_membership(f, ideal, multiplier_degree_bound=None):
-    """Decide f in I.  Exact in monomial mode; certificate search otherwise."""
+    """Decide f in I.  Exact, term by term, for an ideal generated by single
+    terms in a confluent ring, so in monomial mode too; a certificate search
+    with multipliers up to the bound otherwise."""
     if f.ring is not ideal.ring:
         raise RingMismatch("element and ideal live in different rings")
     if f.is_zero:
         return MembershipAnswer("yes", certificate=())
-    if ideal.is_monomial_mode:
-        gens = ideal.monomial_generators()
+    derived = ideal._derived_vanishing()
+    if derived is not None:
+        gens = ideal._monomial_gens
         parts = {}
-        for m in f.monomials():
-            c = f.terms[m]
+        for t in f.monomials():
+            c = f.terms[t]
             for k, g in enumerate(gens):
-                if g.divides(m):
-                    q = m.div(g)
-                    parts.setdefault(k, []).append((q, c))
+                if g.divides(t):
+                    # A divisor of a normal monomial is normal.
+                    q = t.div(g)
+                    part = parts.setdefault(k, {})
+                    part[q] = part.get(q, 0) + c
                     break
             else:
-                return MembershipAnswer("no")
-        cert = tuple(
-            (k, Element.from_terms(f.ring, pairs))
-            for k, pairs in sorted(parts.items()))
+                for z, cert in derived:
+                    if z.divides(t):
+                        q = Element(f.ring, {t.div(z): c})
+                        for k, h in cert:
+                            part = parts.setdefault(k, {})
+                            for m, d in q.mul(h).terms.items():
+                                part[m] = part.get(m, 0) + d
+                        break
+                else:
+                    return MembershipAnswer("no")
+        cert = tuple((k, Element(f.ring, parts[k])) for k in sorted(parts))
         return MembershipAnswer("yes", certificate=cert)
     if multiplier_degree_bound is None:
         multiplier_degree_bound = f.degree + 2
-    if ideal.is_monomial_spanned:
-        # The ideal is a monomial subspace, so membership is termwise.
-        parts = {}
-        for m in f.monomials():
-            hit = ideal.span_witness(m, multiplier_degree_bound)
-            if hit is None:
-                return MembershipAnswer(
-                    "unknown", search_bound=multiplier_degree_bound)
-            k, mult = hit
-            parts.setdefault(k, []).append((mult, f.terms[m]))
-        cert = tuple(
-            (k, Element.from_terms(f.ring, pairs))
-            for k, pairs in sorted(parts.items()))
-        return MembershipAnswer("yes", certificate=cert,
-                                search_bound=multiplier_degree_bound)
     cert = _certificate_search(f, ideal.generators, multiplier_degree_bound,
                                normal_only=True)
     if cert is not None:

@@ -270,11 +270,12 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from three caches: the normal-form cache,
+    Instances are immutable apart from four caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
-    so far, extended on demand by normal_monomials_of_degree), and the
-    assassin memo of spectrum.assassin_scan: the (ass, ass^f) report pair
-    per numerator generators, denominator generators and witness bound.
+    so far, extended on demand by normal_monomials_of_degree), the critical
+    pairs that do not join, kept by the first check_local_confluence, and
+    the assassin memo of spectrum.assassin_scan: the (ass, ass^f) report
+    pair per numerator generators, denominator generators and witness bound.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -295,6 +296,7 @@ class RingPresentation:
             seen.add(rule.lhs)
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
+        self.all_rhs_zero = all(rule.rhs is None for rule in self.rules)
         # A rule can apply to m only if the smallest variable of its lhs
         # occurs in m: bucket the rules by that variable, each with its
         # position in the grlex rule order.
@@ -305,15 +307,12 @@ class RingPresentation:
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
+        self._confluence_failures = None
         self._assassin_memo = {}
 
     def __repr__(self):
         return "RingPresentation(num_vars=%d, rules=%d)" % (
             self.num_vars, len(self.rules))
-
-    @property
-    def all_rhs_zero(self):
-        return all(rule.rhs is None for rule in self.rules)
 
     def check_variable_range(self, m):
         if m.max_var() >= self.num_vars:
@@ -570,8 +569,11 @@ def check_local_confluence(ring):
     lemma with the critical-pair lemma the rules are confluent exactly when
     every remaining pair joins.  Under confluence normal forms are unique,
     so a pair joins exactly when the normal forms of its two reducts under
-    the fixed strategy agree.
+    the fixed strategy agree.  The verdict is kept on the ring, so the
+    pairs of one ring are checked once.
     """
+    if ring._confluence_failures is not None:
+        return ring._confluence_failures
     failures = []
     rules = ring.rules
     for i, r1 in enumerate(rules):
@@ -586,4 +588,5 @@ def check_local_confluence(ring):
             if left != right:
                 failures.append(CriticalPairResult(
                     r1.lhs, r2.lhs, overlap, left, right))
-    return tuple(failures)
+    ring._confluence_failures = tuple(failures)
+    return ring._confluence_failures

@@ -255,3 +255,28 @@ def test_cached_normal_forms_keep_fraction_coefficients(capsys, monkeypatch):
               for c in nf.terms.values()]
     assert len(cached) >= 1000
     assert all(type(c) is Fraction for c in cached)
+
+
+def _readme_script_blocks():
+    """The fenced blocks of README.md with no language tag, the scripts."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks, tag, lines = [], None, []
+    for line in readme.read_text(encoding="utf-8").splitlines(keepends=True):
+        if not line.startswith("```"):
+            lines.append(line)
+        elif tag is None:
+            tag, lines = line[3:].strip(), []
+        else:
+            if not tag:
+                blocks.append("".join(lines))
+            tag = None
+    return blocks
+
+
+def test_readme_script_blocks_run_clean(tmp_path, capsys):
+    blocks = _readme_script_blocks()
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        script = _write(tmp_path, block, "readme%d.tl" % i)
+        assert cli.main(["run", script]) == 0, block
+        assert capsys.readouterr().out.endswith("status: ok\n")

@@ -34,7 +34,13 @@ from torsionlab.oracles import (
     radical_monomials,
     saturation_monomials,
 )
-from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
+from torsionlab.ring import (
+    Element,
+    Monomial,
+    RewriteRule,
+    RingPresentation,
+    check_local_confluence,
+)
 from torsionlab.torsion import gamma_large_cyclic
 
 
@@ -87,16 +93,20 @@ def test_minimal_transversals_example():
     assert sorted(sorted(t) for t in hits) == [[0], [1, 2]]
 
 
+def _remultiply(answer, ideal):
+    acc = Element.zero(ideal.ring)
+    for k, h in answer.certificate:
+        acc = acc.add(ideal.generators[k].mul(h))
+    return acc
+
+
 def test_membership_yes_certificate_reassembles():
     ring = _free(2)
     b = IdealHandle.from_monomials(ring, [_var(0, 2), _var(0).mul(_var(1))])
     f = Element.from_terms(ring, [(_var(0, 3), 1), (_var(0).mul(_var(1, 2)), 2)])
     answer = ideal_membership(f, b)
     assert answer.is_yes
-    acc = Element.zero(ring)
-    for k, multiplier in answer.certificate:
-        acc = acc.add(b.generators[k].mul(multiplier))
-    assert acc == f
+    assert _remultiply(answer, b) == f
 
 
 def test_membership_no_for_missing_monomial():
@@ -435,7 +445,7 @@ def test_power_order_matches_power_membership():
 
 
 def _exhaustive_span(ideal, bound):
-    """Reference for span_witness, exhaustive for one bound: every
+    """Reference for termwise membership, exhaustive for one bound: every
     generator in order times every normal multiplier up to the bound in
     grlex order, normalized; the first (k, m) reaching a monomial wins."""
     ring = ideal.ring
@@ -449,20 +459,6 @@ def _exhaustive_span(ideal, bound):
     return span
 
 
-def _span_membership(f, span, bound):
-    """The termwise membership answer of f read off an exhaustive span."""
-    parts = {}
-    for t in f.monomials():
-        hit = span.get(t)
-        if hit is None:
-            return MembershipAnswer("unknown", search_bound=bound)
-        k, m = hit
-        parts.setdefault(k, []).append((m, f.terms[t]))
-    cert = tuple((k, Element.from_terms(f.ring, pairs))
-                 for k, pairs in sorted(parts.items()))
-    return MembershipAnswer("yes", certificate=cert, search_bound=bound)
-
-
 def _random_monomial(rng, num_vars, degree):
     m = Monomial.one()
     for _ in range(degree):
@@ -470,90 +466,114 @@ def _random_monomial(rng, num_vars, degree):
     return m
 
 
-def _random_monic_ring(rng):
-    """A ring over 1..4 variables whose rules are power rules X^a -> X^b or
-    -> 0 and random monomial rules L -> M with deg M < deg L, or -> 0.  Not
-    always confluent: the termwise span does not need confluence."""
+def _random_coefficient(rng):
+    return rng.choice([1, 1, 1, 2, -1, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _random_ring(rng):
+    """A ring over 1..4 variables whose rules are power rules X_v^a ->
+    c*X_w^b or -> 0 and random monomial rules L -> c*M with deg M < deg L,
+    or -> 0; c is 1 in three draws of eight.  Not always confluent."""
     n = rng.randint(1, 4)
     rules = {}
     for v in range(n):
         if rng.random() < 0.6:
             a = rng.randint(2, 4)
-            rules[_var(v, a)] = (None if rng.random() < 0.3
-                                 else (1, _var(v, rng.randint(1, a - 1))))
+            rules[_var(v, a)] = (
+                None if rng.random() < 0.3 else
+                (_random_coefficient(rng),
+                 _var(rng.randrange(n), rng.randint(1, a - 1))))
     for _ in range(rng.randint(0, 3)):
         lhs = _random_monomial(rng, n, rng.randint(2, 4))
         if lhs not in rules:
             rules[lhs] = (None if rng.random() < 0.3 else
-                          (1, _random_monomial(rng, n,
-                                               rng.randrange(lhs.degree))))
+                          (_random_coefficient(rng), _random_monomial(
+                              rng, n, rng.randrange(lhs.degree))))
     return RingPresentation(n, [RewriteRule(lhs, rhs)
                                 for lhs, rhs in rules.items()])
 
 
-def test_span_witness_matches_the_exhaustive_span():
+def test_termwise_membership_is_exact_on_confluent_rings():
     rng = random.Random(83)
-    rings = queries = yes = through_reduction = 0
-    while rings < 300:
-        ring = _random_monic_ring(rng)
+    rings = queries = no = derived = past_generators = 0
+    while rings < 150:
+        ring = _random_ring(rng)
+        if check_local_confluence(ring):
+            continue
         ideal = IdealHandle(ring, [
             Element.from_monomial(ring, _random_monomial(
                 rng, ring.num_vars, rng.randint(1, 3)))
             for _ in range(rng.randint(1, 3))])
-        if ideal.is_monomial_mode or ideal.is_zero:
+        if ideal.is_zero:
             continue
-        assert ideal.is_monomial_spanned
         rings += 1
+        derived += bool(ideal._derived_vanishing())
         gens = [g.single_term()[0] for g in ideal.generators]
+        span = _exhaustive_span(ideal, 7)
         terms = ring.normal_monomials_up_to(4)
         elements = [Element.from_monomial(ring, t) for t in terms]
         for _ in range(3):
             f = Element.zero(ring)
             for t in rng.sample(terms, min(3, len(terms))):
                 f = f.add(Element.from_monomial(
-                    ring, t, rng.choice([1, -1, 2, Fraction(1, 2)])))
+                    ring, t, _random_coefficient(rng)))
             elements.append(f)
-        spans = {}
-        # Out of order, so a smaller bound follows a larger one.
-        for bound in (0, 1, 2, 3, 5, 2, 4):
-            if bound not in spans:
-                spans[bound] = _exhaustive_span(ideal, bound)
-            span = spans[bound]
-            for f in elements:
-                got = ideal_membership(f, ideal, bound)
-                assert got == _span_membership(f, span, bound), (
-                    ring.rules, ideal, f, bound)
-                queries += 1
-            for t in terms:
-                hit = span.get(t)
-                if hit is not None:
-                    yes += 1
-                    through_reduction += not gens[hit[0]].divides(t)
-    assert queries >= 50000
-    # Hits come both through a generator that divides the term and through
-    # one that does not, so the division and the reduction path both run.
-    assert through_reduction >= 1000 and yes - through_reduction >= 1000
+        for f in elements:
+            got = ideal_membership(f, ideal)
+            reached = all(t in span for t in f.terms)
+            queries += 1
+            if got.verdict == "yes":
+                assert _remultiply(got, ideal) == f, (ring.rules, ideal, f)
+                past_generators += not any(g.divides(t) for t in f.terms
+                                           for g in gens)
+                continue
+            assert got.verdict == "no" and not reached, (ring.rules, ideal, f)
+            assert not brute_force_membership(f, ideal, 4).is_yes, (
+                ring.rules, ideal, f)
+            no += 1
+    assert queries >= 3000 and 1000 <= no <= queries - 1000
+    # Some ideals need derived vanishing monomials, and some yes answers
+    # rest on them alone, so the completion and its certificates both run.
+    assert derived >= 30 and past_generators >= 200
 
 
-def test_span_witness_extends_its_maps_once_per_degree(monkeypatch):
+def test_derived_vanishing_monomials_reach_past_the_generators():
+    # X1^2 -> X2 and X2^2 -> X3 put X2, then X3, into <X1>.
+    ring = RingPresentation(4, [RewriteRule(_var(i, 2), (1, _var(i + 1)))
+                                for i in range(3)])
+    b = IdealHandle.from_monomials(ring, [_var(1)])
+    assert not b.is_monomial_mode
+    assert [z for z, _ in b._derived_vanishing()] == [_var(2), _var(3)]
+    got = ideal_membership(Element.from_monomial(ring, _var(3)), b)
+    assert got.verdict == "yes" and got.search_bound is None
+    assert got.certificate == (
+        (0, Element.from_monomial(ring, _var(1).mul(_var(2)))),)
+    x0 = Element.from_monomial(ring, _var(0))
+    assert ideal_membership(x0, b).verdict == "no"
+    # A coefficient rule: X0^3 = 2*X1, so X1 = 1/2*X0 * X0^2.
+    ring = RingPresentation(2, [RewriteRule(_var(0, 3), (2, _var(1)))])
+    c = IdealHandle.from_monomials(ring, [_var(0, 2)])
+    got = ideal_membership(Element.from_monomial(ring, _var(1)), c)
+    assert got.certificate == (
+        (0, Element.from_monomial(ring, _var(0), Fraction(1, 2))),)
+
+
+def test_idem50C_membership_is_a_hard_no():
     from torsionlab.families import get_family, instantiate
-    ring, ideals = instantiate(get_family("idem50C"), 6)
-    b = ideals["b"]
-    terms = ring.normal_monomials_up_to(4)
-    level5 = ring.normal_monomials_of_degree(5)
-    calls = []
-    real = RingPresentation.normal_form_monomial
-    monkeypatch.setattr(RingPresentation, "normal_form_monomial",
-                        lambda self, m: calls.append(m) or real(self, m))
+    ring, ideals = instantiate(get_family("idem50C"), 4)
+    got = ideal_membership(Element.from_monomial(ring, _var(0, 3)),
+                           ideals["b"])
+    assert got == MembershipAnswer("no")
 
-    def query(bound):
-        return [b.span_witness(t, bound) for t in terms]
 
-    at4 = query(4)
-    made = len(calls)
-    assert made > 0
-    assert query(4) == at4
-    query(2)
-    assert len(calls) == made
-    query(5)
-    assert 0 < len(calls) - made <= len(b.generators) * len(level5)
+def test_non_confluent_ring_keeps_the_certificate_search():
+    # X0^2 -> X1 and X0*X1 -> 0 do not join at X0^2*X1.
+    ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(1))),
+                                RewriteRule(_var(0).mul(_var(1)))])
+    assert check_local_confluence(ring)
+    ideal = IdealHandle.from_monomials(ring, [_var(1)])
+    assert ideal._derived_vanishing() is None
+    got = ideal_membership(Element.from_monomial(ring, _var(0)), ideal, 3)
+    assert got == MembershipAnswer("unknown", search_bound=3)
+    got = ideal_membership(Element.from_monomial(ring, _var(1)), ideal)
+    assert got.verdict == "yes" and got.search_bound == 3

@@ -1,10 +1,11 @@
 """Every name a module imports is used in that module, every private
-module-level function is referenced somewhere in the package, and the
-unchecked Monomial constructor is used only in ring.py.
+module-level function and private method is referenced somewhere in the
+package, and the unchecked Monomial constructor is used only in ring.py.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
-re-exports.  Dunder functions are exempt from the reference check.
+re-exports.  Dunder functions and methods are exempt from the reference
+check.
 """
 
 from __future__ import annotations
@@ -31,29 +32,46 @@ def _unused_imports(tree):
                   if name not in used)
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _private_definitions(tree):
+    """Module-level functions and methods of module-level classes whose
+    name is _private but not a dunder."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        for member in members:
+            if (isinstance(member, FUNCTIONS) and member.name.startswith("_")
+                    and not (member.name.startswith("__")
+                             and member.name.endswith("__"))):
+                yield member
+
+
+def _references(node, owners=()):
+    """Names and attribute names under node, each skipped inside the body
+    of a function or method of its own name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        else:
+            name = None
+        if name is not None and name not in owners:
+            yield name
+        if isinstance(child, FUNCTIONS):
+            yield from _references(child, owners + (child.name,))
+        else:
+            yield from _references(child, owners)
+
+
 def _unreferenced_private_functions(trees):
-    """(file, line, name) of each module-level _private function that no
-    code references, its own body apart."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    """(file, line, name) of each _private module-level function or method
+    that no code references, its own body apart."""
     defined = [(path, node.lineno, node.name)
                for path, tree in trees.items()
-               for node in tree.body
-               if isinstance(node, functions) and node.name.startswith("_")
-               and not (node.name.startswith("__")
-                        and node.name.endswith("__"))]
-    used = set()
-    for tree in trees.values():
-        for top in tree.body:
-            owner = top.name if isinstance(top, functions) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    used.add(name)
+               for node in _private_definitions(tree)]
+    used = {name for tree in trees.values() for name in _references(tree)}
     return sorted(entry for entry in defined if entry[2] not in used)
 
 
@@ -98,6 +116,19 @@ def test_unreferenced_private_function_is_reported():
     trees = {"m.py": ast.parse(source), "n.py": ast.parse("x = m._gone\n")}
     assert _unreferenced_private_functions(trees) == [
         ("m.py", 4, "_recursive")]
+
+
+def test_unreferenced_private_method_is_reported():
+    source = ("class Handle:\n"
+              "    def __init__(self):\n        self._used()\n\n"
+              "    def _used(self):\n        pass\n\n"
+              "    def _orphan(self):\n        pass\n\n"
+              "    def _recursive(self):\n        return self._recursive()\n\n"
+              "    @property\n    def _cached(self):\n        pass\n\n"
+              "def use(h):\n    return h._cached\n")
+    trees = {"m.py": ast.parse(source)}
+    assert _unreferenced_private_functions(trees) == [
+        ("m.py", 8, "_orphan"), ("m.py", 11, "_recursive")]
 
 
 def test_trusted_constructor_stays_in_ring():
