@@ -139,15 +139,11 @@ class TermTemplate:
 
     def render(self):
         if not self.factors:
-            return _coeff_text(self.coeff)
+            return str(self.coeff)
         body = "*".join(f.render() for f in self.factors)
         if self.coeff == 1:
             return body
-        return "%s*%s" % (_coeff_text(self.coeff), body)
-
-
-def _coeff_text(c):
-    return str(c.numerator) if c.denominator == 1 else str(c)
+        return "%s*%s" % (self.coeff, body)
 
 
 @dataclass(frozen=True)

@@ -625,30 +625,16 @@ def ideal_radical(ideal):
 
 
 def minimal_transversals(edges):
-    """Inclusion-minimal hitting sets of a family of nonempty vertex sets."""
-    reduced = []
-    for e in sorted(set(map(frozenset, edges)), key=lambda e: (len(e), sorted(e))):
-        if not any(k <= e for k in reduced):
-            reduced.append(e)
-    results = []
-
-    def visit(remaining, chosen):
-        if not remaining:
-            for r in results:
-                if r <= chosen:
-                    return
-            results[:] = [r for r in results if not chosen <= r]
-            results.append(chosen)
-            return
-        edge = remaining[0]
-        for v in sorted(edge):
-            visit([e for e in remaining[1:] if v not in e], chosen | {v})
-
-    visit(reduced, frozenset())
-    # The branch order can produce supersets; keep only the minimal ones.
-    final = [r for r in results
-             if not any(o < r for o in results)]
-    return sorted(final, key=lambda s: (len(s), sorted(s)))
+    """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
+    by Berge's step (Berge, Hypergraphs, 1989, ch. 2): take the edges by
+    increasing size; a cover that meets the edge stays, any other grows by
+    one vertex of the edge unless it then contains a cover that stayed."""
+    covers = [frozenset()]
+    for edge in sorted(map(frozenset, edges), key=len):
+        kept = [c for c in covers if c & edge]
+        grown = [c | {v} for c in covers if not c & edge for v in edge]
+        covers = kept + [g for g in grown if not any(k <= g for k in kept)]
+    return sorted(covers, key=lambda s: (len(s), sorted(s)))
 
 
 def minimal_primes(ideal):
@@ -668,4 +654,4 @@ def _basis_minimal_primes(basis):
     supports = [m.support for m in basis]
     if any(not s for s in supports):
         raise UnitIdeal("the unit ideal has no minimal primes")
-    return [frozenset(p) for p in minimal_transversals(supports)]
+    return minimal_transversals(supports)

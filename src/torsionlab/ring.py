@@ -228,10 +228,6 @@ def format_monomial(m):
     return "*".join(parts)
 
 
-def format_coefficient(c):
-    return str(c)
-
-
 class RewriteRule:
     """lhs -> 0 or lhs -> coeff * monomial, strictly degree-decreasing."""
 
@@ -274,8 +270,9 @@ class RingPresentation:
     the level cache (the tuple of normal monomials of each degree enumerated
     so far, extended on demand by normal_monomials_of_degree), the critical
     pairs that do not join, kept by the first check_local_confluence, and
-    the assassin memo of spectrum.assassin_scan: the (ass, ass^f) report
-    pair per numerator generators, denominator generators and witness bound.
+    the witness tables of spectrum.assassin_scan: per denominator generator
+    tuple, each witness scanned so far mapped to its annihilator's ass prime
+    (or None) and minimal primes.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -308,7 +305,7 @@ class RingPresentation:
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
         self._confluence_failures = None
-        self._assassin_memo = {}
+        self._witness_tables = {}
 
     def __repr__(self):
         return "RingPresentation(num_vars=%d, rules=%d)" % (
@@ -525,11 +522,11 @@ def format_element(e):
     for m in e.monomials():
         c = e.terms[m]
         if m.is_one:
-            parts.append(format_coefficient(c))
+            parts.append(str(c))
         elif c == 1:
             parts.append(format_monomial(m))
         else:
-            parts.append("%s*%s" % (format_coefficient(c), format_monomial(m)))
+            parts.append("%s*%s" % (c, format_monomial(m)))
     return " + ".join(parts)
 
 

@@ -8,11 +8,11 @@ The zero prime (empty set) exists only in rule-free rings.
 Assassins are computed from monomial witnesses.  Modules here are spanned by
 monomials and graded by exponent vectors, and associated primes of such
 modules are annihilators of monomial elements, so a complete witness scan
-yields the complete assassin.  One scan yields both ass and ass^f.  Each
-witness annihilator is kept only as its reduced lifted basis: the basis
-shows whether the annihilator is prime and gives its minimal primes.  The
-pair of reports is memoized on the ring, keyed by the content of the two
-ideals and the witness bound.
+yields the complete assassin.  One scan yields both ass and ass^f.  A
+witness annihilator (b : m) depends only on the denominator b and the
+witness m, so the ring keeps one witness table per denominator generator
+tuple, mapping each witness to its ass prime (or None) and its minimal
+primes; every numerator scanned over an equal denominator reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import RingMismatch
 from .ideals import IdealHandle, _basis_minimal_primes, _colon_basis
-from .ring import Monomial, grlex_key
+from .ring import Monomial
 
 
 def format_prime(vars_set):
@@ -107,18 +107,16 @@ class AssassinReport:
 def default_witness_bound(denominator):
     """Degree of the lcm of the reduced generators, plus two."""
     acc = Monomial.one()
-    if denominator.is_monomial_mode:
-        for g in denominator.monomial_generators():
-            acc = acc.lcm(g)
+    for g in denominator.monomial_generators():
+        acc = acc.lcm(g)
     return acc.degree + 2
 
 
 def _sorted_primes(pairs):
+    """Witnesses arrive in grlex order, so the first one per prime is kept."""
     dedup = {}
     for p, m in pairs:
-        old = dedup.get(p)
-        if old is None or grlex_key(m) < grlex_key(old):
-            dedup[p] = m
+        dedup.setdefault(p, m)
     primes = sorted(dedup, key=lambda s: (len(s), sorted(s)))
     return tuple(primes), tuple((p, dedup[p]) for p in primes)
 
@@ -127,24 +125,25 @@ def _witness_scan(numerator, denominator, bound):
     """Normal monomials in the numerator but not the denominator, with a
     completeness certificate.
 
-    Divisor-closure argument for completeness: a surviving monomial of
-    degree above the scan has a surviving divisor at the boundary degree
-    once the boundary is at least the largest numerator generator degree,
-    so an empty boundary level certifies nothing was missed.
+    A normal monomial lies in a monomial-mode ideal exactly when one of its
+    reduced generators divides it.  Divisor-closure argument for
+    completeness: a surviving monomial of degree above the scan has a
+    surviving divisor at the boundary degree once the boundary is at least
+    the largest numerator generator degree, so an empty boundary level
+    certifies nothing was missed.
     """
-    ring = numerator.ring
+    num_gens = numerator.monomial_generators()
+    den_gens = denominator.monomial_generators()
     witnesses = []
-    for d in range(bound + 1):
-        for m in ring.normal_monomials_of_degree(d):
-            if numerator.contains_monomial(m) and not denominator.contains_monomial(m):
+    for d in range(bound + 2):
+        for m in numerator.ring.normal_monomials_of_degree(d):
+            if (any(g.divides(m) for g in num_gens)
+                    and not any(g.divides(m) for g in den_gens)):
+                if d > bound:
+                    return witnesses, False
                 witnesses.append(m)
-    gen_deg = max((g.degree for g in numerator.monomial_generators()),
-                  default=0)
-    boundary = bound + 1
-    complete = boundary >= gen_deg and not any(
-        numerator.contains_monomial(m) and not denominator.contains_monomial(m)
-        for m in ring.normal_monomials_of_degree(boundary))
-    return witnesses, complete
+    gen_deg = max((g.degree for g in num_gens), default=0)
+    return witnesses, bound + 1 >= gen_deg
 
 
 def assassin_scan(numerator, denominator, witness_bound=None):
@@ -152,34 +151,31 @@ def assassin_scan(numerator, denominator, witness_bound=None):
 
     One witness scan serves both reports.  A witness's annihilator, the
     colon (denominator : m) as a lifted basis, gives an ass prime when it
-    is prime, and its minimal primes are ass^f primes.
-    The pair is memoized on the ring by the reduced generators of both
-    ideals and the resolved bound, so equal ideals in different handles
-    share one scan.
+    is prime, and its minimal primes are ass^f primes.  Both are read from
+    the ring's witness table for the denominator's generators, so each
+    annihilator is computed once per ring, whatever the numerator.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
     if witness_bound is None:
         witness_bound = default_witness_bound(denominator)
-    key = (numerator.monomial_generators(),
-           denominator.monomial_generators(), witness_bound)
-    memo = numerator.ring._assassin_memo
-    reports = memo.get(key)
-    if reports is None:
-        witnesses, complete = _witness_scan(
-            numerator, denominator, witness_bound)
-        ass_pairs = []
-        assf_pairs = []
-        for m in witnesses:
+    witnesses, complete = _witness_scan(numerator, denominator, witness_bound)
+    table = denominator.ring._witness_tables.setdefault(
+        denominator.monomial_generators(), {})
+    ass_pairs = []
+    assf_pairs = []
+    for m in witnesses:
+        entry = table.get(m)
+        if entry is None:
             basis = _colon_basis(denominator.lifted_monomials(), m)
-            s = _basis_prime(basis)
-            if s is not None:
-                ass_pairs.append((s, m))
-            assf_pairs.extend((p, m) for p in _basis_minimal_primes(basis))
-        reports = memo[key] = tuple(
-            AssassinReport(*_sorted_primes(pairs), witness_bound, complete)
-            for pairs in (ass_pairs, assf_pairs))
-    return reports
+            entry = table[m] = (_basis_prime(basis),
+                                _basis_minimal_primes(basis))
+        prime, minimal = entry
+        if prime is not None:
+            ass_pairs.append((prime, m))
+        assf_pairs.extend((p, m) for p in minimal)
+    return tuple(AssassinReport(*_sorted_primes(pairs), witness_bound, complete)
+                 for pairs in (ass_pairs, assf_pairs))
 
 
 def assassins_cyclic(denominator, witness_bound=None):

@@ -93,6 +93,40 @@ def test_minimal_transversals_example():
     assert sorted(sorted(t) for t in hits) == [[0], [1, 2]]
 
 
+def _brute_force_transversals(n, edges):
+    """Minimal hitting sets by enumerating every subset of range(n)."""
+    subsets = [frozenset(v for v in range(n) if mask >> v & 1)
+               for mask in range(1 << n)]
+    hitting = [s for s in subsets if all(s & e for e in edges)]
+    return sorted((s for s in hitting if not any(o < s for o in hitting)),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def test_minimal_transversals_match_brute_force():
+    rng = random.Random(83)
+    shapes = {"no edges": 0, "repeated edge": 0, "edge contains another": 0}
+    for _ in range(2400):
+        n = rng.randint(1, 6)
+        edges = []
+        for _ in range(rng.randint(0, 10)):
+            draw = rng.random()
+            if edges and draw < 0.15:
+                edges.append(rng.choice(edges))
+            elif edges and draw < 0.3:
+                edges.append(rng.choice(edges) | {rng.randrange(n)})
+            else:
+                edges.append(frozenset(rng.sample(range(n),
+                                                  rng.randint(1, n))))
+        shapes["no edges"] += not edges
+        shapes["repeated edge"] += len(set(edges)) < len(edges)
+        shapes["edge contains another"] += any(
+            e < f for e in edges for f in edges)
+        rng.shuffle(edges)
+        assert (minimal_transversals(edges)
+                == _brute_force_transversals(n, edges)), edges
+    assert min(shapes.values()) >= 50, shapes
+
+
 def _remultiply(answer, ideal):
     acc = Element.zero(ideal.ring)
     for k, h in answer.certificate:

@@ -124,8 +124,8 @@ def test_weak_assassin_oracle_agreement():
 
 def test_assassin_scan_shared_by_equal_handles(monkeypatch):
     calls = []
-    real = spectrum_module._witness_scan
-    monkeypatch.setattr(spectrum_module, "_witness_scan",
+    real = spectrum_module._colon_basis
+    monkeypatch.setattr(spectrum_module, "_colon_basis",
                         lambda *args: calls.append(args) or real(*args))
     rng = random.Random(67)
     for i in range(10):
@@ -134,14 +134,44 @@ def test_assassin_scan_shared_by_equal_handles(monkeypatch):
         gens = instance.relations.monomial_generators()
         first = IdealHandle.from_monomials(ring, gens)
         second = IdealHandle.from_monomials(ring, gens[::-1])
-        before = len(calls)
+        start = len(calls)
         one = assassin_scan(IdealHandle.unit(ring), first)
+        before = len(calls)
+        assert before > start
         two = assassin_scan(IdealHandle.unit(ring), second,
                             default_witness_bound(second))
         assert one == two
         assert one[0] == assassins_cyclic(instance.relations)
         assert one[1] == weak_assassins_cyclic(instance.relations)
-        assert len(calls) == before + 1
+        assert len(calls) == before
+
+
+def test_witness_scan_matches_membership_filter():
+    rng = random.Random(73)
+    flags = set()
+    for i in range(30):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        for numerator, denominator in (
+                (IdealHandle.unit(ring), instance.relations),
+                (instance.extension, instance.relations),
+                (instance.acting, instance.extension)):
+            def survives(m):
+                return (numerator.contains_monomial(m)
+                        and not denominator.contains_monomial(m))
+            gen_deg = max((g.degree for g in numerator.monomial_generators()),
+                          default=0)
+            for bound in range(instance.witness_bound + 1):
+                expect = [m for d in range(bound + 1)
+                          for m in ring.normal_monomials_of_degree(d)
+                          if survives(m)]
+                complete = bound + 1 >= gen_deg and not any(
+                    survives(m)
+                    for m in ring.normal_monomials_of_degree(bound + 1))
+                assert spectrum_module._witness_scan(
+                    numerator, denominator, bound) == (expect, complete)
+                flags.add(complete)
+    assert flags == {True, False}
 
 
 def test_assassin_scan_matches_per_witness_recomputation():
