@@ -82,69 +82,46 @@ class _Session:
             raise TorsionlabError("undefined ideal %r" % name)
         return self.ideals[name]
 
-    def resolve_ideal(self, argument):
-        if isinstance(argument, NameRef):
-            return self.ideal_named(argument.name)[1]
-        raise TorsionlabError("expected an ideal name")
-
-    def same_ring(self, *names):
-        rings = {self.ideal_named(n)[0] for n in names}
-        if len(rings) > 1:
+    def ideals_named(self, *names):
+        """The ideals under ``names``, which must live in one ring."""
+        entries = [self.ideal_named(n) for n in names]
+        if len({ring for ring, _ in entries}) > 1:
             raise TorsionlabError(
                 "ideals %s live in different rings" % ", ".join(sorted(names)))
-
-
-def _argument_name(argument):
-    if isinstance(argument, NameRef):
-        return argument.name
-    raise TorsionlabError("expected an ideal name")
+        return [handle for _, handle in entries]
 
 
 def _execute_query(session, stmt):
     options = session.options
     kind = stmt.kind
     bound = stmt.degree if stmt.degree is not None else options.max_degree
-    if kind in ("gamma", "gammabar"):
-        first, second = map(_argument_name, stmt.arguments)
-        session.same_ring(first, second)
-        acting = session.ideal_named(first)[1]
-        relations = session.ideal_named(second)[1]
-        run = gamma_small_cyclic if kind == "gamma" else gamma_large_cyclic
-        return reports.torsion_tree(run(acting, relations, options.max_iter))
-    if kind == "colon":
-        ideal = session.resolve_ideal(stmt.arguments[0])
-        second = stmt.arguments[1]
-        if isinstance(second, NameRef) and second.name in session.ideals:
-            session.same_ring(_argument_name(stmt.arguments[0]), second.name)
-            result = ideal_colon_ideal(ideal, session.ideal_named(
-                second.name)[1], bound)
-        else:
-            result = ideal_colon(ideal, expand_element(second, ideal.ring),
-                                 bound)
-        return {"ideal": format_ideal(result), "complete": result.complete}
-    if kind == "saturation":
-        first, second = map(_argument_name, stmt.arguments)
-        session.same_ring(first, second)
-        result = ideal_saturation(session.ideal_named(first)[1],
-                                  session.ideal_named(second)[1],
-                                  options.max_iter)
-        return reports.saturation_tree(result)
     if kind == "membership":
-        ideal = session.resolve_ideal(stmt.arguments[1])
-        element = expand_element(stmt.arguments[0], ideal.ring)
-        return reports.membership_tree(
-            ideal_membership(element, ideal, bound))
+        element, name = stmt.arguments
+        ideal = session.ideal_named(name.name)[1]
+        return reports.membership_tree(ideal_membership(
+            expand_element(element, ideal.ring), ideal, bound))
+    ideals = session.ideals_named(
+        *[a.name for a in stmt.arguments if isinstance(a, NameRef)])
+    if kind in ("gamma", "gammabar"):
+        run = gamma_small_cyclic if kind == "gamma" else gamma_large_cyclic
+        return reports.torsion_tree(run(*ideals, options.max_iter))
+    if kind == "saturation":
+        return reports.saturation_tree(
+            ideal_saturation(*ideals, options.max_iter))
+    if kind == "colon":
+        if len(ideals) == 2:
+            result = ideal_colon_ideal(*ideals, bound)
+        else:
+            result = ideal_colon(ideals[0], expand_element(
+                stmt.arguments[1], ideals[0].ring), bound)
+        return {"ideal": format_ideal(result), "complete": result.complete}
+    (ideal,) = ideals
     if kind == "radical":
-        result = ideal_radical(session.resolve_ideal(stmt.arguments[0]))
-        return {"ideal": format_ideal(result)}
+        return {"ideal": format_ideal(ideal_radical(ideal))}
     if kind == "minprimes":
-        primes = minimal_primes(session.resolve_ideal(stmt.arguments[0]))
-        return {"primes": [format_prime(p) for p in primes]}
-    if kind in ("ass", "assf"):
-        ideal = session.resolve_ideal(stmt.arguments[0])
-        scan = assassins_cyclic if kind == "ass" else weak_assassins_cyclic
-        return reports.assassin_tree(scan(ideal, bound))
-    raise TorsionlabError("unhandled query kind %r" % kind)
+        return {"primes": [format_prime(p) for p in minimal_primes(ideal)]}
+    scan = assassins_cyclic if kind == "ass" else weak_assassins_cyclic
+    return reports.assassin_tree(scan(ideal, bound))
 
 
 def _execute_statement(session, stmt):
@@ -169,9 +146,7 @@ def _execute_statement(session, stmt):
     if isinstance(stmt, QueryStatement):
         return _execute_query(session, stmt)
     if isinstance(stmt, CheckStatement):
-        session.same_ring(stmt.acting, stmt.relations)
-        acting = session.ideal_named(stmt.acting)[1]
-        relations = session.ideal_named(stmt.relations)[1]
+        acting, relations = session.ideals_named(stmt.acting, stmt.relations)
         bound = (stmt.degree if stmt.degree is not None
                  else session.options.max_degree)
         report = fairness_report(acting, relations, bound, options.max_iter)

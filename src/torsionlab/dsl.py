@@ -12,8 +12,12 @@ queries against them:
     run example nil40A
 
 Parsed scripts print back to a canonical form; parsing that form again
-yields an equal syntax tree.  Exponents and indices admit only affine
-expressions in the loop variables; guards are comparisons joined by "and".
+yields an equal syntax tree.  ``ring_statement`` and ``ideal_statement``
+turn engine objects into statements, so reproducer scripts print through
+the same code.  ``QUERY_SIGNATURES`` fixes each query's argument kinds and
+whether it takes a degree; the parser rejects anything else.  Exponents
+and indices admit only affine expressions in the loop variables; guards
+are comparisons joined by "and".
 """
 
 from __future__ import annotations
@@ -21,15 +25,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import ParseError, PatternError
 from .ideals import IdealHandle
 from .ring import Element, Monomial, RewriteRule, RingPresentation
 
-QUERY_KINDS = ("gamma", "gammabar", "colon", "saturation", "membership",
-               "radical", "minprimes", "ass", "assf")
-_TWO_ARG_QUERIES = ("gamma", "gammabar", "colon", "saturation", "membership")
+# Query kind -> (argument kinds, whether "degree N" bounds it).  An
+# argument is an ideal name, an element, or either (colon divides by both).
+QUERY_SIGNATURES = {
+    "gamma": (("ideal", "ideal"), False),
+    "gammabar": (("ideal", "ideal"), False),
+    "colon": (("ideal", "either"), True),
+    "saturation": (("ideal", "ideal"), False),
+    "membership": (("element", "ideal"), True),
+    "radical": (("ideal",), False),
+    "minprimes": (("ideal",), False),
+    "ass": (("ideal",), True),
+    "assf": (("ideal",), True),
+}
 
 
 # ------------------------------------------------------------------ lexer
@@ -153,7 +168,13 @@ class ElementTemplate:
     def render(self):
         if not self.terms:
             return "0"
-        return " + ".join(t.render() for t in self.terms)
+        out = self.terms[0].render()
+        for t in self.terms[1:]:
+            if t.coeff < 0:
+                out += " - " + TermTemplate(-t.coeff, t.factors).render()
+            else:
+                out += " + " + t.render()
+        return out
 
 
 @dataclass(frozen=True)
@@ -210,7 +231,7 @@ class Comprehension:
             for value in range(low, high + 1):
                 env[name] = value
                 yield from rec(k + 1, env)
-            del env[name]
+            env.pop(name, None)  # an empty range never bound it
 
         yield from rec(0, {})
 
@@ -455,21 +476,29 @@ class _Parser:
         return IdealStatement(name, tuple(generators))
 
     def parse_query(self):
-        kind = self.expect_ident(*QUERY_KINDS)
+        kind = self.expect_ident(*QUERY_SIGNATURES)
+        argument_kinds, takes_degree = QUERY_SIGNATURES[kind]
         self.expect("(")
-        arguments = [self.parse_argument()]
-        if kind in _TWO_ARG_QUERIES:
-            self.expect(";")
-            arguments.append(self.parse_argument())
+        arguments = []
+        for argument_kind in argument_kinds:
+            if arguments:
+                self.expect(";")
+            arguments.append(self.parse_argument(argument_kind))
         self.expect(")")
-        degree = self.parse_degree_opt()
-        return QueryStatement(kind, tuple(arguments), degree)
+        if not takes_degree and self.at_ident("degree"):
+            raise ParseError("query %s takes no degree" % kind,
+                             self.current.line, self.current.column)
+        return QueryStatement(kind, tuple(arguments), self.parse_degree_opt())
 
-    def parse_argument(self):
+    def parse_argument(self, kind):
         tok = self.current
         if tok.kind == "ident" and tok.value != "X":
+            if kind == "element":
+                self.error({"element"})
             self.pos += 1
             return NameRef(tok.value)
+        if kind == "ideal":
+            self.error({"ideal name"})
         return self.parse_element()
 
     def parse_check(self):
@@ -621,7 +650,10 @@ class _Parser:
                 self.error({"X"})
             value = Fraction(int(self.expect(kind="int").value))
             if self.accept("/"):
-                value /= int(self.expect(kind="int").value)
+                tok = self.expect(kind="int")
+                if int(tok.value) == 0:
+                    raise ParseError("zero denominator", tok.line, tok.column)
+                value /= int(tok.value)
             coeff *= value
             saw_coeff = True
             if not self.accept("*"):
@@ -732,3 +764,32 @@ def expand_ideal(stmt, ring):
             elements.append(
                 expand_element(template.element, ring, env, where))
     return IdealHandle(ring, elements)
+
+
+# ---------------------------------------------------------------- printing
+
+@lru_cache(maxsize=None)
+def _var_factor(var, exp):
+    return VarFactor(_affine_const(var), _affine_const(exp))
+
+
+def _term(coeff, monomial):
+    return TermTemplate(coeff, tuple(
+        _var_factor(v, e) for v, e in monomial.pairs))
+
+
+def ring_statement(ring, name):
+    """The statement defining ``ring``, one rule per rewrite rule."""
+    rules = tuple(
+        RuleTemplate(_term(1, rule.lhs),
+                     None if rule.rhs is None else _term(*rule.rhs), None)
+        for rule in ring.rules)
+    return RingStatement(name, ring.num_vars - 1, rules)
+
+
+def ideal_statement(ideal, name):
+    """The statement defining ``ideal`` by its reduced generators."""
+    return IdealStatement(name, tuple(
+        GeneratorTemplate(ElementTemplate(tuple(
+            _term(g.terms[m], m) for m in g.monomials())), None)
+        for g in ideal.generators))

@@ -34,7 +34,7 @@ class UnitIdeal(TorsionlabError):
 
 
 class PatternError(TorsionlabError):
-    """A family pattern references an undefined index or guard."""
+    """A script template expands to a bad index, exponent or rule."""
 
 
 class UnknownTag(TorsionlabError):

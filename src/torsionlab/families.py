@@ -61,8 +61,6 @@ class WindowedClaim:
 class FamilySpec:
     tag: str
     description: str
-    rule_pattern: str
-    ideal_patterns: tuple  # of (name, pattern text)
     build: object  # callable(N) -> (RingPresentation, dict of IdealHandle)
     claims: tuple  # of WindowedClaim
 
@@ -105,7 +103,7 @@ def _check_schedule(levels, window):
 
 
 def instantiate(family, level):
-    """Expand the family patterns at this level and certify confluence."""
+    """Build the family at this level and certify confluence."""
     _check_level(level)
     ring, ideals = family.build(level)
     failures = check_local_confluence(ring)
@@ -491,9 +489,6 @@ FAMILIES = {
         "nil40A",
         "square-zero variables; relations collect each variable times the "
         "matching power of the variable ideal",
-        "X[i]^2 -> 0 for i in 0..N",
-        (("a", "< X[i] for i in 0..N >"),
-         ("b", "< X[i]*m for m in monomial basis of a^i, i in 0..N >")),
         _build_nil40A,
         (
             _claim("whole-ring-torsion-vanishes",
@@ -515,9 +510,6 @@ FAMILIES = {
         "nil40B",
         "pairwise products vanish and each variable is nilpotent of index "
         "one more than its position",
-        "X[i]*X[j] -> 0 for i in 0..N, j in 0..N if i != j; "
-        "X[i]^(i+1) -> 0 for i in 0..N",
-        (("a", "< X[i] for i in 0..N >"),),
         _build_nil40B,
         (
             _claim("generators-are-torsion",
@@ -530,9 +522,6 @@ FAMILIES = {
     "nil40C": FamilySpec(
         "nil40C",
         "square-zero variables with far-apart products vanishing",
-        "X[i]^2 -> 0 for i in 0..N; "
-        "X[i]*X[j] -> 0 for i in 0..N, j in 0..N if 2*i < j",
-        (("a", "< X[i] for i in 0..N >"),),
         _build_nil40C,
         (
             _claim("generators-are-torsion",
@@ -547,9 +536,6 @@ FAMILIES = {
         "nil40D",
         "each variable nilpotent of index one more than its position; "
         "relations are the mixed products",
-        "X[i]^(i+1) -> 0 for i in 0..N",
-        (("a", "< X[i] for i in 0..N >"),
-         ("b", "< X[i]*X[j] for i in 0..N, j in 0..N if i != j >")),
         _build_nil40D,
         (
             _claim("fresh-power-probe",
@@ -567,8 +553,6 @@ FAMILIES = {
     "idem50A": FamilySpec(
         "idem50A",
         "all variables idempotent",
-        "X[i]^2 -> X[i] for i in 0..N",
-        (("a", "< X[i] for i in 0..N >"),),
         _build_idem50A,
         (
             _claim("generators-idempotent",
@@ -581,8 +565,6 @@ FAMILIES = {
     "idem50B": FamilySpec(
         "idem50B",
         "each square rewrites to the next variable",
-        "X[i]^2 -> X[i+1] for i in 0..N-1",
-        (("a", "< X[i] for i in 0..N >"),),
         _build_idem50B,
         (
             _claim("power-collapse",
@@ -593,9 +575,6 @@ FAMILIES = {
         "idem50C",
         "one free variable, the rest idempotent; relations pair rising "
         "powers of the free variable with each idempotent",
-        "X[i]^2 -> X[i] for i in 1..N",
-        (("a", "< X[i] for i in 1..N >"),
-         ("b", "< X[0]^i*X[i] for i in 1..N >")),
         _build_idem50C,
         (
             _claim("membership-cross-check",

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from .dsl import CheckStatement, Script, ideal_statement, ring_statement
 from .ideals import IdealHandle, ideal_colon_ideal, ideal_sum
 from .ring import Monomial, RewriteRule, RingPresentation
 from .spectrum import assassin_scan, difference_variety, intersect_variety
@@ -37,7 +38,11 @@ class HarnessInstance:
     extension: IdealHandle  # contains relations
     between: IdealHandle  # between acting and its radical
     witness_bound: int
-    script: str
+
+    @property
+    def script(self):
+        """A script that rebuilds this instance and checks its fairness."""
+        return instance_script(self)
 
 
 @dataclass(frozen=True)
@@ -61,63 +66,15 @@ class HarnessReport:
         return not self.violations
 
 
-def script_monomial(m):
-    if m.is_one:
-        return "1"
-    parts = []
-    for v, e in m.pairs:
-        parts.append("X[%d]" % v if e == 1 else "X[%d]^%d" % (v, e))
-    return "*".join(parts)
-
-
-def script_element(e):
-    if e.is_zero:
-        return "0"
-    parts = []
-    for m in e.monomials():
-        c = e.terms[m]
-        if m.is_one:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(script_monomial(m))
-        else:
-            parts.append("%s*%s" % (c, script_monomial(m)))
-    return " + ".join(parts)
-
-
-def script_ring(ring, name="R"):
-    rules = []
-    for rule in ring.rules:
-        if rule.rhs is None:
-            rhs = "0"
-        else:
-            coeff, mono = rule.rhs
-            body = script_monomial(mono)
-            rhs = body if coeff == 1 else "%s*%s" % (coeff, body)
-        rules.append("%s -> %s" % (script_monomial(rule.lhs), rhs))
-    head = "ring %s = vars X[0..%d]" % (name, ring.num_vars - 1)
-    if not rules:
-        return head
-    return "%s rules { %s }" % (head, "; ".join(rules))
-
-
-def script_ideal(ideal, name):
-    if ideal.is_zero:
-        return "ideal %s = < 0 >" % name
-    return "ideal %s = < %s >" % (
-        name, ", ".join(script_element(g) for g in ideal.generators))
-
-
 def instance_script(instance):
-    lines = [
-        script_ring(instance.ring),
-        script_ideal(instance.acting, "a"),
-        script_ideal(instance.relations, "b"),
-        script_ideal(instance.extension, "c"),
-        script_ideal(instance.between, "a2"),
-        "check fairness(a; b) degree %d" % instance.witness_bound,
-    ]
-    return "\n".join(lines) + "\n"
+    return Script((
+        ring_statement(instance.ring, "R"),
+        ideal_statement(instance.acting, "a"),
+        ideal_statement(instance.relations, "b"),
+        ideal_statement(instance.extension, "c"),
+        ideal_statement(instance.between, "a2"),
+        CheckStatement("a", "b", instance.witness_bound),
+    )).render()
 
 
 def _random_monomial(rng, exponents, max_degree, min_degree):
@@ -171,12 +128,8 @@ def random_instance(index, rng):
     between = ideal_sum(
         acting, IdealHandle.from_monomials(ring, extras))
     witness_bound = ring.finite_basis_max_degree() + 1
-    instance = HarnessInstance(
-        index, ring, acting, relations, extension, between,
-        witness_bound, "")
     return HarnessInstance(
-        index, ring, acting, relations, extension, between,
-        witness_bound, instance_script(instance))
+        index, ring, acting, relations, extension, between, witness_bound)
 
 
 class _Checker:

@@ -77,6 +77,40 @@ def test_semantic_error_stops_execution(tmp_path, capsys):
     assert "undefined ideal" in out
 
 
+MALFORMED_HEAD = """\
+ring R = vars X[0..1] rules { X[0]^2 -> 0; X[1]^2 -> 0 }
+ideal a = < X[0] >
+ideal b = < X[1] >
+"""
+
+
+@pytest.mark.parametrize("tail, where, message", [
+    ("query membership(b; b)", "line 4 column 18", "unexpected b"),
+    ("query colon(b; c)", "error_at: 4", "undefined ideal 'c'"),
+    ("query radical(X[0])", "line 4 column 15", "unexpected X"),
+    ("query gamma(a; b) degree 3", "line 4 column 19", "takes no degree"),
+    ("ideal d = < 1/0*X[0] >", "line 4 column 15", "zero denominator"),
+    ("ring S = vars X[0..1] rules { X[0]^2 -> 1/0*X[1] }",
+     "line 4 column 43", "zero denominator"),
+])
+def test_malformed_scripts_exit_two_with_a_location(tmp_path, capsys, tail,
+                                                     where, message):
+    path = _write(tmp_path, MALFORMED_HEAD + tail + "\n")
+    code, out, err = _run(capsys, "run", path)
+    assert code == 2
+    assert where in out + err
+    assert message in out + err
+    assert "Traceback" not in err
+
+
+def test_empty_comprehension_range_is_the_zero_ideal(tmp_path, capsys):
+    path = _write(tmp_path, MALFORMED_HEAD +
+                  "ideal e = < X[i] for i in 3..1 >\nquery radical(e)\n")
+    code, out, _ = _run(capsys, "run", path)
+    assert code == 0
+    assert "value: ideal(0)" in out
+
+
 def test_ideal_before_ring_is_an_error(tmp_path, capsys):
     path = _write(tmp_path, "ideal a = < X[0] >\n")
     code, out, _ = _run(capsys, "run", path)

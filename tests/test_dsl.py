@@ -120,6 +120,55 @@ def test_query_kind_is_validated():
         parse("ring R = vars X[0..1]\nquery torsion(a; b)\n")
 
 
+@pytest.mark.parametrize("query, column, message", [
+    ("membership(b; b)", 18, "unexpected b"),
+    ("radical(X[0])", 15, "unexpected X"),
+    ("colon(X[0]; b)", 13, "unexpected X"),
+    ("gamma(a; b) degree 3", 19, "query gamma takes no degree"),
+    ("minprimes(b) degree 2", 20, "query minprimes takes no degree"),
+])
+def test_query_signature_is_enforced(query, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse("ring R = vars X[0..1]\nquery %s\n" % query)
+    assert (exc.value.line, exc.value.column) == (2, column)
+    assert exc.value.message == message
+
+
+def test_query_signature_accepts_both_colon_forms():
+    script = parse("query colon(b; a) degree 3\nquery colon(b; X[0])\n"
+                   "query membership(X[0] - 1; b) degree 2\n")
+    assert [s.render() for s in script.statements] == [
+        "query colon(b; a) degree 3", "query colon(b; X[0])",
+        "query membership(X[0] - 1; b) degree 2"]
+
+
+def test_zero_denominator_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse("ring R = vars X[0..1]\nideal a = < X[1] + 1/0*X[0] >\n")
+    assert (exc.value.line, exc.value.column, exc.value.message) == \
+        (2, 22, "zero denominator")
+    with pytest.raises(ParseError) as exc:
+        parse("ring R = vars X[0..1] rules { X[0]^2 -> 1/0*X[1] }\n")
+    assert (exc.value.line, exc.value.column) == (1, 43)
+
+
+def test_empty_comprehension_range_yields_nothing():
+    script = parse("ring R = vars X[0..1] rules { X[i]^2 -> 0 for i in 1..0 }\n"
+                   "ideal a = < X[i] for i in 3..1 >\n")
+    ring = expand_ring(script.statements[0])
+    assert ring.rules == ()
+    assert expand_ideal(script.statements[1], ring).is_zero
+
+
+@pytest.mark.parametrize("element", [
+    "X[0] - 1", "-1/2*X[0] + X[1] - 2*X[1]^2"])
+def test_negative_coefficients_print_as_subtraction(element):
+    text = "ideal e = < %s >\n" % element
+    script = parse(text)
+    assert script.render() == text
+    assert parse(script.render()) == script
+
+
 def test_pattern_errors_on_expansion():
     script = parse("ring R = vars X[0..2]\nideal a = < X[5] >\n")
     ring = expand_ring(script.statements[0])
@@ -146,17 +195,29 @@ def test_element_template_expansion_respects_signs():
 
 def test_harness_scripts_parse_and_round_trip():
     rng = random.Random(71)
-    for i in range(15):
+
+    def generator_terms(ideal):
+        return [g.terms for g in ideal.generators]
+
+    for i in range(200):
         instance = random_instance(i, rng)
         script = parse(instance.script)
         text = script.render()
+        assert text == instance.script
         assert parse(text) == script
-        ring = expand_ring(script.statements[0])
+        ring_stmt, *ideal_stmts, check = script.statements
+        ring = expand_ring(ring_stmt)
         assert ring.num_vars == instance.ring.num_vars
-        assert len(ring.rules) == len(instance.ring.rules)
-        b = expand_ideal(script.statements[2], ring)
-        assert sorted(format_element(g) for g in b.generators) == \
-            sorted(format_element(g) for g in instance.relations.generators)
+        assert [(r.lhs, r.rhs) for r in ring.rules] == \
+            [(r.lhs, r.rhs) for r in instance.ring.rules]
+        own = {"a": instance.acting, "b": instance.relations,
+               "c": instance.extension, "a2": instance.between}
+        assert [s.name for s in ideal_stmts] == list(own)
+        for stmt in ideal_stmts:
+            assert generator_terms(expand_ideal(stmt, ring)) == \
+                generator_terms(own[stmt.name])
+        assert (check.acting, check.relations, check.degree) == \
+            ("a", "b", instance.witness_bound)
 
 
 def test_empty_and_zero_ideal_forms():
