@@ -30,7 +30,6 @@ from .ideals import (
     IdealHandle,
     MembershipAnswer,
     SaturationResult,
-    brute_force_membership,
     ideal_colon,
     ideal_colon_ideal,
     ideal_intersection,
@@ -42,6 +41,7 @@ from .ideals import (
     ideal_sum,
     minimal_primes,
 )
+from .oracles import brute_force_membership
 from .spectrum import (
     AssassinReport,
     assassins_cyclic,

@@ -94,12 +94,11 @@ class _Session:
 def _execute_query(session, stmt):
     options = session.options
     kind = stmt.kind
-    bound = stmt.degree if stmt.degree is not None else options.max_degree
     if kind == "membership":
         element, name = stmt.arguments
         ideal = session.ideal_named(name.name)[1]
         return reports.membership_tree(ideal_membership(
-            expand_element(element, ideal.ring), ideal, bound))
+            expand_element(element, ideal.ring), ideal))
     ideals = session.ideals_named(
         *[a.name for a in stmt.arguments if isinstance(a, NameRef)])
     if kind in ("gamma", "gammabar"):
@@ -110,10 +109,10 @@ def _execute_query(session, stmt):
             ideal_saturation(*ideals, options.max_iter))
     if kind == "colon":
         if len(ideals) == 2:
-            result = ideal_colon_ideal(*ideals, bound)
+            result = ideal_colon_ideal(*ideals)
         else:
             result = ideal_colon(ideals[0], expand_element(
-                stmt.arguments[1], ideals[0].ring), bound)
+                stmt.arguments[1], ideals[0].ring))
         return {"ideal": format_ideal(result), "complete": result.complete}
     (ideal,) = ideals
     if kind == "radical":
@@ -121,6 +120,7 @@ def _execute_query(session, stmt):
     if kind == "minprimes":
         return {"primes": [format_prime(p) for p in minimal_primes(ideal)]}
     scan = assassins_cyclic if kind == "ass" else weak_assassins_cyclic
+    bound = stmt.degree if stmt.degree is not None else options.max_degree
     return reports.assassin_tree(scan(ideal, bound))
 
 
@@ -222,7 +222,8 @@ def build_parser():
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (text or json-like structured)")
     parser.add_argument("--max-degree", type=_positive_int, default=None,
-                        help="default witness/search degree bound")
+                        help="default witness degree bound of ass, assf "
+                             "and check")
     parser.add_argument("--max-iter", type=_positive_int,
                         default=DEFAULT_ITERATION_CAP,
                         help="saturation chain iteration cap")

@@ -32,14 +32,15 @@ from .errors import ParseError, PatternError
 from .ideals import IdealHandle
 from .ring import Element, Monomial, RewriteRule, RingPresentation
 
-# Query kind -> (argument kinds, whether "degree N" bounds it).  An
-# argument is an ideal name, an element, or either (colon divides by both).
+# Query kind -> (argument kinds, whether "degree N" bounds its witness
+# scan).  An argument is an ideal name, an element, or either (colon
+# divides by both).
 QUERY_SIGNATURES = {
     "gamma": (("ideal", "ideal"), False),
     "gammabar": (("ideal", "ideal"), False),
-    "colon": (("ideal", "either"), True),
+    "colon": (("ideal", "either"), False),
     "saturation": (("ideal", "ideal"), False),
-    "membership": (("element", "ideal"), True),
+    "membership": (("element", "ideal"), False),
     "radical": (("ideal",), False),
     "minprimes": (("ideal",), False),
     "ass": (("ideal",), True),
@@ -449,17 +450,20 @@ class _Parser:
     def parse_rule(self):
         lhs = self.parse_term(allow_coeff=False)
         self.expect("->")
-        if self.current.kind == "int" and self.current.value == "0" \
-                and self.tokens[self.pos + 1].value != "*":
-            self.pos += 1
+        rhs = self.parse_term(allow_coeff=True)
+        if rhs.coeff == 0:
+            # -> 0, -> 0*X[1] and -> 0/1*X[1] all rewrite to zero.
             rhs = None
-        else:
-            rhs = self.parse_term(allow_coeff=True)
         comp = self.parse_comprehension_opt()
         return RuleTemplate(lhs, rhs, comp)
 
     def parse_ideal(self):
+        tok = self.current
         name = self.expect_ident()
+        if name == "X":
+            # A query argument starting with X is read as an element.
+            raise ParseError("X names the variables, not an ideal",
+                             tok.line, tok.column)
         self.expect("=")
         self.expect("<")
         generators = []
@@ -730,7 +734,7 @@ def expand_ring(stmt):
                                    % where)
             if lhs.is_one:
                 raise PatternError("rule lhs must not be 1 in %s" % where)
-            if template.rhs is None or template.rhs.coeff == 0:
+            if template.rhs is None:
                 rhs = None
             else:
                 rm = _build_monomial(template.rhs, env, num_vars, where)

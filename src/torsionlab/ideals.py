@@ -1,35 +1,38 @@
 """Ideal presentations and colon/saturation/radical/minimal-prime algorithms.
 
-Two regimes:
+Every algorithm works on the lifted ideal: the preimage of an ideal of the
+quotient ring in the polynomial ring, spanned by the generators and the
+rule binomials lhs - c*rhs.  Results map back by normal forms.
 
 * monomial mode: every ring rule rewrites to zero and every generator is a
-  monic monomial.  All operations here are exact.  Algorithms work on the
-  lifted polynomial-ring ideal (generators plus the rule lhs monomials) and
-  map results back by normalization; that is what makes colon, radical and
-  minimal primes correct inside the quotient ring.
-* general mode: anything else.  When every generator is a single term and
-  the ring is confluent, membership is still exact and termwise: the rules
-  plus g -> 0 for each generator complete to a Groebner basis by adding
-  monomials only, so a normal term lies in the ideal exactly when one of
-  those vanishing monomials divides it.  Two cases stay bounded: membership
-  in an ideal with a polynomial generator, or in a non-confluent ring, is a
-  certificate search by exact linear algebra (yes/unknown), and colon by a
-  non-monomial or in a ring with a nonzero rule rhs is a sound search
-  flagged incomplete.
+  monic monomial.  The lifted ideal is a monomial ideal, so membership,
+  colon by a monomial, intersection, saturation, radical and minimal
+  primes have closed forms over its reduced monomial basis.
+* general mode: anything else, in a confluent ring.  Confluent rules are a
+  Groebner basis of the rule ideal for a degree-compatible order, so each
+  handle completes its generators and the rules to one reduced Groebner
+  basis (Buchberger's algorithm; Cox, Little & O'Shea, Ideals, Varieties,
+  and Algorithms, ch. 2).  Membership is division by it, with cofactors
+  that certify a yes, equality compares reduced bases, intersection
+  eliminates a tag variable and colon divides the intersection with (f)
+  by f (ch. 4, sections 3-4).  A completion that spends WORK_BUDGET
+  stops; the answer then carries the existing incomplete flag.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
+from heapq import heappop, heappush
 from typing import Optional
 
-from .errors import NotMonomialMode, RingMismatch, UnitIdeal
+from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
 from .ring import (
     FRACTION_ONE,
     Element,
     Monomial,
+    RingPresentation,
     check_local_confluence,
     grlex_key,
 )
@@ -39,8 +42,32 @@ GENERAL_MODE = "general"
 
 DEFAULT_ITERATION_CAP = 64
 
-# The derived vanishing monomials of a handle before its first query.
+# Term operations (one monomial product each, in S-polynomials, reduction
+# steps and cofactor sums) one Buchberger completion may spend before it
+# gives up.  A pair count would not bound the time: one pair can cost
+# seconds once the basis polynomials grow.
+WORK_BUDGET = 3_000_000
+
+# The Groebner basis of a handle before its first general-mode query.
 _NOT_YET = object()
+
+
+class _OutOfBudget(Exception):
+    """A completion spent WORK_BUDGET."""
+
+
+class _Budget:
+    """The term operations one completion has left."""
+
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = WORK_BUDGET
+
+    def spend(self, n):
+        self.left -= n
+        if self.left < 0:
+            raise _OutOfBudget()
 
 
 def _reduce_monomials(monos):
@@ -60,19 +87,322 @@ def _colon_basis(basis, m):
     return _reduce_monomials([g.div(g.gcd(m)) for g in basis])
 
 
+# ------------------------------------------------------ Groebner completion
+#
+# A basis entry is (lead, poly, cofactors): poly is a monic Element of the
+# rule-free ring the quotient ring lifts to, lead its leading monomial, and
+# cofactors maps generator index k to an Element h_k of the quotient ring
+# with poly = sum h_k * g_k there (rule binomials have none), or is None
+# where no certificate is wanted.
+
+
+class _TermOrder(dict):
+    """Sort keys of the term order, cached per monomial: the exponent of the
+    tag variable first, which makes it an elimination order for the tag,
+    then grlex."""
+
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        super().__init__()
+        self.tag = tag
+
+    def __missing__(self, m):
+        pairs = m.pairs
+        tagged = pairs[-1][1] if pairs and pairs[-1][0] == self.tag else 0
+        key = self[m] = (tagged, grlex_key(m))
+        return key
+
+
+def _lift(ring):
+    """(free ring, rule entries, term order) of a confluent ring.
+
+    The free ring has no rules and one more variable, the elimination tag.
+    The rule binomials lhs - c*rhs lead with lhs, since every rule lowers
+    degree; confluent rules are a Groebner basis of the ideal they span, so
+    no completion starts from scratch.
+    """
+    if ring._lift is None:
+        failures = check_local_confluence(ring)
+        if failures:
+            raise NonConfluent(str(failures[0]))
+        free = RingPresentation(ring.num_vars + 1)
+        rules = []
+        for rule in ring.rules:
+            terms = {rule.lhs: 1}
+            if rule.rhs is not None:
+                c, m = rule.rhs
+                terms[m] = _small(-c)
+            rules.append((rule.lhs, Element(free, terms), {}))
+        ring._lift = (free, tuple(rules), _TermOrder(ring.num_vars))
+    return ring._lift
+
+
+def _size(c):
+    """Word count of a coefficient: the cost of one arithmetic operation
+    on it grows with it."""
+    if type(c) is int:
+        return 1 + c.bit_length() // 64
+    return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+
+
+def _small(c):
+    """A coefficient as an int when it is one: int arithmetic is much
+    faster than Fraction arithmetic, and compares equal to it."""
+    return c.numerator if c.denominator == 1 else c
+
+
+class _Reducers(tuple):
+    """Basis entries, with the (position, lead, poly) of each filed under
+    the last variable of its lead (-1 for the lead 1): a lead divides m
+    only if its last variable occurs in m."""
+
+    def __new__(cls, entries):
+        self = super().__new__(cls, entries)
+        self.by_last = {}
+        for i, (lead, poly, _) in enumerate(self):
+            self.by_last.setdefault(lead.max_var(), []).append(
+                (i, lead, poly))
+        return self
+
+    def find(self, m):
+        """The first (position, lead, poly) whose lead divides m, or None."""
+        by_last = self.by_last
+        for v, _ in ((-1, 0),) + m.pairs:
+            for hit in by_last.get(v, ()):
+                if hit[1].divides(m):
+                    return hit
+        return None
+
+
+def _divide(terms, basis, order, quotients=None, budget=None):
+    """Remainder of the polynomial ``terms`` on division by the monic
+    entries of the _Reducers ``basis``, largest term first.  With a dict
+    ``quotients``, entry i's quotient is left in quotients[i], so
+    terms = sum q_i * poly_i + rest.  Each step spends from ``budget``."""
+    f = {m: _small(c) for m, c in terms.items()}
+    rest = {}
+    while f:
+        m = max(f, key=order.__getitem__) if len(f) > 1 else next(iter(f))
+        c = f[m]
+        hit = basis.find(m)
+        if hit is None:
+            rest[m] = f.pop(m)
+        else:
+            i, lead, poly = hit
+            if budget is not None:
+                budget.spend(len(poly.terms) * _size(c))
+            # Subtracting c*q*poly cancels m, poly being monic.
+            q = m.div(lead)
+            for gm, gc in poly.terms.items():
+                n = q.mul(gm)
+                v = f.get(n, 0) - c * gc
+                if v:
+                    f[n] = v
+                else:
+                    del f[n]
+            if quotients is not None:
+                quotients.setdefault(i, {})[q] = c
+    return rest
+
+
+def _cofactor_sum(ring, parts, budget=None):
+    """sum q * cofactors over (q, cofactors) parts, q a {monomial: coeff}
+    polynomial, as a generator-index -> Element dict of the quotient ring."""
+    acc = {}
+    for q, cofactors in parts:
+        for k, h in cofactors.items():
+            if budget is not None:
+                budget.spend(len(q) * sum(map(_size, h.terms.values())))
+            part = acc.setdefault(k, {})
+            for qm, qc in q.items():
+                for hm, hc in h.terms.items():
+                    w = qc * hc
+                    if qm.is_one:
+                        # h is in normal form already.
+                        part[hm] = part.get(hm, 0) + w
+                        continue
+                    product = qm if hm.is_one else qm.mul(hm)
+                    for m, c in ring.normal_form_monomial(
+                            product).terms.items():
+                        part[m] = part.get(m, 0) + (
+                            w if c is FRACTION_ONE else w * c)
+    out = {k: Element(ring, part) for k, part in acc.items()}
+    return {k: h for k, h in out.items() if h.terms}
+
+
+def _entry(ring, rest, parts, quotients, basis, order, budget=None):
+    """The remainder ``rest`` of a division by ``basis``, with its
+    ``quotients``, as a monic entry, or None when it is zero.  ``parts`` is
+    None, or (q, cofactors) pairs whose sum of q * cofactors is the
+    cofactors of the divided polynomial; the entry's cofactors are then
+    carried along, and computed only for a nonzero remainder."""
+    if not rest:
+        return None
+    lead = max(rest, key=order.__getitem__)
+    inverse = FRACTION_ONE / rest[lead]
+    poly = Element(_lift(ring)[0], {
+        m: _small(c * inverse) for m, c in rest.items()})
+    cofactors = None
+    if parts is not None:
+        scaled = [({m: _small(c * inverse) for m, c in q.items()}, cof)
+                  for q, cof in parts]
+        scaled.extend(({m: _small(-c * inverse) for m, c in q.items()},
+                       basis[i][2]) for i, q in quotients.items())
+        cofactors = _cofactor_sum(ring, scaled, budget)
+    return lead, poly, cofactors
+
+
+def _complete(ring, known, fresh):
+    """A minimal Groebner basis, as entries, of the ideal of the free ring
+    spanned by the ``known`` entries, which are a Groebner basis already,
+    and the ``fresh`` (terms, parts) pairs, parts as _entry takes them.
+
+    Buchberger's algorithm, pairs by least lcm, with Gebauer and Moeller's
+    update (J. Symbolic Comput. 6, 1988; Becker & Weispfenning, Groebner
+    Bases, ch. 5.5): a new pair is dropped when its leads are coprime after
+    dividing out the common monomial factor of the two polynomials, or
+    another new pair's lcm divides its lcm; an old pair when the new lead
+    divides its lcm strictly on both sides; an old element when the new
+    lead divides its lead.  Pairs among the known entries count as done.
+    """
+    order = _lift(ring)[2]
+    budget = _Budget()
+    basis = list(known)
+    contents = [reduce(Monomial.gcd, poly.terms) for _, poly, _ in basis]
+    live = list(range(len(basis)))
+    reducers = _Reducers(basis)
+    pairs = {}
+    queue = []
+
+    def admit(terms, parts):
+        """Add the remainder of terms, if nonzero, with its pairs."""
+        nonlocal reducers
+        quotients = {}
+        rest = _divide(terms, reducers, order, quotients, budget)
+        entry = _entry(ring, rest, parts, quotients, reducers, order, budget)
+        if entry is None:
+            return
+        h = entry[0]
+        j = len(basis)
+        basis.append(entry)
+        content = reduce(Monomial.gcd, entry[1].terms)
+        contents.append(content)
+        news = []
+        for i in live:
+            lead = basis[i][0]
+            lcm = lead.lcm(h)
+            # The leads are coprime once the common monomial factor of
+            # both polynomials is divided out: the S-polynomial reduces to
+            # zero, but the pair still serves the criterion.
+            done = lcm.degree == (lead.degree + h.degree
+                                  - contents[i].gcd(content).degree)
+            news.append((lcm.degree, i, lcm, done))
+        news.sort()  # by lcm degree, then position: never ties
+        kept = []
+        for pos, (d, i, lcm, done) in enumerate(news):
+            # Only an equal lcm comes later; a divisor came earlier.
+            if done or not (
+                    any(n[0] == d and n[2] == lcm for n in news[pos + 1:])
+                    or any(m.divides(lcm) for m, _, _ in kept)):
+                kept.append((lcm, i, done))
+        for (i, k), lcm in list(pairs.items()):
+            if (h.divides(lcm) and basis[i][0].lcm(h) != lcm
+                    and basis[k][0].lcm(h) != lcm):
+                del pairs[i, k]
+        for lcm, i, done in kept:
+            if not done:
+                pairs[i, j] = lcm
+                heappush(queue, (order[lcm], i, j))
+        live[:] = [i for i in live if not h.divides(basis[i][0])] + [j]
+        reducers = _Reducers(basis[i] for i in live)
+
+    for terms, parts in fresh:
+        admit(terms, parts)
+    while queue:
+        _, i, j = heappop(queue)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue
+        (li, pi, ci), (lj, pj, cj) = basis[i], basis[j]
+        budget.spend(len(pi.terms) + len(pj.terms))
+        ui, uj = lcm.div(li), lcm.div(lj)
+        terms = {ui.mul(m): c for m, c in pi.terms.items()}
+        for m, c in pj.terms.items():
+            n = uj.mul(m)
+            v = terms.get(n, 0) - c
+            if v:
+                terms[n] = v
+            else:
+                del terms[n]
+        parts = None if ci is None else [({ui: 1}, ci), ({uj: -1}, cj)]
+        admit(terms, parts)
+    return [basis[i] for i in live]
+
+
+def _reduced(ring, basis):
+    """The reduced Groebner basis, as entries sorted by lead, of the ideal
+    with Groebner basis ``basis``: one entry per minimal lead, each reduced
+    by the others."""
+    order = _lift(ring)[2]
+    minimal = []
+    for lead, poly, cofactors in sorted(basis, key=lambda e: order[e[0]]):
+        if not any(other.divides(lead) for other, _, _ in minimal):
+            minimal.append((lead, poly, cofactors))
+    # No lead divides a smaller monomial, so an entry never reduces its own
+    # tail, and the tails reduce by the whole minimal basis at once.
+    reducers = _Reducers(minimal)
+    out = []
+    for entry in minimal:
+        lead, poly, cofactors = entry
+        quotients = {}
+        rest = _divide({m: c for m, c in poly.terms.items() if m != lead},
+                       reducers, order, quotients)
+        if quotients:
+            rest[lead] = 1
+            parts = None if cofactors is None else [({Monomial.one(): 1},
+                                                     cofactors)]
+            entry = _entry(ring, rest, parts, quotients, reducers, order)
+        out.append(entry)
+    return tuple(out)
+
+
+def _eliminate(ring, basis, polys):
+    """Reduced Groebner basis entries of B cap (polys) in the free ring, B
+    the ideal with Groebner basis ``basis``: the tag-free part of the
+    reduced basis of t*B + (1 - t)*(polys) under the elimination order."""
+    tag = Monomial.variable(ring.num_vars)
+    known = [(lead.mul(tag), Element(poly.ring, {
+        m.mul(tag): c for m, c in poly.terms.items()}), None)
+        for lead, poly, _ in basis]
+    fresh = []
+    for terms in polys:
+        tagged = {m.mul(tag): -c for m, c in terms.items()}
+        tagged.update(terms)
+        fresh.append((tagged, None))
+    return _reduced(ring, [entry for entry in _complete(ring, known, fresh)
+                           if entry[0].max_var() < ring.num_vars])
+
+
+def _generator_key(g):
+    """Generators sort by their terms from the leading one down, in grlex
+    order, so a monomial basis keeps its grlex order."""
+    return tuple((grlex_key(m), g.terms[m]) for m in reversed(g.monomials()))
+
+
 class IdealHandle:
     """Finite generator list inside a ring presentation.
 
-    Handles are immutable.  Handles generated by single terms keep their
-    generator monomials, reduced in monomial mode, and in monomial mode from
-    the first call of lifted_monomials the reduced lifted basis, both as
-    tuples.  From the first membership query, such a handle in a confluent
-    ring keeps its derived vanishing monomials, each with its certificate
-    (see _derived_vanishing); any other handle keeps None there.
+    Handles are immutable.  Monomial-mode handles keep their reduced
+    generator monomials and, from the first call of lifted_monomials, the
+    reduced lifted basis, both as tuples.  From its first general-mode
+    query a handle keeps the reduced Groebner basis of its lifted ideal,
+    with cofactors over the generators once a membership query wanted
+    them (None when the completion ran out of WORK_BUDGET).
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_derived")
+                 "_lifted", "_basis")
 
     def __init__(self, ring, elements, complete=True):
         gens = []
@@ -86,31 +416,22 @@ class IdealHandle:
                 m, c = e.single_term()
                 e = Element(ring, {m: FRACTION_ONE})
             gens.append(e)
-        monomial = ring.all_rhs_zero and all(g.is_monomial for g in gens)
         monos = None
-        if monomial:
+        if ring.all_rhs_zero and all(g.is_monomial for g in gens):
             monos = _reduce_monomials([g.single_term()[0] for g in gens])
             gens = [Element(ring, {m: FRACTION_ONE}) for m in monos]
             mode = MONOMIAL_MODE
         else:
-            seen = set()
-            uniq = []
-            for g in sorted(gens, key=lambda g: g.canonical_key()):
-                key = g.canonical_key()
-                if key not in seen:
-                    seen.add(key)
-                    uniq.append(g)
-            gens = uniq
+            unique = {_generator_key(g): g for g in gens}
+            gens = [unique[key] for key in sorted(unique)]
             mode = GENERAL_MODE
-            if all(g.is_single_term for g in gens):
-                monos = tuple(g.single_term()[0] for g in gens)
         self.ring = ring
         self.generators = tuple(gens)
         self.mode = mode
         self.complete = complete
         self._monomial_gens = monos
         self._lifted = None
-        self._derived = _NOT_YET
+        self._basis = _NOT_YET
 
     @classmethod
     def from_monomials(cls, ring, monos, complete=True):
@@ -135,8 +456,17 @@ class IdealHandle:
 
     @property
     def is_unit(self):
-        return any(g.is_single_term and g.single_term()[0].is_one
-                   for g in self.generators)
+        """Is this the unit ideal?  A constant generator says so; otherwise
+        only a general-mode Groebner basis can (its lead is then 1)."""
+        if any(g.is_single_term and g.single_term()[0].is_one
+               for g in self.generators):
+            return True
+        if self.is_monomial_mode or self.is_zero:
+            return False
+        try:
+            return self._groebner()[0][0].is_one
+        except _OutOfBudget:
+            return False
 
     def monomial_generators(self):
         self._require_monomial()
@@ -165,64 +495,44 @@ class IdealHandle:
         mono = nf.single_term()[0]
         return any(g.divides(mono) for g in self._monomial_gens)
 
-    def _derived_vanishing(self):
-        """The monomials beyond the generators that vanish in R/I, each with
-        its certificate ((generator index, multiplier), ...); None unless
-        every generator is a single term and the ring is confluent.
-
-        Confluent rules are a Groebner basis, so adding g -> 0 per generator
-        leaves only the pairs of a rule lhs -> c*rhs with a vanishing z that
-        shares a variable (Buchberger's criterion).  Their S-polynomial is
-        the single term c*NF((L/lhs)*rhs) = c*c2*u at L = lcm(lhs, z); a u
-        no vanishing monomial divides is added, with u = (L/z)*z / (c*c2)
-        in R as its certificate.  Dickson's lemma ends the loop.  A normal
-        term is in I exactly when a generator or a derived monomial
-        divides it (Eisenbud & Sturmfels, Duke Math. J. 1996).
-        """
-        if self._derived is _NOT_YET:
-            ring = self.ring
-            gens = self._monomial_gens
-            self._derived = None
-            if self.is_monomial_mode:
-                # No rule has a rhs, so no pair arises.
-                self._derived = ()
-            elif gens is not None and not check_local_confluence(ring):
-                one = Element(ring, {Monomial.one(): FRACTION_ONE})
-                vanishing = [(g, ((k, one),)) for k, g in enumerate(gens)]
-                # The loop also visits the monomials it appends.
-                for z, cert in vanishing:
-                    for rule in ring.rules:
-                        if rule.rhs is None or rule.lhs.gcd(z).is_one:
-                            continue
-                        c, rhs = rule.rhs
-                        lcm = rule.lhs.lcm(z)
-                        nf = ring.normal_form_monomial(
-                            lcm.div(rule.lhs).mul(rhs))
-                        if nf.is_zero:
-                            continue
-                        u, c2 = nf.single_term()
-                        if any(v.divides(u) for v, _ in vanishing):
-                            continue
-                        q = ring.normal_form_monomial(lcm.div(z)).scale(
-                            1 / (c * c2))
-                        vanishing.append(
-                            (u, tuple((k, q.mul(h)) for k, h in cert)))
-                self._derived = tuple(vanishing[len(gens):])
-        return self._derived
+    def _groebner(self, certified=False):
+        """The reduced Groebner basis of the lifted ideal as _Reducers.
+        With ``certified`` every entry carries its cofactors over the
+        generators; otherwise they are there only when an earlier call
+        wanted them.  Raises _OutOfBudget past WORK_BUDGET, and
+        NonConfluent in a non-confluent ring."""
+        basis = self._basis
+        if basis is None:
+            raise _OutOfBudget()
+        # A completion gives cofactors to all of its entries or to none.
+        if basis is _NOT_YET or certified and basis and basis[0][2] is None:
+            rules = _lift(self.ring)[1]
+            one = Element(self.ring, {Monomial.one(): 1})
+            fresh = [(g.terms, [({Monomial.one(): 1}, {k: one})])
+                     for k, g in enumerate(self.generators)]
+            if not certified:
+                rules = [(lead, poly, None) for lead, poly, _ in rules]
+                fresh = [(terms, None) for terms, _ in fresh]
+            try:
+                self._basis = _Reducers(_reduced(
+                    self.ring, _complete(self.ring, rules, fresh)))
+            except _OutOfBudget:
+                if basis is _NOT_YET:
+                    self._basis = None
+                raise
+        return self._basis
 
     def equals(self, other):
-        """Ideal equality; may return None (undecided) in general mode."""
+        """Ideal equality; None only when a completion ran out of budget."""
         if self.ring is not other.ring:
             raise RingMismatch("ideals live in different rings")
         if self.is_monomial_mode and other.is_monomial_mode:
             return self._monomial_gens == other._monomial_gens
-        one = _mutual_inclusion(self, other)
-        two = _mutual_inclusion(other, self)
-        if one is True and two is True:
-            return True
-        if one is False or two is False:
-            return False
-        return None
+        try:
+            mine, theirs = self._groebner(), other._groebner()
+        except _OutOfBudget:
+            return None
+        return [p for _, p, _ in mine] == [p for _, p, _ in theirs]
 
     def __repr__(self):
         return "IdealHandle(%s)" % format_ideal(self)
@@ -238,20 +548,22 @@ def format_ideal(ideal):
 
 @dataclass(frozen=True)
 class MembershipAnswer:
-    """Yes answers always carry a certificate that re-multiplies to f.
-
-    The termwise decision answers yes or no and has no search_bound.  An
-    "unknown" verdict comes only from the certificate search and means no
-    certificate with multiplier degree up to search_bound exists; that
-    search never asserts a hard no.
-    """
+    """A membership decision.  Yes answers always carry a certificate
+    ((generator index, multiplier), ...) that re-multiplies to f.  The
+    verdict is yes or no, except "unknown" when the ideal's Groebner
+    completion ran out of WORK_BUDGET."""
     verdict: str  # "yes" | "no" | "unknown"
     certificate: Optional[tuple] = None  # ((generator index, Element), ...)
-    search_bound: Optional[int] = None
 
     @property
     def is_yes(self):
         return self.verdict == "yes"
+
+
+def _image(ring, basis, complete):
+    """The handle generated by the quotient-ring images of basis entries."""
+    return IdealHandle(ring, [Element.from_terms(ring, poly.terms.items())
+                              for _, poly, _ in basis], complete=complete)
 
 
 def _check_shared_ring(a, b):
@@ -259,156 +571,23 @@ def _check_shared_ring(a, b):
         raise RingMismatch("operands live in different rings")
 
 
-def ideal_membership(f, ideal, multiplier_degree_bound=None):
-    """Decide f in I.  Exact, term by term, for an ideal generated by single
-    terms in a confluent ring, so in monomial mode too; a certificate search
-    with multipliers up to the bound otherwise."""
+def ideal_membership(f, ideal):
+    """Decide f in I by division by the reduced Groebner basis of the
+    lifted ideal, whose cofactors give the certificate."""
     if f.ring is not ideal.ring:
         raise RingMismatch("element and ideal live in different rings")
     if f.is_zero:
         return MembershipAnswer("yes", certificate=())
-    derived = ideal._derived_vanishing()
-    if derived is not None:
-        gens = ideal._monomial_gens
-        parts = {}
-        for t in f.monomials():
-            c = f.terms[t]
-            for k, g in enumerate(gens):
-                if g.divides(t):
-                    # A divisor of a normal monomial is normal.
-                    q = t.div(g)
-                    part = parts.setdefault(k, {})
-                    part[q] = part.get(q, 0) + c
-                    break
-            else:
-                for z, cert in derived:
-                    if z.divides(t):
-                        q = Element(f.ring, {t.div(z): c})
-                        for k, h in cert:
-                            part = parts.setdefault(k, {})
-                            for m, d in q.mul(h).terms.items():
-                                part[m] = part.get(m, 0) + d
-                        break
-                else:
-                    return MembershipAnswer("no")
-        cert = tuple((k, Element(f.ring, parts[k])) for k in sorted(parts))
-        return MembershipAnswer("yes", certificate=cert)
-    if multiplier_degree_bound is None:
-        multiplier_degree_bound = f.degree + 2
-    cert = _certificate_search(f, ideal.generators, multiplier_degree_bound,
-                               normal_only=True)
-    if cert is not None:
-        return MembershipAnswer("yes", certificate=cert,
-                                search_bound=multiplier_degree_bound)
-    return MembershipAnswer("unknown", search_bound=multiplier_degree_bound)
-
-
-def brute_force_membership(f, ideal, degree_bound):
-    """Independent oracle: exact linear-algebra search over all multiplier
-    monomials (normal or not) of degree up to the bound.  Returns yes with a
-    certificate, or unknown (read: no certificate up to this bound)."""
-    if f.ring is not ideal.ring:
-        raise RingMismatch("element and ideal live in different rings")
-    if f.is_zero:
-        return MembershipAnswer("yes", certificate=(), search_bound=degree_bound)
-    cert = _certificate_search(f, ideal.generators, degree_bound,
-                               normal_only=False)
-    if cert is not None:
-        return MembershipAnswer("yes", certificate=cert,
-                                search_bound=degree_bound)
-    return MembershipAnswer("unknown", search_bound=degree_bound)
-
-
-def _all_monomials_up_to(num_vars, bound):
-    out = [Monomial.one()]
-    frontier = [Monomial.one()]
-    for _ in range(bound):
-        nxt = []
-        for m in frontier:
-            for v in range(max(m.max_var(), 0), num_vars):
-                nxt.append(m.mul(Monomial.variable(v)))
-        out.extend(nxt)
-        frontier = nxt
-    return sorted(set(out), key=grlex_key)
-
-
-def _certificate_search(f, generators, bound, normal_only):
-    """Find multipliers h_k with sum g_k * h_k = f, multiplier degree <= bound.
-
-    Exact Gaussian elimination over the rationals.  Every ring element is a
-    combination of normal monomials, so restricting multipliers to normal
-    monomials loses nothing; the unrestricted variant exists for the
-    independent brute-force oracle.
-    """
-    ring = f.ring
-    if not generators:
-        return None
-    if normal_only:
-        multipliers = ring.normal_monomials_up_to(bound)
-    else:
-        multipliers = _all_monomials_up_to(ring.num_vars, bound)
-    columns = []
-    labels = []
-    seen_cols = set()
-    for k, g in enumerate(generators):
-        for m in multipliers:
-            prod = g.mul(Element(ring, {m: Fraction(1)}))
-            if prod.is_zero:
-                continue
-            vec = tuple(sorted((mm.pairs, c) for mm, c in prod.terms.items()))
-            if vec in seen_cols:
-                continue
-            seen_cols.add(vec)
-            columns.append(dict(prod.terms))
-            labels.append((k, m))
-    target = dict(f.terms)
-    solution = _solve_exact(columns, target)
-    if solution is None:
-        return None
-    parts = {}
-    for (k, m), coeff in zip(labels, solution):
-        if coeff:
-            parts.setdefault(k, []).append((m, coeff))
-    cert = tuple(
-        (k, Element.from_terms(ring, pairs))
-        for k, pairs in sorted(parts.items()))
-    return cert
-
-
-def _solve_exact(columns, target):
-    """Solve sum x_i * columns[i] = target over the rationals.
-
-    Columns and target are sparse vectors keyed by monomial.  Returns one
-    solution (free variables set to zero) or None.
-    """
-    pivots = {}  # leading key -> (reduced column, combo over original columns)
-
-    def reduce(vec, combo):
-        # Eliminating at a pivot's lead key only introduces grlex-larger
-        # keys, so always cancelling the smallest applicable key terminates.
-        vec = {k: v for k, v in vec.items() if v}
-        while True:
-            applicable = [k for k in vec if k in pivots]
-            if not applicable:
-                return vec, combo
-            key = min(applicable, key=grlex_key)
-            pcol, pcombo = pivots[key]
-            factor = vec[key] / pcol[key]
-            for kk, vv in pcol.items():
-                vec[kk] = vec.get(kk, 0) - factor * vv
-            for idx, vv in pcombo.items():
-                combo[idx] = combo.get(idx, 0) - factor * vv
-            vec = {k: v for k, v in vec.items() if v}
-
-    for idx, col in enumerate(columns):
-        vec, combo = reduce(col, {idx: Fraction(1)})
-        if vec:
-            lead = min(vec, key=grlex_key)
-            pivots[lead] = (vec, combo)
-    vec, combo = reduce(target, {})
-    if vec:
-        return None
-    return [-combo.get(i, Fraction(0)) for i in range(len(columns))]
+    try:
+        basis = ideal._groebner(certified=True)
+    except _OutOfBudget:
+        return MembershipAnswer("unknown")
+    quotients = {}
+    if _divide(f.terms, basis, _lift(f.ring)[2], quotients):
+        return MembershipAnswer("no")
+    cert = _cofactor_sum(f.ring, [(q, basis[i][2])
+                                  for i, q in quotients.items()])
+    return MembershipAnswer("yes", certificate=tuple(sorted(cert.items())))
 
 
 def ideal_sum(a, b):
@@ -433,78 +612,72 @@ def ideal_power(a, n):
 
 
 def ideal_intersection(a, b):
-    """Exact in monomial mode via pairwise lcm of generators."""
+    """I cap J.  In monomial mode the pairwise lcms of the generators;
+    otherwise the image of (lifted I) cap (lifted J), by elimination.  Past
+    WORK_BUDGET the product I*J, inside I cap J, flagged incomplete."""
     _check_shared_ring(a, b)
-    a._require_monomial()
-    b._require_monomial()
-    monos = [g.lcm(h)
-             for g in a.monomial_generators()
-             for h in b.monomial_generators()]
-    return IdealHandle.from_monomials(a.ring, monos,
-                                      complete=a.complete and b.complete)
+    complete = a.complete and b.complete
+    ring = a.ring
+    if a.is_monomial_mode and b.is_monomial_mode:
+        monos = [g.lcm(h)
+                 for g in a.monomial_generators()
+                 for h in b.monomial_generators()]
+        return IdealHandle.from_monomials(ring, monos, complete=complete)
+    if a.is_unit:
+        return IdealHandle(ring, b.generators, complete=complete)
+    try:
+        meet = _eliminate(ring, a._groebner(),
+                          [poly.terms for _, poly, _ in b._groebner()])
+    except _OutOfBudget:
+        return IdealHandle(ring, ideal_product(a, b).generators,
+                           complete=False)
+    return _image(ring, meet, complete)
 
 
-def ideal_colon(ideal, f, multiplier_degree_bound=None):
+def ideal_colon(ideal, f):
     """(I : f) = {g | g*f in I}.
 
-    Exact for monomial-mode I and single-term f via divisibility quotients of
-    the lifted generators.  Otherwise a bounded sound search, flagged
+    Monomial-mode I and a single-term f: divisibility quotients of the
+    lifted generators.  Otherwise the image of ((lifted I) cap (f)) / f, by
+    elimination; dividing a Groebner basis of the intersection by f gives
+    one of the colon.  Past WORK_BUDGET I itself, inside (I : f), flagged
     incomplete.
     """
     if f.ring is not ideal.ring:
         raise RingMismatch("element and ideal live in different rings")
+    ring = ideal.ring
     if f.is_zero:
-        return IdealHandle.unit(ideal.ring)
+        return IdealHandle.unit(ring)
     if ideal.is_monomial_mode and f.is_single_term:
         # Non-normal quotients are zero in the ring; the handle drops them.
         return IdealHandle.from_monomials(
-            ideal.ring,
-            _colon_basis(ideal.lifted_monomials(), f.single_term()[0]),
+            ring, _colon_basis(ideal.lifted_monomials(), f.single_term()[0]),
             complete=ideal.complete)
-    if multiplier_degree_bound is None:
-        multiplier_degree_bound = f.degree + 2
-    return _bounded_colon(ideal, (f,), multiplier_degree_bound)
+    try:
+        meet = _eliminate(ring, ideal._groebner(), [f.terms])
+    except _OutOfBudget:
+        return IdealHandle(ring, ideal.generators, complete=False)
+    free, _, order = _lift(ring)
+    divisor = _Reducers([_entry(ring, f.terms, None, {}, (), order)])
+    quotients = []
+    for lead, poly, _ in meet:
+        parts = {}
+        _divide(poly.terms, divisor, order, parts)
+        quotients.append((lead.div(divisor[0][0]), Element(free, parts[0]),
+                          None))
+    return _image(ring, _reduced(ring, quotients), ideal.complete)
 
 
-def _bounded_colon(ideal, factors, bound):
-    """Sound bounded search for (I : <factors>): the normal monomials up to
-    the bound whose product with every factor is certified in I, flagged
-    incomplete."""
-    found = []
-    for m in ideal.ring.normal_monomials_up_to(bound):
-        g = Element(ideal.ring, {m: Fraction(1)})
-        if all(ideal_membership(g.mul(h), ideal, bound).is_yes
-               for h in factors):
-            found.append(g)
-    return IdealHandle(ideal.ring, found, complete=False)
-
-
-def ideal_colon_ideal(ideal, other, multiplier_degree_bound=None):
-    """(I : J) as the intersection over generators of J of (I : g); one
-    bounded search for all of them when a rule has a nonzero rhs."""
+def ideal_colon_ideal(ideal, other):
+    """(I : J) as the intersection over generators g of J of (I : g)."""
     _check_shared_ring(ideal, other)
     if other.is_zero:
         return IdealHandle.unit(ideal.ring)
-    if ideal.ring.all_rhs_zero:
-        acc = None
-        for g in other.generators:
-            part = ideal_colon(ideal, g, multiplier_degree_bound)
-            acc = part if acc is None else ideal_intersection(acc, part)
-        return acc
-    bound = multiplier_degree_bound
-    if bound is None:
-        bound = max(g.degree for g in other.generators) + 2
-    return _bounded_colon(ideal, other.generators, bound)
-
-
-def _mutual_inclusion(a, b):
-    """Is every generator of a in b?  True / False / None (undecided)."""
-    verdicts = [ideal_membership(g, b).verdict for g in a.generators]
-    if all(v == "yes" for v in verdicts):
-        return True
-    if any(v == "no" for v in verdicts):
-        return False
-    return None
+    acc = None
+    for g in other.generators:
+        part = ideal_colon(ideal, g)
+        acc = part if acc is None else ideal_intersection(acc, part)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -607,7 +780,11 @@ def ideal_saturation(ideal, other, iteration_cap=DEFAULT_ITERATION_CAP):
     current = ideal
     for step in range(iteration_cap):
         nxt = ideal_colon_ideal(current, other)
-        if nxt.equals(current) is True:
+        same = nxt.equals(current)
+        if same is None or (current.complete and not nxt.complete):
+            # A completion ran out of WORK_BUDGET: nothing is certified.
+            return SaturationResult(current, False, step)
+        if same:
             return SaturationResult(current, True, step)
         current = nxt
     return SaturationResult(current, False, iteration_cap)

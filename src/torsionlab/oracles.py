@@ -2,15 +2,143 @@
 
 Every oracle here decides its question by direct enumeration against the
 definitions, avoiding the algorithms under test: no lifted-basis quotients,
-no transversal enumeration, no reduced-basis comparisons.  They are
-deliberately slow and meant for small instances.
+no transversal enumeration, no reduced-basis comparisons, no Groebner
+completion.  They are deliberately slow and meant for small instances.
+Nothing here imports the ideal, spectrum, torsion, family or harness
+modules, so the oracles share no code with what they check.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
-from .ring import Monomial
+from .errors import RingMismatch
+from .ring import Element, Monomial, grlex_key
+
+
+def _all_monomials_up_to(num_vars, bound):
+    out = [Monomial.one()]
+    frontier = [Monomial.one()]
+    for _ in range(bound):
+        nxt = []
+        for m in frontier:
+            for v in range(max(m.max_var(), 0), num_vars):
+                nxt.append(m.mul(Monomial.variable(v)))
+        out.extend(nxt)
+        frontier = nxt
+    return sorted(set(out), key=grlex_key)
+
+
+def _solve_exact(columns, target):
+    """Solve sum x_i * columns[i] = target over the rationals.
+
+    Columns and target are sparse vectors keyed by monomial.  Returns one
+    solution (free variables set to zero) or None.
+    """
+    pivots = {}  # leading key -> (reduced column, combo over original columns)
+
+    def reduce(vec, combo):
+        # Eliminating at a pivot's lead key only introduces grlex-larger
+        # keys, so always cancelling the smallest applicable key terminates.
+        vec = {k: v for k, v in vec.items() if v}
+        while True:
+            applicable = [k for k in vec if k in pivots]
+            if not applicable:
+                return vec, combo
+            key = min(applicable, key=grlex_key)
+            pcol, pcombo = pivots[key]
+            factor = vec[key] / pcol[key]
+            for kk, vv in pcol.items():
+                vec[kk] = vec.get(kk, 0) - factor * vv
+            for idx, vv in pcombo.items():
+                combo[idx] = combo.get(idx, 0) - factor * vv
+            vec = {k: v for k, v in vec.items() if v}
+
+    for idx, col in enumerate(columns):
+        vec, combo = reduce(col, {idx: Fraction(1)})
+        if vec:
+            lead = min(vec, key=grlex_key)
+            pivots[lead] = (vec, combo)
+    vec, combo = reduce(target, {})
+    if vec:
+        return None
+    return [-combo.get(i, Fraction(0)) for i in range(len(columns))]
+
+
+def brute_force_membership(f, ideal, degree_bound):
+    """A certificate ((generator index, multiplier), ...) with
+    sum g_k * h_k = f, every multiplier a combination of monomials (normal
+    or not) of degree up to the bound, or None when there is none.
+
+    Exact Gaussian elimination over the rationals on the products of the
+    generators with every such monomial, so a None reads "no certificate up
+    to this bound", never a hard no.
+    """
+    ring = f.ring
+    if ring is not ideal.ring:
+        raise RingMismatch("element and ideal live in different rings")
+    if f.is_zero:
+        return ()
+    columns = []
+    labels = []
+    seen_cols = set()
+    for k, g in enumerate(ideal.generators):
+        for m in _all_monomials_up_to(ring.num_vars, degree_bound):
+            prod = g.mul(Element(ring, {m: Fraction(1)}))
+            if prod.is_zero:
+                continue
+            vec = tuple(sorted((mm.pairs, c) for mm, c in prod.terms.items()))
+            if vec in seen_cols:
+                continue
+            seen_cols.add(vec)
+            columns.append(dict(prod.terms))
+            labels.append((k, m))
+    solution = _solve_exact(columns, dict(f.terms))
+    if solution is None:
+        return None
+    parts = {}
+    for (k, m), coeff in zip(labels, solution):
+        if coeff:
+            parts.setdefault(k, []).append((m, coeff))
+    return tuple(
+        (k, Element.from_terms(ring, pairs))
+        for k, pairs in sorted(parts.items()))
+
+
+def cube_points(ring):
+    """The points of {0,1}^n at which every rule lhs equals its rhs.
+
+    For a ring with X_i^2 -> X_i for every variable, plus rules -> 0, this
+    is the set the ring is the ring of functions on: a finite product of
+    copies of Q, where an ideal is the set of functions vanishing on its
+    zero set.
+    """
+    def holds(rule, point):
+        lhs = _value_at(rule.lhs, point)
+        if rule.rhs is None:
+            return lhs == 0
+        c, m = rule.rhs
+        return lhs == c * _value_at(m, point)
+
+    return [point for point in product((0, 1), repeat=ring.num_vars)
+            if all(holds(rule, point) for rule in ring.rules)]
+
+
+def _value_at(m, point):
+    return int(all(point[v] for v, _ in m.pairs))
+
+
+def cube_value(f, point):
+    """An element's value at a point of {0,1}^n, from its terms."""
+    return sum((c for m, c in f.terms.items() if _value_at(m, point)),
+               Fraction(0))
+
+
+def cube_zero_set(generators, points):
+    """The points at which every generator vanishes."""
+    return frozenset(p for p in points
+                     if all(cube_value(g, p) == 0 for g in generators))
 
 
 def exhaustive_normal_forms(ring, m):

@@ -81,8 +81,6 @@ def saturation_tree(result):
 
 def membership_tree(answer):
     tree = {"verdict": answer.verdict}
-    if answer.search_bound is not None:
-        tree["search_bound"] = answer.search_bound
     if answer.certificate:
         tree["certificate"] = [
             {"generator": k, "multiplier": format_element(h)}

@@ -266,13 +266,15 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from four caches: the normal-form cache,
+    Instances are immutable apart from five caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
     so far, extended on demand by normal_monomials_of_degree), the critical
-    pairs that do not join, kept by the first check_local_confluence, and
-    the witness tables of spectrum.assassin_scan: per denominator generator
+    pairs that do not join, kept by the first check_local_confluence, the
+    witness tables of spectrum.assassin_scan: per denominator generator
     tuple, each witness scanned so far mapped to its annihilator's ass prime
-    (or None) and minimal primes.
+    (or None) and minimal primes, and the lift of ideals._lift: the
+    rule-free ring the ideals lift to, the rule binomials and the term
+    order.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -306,6 +308,7 @@ class RingPresentation:
         self._levels = [(Monomial.one(),)]
         self._confluence_failures = None
         self._witness_tables = {}
+        self._lift = None
 
     def __repr__(self):
         return "RingPresentation(num_vars=%d, rules=%d)" % (

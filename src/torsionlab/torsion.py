@@ -67,7 +67,9 @@ def gamma_large_cyclic(acting, relations, iteration_cap=DEFAULT_ITERATION_CAP):
         stabilized = stabilized and sat.stabilized
         steps = max(steps, sat.steps)
         acc = ideal_intersection(acc, sat.ideal)
-    return TorsionResult(LARGE, acting, relations, acc, stabilized, steps)
+    # An intersection past the work budget is flagged incomplete.
+    return TorsionResult(LARGE, acting, relations, acc,
+                         stabilized and acc.complete, steps)
 
 
 def bounded_torsion_exponent(acting, preimage, relations,

@@ -20,7 +20,8 @@ ideal b = < X[0], X[1]*X[j] for j in 2..4, X[2]*X[3]*X[4] >
 ideal c = < X[i]*X[j] for i in 0..4, j in 0..4 if i < j >
 ideal d = < 1/2*X[0]^2 + -3*X[1] >
 query gamma(a; b)
-query membership(X[0]*X[1]; b) degree 5
+query membership(X[0]*X[1]; b)
+query assf(b) degree 5
 check fairness(a; b) degree 4
 family nil40A levels 4..8 window 3
 run example nil40A
@@ -40,8 +41,8 @@ def test_statement_kinds_and_counts():
     kinds = [type(s).__name__ for s in script.statements]
     assert kinds == [
         "RingStatement", "IdealStatement", "IdealStatement", "IdealStatement",
-        "IdealStatement", "QueryStatement", "QueryStatement", "CheckStatement",
-        "FamilyStatement", "RunExampleStatement"]
+        "IdealStatement", "QueryStatement", "QueryStatement", "QueryStatement",
+        "CheckStatement", "FamilyStatement", "RunExampleStatement"]
 
 
 def test_comprehension_comma_lookahead():
@@ -126,6 +127,10 @@ def test_query_kind_is_validated():
     ("colon(X[0]; b)", 13, "unexpected X"),
     ("gamma(a; b) degree 3", 19, "query gamma takes no degree"),
     ("minprimes(b) degree 2", 20, "query minprimes takes no degree"),
+    ("colon(b; a) degree 3", 19, "query colon takes no degree"),
+    ("colon(b; X[0]) degree 3", 22, "query colon takes no degree"),
+    ("membership(X[0]; b) degree 2", 27,
+     "query membership takes no degree"),
 ])
 def test_query_signature_is_enforced(query, column, message):
     with pytest.raises(ParseError) as exc:
@@ -135,11 +140,11 @@ def test_query_signature_is_enforced(query, column, message):
 
 
 def test_query_signature_accepts_both_colon_forms():
-    script = parse("query colon(b; a) degree 3\nquery colon(b; X[0])\n"
-                   "query membership(X[0] - 1; b) degree 2\n")
+    script = parse("query colon(b; a)\nquery colon(b; X[0])\n"
+                   "query membership(X[0] - 1; b)\nquery ass(b) degree 2\n")
     assert [s.render() for s in script.statements] == [
-        "query colon(b; a) degree 3", "query colon(b; X[0])",
-        "query membership(X[0] - 1; b) degree 2"]
+        "query colon(b; a)", "query colon(b; X[0])",
+        "query membership(X[0] - 1; b)", "query ass(b) degree 2"]
 
 
 def test_zero_denominator_is_a_parse_error():
@@ -150,6 +155,26 @@ def test_zero_denominator_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse("ring R = vars X[0..1] rules { X[0]^2 -> 1/0*X[1] }\n")
     assert (exc.value.line, exc.value.column) == (1, 43)
+
+
+@pytest.mark.parametrize("rhs", ["0", "0*X[1]", "0/1*X[1]", "X[1]*0"])
+def test_zero_coefficient_rhs_is_the_zero_rhs(rhs):
+    script = parse("ring R = vars X[0..1] rules { X[1]^2 -> %s }\n" % rhs)
+    (rule,) = script.statements[0].rules
+    assert rule.rhs is None
+    assert script.render() == "ring R = vars X[0..1] rules { X[1]^2 -> 0 }\n"
+    (rule,) = expand_ring(script.statements[0]).rules
+    assert rule.rhs is None
+
+
+def test_x_is_not_an_ideal_name():
+    with pytest.raises(ParseError) as exc:
+        parse("ring R = vars X[0..1]\nideal X = < X[0] >\n")
+    assert (exc.value.line, exc.value.column, exc.value.message) == \
+        (2, 7, "X names the variables, not an ideal")
+    # Names that merely start with X stay ideal names.
+    script = parse("ideal Xa = < X[0] >\nquery gamma(Xa; Xa)\n")
+    assert script.statements[1].arguments[0].name == "Xa"
 
 
 def test_empty_comprehension_range_yields_nothing():

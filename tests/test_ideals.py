@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from torsionlab.errors import RingMismatch
+from torsionlab import brute_force_membership
+from torsionlab.errors import NonConfluent, RingMismatch
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
     MembershipAnswer,
     _power_kill_exponent,
-    brute_force_membership,
     format_ideal,
     ideal_colon,
     ideal_colon_ideal,
@@ -30,6 +30,9 @@ from torsionlab.ideals import (
 )
 from torsionlab.oracles import (
     colon_monomials,
+    cube_points,
+    cube_value,
+    cube_zero_set,
     minimal_prime_sets,
     radical_monomials,
     saturation_monomials,
@@ -41,7 +44,7 @@ from torsionlab.ring import (
     RingPresentation,
     check_local_confluence,
 )
-from torsionlab.torsion import gamma_large_cyclic
+from torsionlab.torsion import gamma_large_cyclic, gamma_small_cyclic
 
 
 def _var(i, e=1):
@@ -212,9 +215,9 @@ def test_brute_force_membership_agrees():
         for m in ring.normal_monomials_up_to(3):
             f = Element.from_monomial(ring, m)
             fast = ideal_membership(f, ideal).is_yes
-            # the oracle answers yes-with-certificate or unknown, never no
+            # the oracle gives a certificate or None, never a hard no
             slow = brute_force_membership(f, ideal, degree_bound=4)
-            assert fast == slow.is_yes, format_ideal(ideal)
+            assert fast == (slow is not None), format_ideal(ideal)
             checked += 1
     assert checked >= 100
 
@@ -314,21 +317,39 @@ def test_colon_by_monomial_uses_the_basis_helper():
     assert checked >= 500
 
 
-def test_general_mode_colon_by_ideal_is_one_bounded_search(monkeypatch):
+def test_general_mode_colon_by_ideal_is_exact(monkeypatch):
     import torsionlab.ideals as ideals_module
     from torsionlab.families import get_family, instantiate
     from torsionlab.ring import format_element
     ring, ideals = instantiate(get_family("idem50C"), 4)
+    a, b = ideals["a"], ideals["b"]
     colon_calls = []
     real = ideals_module.ideal_colon
     monkeypatch.setattr(ideals_module, "ideal_colon",
                         lambda *args: colon_calls.append(args) or real(*args))
-    result = ideal_colon_ideal(ideals["b"], ideals["a"])
-    assert colon_calls == []
-    assert not result.is_monomial_mode and not result.complete
-    # The generators of the per-generator intersection of bounded colons.
-    assert [format_element(g) for g in result.generators] == [
-        "X0*X1", "X0*X1*X2", "X0*X1*X3", "X0*X1*X4", "X0^2*X1", "X0^2*X2"]
+    result = ideal_colon_ideal(b, a)
+    # One exact colon per generator of a, intersected.
+    assert [g for _, g in colon_calls] == list(a.generators)
+    assert not result.is_monomial_mode and result.complete
+    assert [format_element(g) for g in result.generators][:5] == [
+        "X0*X1", "X0^2*X2", "X0^4", "X0^3*X3", "-1*X0^3 + X0^3*X4"]
+    # (1 - X1)...(1 - X4) is killed by every X_i, so it lies in (b : a).
+    one = Element.constant(ring, 1)
+    complement = one
+    for h in a.generators:
+        complement = complement.mul(one.sub(h))
+    assert ideal_membership(complement, result).is_yes
+    for g in result.generators:
+        for h in a.generators:
+            assert ideal_membership(g.mul(h), b).is_yes
+    assert not ideal_membership(Element.from_monomial(
+        ring, _var(0, 3).mul(_var(4))), result).is_yes
+    # The intersection taken in the other order is the same ideal.
+    parts = [real(b, h) for h in reversed(a.generators)]
+    other = parts[0]
+    for part in parts[1:]:
+        other = ideal_intersection(other, part)
+    assert other.equals(result) is True
 
 
 def _colon_chain(ideal, other, cap):
@@ -390,13 +411,23 @@ def test_general_mode_saturation_runs_the_chain(monkeypatch):
     real = ideals_module.ideal_colon_ideal
     monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
                         lambda *args: chain_calls.append(args) or real(*args))
+    outcomes = []
     for cap in (1, 64):
         result = ideal_saturation(b, a, cap)
         expected, stabilized, steps = _colon_chain(b, a, cap)
         assert result.ideal.generators == expected.generators
         assert (result.stabilized, result.steps) == (stabilized, steps)
+        outcomes.append((result.stabilized, result.steps))
     assert chain_calls
-    assert format_ideal(result.ideal) == "ideal(X0*X1, X1)"
+    # R is the ring of functions on {0,1}^2.  b vanishes off (1, 1), X0
+    # off X0 = 1, so the saturation vanishes exactly at (1, 0): it is
+    # (X0 - 1, X1), reached by the first colon and certified by the second.
+    assert outcomes == [(False, 1), (True, 1)]
+    x0, x1 = (Element.from_monomial(ring, _var(i)) for i in range(2))
+    exact = IdealHandle(ring, [x0.sub(Element.constant(ring, 1)), x1])
+    assert result.ideal.equals(exact) is True
+    assert result.ideal.complete
+    assert format_ideal(result.ideal) == "ideal(-1 + X0, X1)"
 
 
 def _product_chain_kill_exponent(acting, module, target, cap):
@@ -541,8 +572,10 @@ def test_termwise_membership_is_exact_on_confluent_rings():
         if ideal.is_zero:
             continue
         rings += 1
-        derived += bool(ideal._derived_vanishing())
         gens = [g.single_term()[0] for g in ideal.generators]
+        lhs = {rule.lhs for rule in ring.rules}
+        derived += any(lead not in gens and lead not in lhs
+                       for lead, _, _ in ideal._groebner())
         span = _exhaustive_span(ideal, 7)
         terms = ring.normal_monomials_up_to(4)
         elements = [Element.from_monomial(ring, t) for t in terms]
@@ -562,24 +595,34 @@ def test_termwise_membership_is_exact_on_confluent_rings():
                                            for g in gens)
                 continue
             assert got.verdict == "no" and not reached, (ring.rules, ideal, f)
-            assert not brute_force_membership(f, ideal, 4).is_yes, (
+            assert brute_force_membership(f, ideal, 4) is None, (
                 ring.rules, ideal, f)
             no += 1
     assert queries >= 3000 and 1000 <= no <= queries - 1000
-    # Some ideals need derived vanishing monomials, and some yes answers
-    # rest on them alone, so the completion and its certificates both run.
+    # Some completions add leads beyond the generators and rules, and some
+    # yes answers rest on them alone, so the completion and its
+    # certificates both run.
     assert derived >= 30 and past_generators >= 200
 
 
-def test_derived_vanishing_monomials_reach_past_the_generators():
-    # X1^2 -> X2 and X2^2 -> X3 put X2, then X3, into <X1>.
+def test_groebner_basis_reaches_past_the_generators():
+    # X1^2 -> X2 and X2^2 -> X3 put X2, then X3, into <X1>; X0^2 -> X1
+    # puts X0^2 in too.
     ring = RingPresentation(4, [RewriteRule(_var(i, 2), (1, _var(i + 1)))
                                 for i in range(3)])
     b = IdealHandle.from_monomials(ring, [_var(1)])
     assert not b.is_monomial_mode
-    assert [z for z, _ in b._derived_vanishing()] == [_var(2), _var(3)]
+    basis = b._groebner(certified=True)
+    assert [lead for lead, _, _ in basis] == [
+        _var(1), _var(2), _var(3), _var(0, 2)]
+    # Each basis element is a monomial, with a cofactor over b's generator
+    # in R that re-multiplies to it.
+    for lead, poly, cofactors in basis:
+        assert poly.terms == {lead: 1}
+        ((k, h),) = cofactors.items()
+        assert b.generators[k].mul(h) == Element.from_monomial(ring, lead)
     got = ideal_membership(Element.from_monomial(ring, _var(3)), b)
-    assert got.verdict == "yes" and got.search_bound is None
+    assert got.verdict == "yes"
     assert got.certificate == (
         (0, Element.from_monomial(ring, _var(1).mul(_var(2)))),)
     x0 = Element.from_monomial(ring, _var(0))
@@ -600,14 +643,169 @@ def test_idem50C_membership_is_a_hard_no():
     assert got == MembershipAnswer("no")
 
 
-def test_non_confluent_ring_keeps_the_certificate_search():
+def test_non_confluent_ring_raises_in_general_mode():
     # X0^2 -> X1 and X0*X1 -> 0 do not join at X0^2*X1.
     ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(1))),
                                 RewriteRule(_var(0).mul(_var(1)))])
     assert check_local_confluence(ring)
     ideal = IdealHandle.from_monomials(ring, [_var(1)])
-    assert ideal._derived_vanishing() is None
-    got = ideal_membership(Element.from_monomial(ring, _var(0)), ideal, 3)
-    assert got == MembershipAnswer("unknown", search_bound=3)
-    got = ideal_membership(Element.from_monomial(ring, _var(1)), ideal)
-    assert got.verdict == "yes" and got.search_bound == 3
+    assert not ideal.is_monomial_mode
+    x0 = Element.from_monomial(ring, _var(0))
+    for operation in (lambda: ideal_membership(x0, ideal),
+                      lambda: ideal_colon(ideal, x0),
+                      lambda: ideal.equals(IdealHandle.zero(ring))):
+        with pytest.raises(NonConfluent, match="do not join at X0\\^2\\*X1"):
+            operation()
+
+
+def _cube_ring(rng):
+    """Q[X_0..X_{n-1}] / (X_i^2 - X_i), n in 2..6, plus one squarefree rule
+    S -> 0 in half the draws."""
+    n = rng.randint(2, 6)
+    rules = [RewriteRule(_var(i, 2), (1, _var(i))) for i in range(n)]
+    if rng.random() < 0.5:
+        support = rng.sample(range(n), rng.randint(2, n))
+        rules.append(RewriteRule(Monomial((v, 1) for v in support)))
+    return RingPresentation(n, rules)
+
+
+def _cube_element(ring, rng, terms):
+    f = Element.zero(ring)
+    for _ in range(terms):
+        support = rng.sample(range(ring.num_vars),
+                             rng.randint(0, min(3, ring.num_vars)))
+        f = f.add(Element.from_monomial(
+            ring, Monomial((v, 1) for v in support), rng.choice([1, -1, 2])))
+    return f
+
+
+def _cube_ideal(ring, rng):
+    """One to three generators, each a single term or a polynomial of two
+    or three terms, drawn evenly."""
+    return IdealHandle(ring, [
+        _cube_element(ring, rng, rng.choice([1, 2, 3]))
+        for _ in range(rng.randint(1, 3))])
+
+
+def test_general_mode_matches_the_boolean_cube_oracle():
+    """Every general-mode answer in a ring of functions on cube points is
+    complete and equals the zero-set oracle: f is in I when it vanishes on
+    V(I), V(I : J) = V(I) minus V(J), and the saturation and both torsion
+    preimages of R/b under a vanish exactly on V(b) minus V(a)."""
+    rng = random.Random(89)
+    seen = {"polynomial": 0, "single": 0, "yes": 0, "no": 0, "equal": 0,
+            "zero_rule": 0, "proper": 0}
+    for _ in range(500):
+        ring = _cube_ring(rng)
+        seen["zero_rule"] += ring.all_rhs_zero is False and any(
+            rule.rhs is None for rule in ring.rules)
+        points = cube_points(ring)
+        a, b = _cube_ideal(ring, rng), _cube_ideal(ring, rng)
+        for g in a.generators + b.generators:
+            seen["single" if g.is_single_term else "polynomial"] += 1
+        va = cube_zero_set(a.generators, points)
+        vb = cube_zero_set(b.generators, points)
+
+        def zeros(result):
+            assert result.complete
+            return cube_zero_set(result.generators, points)
+
+        for _ in range(3):
+            f = _cube_element(ring, rng, rng.randint(1, 3))
+            got = ideal_membership(f, b)
+            inside = all(cube_value(f, p) == 0 for p in vb)
+            assert got.verdict == ("yes" if inside else "no")
+            seen[got.verdict] += 1
+            if inside:
+                assert _remultiply(got, b) == f
+            assert zeros(ideal_colon(b, f)) == vb - cube_zero_set([f], points)
+            wider = ideal_sum(b, IdealHandle(ring, [f]))
+            assert wider.equals(b) is inside
+        assert zeros(ideal_colon_ideal(b, a)) == vb - va
+        assert zeros(ideal_intersection(a, b)) == va | vb
+        assert a.equals(b) is (va == vb)
+        seen["equal"] += va == vb
+        sat = ideal_saturation(b, a)
+        assert sat.stabilized and zeros(sat.ideal) == vb - va
+        for gamma in (gamma_small_cyclic, gamma_large_cyclic):
+            torsion = gamma(a, b)
+            assert torsion.stabilized
+            assert zeros(torsion.preimage) == vb - va
+            assert torsion.is_zero_submodule is (vb - va == vb)
+            assert torsion.is_whole_module is (not vb - va)
+        seen["proper"] += bool(va & vb)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_work_budget_ends_in_the_incomplete_flags(monkeypatch):
+    """A completion that runs out of budget answers through the existing
+    flags; nothing claims to be certified."""
+    import torsionlab.ideals as ideals_module
+    ring = RingPresentation(2, [RewriteRule(_var(i, 2), (1, _var(i)))
+                                for i in range(2)])
+    x0, x1 = (Element.from_monomial(ring, _var(i)) for i in range(2))
+
+    def probe():
+        a, b = IdealHandle(ring, [x0]), IdealHandle(ring, [x1])
+        return (ideal_membership(x1, b).verdict, ideal_colon(b, x0),
+                ideal_saturation(b, a), gamma_small_cyclic(a, b),
+                gamma_large_cyclic(a, b), b.equals(IdealHandle(ring, [x1])))
+
+    membership, colon, sat, small, large, same = probe()
+    assert (membership, colon.complete, sat.stabilized, same) == (
+        "yes", True, True, True)
+    assert small.stabilized and large.stabilized
+    monkeypatch.setattr(ideals_module, "WORK_BUDGET", 0)
+    membership, colon, sat, small, large, same = probe()
+    assert membership == "unknown" and same is None
+    # The colon falls back to b itself, which lies inside (b : X0).
+    assert not colon.complete and format_ideal(colon) == "ideal(X1)"
+    assert not sat.stabilized and sat.steps == 0
+    assert not small.stabilized and not large.stabilized
+
+
+def test_general_mode_is_exact_on_random_rings_with_polynomials():
+    """Random confluent rings (any rule shape) and ideals with polynomial
+    generators: a yes re-multiplies, a no has no certificate of degree 3,
+    and a colon's generators times f lie in I while a normal monomial lies
+    in the colon exactly when its product with f lies in I."""
+    rng = random.Random(97)
+    rings = yes = no = complete = inside = 0
+    while rings < 150:
+        ring = _random_ring(rng)
+        if check_local_confluence(ring):
+            continue
+        rings += 1
+        terms = ring.normal_monomials_up_to(2)
+
+        def poly():
+            f = Element.zero(ring)
+            for t in rng.sample(terms, min(len(terms), rng.randint(1, 3))):
+                f = f.add(Element.from_monomial(
+                    ring, t, _random_coefficient(rng)))
+            return f
+
+        ideal = IdealHandle(ring, [poly() for _ in range(rng.randint(1, 2))])
+        for _ in range(3):
+            f = poly()
+            got = ideal_membership(f, ideal)
+            if got.is_yes:
+                assert _remultiply(got, ideal) == f
+                yes += 1
+            else:
+                assert got.verdict == "no"
+                assert brute_force_membership(f, ideal, 3) is None
+                no += 1
+        g = poly()
+        colon = ideal_colon(ideal, g)
+        if not colon.complete:
+            continue
+        complete += 1
+        for h in colon.generators:
+            assert ideal_membership(h.mul(g), ideal).is_yes
+        for m in ring.normal_monomials_up_to(2):
+            e = Element.from_monomial(ring, m)
+            member = ideal_membership(e, colon).is_yes
+            assert member == ideal_membership(e.mul(g), ideal).is_yes
+            inside += member
+    assert complete >= 140 and min(yes, no) >= 100 and inside >= 300

@@ -1,7 +1,8 @@
 """Every name a module imports is used in that module, every private
 module-level function and private method is referenced somewhere in the
-package, the unchecked Monomial constructor is used only in ring.py, and
-every span name the benchmark tracer wraps resolves in the package.
+package, the unchecked Monomial constructor is used only in ring.py, the
+oracles import none of the modules they check, and every span name the
+benchmark tracer wraps resolves in the package.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -159,6 +160,39 @@ def test_trusted_constructor_use_is_reported():
     }
     assert _trusted_constructor_uses(trees) == [("cli.py", 3),
                                                 ("ideals.py", 1)]
+
+
+ENGINE_MODULES = {"ideals", "spectrum", "torsion", "families", "harness"}
+
+
+def _package_imports(tree):
+    """(line, module) of each package module a module imports."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = ([node.module] if node.module
+                     else [alias.name for alias in node.names])
+            out.extend((node.lineno, name.split(".")[0]) for name in names)
+        elif isinstance(node, ast.Import):
+            out.extend((node.lineno, alias.name.split(".")[1])
+                       for alias in node.names
+                       if alias.name.startswith("torsionlab."))
+    return sorted(out)
+
+
+def test_oracles_import_nothing_they_check():
+    imports = _package_imports(ast.parse((PACKAGE / "oracles.py").read_text()))
+    # The oracles read rings and elements, so the check cannot pass vacuously.
+    assert "ring" in {module for _, module in imports}
+    assert [entry for entry in imports if entry[1] in ENGINE_MODULES] == []
+
+
+def test_engine_import_is_reported():
+    tree = ast.parse("from .ring import Element\nfrom . import ideals\n"
+                     "import torsionlab.torsion\nfrom .spectrum.x import y\n")
+    assert [entry for entry in _package_imports(tree)
+            if entry[1] in ENGINE_MODULES] == [
+        (2, "ideals"), (3, "torsion"), (4, "spectrum")]
 
 
 def _load_spans():
