@@ -5,6 +5,10 @@ Subcommands:
     harness              run the seeded proposition harness
     examples             list or replicate the shipped example families
 
+Global options go before the subcommand: --format, --seed (else the
+integer in TORSIONLAB_SEED, else 42) and --max-degree.  A replication
+window comes from ``examples --window`` or a script's ``family`` statement.
+
 Exit codes: 0 all claims hold, 1 a claim failed or a violation was found,
 2 usage, parse, or script errors.
 """
@@ -41,7 +45,6 @@ from .families import (
 )
 from .harness import DEFAULT_INSTANCES, DEFAULT_SEED, proposition_harness
 from .ideals import (
-    DEFAULT_ITERATION_CAP,
     format_ideal,
     ideal_colon,
     ideal_colon_ideal,
@@ -63,8 +66,6 @@ from .torsion import (
 class ExecutionOptions:
     fmt: str = "text"
     max_degree: Optional[int] = None
-    max_iter: int = DEFAULT_ITERATION_CAP
-    stability_window: int = DEFAULT_WINDOW
     seed: int = DEFAULT_SEED
 
 
@@ -103,10 +104,9 @@ def _execute_query(session, stmt):
         *[a.name for a in stmt.arguments if isinstance(a, NameRef)])
     if kind in ("gamma", "gammabar"):
         run = gamma_small_cyclic if kind == "gamma" else gamma_large_cyclic
-        return reports.torsion_tree(run(*ideals, options.max_iter))
+        return reports.torsion_tree(run(*ideals))
     if kind == "saturation":
-        return reports.saturation_tree(
-            ideal_saturation(*ideals, options.max_iter))
+        return reports.saturation_tree(ideal_saturation(*ideals))
     if kind == "colon":
         if len(ideals) == 2:
             result = ideal_colon_ideal(*ideals)
@@ -149,7 +149,7 @@ def _execute_statement(session, stmt):
         acting, relations = session.ideals_named(stmt.acting, stmt.relations)
         bound = (stmt.degree if stmt.degree is not None
                  else session.options.max_degree)
-        report = fairness_report(acting, relations, bound, options.max_iter)
+        report = fairness_report(acting, relations, bound)
         if not report.all_hold:
             session.failed = True
         return reports.fairness_tree(report)
@@ -165,7 +165,7 @@ def _execute_statement(session, stmt):
                 "window": stmt.window}
     if isinstance(stmt, RunExampleStatement):
         levels, window = session.schedules.get(
-            stmt.tag, (DEFAULT_LEVELS, options.stability_window))
+            stmt.tag, (DEFAULT_LEVELS, DEFAULT_WINDOW))
         report = replicate_example(stmt.tag, levels, window, options.seed)
         if not report.all_pass:
             session.failed = True
@@ -224,12 +224,6 @@ def build_parser():
     parser.add_argument("--max-degree", type=_positive_int, default=None,
                         help="default witness degree bound of ass, assf "
                              "and check")
-    parser.add_argument("--max-iter", type=_positive_int,
-                        default=DEFAULT_ITERATION_CAP,
-                        help="saturation chain iteration cap")
-    parser.add_argument("--stability-window", type=_positive_int,
-                        default=DEFAULT_WINDOW,
-                        help="trailing window for stabilization checks")
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: TORSIONLAB_SEED or %d)"
                              % DEFAULT_SEED)
@@ -251,20 +245,20 @@ def build_parser():
     group.add_argument("--run", metavar="TAG")
     examples.add_argument("--levels", type=_level_range, default=None,
                           metavar="A..B")
-    examples.add_argument("--window", type=_positive_int, default=None)
+    examples.add_argument("--window", type=_positive_int,
+                          default=DEFAULT_WINDOW,
+                          help="trailing window for stabilization checks")
     return parser
 
 
-def _seed_from(args):
+def _seed_from(args, parser):
     if getattr(args, "seed", None) is not None:
         return args.seed
-    env = os.environ.get("TORSIONLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
+    env = os.environ.get("TORSIONLAB_SEED", str(DEFAULT_SEED))
+    try:
+        return int(env)
+    except ValueError:
+        parser.error("TORSIONLAB_SEED must be an integer, not %r" % env)
 
 
 def main(argv=None):
@@ -273,9 +267,7 @@ def main(argv=None):
     options = ExecutionOptions(
         fmt=args.format,
         max_degree=args.max_degree,
-        max_iter=args.max_iter,
-        stability_window=args.stability_window,
-        seed=_seed_from(args))
+        seed=_seed_from(args, parser))
 
     if args.command == "run":
         try:
@@ -312,10 +304,8 @@ def main(argv=None):
             return 0
         tag = args.run
         levels = args.levels if args.levels is not None else DEFAULT_LEVELS
-        window = (args.window if args.window is not None
-                  else options.stability_window)
         try:
-            report = replicate_example(tag, levels, window, options.seed)
+            report = replicate_example(tag, levels, args.window, options.seed)
         except TorsionlabError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2

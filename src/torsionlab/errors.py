@@ -14,7 +14,7 @@ class InvalidPresentation(TorsionlabError, ValueError):
 
 
 class InvalidSchedule(TorsionlabError, ValueError):
-    """A family level or stability window is out of range."""
+    """A family level or replication window is out of range."""
 
 
 class RingMismatch(TorsionlabError):

@@ -40,8 +40,6 @@ from .ring import (
 MONOMIAL_MODE = "monomial"
 GENERAL_MODE = "general"
 
-DEFAULT_ITERATION_CAP = 64
-
 # Term operations (one monomial product each, in S-polynomials, reduction
 # steps and cofactor sums) one Buchberger completion may spend before it
 # gives up.  A pair count would not bound the time: one pair can cost
@@ -687,34 +685,47 @@ class SaturationResult:
     steps: int
 
 
-def _power_kill_exponent(acting, module, target, iteration_cap):
-    """Smallest n <= iteration_cap with acting^n * module inside target, or
-    None.  Monomial mode only.
+def _power_kill_exponent(acting, module, target, cap=None):
+    """Smallest n with acting^n * module inside target, or None past
+    ``cap`` (when given) or WORK_BUDGET.
 
     Walks the products of n generators of acting, level by level, keeping
     each with the module generators it still sends outside target.  Once
     p * m lies in target so does every multiple of it, so a product with
-    none left is dropped, and the first empty level is n.  No power of
-    acting is built as an ideal (Cox, Little & O'Shea, ch. 9 section 2).
+    none left is dropped, and the first empty level is n.  Each multiset of
+    generator indices is built once, extended only by indices at least its
+    last one.  No power of acting is built as an ideal (Cox, Little &
+    O'Shea, ch. 9 section 2).  Membership is contains_monomial in monomial
+    mode and division by the Groebner basis of target otherwise.
     """
-    outside = tuple(m for m in module.monomial_generators()
-                    if not target.contains_monomial(m))
-    if not outside:
-        return 0
-    gens = acting.monomial_generators()
-    level = {Monomial.one(): outside}
-    for n in range(1, iteration_cap + 1):
-        grown = {}
-        for p, escaping in level.items():
-            for g in gens:
-                q = p.mul(g)
-                if q not in grown:
-                    grown[q] = tuple(m for m in escaping
-                                     if not target.contains_monomial(q.mul(m)))
-        level = {q: escaping for q, escaping in grown.items() if escaping}
-        if not level:
-            return n
-    return None
+    budget = _Budget()
+    try:
+        if all(h.is_monomial_mode for h in (acting, module, target)):
+            gens, products = acting.monomial_generators(), [
+                (0, Monomial.one(), module.monomial_generators())]
+            inside = target.contains_monomial
+        else:
+            gens, products = acting.generators, [
+                (0, Element.constant(target.ring, 1), module.generators)]
+            basis, order = target._groebner(), _lift(target.ring)[2]
+
+            def inside(f):
+                return not _divide(f.terms, basis, order, budget=budget)
+        n = 0
+        while True:
+            level = []
+            for low, p, escaping in products:
+                budget.spend(len(escaping))
+                left = tuple(m for m in escaping if not inside(p.mul(m)))
+                if left:
+                    level.append((low, p, left))
+            if not level or n == cap:
+                return None if level else n
+            n += 1
+            products = [(i, p.mul(gens[i]), left) for low, p, left in level
+                        for i in range(low, len(gens))]
+    except _OutOfBudget:
+        return None
 
 
 def power_order(acting, m):
@@ -744,50 +755,52 @@ def power_order(acting, m):
     return order(m)
 
 
-def _monomial_saturation(ideal, other):
-    """(I : J^inf) in monomial mode, J nonzero.
+def _saturate_by(ideal, g):
+    """(I : g^inf) for a nonzero g.
 
-    For a monomial g, the lifted basis of I with the exponents on supp(g)
-    set to zero generates (I : g^inf); (I : J^inf) is the intersection of
-    those over the generators of J (Miller & Sturmfels, GTM 227, ch. 1).
+    With I in monomial mode and g a monomial, the lifted basis of I with the
+    exponents on supp(g) set to zero (Miller & Sturmfels, GTM 227, ch. 1).
+    Otherwise the tag-free part of a Groebner basis of the lifted I plus
+    (1 - t*g) (Cox, Little & O'Shea, ch. 4 section 4).  Raises _OutOfBudget
+    past WORK_BUDGET.
     """
-    acc = None
-    for g in other.monomial_generators():
-        drop = g.support
-        part = IdealHandle.from_monomials(ideal.ring, [
+    ring = ideal.ring
+    if ideal.is_monomial_mode and g.is_single_term:
+        drop = g.single_term()[0].support
+        return IdealHandle.from_monomials(ring, [
             Monomial((v, e) for v, e in m.pairs if v not in drop)
             for m in ideal.lifted_monomials()], complete=ideal.complete)
-        acc = part if acc is None else ideal_intersection(acc, part)
-    return acc
+    tag = Monomial.variable(ring.num_vars)
+    fresh = {m.mul(tag): -c for m, c in g.terms.items()}
+    fresh[Monomial.one()] = 1
+    known = [(lead, poly, None) for lead, poly, _ in ideal._groebner()]
+    basis = _complete(ring, known, [(fresh, None)])
+    return _image(ring, _reduced(ring, [
+        entry for entry in basis if entry[0].max_var() < ring.num_vars]),
+        ideal.complete)
 
 
-def ideal_saturation(ideal, other, iteration_cap=DEFAULT_ITERATION_CAP):
-    """(I : J^inf), with the steps of the ascending chain I, (I:J),
-    ((I:J):J), ... until it stops moving.
-
-    The chain stops at the first n with J^n * (I : J^inf) inside I.  In
-    monomial mode with J nonzero the saturation has a closed form, so that
-    n is found directly; the chain itself runs in general mode and when no
-    such n is below the cap.
+def ideal_saturation(ideal, other):
+    """(I : J^inf), the intersection over the generators g of J of
+    (I : g^inf), with steps the least n such that J^n * (I : J^inf) lies in
+    I: the step at which the chain I, (I:J), ((I:J):J), ... stops moving.
+    At step 0 the result is I itself.  Past WORK_BUDGET it is (I, False, 0),
+    the only case with stabilized False.
     """
     _check_shared_ring(ideal, other)
-    if ideal.is_monomial_mode and other.is_monomial_mode and not other.is_zero:
-        sat = _monomial_saturation(ideal, other)
-        steps = _power_kill_exponent(other, sat, ideal, iteration_cap - 1)
-        if steps is not None:
-            # At step 0 the chain hands back I itself.
-            return SaturationResult(ideal if steps == 0 else sat, True, steps)
-    current = ideal
-    for step in range(iteration_cap):
-        nxt = ideal_colon_ideal(current, other)
-        same = nxt.equals(current)
-        if same is None or (current.complete and not nxt.complete):
-            # A completion ran out of WORK_BUDGET: nothing is certified.
-            return SaturationResult(current, False, step)
-        if same:
-            return SaturationResult(current, True, step)
-        current = nxt
-    return SaturationResult(current, False, iteration_cap)
+    steps = None
+    try:
+        sat = reduce(ideal_intersection, [
+            _saturate_by(ideal, g) for g in other.generators]
+            or [IdealHandle.unit(ideal.ring)])
+        # An intersection past WORK_BUDGET comes back incomplete.
+        if sat.complete or not ideal.complete:
+            steps = _power_kill_exponent(other, sat, ideal)
+    except _OutOfBudget:
+        pass
+    if steps is None:
+        return SaturationResult(ideal, False, 0)
+    return SaturationResult(ideal if steps == 0 else sat, True, steps)
 
 
 def ideal_radical(ideal):

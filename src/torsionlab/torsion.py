@@ -16,9 +16,9 @@ quotient by it against intersections and differences with the variety of a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .ideals import (
-    DEFAULT_ITERATION_CAP,
     IdealHandle,
     _power_kill_exponent,
     ideal_intersection,
@@ -49,37 +49,33 @@ class TorsionResult:
         return self.preimage.is_unit
 
 
-def gamma_small_cyclic(acting, relations, iteration_cap=DEFAULT_ITERATION_CAP):
+def gamma_small_cyclic(acting, relations):
     """Preimage of the small torsion submodule of R/relations."""
-    sat = ideal_saturation(relations, acting, iteration_cap)
+    sat = ideal_saturation(relations, acting)
     return TorsionResult(SMALL, acting, relations, sat.ideal,
                          sat.stabilized, sat.steps)
 
 
-def gamma_large_cyclic(acting, relations, iteration_cap=DEFAULT_ITERATION_CAP):
+def gamma_large_cyclic(acting, relations):
     """Preimage of the large torsion submodule of R/relations."""
-    acc = IdealHandle.unit(relations.ring)
-    stabilized = True
-    steps = 0
-    for g in acting.generators:
-        single = IdealHandle(relations.ring, [g])
-        sat = ideal_saturation(relations, single, iteration_cap)
-        stabilized = stabilized and sat.stabilized
-        steps = max(steps, sat.steps)
-        acc = ideal_intersection(acc, sat.ideal)
+    sats = [ideal_saturation(relations, IdealHandle(relations.ring, [g]))
+            for g in acting.generators]
+    acc = reduce(ideal_intersection, [sat.ideal for sat in sats]
+                 or [IdealHandle.unit(relations.ring)])
     # An intersection past the work budget is flagged incomplete.
-    return TorsionResult(LARGE, acting, relations, acc,
-                         stabilized and acc.complete, steps)
+    stabilized = all(sat.stabilized for sat in sats) and acc.complete
+    return TorsionResult(LARGE, acting, relations, acc, stabilized,
+                         max((sat.steps for sat in sats), default=0))
 
 
-def bounded_torsion_exponent(acting, preimage, relations,
-                             iteration_cap=DEFAULT_ITERATION_CAP):
-    """Smallest n with acting^n * preimage inside relations, or None.
+def bounded_torsion_exponent(acting, preimage, relations, cap=None):
+    """Smallest n with acting^n * preimage inside relations, or None past
+    ``cap`` (when given) or the work budget.
 
     When this exists the torsion submodule preimage/relations is killed by a
     single power of the acting ideal.
     """
-    return _power_kill_exponent(acting, preimage, relations, iteration_cap)
+    return _power_kill_exponent(acting, preimage, relations, cap)
 
 
 VERDICT_NAMES = (
@@ -149,8 +145,7 @@ def centredness_flags(acting, small, base_assf):
     return centred, half_centred
 
 
-def fairness_report(acting, relations, witness_bound=None,
-                    iteration_cap=DEFAULT_ITERATION_CAP):
+def fairness_report(acting, relations, witness_bound=None):
     """All six fairness verdicts for the module R/relations at the acting
     ideal, plus centredness witnesses.
 
@@ -159,8 +154,8 @@ def fairness_report(acting, relations, witness_bound=None,
     whether every scan was certified complete and both saturations
     stabilized; verdicts from incomplete scans are advisory.
     """
-    small = gamma_small_cyclic(acting, relations, iteration_cap)
-    large = gamma_large_cyclic(acting, relations, iteration_cap)
+    small = gamma_small_cyclic(acting, relations)
+    large = gamma_large_cyclic(acting, relations)
     unit = IdealHandle.unit(relations.ring)
     scans = tuple(assassin_scan(numerator, denominator, witness_bound)
                   for numerator, denominator in (
@@ -197,7 +192,7 @@ def fairness_report(acting, relations, witness_bound=None,
         centred_ok, half_centred_ok, functors_agree, complete, scans)
 
 
-def radical_probe(acting, corpus, iteration_cap=DEFAULT_ITERATION_CAP):
+def radical_probe(acting, corpus):
     """Is each torsion functor a radical on these modules?
 
     For every relations ideal b: applying the functor to the quotient by
@@ -207,10 +202,10 @@ def radical_probe(acting, corpus, iteration_cap=DEFAULT_ITERATION_CAP):
     """
     rows = []
     for relations in corpus:
-        small = gamma_small_cyclic(acting, relations, iteration_cap)
-        large = gamma_large_cyclic(acting, relations, iteration_cap)
-        small_again = gamma_small_cyclic(acting, small.preimage, iteration_cap)
-        large_again = gamma_large_cyclic(acting, large.preimage, iteration_cap)
+        small = gamma_small_cyclic(acting, relations)
+        large = gamma_large_cyclic(acting, relations)
+        small_again = gamma_small_cyclic(acting, small.preimage)
+        large_again = gamma_large_cyclic(acting, large.preimage)
         rows.append({
             "small_radical": small_again.preimage.equals(small.preimage) is True,
             "large_radical": large_again.preimage.equals(large.preimage) is True,

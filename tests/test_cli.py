@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -201,6 +202,47 @@ def test_seed_env_fallback(monkeypatch, capsys):
     assert env_out == flag_out
 
 
+def test_non_integer_seed_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("TORSIONLAB_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["harness", "--instances", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "TORSIONLAB_SEED" in captured.err and "'abc'" in captured.err
+    # An explicit seed does not read the variable.
+    code, out, _ = _run(capsys, "--seed", "5", "harness", "--instances", "4")
+    assert code == 0 and "seed: 5" in out
+
+
+SATURATION_PAST_64 = """\
+ring R = vars X[0..1]
+ideal a = < X[0] >
+ideal b = < X[0]^70 >
+query saturation(b; a)
+"""
+
+
+def test_saturation_has_no_iteration_cap(tmp_path, capsys):
+    path = _write(tmp_path, SATURATION_PAST_64)
+    code, out, err = _run(capsys, "--format", "json", "run", path)
+    assert code == 0 and err == ""
+    result = json.loads(out)["statements"][-1]["result"]
+    assert result == {"ideal": "ideal(1)", "stabilized": True, "steps": 70}
+
+
+def test_saturation_walk_out_of_budget_is_unstabilized(tmp_path, capsys,
+                                                       monkeypatch):
+    import torsionlab.ideals as ideals_module
+    monkeypatch.setattr(ideals_module, "WORK_BUDGET", 50)
+    path = _write(tmp_path, SATURATION_PAST_64)
+    code, out, err = _run(capsys, "--format", "json", "run", path)
+    assert code == 0 and "Traceback" not in out + err
+    result = json.loads(out)["statements"][-1]["result"]
+    assert result == {"ideal": "ideal(X0^70)", "stabilized": False,
+                      "steps": 0}
+
+
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
     failing = ExampleReport(
         tag="nil40A", levels=(4,), window=2, seed=42,
@@ -217,10 +259,16 @@ def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_stability_window_flag_validated_at_execution(tmp_path, capsys):
-    path = _write(tmp_path, "run example idem50A\n")
-    code, out, _ = _run(capsys, "--stability-window", "1", "run", path)
+    code, out, err = _run(capsys, "examples", "--run", "idem50A",
+                          "--window", "1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    path = _write(tmp_path,
+                  "family idem50A levels 4..6 window 1\nrun example idem50A\n")
+    code, out, _ = _run(capsys, "run", path)
     assert code == 2
     assert "status: error" in out
+    assert "window must be at least 2" in out
 
 
 def test_run_family_schedule_from_script(tmp_path, capsys):
@@ -314,3 +362,15 @@ def test_readme_script_blocks_run_clean(tmp_path, capsys):
         script = _write(tmp_path, block, "readme%d.tl" % i)
         assert cli.main(["run", script]) == 0, block
         assert capsys.readouterr().out.endswith("status: ok\n")
+
+
+def test_readme_lists_the_global_flags():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    start = text.index("Global flags go before the subcommand")
+    sentence = text[start:text.index("\n\n", start)]
+    listed = set(re.findall(r"`(--[a-z-]+)", sentence))
+    parser = cli.build_parser()
+    options = {o for action in parser._actions for o in action.option_strings
+               if o.startswith("--") and o != "--help"}
+    assert listed == options

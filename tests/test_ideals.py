@@ -354,10 +354,13 @@ def test_general_mode_colon_by_ideal_is_exact(monkeypatch):
 
 def _colon_chain(ideal, other, cap):
     """The ascending chain I, (I:J), ((I:J):J), ... run explicitly, as
-    (ideal, stabilized, steps)."""
+    (ideal, stabilized, steps).  A colon past the work budget (flagged
+    incomplete) stops it unstabilized."""
     current = ideal
     for step in range(cap):
         nxt = ideal_colon_ideal(current, other)
+        if current.complete and not nxt.complete:
+            return current, False, step
         if nxt.equals(current) is True:
             return current, True, step
         current = nxt
@@ -378,56 +381,95 @@ def _saturation_pairs(count, seed):
             yield b, IdealHandle.from_monomials(ring, [m])
 
 
-@pytest.mark.parametrize("cap", (1, 2, 3, 64))
-def test_monomial_saturation_matches_colon_chain(cap, monkeypatch):
+def _general_saturation_pairs(rng):
+    """Saturation pairs (b, a) in general mode: 200 on cube rings, and 100
+    on random confluent rings with polynomial generators."""
+    for _ in range(200):
+        ring = _cube_ring(rng)
+        yield _cube_ideal(ring, rng), _cube_ideal(ring, rng)
+    pairs = 0
+    while pairs < 100:
+        ring = _random_ring(rng)
+        if check_local_confluence(ring):
+            continue
+        terms = ring.normal_monomials_up_to(2)
+
+        def ideal():
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                f = Element.zero(ring)
+                for t in rng.sample(terms, min(len(terms), rng.randint(1, 3))):
+                    f = f.add(Element.from_monomial(
+                        ring, t, _random_coefficient(rng)))
+                gens.append(f)
+            return IdealHandle(ring, gens)
+
+        b, a = ideal(), ideal()
+        if not b.is_monomial_mode:
+            pairs += 1
+            yield b, a
+
+
+def test_saturation_matches_the_colon_chain(monkeypatch):
+    """The closed form prints the ideal the colon chain stops at, with its
+    step count, in both modes, and never runs the chain."""
     import torsionlab.ideals as ideals_module
     chain_calls = []
     real = ideals_module.ideal_colon_ideal
     monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
                         lambda *args: chain_calls.append(args) or real(*args))
-    outcomes = set()
-    for ideal, other in _saturation_pairs(40, 61):
-        before = len(chain_calls)
-        got = ideal_saturation(ideal, other, cap)
-        ran_chain = len(chain_calls) > before
-        expected, stabilized, steps = _colon_chain(ideal, other, cap)
-        assert got.ideal.equals(expected) is True
+    modes, steps_seen, chain_cut = set(), set(), 0
+    pairs = list(_saturation_pairs(40, 61))
+    pairs.extend(_general_saturation_pairs(random.Random(103)))
+    assert sum(not b.is_monomial_mode for b, _ in pairs) >= 300
+    for ideal, other in pairs:
+        got = ideal_saturation(ideal, other)
+        expected, stabilized, steps = _colon_chain(ideal, other, 64)
+        if not stabilized:
+            # A colon of the chain ran out of work budget; the closed form
+            # certifies a later step, and the chain's last ideal lies in it.
+            chain_cut += 1
+            assert got.stabilized and got.steps > steps
+            assert all(ideal_membership(g, got.ideal).is_yes
+                       for g in expected.generators)
+            continue
+        assert format_ideal(got.ideal) == format_ideal(expected)
         assert (got.stabilized, got.steps) == (stabilized, steps)
         assert got.ideal.complete == expected.complete
-        # The chain runs only when it cannot stop below the cap.
-        assert ran_chain == (not stabilized)
-        outcomes.add(stabilized)
-    assert outcomes == ({True} if cap == 64 else {True, False})
-
-
-def test_general_mode_saturation_runs_the_chain(monkeypatch):
-    import torsionlab.ideals as ideals_module
+        modes.add(ideal.mode)
+        steps_seen.add(steps)
+    assert not chain_calls
+    assert len(modes) == 2 and {0, 1, 2, 3} <= steps_seen
+    assert chain_cut == 1
+    # R is the ring of functions on {0,1}^2.  b vanishes off (1, 1), X0
+    # off X0 = 1, so the saturation vanishes exactly at (1, 0): it is
+    # (X0 - 1, X1), and a * (b : a^inf) lies in b already.
     ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(0))),
                                 RewriteRule(_var(1, 2), (1, _var(1)))])
     b = IdealHandle.from_monomials(ring, [_var(0).mul(_var(1))])
     a = IdealHandle.from_monomials(ring, [_var(0)])
     assert not b.is_monomial_mode
-    chain_calls = []
-    real = ideals_module.ideal_colon_ideal
-    monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
-                        lambda *args: chain_calls.append(args) or real(*args))
-    outcomes = []
-    for cap in (1, 64):
-        result = ideal_saturation(b, a, cap)
-        expected, stabilized, steps = _colon_chain(b, a, cap)
-        assert result.ideal.generators == expected.generators
-        assert (result.stabilized, result.steps) == (stabilized, steps)
-        outcomes.append((result.stabilized, result.steps))
-    assert chain_calls
-    # R is the ring of functions on {0,1}^2.  b vanishes off (1, 1), X0
-    # off X0 = 1, so the saturation vanishes exactly at (1, 0): it is
-    # (X0 - 1, X1), reached by the first colon and certified by the second.
-    assert outcomes == [(False, 1), (True, 1)]
+    result = ideal_saturation(b, a)
+    assert (result.stabilized, result.steps) == (True, 1)
     x0, x1 = (Element.from_monomial(ring, _var(i)) for i in range(2))
     exact = IdealHandle(ring, [x0.sub(Element.constant(ring, 1)), x1])
     assert result.ideal.equals(exact) is True
     assert result.ideal.complete
     assert format_ideal(result.ideal) == "ideal(-1 + X0, X1)"
+
+
+def test_saturation_needs_no_iteration_cap():
+    """<X0^70> : <X0>^inf is the unit ideal, reached at step 70."""
+    ring = _free(2)
+    b = IdealHandle.from_monomials(ring, [_var(0, 70)])
+    a = IdealHandle.from_monomials(ring, [_var(0)])
+    result = ideal_saturation(b, a)
+    assert format_ideal(result.ideal) == "ideal(1)"
+    assert (result.stabilized, result.steps) == (True, 70)
+    for gamma in (gamma_small_cyclic, gamma_large_cyclic):
+        torsion = gamma(a, b)
+        assert torsion.is_whole_module
+        assert (torsion.stabilized, torsion.steps) == (True, 70)
 
 
 def _product_chain_kill_exponent(acting, module, target, cap):
