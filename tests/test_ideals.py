@@ -441,15 +441,62 @@ def test_saturation_matches_the_colon_chain(monkeypatch):
     assert not chain_calls
     assert len(modes) == 2 and {0, 1, 2, 3} <= steps_seen
     assert chain_cut == 1
-    # R is the ring of functions on {0,1}^2.  b vanishes off (1, 1), X0
-    # off X0 = 1, so the saturation vanishes exactly at (1, 0): it is
-    # (X0 - 1, X1), and a * (b : a^inf) lies in b already.
+
+
+@pytest.mark.parametrize("cap", (1, 2, 3, 64))
+def test_monomial_saturation_matches_colon_chain(cap, monkeypatch):
+    """In monomial mode the closed form agrees with the colon chain cut at
+    `cap` steps: the same ideal and step count where the chain stops below
+    the cap, and an ideal containing the chain's last one, certified at a
+    step at or past the cap, where it does not."""
+    import torsionlab.ideals as ideals_module
+    chain_calls = []
+    real = ideals_module.ideal_colon_ideal
+    monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
+                        lambda *args: chain_calls.append(args) or real(*args))
+    outcomes = set()
+    for ideal, other in _saturation_pairs(40, 61):
+        assert ideal.is_monomial_mode
+        got = ideal_saturation(ideal, other)
+        expected, stabilized, steps = _colon_chain(ideal, other, cap)
+        assert got.stabilized and got.ideal.complete
+        if stabilized:
+            assert got.ideal.equals(expected) is True
+            assert got.steps == steps
+            assert got.ideal.complete == expected.complete
+        else:
+            assert steps == cap and got.steps >= cap
+            assert all(got.ideal.contains_monomial(g)
+                       for g in expected.monomial_generators())
+        outcomes.add(stabilized)
+    assert not chain_calls
+    assert outcomes == ({True} if cap == 64 else {True, False})
+
+
+def test_general_mode_saturation_runs_the_chain(monkeypatch):
+    """The colon chain, run step by step in general mode, stops at the
+    ideal and step the closed form certifies; the engine never runs it."""
+    import torsionlab.ideals as ideals_module
     ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(0))),
                                 RewriteRule(_var(1, 2), (1, _var(1)))])
     b = IdealHandle.from_monomials(ring, [_var(0).mul(_var(1))])
     a = IdealHandle.from_monomials(ring, [_var(0)])
     assert not b.is_monomial_mode
+    chain_calls = []
+    real = ideals_module.ideal_colon_ideal
+    monkeypatch.setattr(ideals_module, "ideal_colon_ideal",
+                        lambda *args: chain_calls.append(args) or real(*args))
     result = ideal_saturation(b, a)
+    assert not chain_calls
+    outcomes = []
+    for cap in (1, 64):
+        expected, stabilized, steps = _colon_chain(b, a, cap)
+        assert result.ideal.generators == expected.generators
+        outcomes.append((stabilized, steps))
+    # R is the ring of functions on {0,1}^2.  b vanishes off (1, 1), X0
+    # off X0 = 1, so the saturation vanishes exactly at (1, 0): it is
+    # (X0 - 1, X1), reached by the first colon and certified by the second.
+    assert outcomes == [(False, 1), (True, 1)]
     assert (result.stabilized, result.steps) == (True, 1)
     x0, x1 = (Element.from_monomial(ring, _var(i)) for i in range(2))
     exact = IdealHandle(ring, [x0.sub(Element.constant(ring, 1)), x1])
