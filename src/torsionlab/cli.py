@@ -5,9 +5,10 @@ Subcommands:
     harness              run the seeded proposition harness
     examples             list or replicate the shipped example families
 
-Global options go before the subcommand: --format, --seed (else the
-integer in TORSIONLAB_SEED, else 42) and --max-degree.  A replication
-window comes from ``examples --window`` or a script's ``family`` statement.
+Global options go before the subcommand: --format and --seed (else the
+integer in TORSIONLAB_SEED, else 42).  A replication window comes from
+``examples --window`` or a script's ``family`` statement.  Assassin scans
+are exact, so no option bounds them.
 
 Exit codes: 0 all claims hold, 1 a claim failed or a violation was found,
 2 usage, parse, or script errors.
@@ -19,7 +20,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from . import reports
 from .dsl import (
@@ -39,6 +39,7 @@ from .errors import NonConfluent, ParseError, TorsionlabError
 from .families import (
     DEFAULT_LEVELS,
     DEFAULT_WINDOW,
+    check_schedule,
     family_tags,
     get_family,
     replicate_example,
@@ -65,7 +66,6 @@ from .torsion import (
 @dataclass
 class ExecutionOptions:
     fmt: str = "text"
-    max_degree: Optional[int] = None
     seed: int = DEFAULT_SEED
 
 
@@ -93,7 +93,6 @@ class _Session:
 
 
 def _execute_query(session, stmt):
-    options = session.options
     kind = stmt.kind
     if kind == "membership":
         element, name = stmt.arguments
@@ -120,8 +119,7 @@ def _execute_query(session, stmt):
     if kind == "minprimes":
         return {"primes": [format_prime(p) for p in minimal_primes(ideal)]}
     scan = assassins_cyclic if kind == "ass" else weak_assassins_cyclic
-    bound = stmt.degree if stmt.degree is not None else options.max_degree
-    return reports.assassin_tree(scan(ideal, bound))
+    return reports.assassin_tree(scan(ideal))
 
 
 def _execute_statement(session, stmt):
@@ -147,19 +145,14 @@ def _execute_statement(session, stmt):
         return _execute_query(session, stmt)
     if isinstance(stmt, CheckStatement):
         acting, relations = session.ideals_named(stmt.acting, stmt.relations)
-        bound = (stmt.degree if stmt.degree is not None
-                 else session.options.max_degree)
-        report = fairness_report(acting, relations, bound)
+        report = fairness_report(acting, relations)
         if not report.all_hold:
             session.failed = True
         return reports.fairness_tree(report)
     if isinstance(stmt, FamilyStatement):
         get_family(stmt.tag)
-        if stmt.window < 2:
-            raise TorsionlabError("window must be at least 2")
-        if stmt.low > stmt.high:
-            raise TorsionlabError("empty level schedule")
         levels = tuple(range(stmt.low, stmt.high + 1))
+        check_schedule(levels, stmt.window)
         session.schedules[stmt.tag] = (levels, stmt.window)
         return {"family": stmt.tag, "levels": list(levels),
                 "window": stmt.window}
@@ -221,9 +214,6 @@ def build_parser():
                     "over truncated monomial-rewriting algebras")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="report format (text or json-like structured)")
-    parser.add_argument("--max-degree", type=_positive_int, default=None,
-                        help="default witness degree bound of ass, assf "
-                             "and check")
     parser.add_argument("--seed", type=int, default=None,
                         help="random seed (default: TORSIONLAB_SEED or %d)"
                              % DEFAULT_SEED)
@@ -265,9 +255,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     options = ExecutionOptions(
-        fmt=args.format,
-        max_degree=args.max_degree,
-        seed=_seed_from(args, parser))
+        fmt=args.format, seed=_seed_from(args, parser))
 
     if args.command == "run":
         try:

@@ -6,7 +6,7 @@ queries against them:
     ring R = vars X[0..4] rules { X[i]^2 -> 0 for i in 0..4 }
     ideal a = < X[i] for i in 0..4 >
     query gamma(a; b)
-    query assf(b) degree 6
+    query assf(b)
     check fairness(a; b)
     family nil40A levels 4..10 window 3
     run example nil40A
@@ -14,8 +14,8 @@ queries against them:
 Parsed scripts print back to a canonical form; parsing that form again
 yields an equal syntax tree.  ``ring_statement`` and ``ideal_statement``
 turn engine objects into statements, so reproducer scripts print through
-the same code.  ``QUERY_SIGNATURES`` fixes each query's argument kinds and
-whether it takes a degree; the parser rejects anything else.  Exponents
+the same code.  ``QUERY_SIGNATURES`` fixes each query's argument kinds;
+the parser rejects anything else.  Exponents
 and indices admit only affine expressions in the loop variables; guards
 are comparisons joined by "and".
 """
@@ -32,19 +32,18 @@ from .errors import ParseError, PatternError
 from .ideals import IdealHandle
 from .ring import Element, Monomial, RewriteRule, RingPresentation
 
-# Query kind -> (argument kinds, whether "degree N" bounds its witness
-# scan).  An argument is an ideal name, an element, or either (colon
-# divides by both).
+# Query kind -> argument kinds.  An argument is an ideal name, an element,
+# or either (colon divides by both).
 QUERY_SIGNATURES = {
-    "gamma": (("ideal", "ideal"), False),
-    "gammabar": (("ideal", "ideal"), False),
-    "colon": (("ideal", "either"), False),
-    "saturation": (("ideal", "ideal"), False),
-    "membership": (("element", "ideal"), False),
-    "radical": (("ideal",), False),
-    "minprimes": (("ideal",), False),
-    "ass": (("ideal",), True),
-    "assf": (("ideal",), True),
+    "gamma": ("ideal", "ideal"),
+    "gammabar": ("ideal", "ideal"),
+    "colon": ("ideal", "either"),
+    "saturation": ("ideal", "ideal"),
+    "membership": ("element", "ideal"),
+    "radical": ("ideal",),
+    "minprimes": ("ideal",),
+    "ass": ("ideal",),
+    "assf": ("ideal",),
 }
 
 
@@ -293,14 +292,10 @@ class IdealStatement:
 class QueryStatement:
     kind: str
     arguments: tuple  # of NameRef or ElementTemplate
-    degree: Optional[int]
 
     def render(self):
         args = "; ".join(a.render() for a in self.arguments)
-        out = "query %s(%s)" % (self.kind, args)
-        if self.degree is not None:
-            out += " degree %d" % self.degree
-        return out
+        return "query %s(%s)" % (self.kind, args)
 
 
 @dataclass(frozen=True)
@@ -315,13 +310,9 @@ class NameRef:
 class CheckStatement:
     acting: str
     relations: str
-    degree: Optional[int]
 
     def render(self):
-        out = "check fairness(%s; %s)" % (self.acting, self.relations)
-        if self.degree is not None:
-            out += " degree %d" % self.degree
-        return out
+        return "check fairness(%s; %s)" % (self.acting, self.relations)
 
 
 @dataclass(frozen=True)
@@ -481,18 +472,14 @@ class _Parser:
 
     def parse_query(self):
         kind = self.expect_ident(*QUERY_SIGNATURES)
-        argument_kinds, takes_degree = QUERY_SIGNATURES[kind]
         self.expect("(")
         arguments = []
-        for argument_kind in argument_kinds:
+        for argument_kind in QUERY_SIGNATURES[kind]:
             if arguments:
                 self.expect(";")
             arguments.append(self.parse_argument(argument_kind))
         self.expect(")")
-        if not takes_degree and self.at_ident("degree"):
-            raise ParseError("query %s takes no degree" % kind,
-                             self.current.line, self.current.column)
-        return QueryStatement(kind, tuple(arguments), self.parse_degree_opt())
+        return QueryStatement(kind, tuple(arguments))
 
     def parse_argument(self, kind):
         tok = self.current
@@ -512,8 +499,7 @@ class _Parser:
         self.expect(";")
         relations = self.expect_ident()
         self.expect(")")
-        degree = self.parse_degree_opt()
-        return CheckStatement(acting, relations, degree)
+        return CheckStatement(acting, relations)
 
     def parse_family(self):
         tag = self.expect_ident()
@@ -529,12 +515,6 @@ class _Parser:
         self.expect_ident("example")
         tag = self.expect_ident()
         return RunExampleStatement(tag)
-
-    def parse_degree_opt(self):
-        if self.at_ident("degree"):
-            self.pos += 1
-            return self.expect_int()
-        return None
 
     # ---- templates
 

@@ -95,11 +95,17 @@ def _check_level(level):
         raise InvalidSchedule("level %d outside 0..%d" % (level, MAX_LEVEL))
 
 
-def _check_schedule(levels, window):
+def check_schedule(levels, window):
+    """Reject a replication schedule before any level is instantiated:
+    instantiation is costly."""
     if window < 2:
         raise InvalidSchedule("window must be at least 2")
+    if not levels:
+        raise InvalidSchedule("empty level schedule")
     if list(levels) != sorted(set(levels)):
         raise InvalidSchedule("levels must be strictly increasing")
+    for level in levels:
+        _check_level(level)
 
 
 def instantiate(family, level):
@@ -623,10 +629,7 @@ def replicate_example(tag, levels=DEFAULT_LEVELS, window=DEFAULT_WINDOW,
     """Evaluate the family's claim bundle over the level schedule."""
     family = get_family(tag)
     levels = tuple(levels)
-    _check_schedule(levels, window)
-    # Reject a bad level before instantiating any: instantiation is costly.
-    for level in levels:
-        _check_level(level)
+    check_schedule(levels, window)
     start = time.perf_counter()
     instantiated = []
     confluence_ok = True

@@ -94,7 +94,6 @@ def assassin_tree(report):
         "witnesses": [
             {"prime": format_prime(p), "witness": format_monomial(m)}
             for p, m in report.witnesses],
-        "witness_bound": report.witness_bound,
         "complete": report.complete,
     }
 

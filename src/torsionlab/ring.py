@@ -266,9 +266,10 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from five caches: the normal-form cache,
+    Instances are immutable apart from six caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
-    so far, extended on demand by normal_monomials_of_degree), the critical
+    so far, extended on demand by normal_monomials_of_degree), the normal
+    divisors of each monomial that normal_divisors was asked for, the critical
     pairs that do not join, kept by the first check_local_confluence, the
     witness tables of spectrum.assassin_scan: per denominator generator
     tuple, each witness scanned so far mapped to its annihilator's ass prime
@@ -306,6 +307,7 @@ class RingPresentation:
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
+        self._divisors = {}
         self._confluence_failures = None
         self._witness_tables = {}
         self._lift = None
@@ -372,6 +374,24 @@ class RingPresentation:
     def is_normal(self, m):
         return self._first_applicable(m) is None
 
+    def _next_level(self, level, steps):
+        """The normal m * X_v for m in ``level`` and (v, cap, X_v) in
+        ``steps``, with v at least the largest variable of m and the exponent
+        of v in m below cap (None caps nothing).  Each monomial of the next
+        degree comes once, in grlex order when ``level`` is: within one
+        degree, grlex order is lex order of the sorted variable indices.
+        """
+        out = []
+        for m in level:
+            last = m.max_var()
+            for v, cap, x in steps:
+                if v < last or (v == last and m.pairs[-1][1] == cap):
+                    continue
+                cand = m.mul(x)
+                if self.is_normal(cand):
+                    out.append(cand)
+        return out
+
     def normal_monomials_of_degree(self, d):
         """All normal monomials of total degree d, as a tuple in grlex order.
 
@@ -380,19 +400,30 @@ class RingPresentation:
         if d < 0:
             return ()
         levels = self._levels
-        while len(levels) <= d:
-            out = []
-            for m in levels[-1]:
-                # Extend only by variables >= the largest used index so every
-                # monomial is produced exactly once.  Within one degree, grlex
-                # order is lex order of the sorted variable-index sequences,
-                # so extending a sorted level in this order needs no sort.
-                for v in range(max(m.max_var(), 0), self.num_vars):
-                    cand = m.mul(Monomial.variable(v))
-                    if self.is_normal(cand):
-                        out.append(cand)
-            levels.append(tuple(out))
+        if len(levels) <= d:
+            steps = [(v, None, Monomial.variable(v))
+                     for v in range(self.num_vars)]
+            while len(levels) <= d:
+                levels.append(tuple(self._next_level(levels[-1], steps)))
         return levels[d]
+
+    def normal_divisors(self, top):
+        """All normal monomials dividing ``top``, as a tuple in grlex order.
+
+        Divisors of a normal monomial are normal, so extending level by
+        level up to the exponents of ``top`` misses none.  Computed once per
+        ring and ``top``.
+        """
+        cached = self._divisors.get(top)
+        if cached is None:
+            steps = [(v, cap, Monomial.variable(v)) for v, cap in top.pairs]
+            out = []
+            level = (Monomial.one(),)
+            while level:
+                out.extend(level)
+                level = self._next_level(level, steps)
+            cached = self._divisors[top] = tuple(out)
+        return cached
 
     def normal_monomials_up_to(self, d):
         out = []

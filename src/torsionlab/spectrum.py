@@ -7,17 +7,24 @@ The zero prime (empty set) exists only in rule-free rings.
 
 Assassins are computed from monomial witnesses.  Modules here are spanned by
 monomials and graded by exponent vectors, and associated primes of such
-modules are annihilators of monomial elements, so a complete witness scan
-yields the complete assassin.  One scan yields both ass and ass^f.  A
-witness annihilator (b : m) depends only on the denominator b and the
-witness m, so the ring keeps one witness table per denominator generator
-tuple, mapping each witness to its ass prime (or None) and its minimal
-primes; every numerator scanned over an equal denominator reads it.
+modules are annihilators of monomial elements.  The witness set is finite
+and exact: the normal monomials that divide L, the lcm of the numerator's
+generators and the denominator's lifted basis.  Capping each exponent of a
+witness m at its exponent in L keeps it in the numerator and outside the
+denominator and leaves the colon (b : m) unchanged, so these divisors give
+every annihilator, including the grlex-first witness of each prime (Miller
+& Sturmfels, Combinatorial Commutative Algebra, ch. 1).  One scan yields
+both ass and ass^f.  A witness annihilator (b : m) depends only on the
+denominator b and the witness m, so the ring keeps one witness table per
+denominator generator tuple, mapping each witness to its ass prime (or
+None) and its minimal primes; every numerator scanned over an equal
+denominator reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from .errors import RingMismatch
@@ -88,28 +95,18 @@ def difference_variety(primes, ideal):
 
 @dataclass(frozen=True)
 class AssassinReport:
-    """Primes with one monomial witness each, plus scan metadata.
+    """Primes with one monomial witness each.
 
-    complete means the witness scan provably saw every monomial of the
-    module: beyond the scanned degree no normal monomial of the numerator
-    survives outside the denominator, so no further primes can appear.
+    complete means no explicit witness bound cut a witness off; a scan
+    without a bound is always complete.
     """
     primes: tuple  # of frozenset, sorted
     witnesses: tuple  # of (frozenset, Monomial), aligned with primes
-    witness_bound: int
     complete: bool
 
     @property
     def prime_set(self):
         return frozenset(self.primes)
-
-
-def default_witness_bound(denominator):
-    """Degree of the lcm of the reduced generators, plus two."""
-    acc = Monomial.one()
-    for g in denominator.monomial_generators():
-        acc = acc.lcm(g)
-    return acc.degree + 2
 
 
 def _sorted_primes(pairs):
@@ -121,44 +118,40 @@ def _sorted_primes(pairs):
     return tuple(primes), tuple((p, dedup[p]) for p in primes)
 
 
-def _witness_scan(numerator, denominator, bound):
-    """Normal monomials in the numerator but not the denominator, with a
-    completeness certificate.
+def _witness_scan(numerator, denominator, bound=None):
+    """Normal divisors of L in the numerator but not the denominator, in
+    grlex order, and whether ``bound`` (a degree, when given) cut none off.
 
-    A normal monomial lies in a monomial-mode ideal exactly when one of its
-    reduced generators divides it.  Divisor-closure argument for
-    completeness: a surviving monomial of degree above the scan has a
-    surviving divisor at the boundary degree once the boundary is at least
-    the largest numerator generator degree, so an empty boundary level
-    certifies nothing was missed.
+    L is the lcm of the numerator's generators and the denominator's lifted
+    basis.  A normal monomial lies in a monomial-mode ideal exactly when one
+    of its reduced generators divides it.
     """
     num_gens = numerator.monomial_generators()
     den_gens = denominator.monomial_generators()
+    top = reduce(Monomial.lcm, num_gens + denominator.lifted_monomials(),
+                 Monomial.one())
     witnesses = []
-    for d in range(bound + 2):
-        for m in numerator.ring.normal_monomials_of_degree(d):
-            if (any(g.divides(m) for g in num_gens)
-                    and not any(g.divides(m) for g in den_gens)):
-                if d > bound:
-                    return witnesses, False
-                witnesses.append(m)
-    gen_deg = max((g.degree for g in num_gens), default=0)
-    return witnesses, bound + 1 >= gen_deg
+    for m in numerator.ring.normal_divisors(top):
+        if (any(g.divides(m) for g in num_gens)
+                and not any(g.divides(m) for g in den_gens)):
+            if bound is not None and m.degree > bound:
+                return witnesses, False
+            witnesses.append(m)
+    return witnesses, True
 
 
 def assassin_scan(numerator, denominator, witness_bound=None):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
-    One witness scan serves both reports.  A witness's annihilator, the
-    colon (denominator : m) as a lifted basis, gives an ass prime when it
-    is prime, and its minimal primes are ass^f primes.  Both are read from
-    the ring's witness table for the denominator's generators, so each
+    One witness scan serves both reports; a ``witness_bound`` truncates it
+    at that degree, and None scans every witness.  A witness's annihilator,
+    the colon (denominator : m) as a lifted basis, gives an ass prime when
+    it is prime, and its minimal primes are ass^f primes.  Both are read
+    from the ring's witness table for the denominator's generators, so each
     annihilator is computed once per ring, whatever the numerator.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
-    if witness_bound is None:
-        witness_bound = default_witness_bound(denominator)
     witnesses, complete = _witness_scan(numerator, denominator, witness_bound)
     table = denominator.ring._witness_tables.setdefault(
         denominator.monomial_generators(), {})
@@ -174,7 +167,7 @@ def assassin_scan(numerator, denominator, witness_bound=None):
         if prime is not None:
             ass_pairs.append((prime, m))
         assf_pairs.extend((p, m) for p in minimal)
-    return tuple(AssassinReport(*_sorted_primes(pairs), witness_bound, complete)
+    return tuple(AssassinReport(*_sorted_primes(pairs), complete)
                  for pairs in (ass_pairs, assf_pairs))
 
 

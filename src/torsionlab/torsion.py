@@ -123,12 +123,14 @@ class FairnessReport:
         return all(c.holds for c in self.comparisons)
 
 
-def _compare(name, left_report, right_primes):
+def _compare(name, left_report, right_report, right_primes):
+    """Compare the left scan's primes with primes read off the right scan;
+    complete only when both scans are."""
     left = tuple(left_report.primes)
     right = tuple(sorted(right_primes, key=lambda s: (len(s), sorted(s))))
     return FairnessComparison(
         name, left, right, frozenset(left) == frozenset(right),
-        left_report.complete)
+        left_report.complete and right_report.complete)
 
 
 def centredness_flags(acting, small, base_assf):
@@ -149,10 +151,10 @@ def fairness_report(acting, relations, witness_bound=None):
     """All six fairness verdicts for the module R/relations at the acting
     ideal, plus centredness witnesses.
 
-    With a None witness bound each assassin scan picks its own default; an
-    explicit bound is applied to every scan.  The complete flag reports
-    whether every scan was certified complete and both saturations
-    stabilized; verdicts from incomplete scans are advisory.
+    With a None witness bound every assassin scan is exact; an explicit
+    bound truncates every scan at that degree.  The complete flag reports
+    whether no scan was cut off and both saturations stabilized; verdicts
+    from incomplete scans are advisory.
     """
     small = gamma_small_cyclic(acting, relations)
     large = gamma_large_cyclic(acting, relations)
@@ -172,19 +174,19 @@ def fairness_report(acting, relations, witness_bound=None):
     assf_meet = intersect_variety(base_assf.primes, acting)
 
     comparisons = (
-        _compare("fair", small_quot_ass, ass_minus),
-        _compare("weakly_fair", small_quot_assf, assf_minus),
-        _compare("weakly_quasifair", small_sub_assf, assf_meet),
-        _compare("large_fair", large_quot_ass, ass_minus),
-        _compare("weakly_large_fair", large_quot_assf, assf_minus),
-        _compare("weakly_large_quasifair", large_sub_assf, assf_meet),
+        _compare("fair", small_quot_ass, base_ass, ass_minus),
+        _compare("weakly_fair", small_quot_assf, base_assf, assf_minus),
+        _compare("weakly_quasifair", small_sub_assf, base_assf, assf_meet),
+        _compare("large_fair", large_quot_ass, base_ass, ass_minus),
+        _compare("weakly_large_fair", large_quot_assf, base_assf, assf_minus),
+        _compare("weakly_large_quasifair", large_sub_assf, base_assf,
+                 assf_meet),
     )
 
     centred_ok, half_centred_ok = centredness_flags(acting, small, base_assf)
     functors_agree = small.preimage.equals(large.preimage) is True
 
     complete = (small.stabilized and large.stabilized
-                and base_ass.complete and base_assf.complete
                 and all(c.complete for c in comparisons))
 
     return FairnessReport(

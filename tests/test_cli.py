@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import re
@@ -19,7 +20,7 @@ ring R = vars X[0..1] rules { X[0]^2 -> 0; X[1]^3 -> 0 }
 ideal a = < X[0] >
 ideal b = < X[0]*X[1] >
 query gamma(a; b)
-check fairness(a; b) degree 4
+check fairness(a; b)
 """
 
 
@@ -89,7 +90,7 @@ ideal b = < X[1] >
     ("query membership(b; b)", "line 4 column 18", "unexpected b"),
     ("query colon(b; c)", "error_at: 4", "undefined ideal 'c'"),
     ("query radical(X[0])", "line 4 column 15", "unexpected X"),
-    ("query gamma(a; b) degree 3", "line 4 column 19", "takes no degree"),
+    ("query gamma(a; b) degree 3", "line 4 column 19", "unexpected degree"),
     ("ideal d = < 1/0*X[0] >", "line 4 column 15", "zero denominator"),
     ("ring S = vars X[0..1] rules { X[0]^2 -> 1/0*X[1] }",
      "line 4 column 43", "zero denominator"),
@@ -287,8 +288,8 @@ def test_run_bad_family_schedule_is_script_error(tmp_path, capsys):
     assert code == 2
     tree = json.loads(out)
     assert tree["status"] == "error"
-    assert tree["error_at"] == 2
-    assert tree["statements"][1]["error"] == "level 16 outside 0..15"
+    assert tree["error_at"] == 1
+    assert tree["statements"][0]["error"] == "level 16 outside 0..15"
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -364,13 +365,34 @@ def test_readme_script_blocks_run_clean(tmp_path, capsys):
         assert capsys.readouterr().out.endswith("status: ok\n")
 
 
+def _long_options(parser):
+    return {o for action in parser._actions for o in action.option_strings
+            if o.startswith("--") and o != "--help"}
+
+
 def test_readme_lists_the_global_flags():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
     start = text.index("Global flags go before the subcommand")
     sentence = text[start:text.index("\n\n", start)]
     listed = set(re.findall(r"`(--[a-z-]+)", sentence))
+    assert listed == _long_options(cli.build_parser())
+
+
+def test_readme_command_lines_use_existing_flags():
+    """Each flag on a README ``torsionlab ...`` line is a global option
+    before the subcommand and an option of that subcommand after it."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
     parser = cli.build_parser()
-    options = {o for action in parser._actions for o in action.option_strings
-               if o.startswith("--") and o != "--help"}
-    assert listed == options
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    lines = [line.split("#")[0].split()
+             for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("torsionlab ")]
+    assert len(lines) >= 4
+    for words in lines:
+        at = next(i for i, w in enumerate(words) if w in sub.choices)
+        assert {w for w in words[:at] if w.startswith("--")} <= \
+            _long_options(parser), words
+        assert {w for w in words[at:] if w.startswith("--")} <= \
+            _long_options(sub.choices[words[at]]), words

@@ -21,8 +21,8 @@ ideal c = < X[i]*X[j] for i in 0..4, j in 0..4 if i < j >
 ideal d = < 1/2*X[0]^2 + -3*X[1] >
 query gamma(a; b)
 query membership(X[0]*X[1]; b)
-query assf(b) degree 5
-check fairness(a; b) degree 4
+query assf(b)
+check fairness(a; b)
 family nil40A levels 4..8 window 3
 run example nil40A
 """
@@ -125,12 +125,13 @@ def test_query_kind_is_validated():
     ("membership(b; b)", 18, "unexpected b"),
     ("radical(X[0])", 15, "unexpected X"),
     ("colon(X[0]; b)", 13, "unexpected X"),
-    ("gamma(a; b) degree 3", 19, "query gamma takes no degree"),
-    ("minprimes(b) degree 2", 20, "query minprimes takes no degree"),
-    ("colon(b; a) degree 3", 19, "query colon takes no degree"),
-    ("colon(b; X[0]) degree 3", 22, "query colon takes no degree"),
-    ("membership(X[0]; b) degree 2", 27,
-     "query membership takes no degree"),
+    # No query takes a degree: a trailing one is an ordinary parse error.
+    ("gamma(a; b) degree 3", 19, "unexpected degree"),
+    ("minprimes(b) degree 2", 20, "unexpected degree"),
+    ("colon(b; a) degree 3", 19, "unexpected degree"),
+    ("colon(b; X[0]) degree 3", 22, "unexpected degree"),
+    ("membership(X[0]; b) degree 2", 27, "unexpected degree"),
+    ("ass(b) degree 4", 14, "unexpected degree"),
 ])
 def test_query_signature_is_enforced(query, column, message):
     with pytest.raises(ParseError) as exc:
@@ -141,10 +142,10 @@ def test_query_signature_is_enforced(query, column, message):
 
 def test_query_signature_accepts_both_colon_forms():
     script = parse("query colon(b; a)\nquery colon(b; X[0])\n"
-                   "query membership(X[0] - 1; b)\nquery ass(b) degree 2\n")
+                   "query membership(X[0] - 1; b)\nquery ass(b)\n")
     assert [s.render() for s in script.statements] == [
         "query colon(b; a)", "query colon(b; X[0])",
-        "query membership(X[0] - 1; b)", "query ass(b) degree 2"]
+        "query membership(X[0] - 1; b)", "query ass(b)"]
 
 
 def test_zero_denominator_is_a_parse_error():
@@ -241,8 +242,7 @@ def test_harness_scripts_parse_and_round_trip():
         for stmt in ideal_stmts:
             assert generator_terms(expand_ideal(stmt, ring)) == \
                 generator_terms(own[stmt.name])
-        assert (check.acting, check.relations, check.degree) == \
-            ("a", "b", instance.witness_bound)
+        assert (check.acting, check.relations) == ("a", "b")
 
 
 def test_empty_and_zero_ideal_forms():

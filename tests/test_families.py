@@ -93,6 +93,7 @@ def test_schedule_errors_are_typed():
         lambda: replicate_example("nil40A", levels=(4, 5), window=1),
         lambda: replicate_example("nil40A", levels=(5, 4, 6)),
         lambda: replicate_example("nil40A", levels=(4, MAX_LEVEL + 1)),
+        lambda: replicate_example("nil40A", levels=()),
     )
     for attempt in attempts:
         with pytest.raises(InvalidSchedule) as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from functools import reduce
 
 from torsionlab.harness import random_instance
 from torsionlab.ideals import IdealHandle, ideal_colon, minimal_primes
@@ -12,7 +13,6 @@ from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
 from torsionlab.spectrum import (
     assassin_scan,
     assassins_cyclic,
-    default_witness_bound,
     format_prime,
     prime_ideal,
     prime_variable_set,
@@ -55,7 +55,7 @@ def test_non_prime_ideal_rejected():
 def test_assassins_of_monomial_quotient():
     ring = RingPresentation(2)
     b = IdealHandle.from_monomials(ring, [_var(0, 2), _var(0).mul(_var(1))])
-    report = assassins_cyclic(b, witness_bound=4)
+    report = assassins_cyclic(b)
     assert [format_prime(p) for p in report.primes] == [
         "prime(X0)", "prime(X0, X1)"]
     witnesses = dict(report.witnesses)
@@ -63,8 +63,56 @@ def test_assassins_of_monomial_quotient():
     for prime, witness in witnesses.items():
         colon = ideal_colon(b, Element.from_monomial(ring, witness))
         assert prime_variable_set(colon) == prime
-    # free rings never certify scan completeness
-    assert not report.complete
+    # The witnesses divide lcm(X0^2, X0*X1), so even a free ring's scan is
+    # exact.
+    assert report.complete
+
+
+def test_zero_ideal_of_artinian_ring_has_the_maximal_ideal():
+    # Q[X0, X1]/(X0^3, X1^2): the socle X0^2*X1 is killed by (X0, X1).
+    ring = RingPresentation(2, [RewriteRule(_var(0, 3)),
+                                RewriteRule(_var(1, 2))])
+    zero = IdealHandle.zero(ring)
+    ass = assassins_cyclic(zero)
+    assert ass.primes == (frozenset({0, 1}),)
+    assert ass.witnesses == ((frozenset({0, 1}), _var(0, 2).mul(_var(1))),)
+    assert ass.complete
+    assert weak_assassins_cyclic(zero).primes == (frozenset({0, 1}),)
+    # A bound below the socle degree cuts the witness off, and says so.
+    assert assassins_cyclic(zero, 2) == spectrum_module.AssassinReport(
+        (), (), False)
+
+
+def _ring_with_a_free_variable(rng):
+    """A monomial-mode ring of 2 or 3 variables, at least one of them
+    rule-free, and an ideal of up to three random normal monomials."""
+    n = rng.randint(2, 3)
+    free = rng.randrange(n)
+    ruled = [v for v in range(n) if v != free and rng.random() < 0.8]
+    rules = [RewriteRule(_var(v, rng.randint(2, 3))) for v in ruled]
+    if len(ruled) == 2 and rng.random() < 0.5:
+        rules.append(RewriteRule(_var(ruled[0]).mul(_var(ruled[1]))))
+    ring = RingPresentation(n, rules)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        m = Monomial([(v, rng.randint(0, 2)) for v in range(n)])
+        if not m.is_one and ring.is_normal(m):
+            gens.append(m)
+    return ring, IdealHandle.from_monomials(ring, gens)
+
+
+def test_default_scans_are_exact_on_rings_with_free_variables():
+    rng = random.Random(2107)
+    for _ in range(150):
+        ring, b = _ring_with_a_free_variable(rng)
+        top = reduce(Monomial.lcm, b.lifted_monomials(), Monomial.one())
+        ass, assf = assassin_scan(IdealHandle.unit(ring), b)
+        assert ass.complete and assf.complete
+        bound = top.degree
+        assert list(ass.primes) == assassin_sets(
+            b, bound, verify_bound=bound + 1), b
+        assert list(assf.primes) == weak_assassin_sets(
+            b, bound, verify_bound=bound + 1), b
 
 
 def test_weak_assassin_of_domain_is_zero_ideal():
@@ -138,8 +186,7 @@ def test_assassin_scan_shared_by_equal_handles(monkeypatch):
         one = assassin_scan(IdealHandle.unit(ring), first)
         before = len(calls)
         assert before > start
-        two = assassin_scan(IdealHandle.unit(ring), second,
-                            default_witness_bound(second))
+        two = assassin_scan(IdealHandle.unit(ring), second)
         assert one == two
         assert one[0] == assassins_cyclic(instance.relations)
         assert one[1] == weak_assassins_cyclic(instance.relations)
@@ -147,6 +194,10 @@ def test_assassin_scan_shared_by_equal_handles(monkeypatch):
 
 
 def test_witness_scan_matches_membership_filter():
+    """The scan lists the normal divisors of L (the lcm of the numerator's
+    generators and the denominator's lifted basis) that lie in the
+    numerator and outside the denominator, in grlex order; a bound keeps
+    those up to its degree and reports whether it dropped any."""
     rng = random.Random(73)
     flags = set()
     for i in range(30):
@@ -156,18 +207,17 @@ def test_witness_scan_matches_membership_filter():
                 (IdealHandle.unit(ring), instance.relations),
                 (instance.extension, instance.relations),
                 (instance.acting, instance.extension)):
-            def survives(m):
-                return (numerator.contains_monomial(m)
-                        and not denominator.contains_monomial(m))
-            gen_deg = max((g.degree for g in numerator.monomial_generators()),
-                          default=0)
+            top = reduce(Monomial.lcm, numerator.monomial_generators()
+                         + denominator.lifted_monomials(), Monomial.one())
+            survivors = [m for m in ring.normal_monomials_up_to(top.degree)
+                         if m.divides(top)
+                         and numerator.contains_monomial(m)
+                         and not denominator.contains_monomial(m)]
+            assert spectrum_module._witness_scan(numerator, denominator) == (
+                survivors, True)
             for bound in range(instance.witness_bound + 1):
-                expect = [m for d in range(bound + 1)
-                          for m in ring.normal_monomials_of_degree(d)
-                          if survives(m)]
-                complete = bound + 1 >= gen_deg and not any(
-                    survives(m)
-                    for m in ring.normal_monomials_of_degree(bound + 1))
+                expect = [m for m in survivors if m.degree <= bound]
+                complete = len(expect) == len(survivors)
                 assert spectrum_module._witness_scan(
                     numerator, denominator, bound) == (expect, complete)
                 flags.add(complete)
@@ -203,4 +253,3 @@ def test_assassin_scan_matches_per_witness_recomputation():
             assert dict(ass.witnesses) == expect_ass
             assert dict(assf.witnesses) == expect_assf
             assert ass.complete == assf.complete == complete
-            assert ass.witness_bound == assf.witness_bound == bound

@@ -98,6 +98,27 @@ def test_fairness_all_verdicts_on_artinian_instance():
     assert report.all_hold
 
 
+def test_comparison_is_complete_only_when_both_scans_are():
+    # Q[X0, X1]/(X0^3, X1^2) at a = (X0): the module R/0 is all small
+    # torsion, so the quotient side of "fair" is the zero module and its
+    # scan is complete at any bound.  The base side needs the socle
+    # X0^2*X1 of degree 3, which a bound of 2 cuts off.
+    ring = RingPresentation(2, [RewriteRule(_var(0, 3)),
+                                RewriteRule(_var(1, 2))])
+    a = IdealHandle.from_monomials(ring, [_var(0)])
+    zero = IdealHandle.zero(ring)
+    truncated = fairness_report(a, zero, witness_bound=2)
+    base_ass, base_assf = truncated.scans[0]
+    small_quot_ass = truncated.scans[2][0]
+    assert small_quot_ass.complete and not base_ass.complete
+    assert not base_assf.complete
+    assert [c.complete for c in truncated.comparisons] == [False] * 6
+    assert not truncated.complete
+    exact = fairness_report(a, zero)
+    assert exact.complete
+    assert all(c.complete for c in exact.comparisons)
+
+
 def test_fairness_verdict_names_are_stable():
     assert VERDICT_NAMES == (
         "fair",
