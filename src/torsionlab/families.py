@@ -10,6 +10,12 @@ Probe device used throughout: non-vanishing of a^n * f in the limit ring is
 certified at a finite level by multiplying f with powers of variables not
 occurring in f, which keeps the product in normal form.
 
+A monomial probe m * x is read from the ring's cached normal form of the
+monomial product, not built as an Element product.  Each evaluator computes
+its level-invariant facts once per call (the monomial list, which of them
+lie outside an ideal, the random-element pool) and reuses them across its
+probe variables.
+
 No claim builds a power of the acting ideal.  "m lies in a^n" is
 power_order(a, m) >= n, the most generators of a whose product divides m;
 "a^n * X_i lies in b" (or is zero) is a walk over the products of a's
@@ -97,11 +103,14 @@ def _check_level(level):
 
 def check_schedule(levels, window):
     """Reject a replication schedule before any level is instantiated:
-    instantiation is costly."""
+    instantiation is costly.  The window must fit inside the schedule."""
     if window < 2:
         raise InvalidSchedule("window must be at least 2")
     if not levels:
         raise InvalidSchedule("empty level schedule")
+    if window > len(levels):
+        raise InvalidSchedule("window %d is longer than the %d scheduled "
+                              "levels" % (window, len(levels)))
     if list(levels) != sorted(set(levels)):
         raise InvalidSchedule("levels must be strictly increasing")
     for level in levels:
@@ -327,16 +336,15 @@ def _build_idem50A(level):
 
 def _idem50A_generators_idempotent(ring, ideals, level, rng):
     for v in range(ring.num_vars):
-        x = Element.from_monomial(ring, Monomial.variable(v))
-        if x.mul(x) != x:
+        x = Monomial.variable(v)
+        if ring.normal_form_monomial(x.mul(x)) != ring.normal_form_monomial(x):
             return False
     return True
 
 
 def _idem50A_low_degree_idempotent(ring, ideals, level, rng):
     for m in ring.normal_monomials_up_to(3):
-        e = Element.from_monomial(ring, m)
-        if e.mul(e) != e:
+        if ring.normal_form_monomial(m.mul(m)) != ring.normal_form_monomial(m):
             return False
     return True
 
@@ -376,11 +384,13 @@ def _build_idem50C(level):
     return ring, {"a": acting, "b": relations}
 
 
+_FREE = frozenset((0,))
+
+
 def _idem50C_split(m):
     """(free-variable exponent, idempotent support) of a normal monomial."""
     e = m.exponent(0)
-    s = frozenset(v for v in m.support if v != 0)
-    return e, s
+    return e, (m.support - _FREE if e else m.support)
 
 
 def _idem50C_member(m):
@@ -393,20 +403,21 @@ def _idem50C_member(m):
 def _idem50C_element_member(f):
     """The relations ideal is spanned by monomials, so an element belongs
     exactly when all its monomials do."""
-    return all(_idem50C_member(m) for m in f.monomials())
+    return all(_idem50C_member(m) for m in f.terms)
 
 
 def _idem50C_membership_cross_check(ring, ideals, level, rng):
     b = ideals["b"]
     for m in ring.normal_monomials_up_to(4):
-        engine = ideal_membership(_monomial_elem(ring, m), b)
+        probe = _monomial_elem(ring, m)
+        engine = ideal_membership(probe, b)
         if _idem50C_member(m) != engine.is_yes:
             return False
         if engine.is_yes:
             total = Element.zero(ring)
             for k, h in engine.certificate:
                 total = total.add(b.generators[k].mul(h))
-            if total != _monomial_elem(ring, m):
+            if total != probe:
                 return False
     return True
 
@@ -415,27 +426,26 @@ def _idem50C_colon_by_acting_trivial(ring, ideals, level, rng):
     # Windowed form of "(b : a) = 0": any f outside b with bounded
     # free-variable degree p multiplies out of b by the fresh X_{p+1},
     # so no bounded f annihilates a into b.
-    b = ideals["b"]
     top = ring.num_vars - 1
+    low = ring.normal_monomials_up_to(3)
+    outside = [(m.exponent(0), m) for m in low if not _idem50C_member(m)]
     for p in range(0, top):
-        fresh = Element.from_monomial(ring, Monomial.variable(p + 1))
-        for m in ring.normal_monomials_up_to(3):
-            if m.exponent(0) > p or _idem50C_member(m):
-                continue
-            if _idem50C_element_member(_monomial_elem(ring, m).mul(fresh)):
+        fresh = Monomial.variable(p + 1)
+        for e, m in outside:
+            if e <= p and _idem50C_element_member(
+                    ring.normal_form_monomial(m.mul(fresh))):
                 return False
     # Random general elements with a fresh multiplier beyond their span.
+    pool = [m for m in low if m.max_var() < top and m.exponent(0) < top]
     for _ in range(5):
-        pool = [m for m in ring.normal_monomials_up_to(3)
-                if m.max_var() < top and m.exponent(0) < top]
         picks = rng.sample(pool, min(3, len(pool)))
         f = Element.zero(ring)
         for m in picks:
             f = f.add(Element.from_monomial(ring, m, rng.choice([1, -1, 2])))
         if f.is_zero or _idem50C_element_member(f):
             continue
-        q = 1 + max(max(m.max_var() for m in f.monomials()), 0,
-                    max(m.exponent(0) for m in f.monomials()))
+        q = 1 + max(max(m.max_var() for m in f.terms), 0,
+                    max(m.exponent(0) for m in f.terms))
         if q > top:
             continue
         shifted = f.mul(Element.from_monomial(ring, Monomial.variable(q)))
@@ -449,13 +459,13 @@ def _idem50C_colon_by_free_var_in_acting(ring, ideals, level, rng):
     # never have empty idempotent support.  Checked twice: by the exact
     # membership rule, and on the generators of the engine's exact colon.
     b = ideals["b"]
-    x0 = Element.from_monomial(ring, Monomial.variable(0))
+    x0 = Monomial.variable(0)
     for m in ring.normal_monomials_up_to(4):
-        if _idem50C_member(m.mul(Monomial.variable(0))):
+        if _idem50C_member(m.mul(x0)):
             _, s = _idem50C_split(m)
             if not s:
                 return False
-    col = ideal_colon(b, x0)
+    col = ideal_colon(b, Element.from_monomial(ring, x0))
     if not col.complete:
         return False
     for g in col.generators:

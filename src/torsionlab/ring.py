@@ -410,19 +410,29 @@ class RingPresentation:
     def normal_divisors(self, top):
         """All normal monomials dividing ``top``, as a tuple in grlex order.
 
-        Divisors of a normal monomial are normal, so extending level by
-        level up to the exponents of ``top`` misses none.  Computed once per
-        ring and ``top``.
+        When the level cache already holds every normal monomial of degree
+        up to that of ``top`` (it reaches that degree, or ends in an empty
+        level), the divisors are those levels filtered by divisibility.
+        Otherwise they are enumerated: divisors of a normal monomial are
+        normal, so extending level by level up to the exponents of ``top``
+        misses none.  Computed once per ring and ``top``.
         """
         cached = self._divisors.get(top)
         if cached is None:
-            steps = [(v, cap, Monomial.variable(v)) for v, cap in top.pairs]
-            out = []
-            level = (Monomial.one(),)
-            while level:
-                out.extend(level)
-                level = self._next_level(level, steps)
-            cached = self._divisors[top] = tuple(out)
+            levels = self._levels
+            if len(levels) > top.degree or not levels[-1]:
+                cached = tuple(m for level in levels[:top.degree + 1]
+                               for m in level if m.divides(top))
+            else:
+                steps = [(v, cap, Monomial.variable(v))
+                         for v, cap in top.pairs]
+                out = []
+                level = (Monomial.one(),)
+                while level:
+                    out.extend(level)
+                    level = self._next_level(level, steps)
+                cached = tuple(out)
+            self._divisors[top] = cached
         return cached
 
     def normal_monomials_up_to(self, d):

@@ -272,6 +272,19 @@ def test_stability_window_flag_validated_at_execution(tmp_path, capsys):
     assert "window must be at least 2" in out
 
 
+def test_window_longer_than_the_schedule_is_a_usage_error(tmp_path, capsys):
+    code, out, err = _run(capsys, "examples", "--run", "nil40A",
+                          "--levels", "4..5", "--window", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: window 3 is longer than the 2 scheduled levels\n"
+    path = _write(tmp_path,
+                  "family nil40A levels 4..5 window 3\nrun example nil40A\n")
+    code, out, _ = _run(capsys, "run", path)
+    assert code == 2
+    assert "window 3 is longer than the 2 scheduled levels" in out
+
+
 def test_run_family_schedule_from_script(tmp_path, capsys):
     path = _write(tmp_path,
                   "family idem50A levels 4..6 window 2\nrun example idem50A\n")
@@ -292,19 +305,31 @@ def test_run_bad_family_schedule_is_script_error(tmp_path, capsys):
     assert tree["statements"][0]["error"] == "level 16 outside 0..15"
 
 
-def test_module_entry_point_runs_without_warnings():
+def _run_module(*argv):
+    """``python -m ARGV`` in a fresh interpreter at the checkout root, with
+    ``src`` on the path."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    done = subprocess.run(
-        [sys.executable, "-m", "torsionlab.cli", "run",
-         "scripts/fairness_demo.tl"],
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_runs_without_warnings():
+    done = _run_module("torsionlab.cli", "run", "scripts/fairness_demo.tl")
     assert done.returncode == 0
     assert done.stderr == ""
     assert "status: ok" in done.stdout
+
+
+def test_package_runs_as_a_module():
+    done = _run_module("torsionlab", "examples", "--list")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "tag: nil40A" in done.stdout
 
 
 def test_package_resolves_cli_names_lazily():

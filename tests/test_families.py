@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import pytest
 
+from torsionlab import families
 from torsionlab.errors import InvalidSchedule, TorsionlabError, UnknownTag
 from torsionlab.families import (
     ClaimResult,
     DEFAULT_LEVELS,
     ExampleReport,
     MAX_LEVEL,
+    _claim_rng,
     family_tags,
     get_family,
     instantiate,
     replicate_example,
 )
 from torsionlab.ideals import format_ideal
-from torsionlab.ring import Monomial, check_local_confluence, format_monomial
+from torsionlab.ring import (
+    Element,
+    Monomial,
+    check_local_confluence,
+    format_monomial,
+)
 
 
 def test_registry_lists_seven_tags_sorted():
@@ -94,6 +101,7 @@ def test_schedule_errors_are_typed():
         lambda: replicate_example("nil40A", levels=(5, 4, 6)),
         lambda: replicate_example("nil40A", levels=(4, MAX_LEVEL + 1)),
         lambda: replicate_example("nil40A", levels=()),
+        lambda: replicate_example("nil40A", levels=(4, 5), window=3),
     )
     for attempt in attempts:
         with pytest.raises(InvalidSchedule) as exc:
@@ -168,3 +176,84 @@ def test_generator_torsion_claims_are_tight():
                     ideals["a"], module, target, level + 2) == n
                 assert _power_kill_exponent(
                     ideals["a"], module, target, n - 1) is None
+
+
+def _idem50C_claim(name):
+    (claim,) = [c for c in get_family("idem50C").claims if c.name == name]
+    return claim
+
+
+def _shifted_member(m):
+    """The idem50C membership rule with its exponent bound one too low."""
+    e, s = families._idem50C_split(m)
+    return bool(s) and e >= min(s) - 1
+
+
+def test_idem50C_claims_fail_under_a_shifted_membership_rule(monkeypatch):
+    # X_0^p * X_{p+1} and X_1 now count as members: both claims that read
+    # the exact rule must notice.
+    monkeypatch.setattr(families, "_idem50C_member", _shifted_member)
+    family = get_family("idem50C")
+    for name in ("colon-by-acting-trivial", "membership-cross-check"):
+        claim = _idem50C_claim(name)
+        values = []
+        for level in range(4, 10):
+            ring, ideals = instantiate(family, level)
+            rng = _claim_rng(42, "idem50C", name, level)
+            values.append(claim.run(ring, ideals, level, rng))
+        assert not all(values), name
+
+
+def _reference_colon_by_acting_trivial(ring, ideals, level, rng):
+    """The colon claim on Element products, rebuilding the monomial list
+    per probe variable: the reference for the cached evaluator."""
+    member = families._idem50C_member
+
+    def element_member(f):
+        return all(member(m) for m in f.monomials())
+
+    top = ring.num_vars - 1
+    for p in range(0, top):
+        fresh = Element.from_monomial(ring, Monomial.variable(p + 1))
+        for m in ring.normal_monomials_up_to(3):
+            if m.exponent(0) > p or member(m):
+                continue
+            if element_member(Element.from_monomial(ring, m).mul(fresh)):
+                return False
+    for _ in range(5):
+        pool = [m for m in ring.normal_monomials_up_to(3)
+                if m.max_var() < top and m.exponent(0) < top]
+        picks = rng.sample(pool, min(3, len(pool)))
+        f = Element.zero(ring)
+        for m in picks:
+            f = f.add(Element.from_monomial(ring, m, rng.choice([1, -1, 2])))
+        if f.is_zero or element_member(f):
+            continue
+        q = 1 + max(max(m.max_var() for m in f.monomials()), 0,
+                    max(m.exponent(0) for m in f.monomials()))
+        if q > top:
+            continue
+        shifted = f.mul(Element.from_monomial(ring, Monomial.variable(q)))
+        if element_member(shifted):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("rule", ["exact", "shifted"])
+def test_idem50C_colon_claim_matches_the_element_reference(rule, monkeypatch):
+    # Under the shifted rule the claim fails, so the two evaluators are
+    # compared on False values too.
+    if rule == "shifted":
+        monkeypatch.setattr(families, "_idem50C_member", _shifted_member)
+    name = "colon-by-acting-trivial"
+    claim = _idem50C_claim(name)
+    family = get_family("idem50C")
+    for level in range(0, 13):
+        ring, ideals = instantiate(family, level)
+        for seed in (42, 7):
+            ours = _claim_rng(seed, "idem50C", name, level)
+            theirs = _claim_rng(seed, "idem50C", name, level)
+            assert claim.run(ring, ideals, level, ours) == \
+                _reference_colon_by_acting_trivial(ring, ideals, level, theirs)
+            # the same random elements were drawn
+            assert ours.getstate() == theirs.getstate(), (level, seed)

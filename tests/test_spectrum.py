@@ -115,6 +115,38 @@ def test_default_scans_are_exact_on_rings_with_free_variables():
             b, bound, verify_bound=bound + 1), b
 
 
+def _divisors_both_ways(ring, top, fill):
+    """normal_divisors(top) on two fresh copies of ring: one walks, the
+    other has its level cache filled by ``fill`` first and may not walk."""
+    walked = RingPresentation(ring.num_vars, ring.rules)
+    filtered = RingPresentation(ring.num_vars, ring.rules)
+    fill(filtered)
+
+    def no_walk(*args):
+        raise AssertionError("walked although the level cache covers top")
+
+    filtered._next_level = no_walk
+    return walked.normal_divisors(top), filtered.normal_divisors(top)
+
+
+def test_normal_divisors_from_the_level_cache_equal_the_walk():
+    rng = random.Random(2107)
+    for _ in range(150):
+        ring, b = _ring_with_a_free_variable(rng)
+        top = reduce(Monomial.lcm, b.lifted_monomials(), Monomial.one())
+        walked, filtered = _divisors_both_ways(
+            ring, top, lambda r: r.normal_monomials_of_degree(top.degree))
+        assert walked == filtered, top
+    rng = random.Random(4)
+    for index in range(40):
+        inst = random_instance(index, rng)
+        top = reduce(Monomial.lcm, inst.acting.monomial_generators()
+                     + inst.relations.lifted_monomials(), Monomial.one())
+        walked, filtered = _divisors_both_ways(
+            inst.ring, top, RingPresentation.finite_basis_max_degree)
+        assert walked == filtered, top
+
+
 def test_weak_assassin_of_domain_is_zero_ideal():
     ring = RingPresentation(1)
     report = weak_assassins_cyclic(IdealHandle.zero(ring), witness_bound=3)
