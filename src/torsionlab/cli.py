@@ -261,7 +261,7 @@ def main(argv=None):
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 source = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         try:

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Optional
 
 from .errors import ParseError, PatternError
@@ -221,19 +222,11 @@ class Comprehension:
         names = [s[0] for s in slots]
         if len(set(names)) != len(names):
             raise PatternError("duplicate loop variable in %r" % self.render())
-
-        def rec(k, env):
-            if k == len(slots):
-                if all(c.holds(env) for c in self.guard):
-                    yield dict(env)
-                return
-            name, low, high = slots[k]
-            for value in range(low, high + 1):
-                env[name] = value
-                yield from rec(k + 1, env)
-            env.pop(name, None)  # an empty range never bound it
-
-        yield from rec(0, {})
+        ranges = [range(low, high + 1) for _, low, high in slots]
+        for values in product(*ranges):
+            env = dict(zip(names, values))
+            if all(c.holds(env) for c in self.guard):
+                yield env
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """Seeded random-instance harness asserting the proposition suite.
 
 Every generated ring is an artinian monomial truncation (each variable is
-nilpotent by a rule), so a witness bound one past the largest normal degree
-cuts no scan off, every saturation stabilizes, and the noetherian forms of
-the propositions apply.
+nilpotent by a rule), so every saturation stabilizes and the noetherian
+forms of the propositions apply.
 A violation therefore indicates an implementation bug, and each one carries
 a script reproducing its instance.
 """
@@ -11,7 +10,6 @@ a script reproducing its instance.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 
 from .dsl import CheckStatement, Script, ideal_statement, ring_statement
@@ -38,7 +36,9 @@ class HarnessInstance:
     relations: IdealHandle
     extension: IdealHandle  # contains relations
     between: IdealHandle  # between acting and its radical
-    witness_bound: int  # one past the largest normal degree
+    # One past the largest normal degree.  The engine no longer reads it;
+    # it stays because perfbench's workloads do, until ROADMAP item 1.
+    witness_bound: int
 
     @property
     def script(self):
@@ -60,7 +60,6 @@ class HarnessReport:
     instances: int
     checks_run: int
     violations: tuple
-    elapsed_seconds: float
 
     @property
     def ok(self):
@@ -128,6 +127,7 @@ def random_instance(index, rng):
               if rng.random() < 0.5]
     between = ideal_sum(
         acting, IdealHandle.from_monomials(ring, extras))
+    # Also fills the ring's level cache, which every witness scan filters.
     witness_bound = ring.finite_basis_max_degree() + 1
     return HarnessInstance(
         index, ring, acting, relations, extension, between, witness_bound)
@@ -154,20 +154,14 @@ def check_instance(instance):
     b = instance.relations
     c = instance.extension
     a2 = instance.between
-    bound = instance.witness_bound
     ck = _Checker(instance)
 
-    report = fairness_report(a, b, bound)
+    report = fairness_report(a, b)
     small, large = report.small, report.large
     g = small.preimage
     h = large.preimage
     ((base_ass, base_assf), (sub_s_ass, sub_s_assf), (quo_s_ass, quo_s_assf),
      (sub_l_ass, sub_l_assf), (quo_l_ass, quo_l_assf)) = report.scans
-
-    ck.check("scan-completeness",
-             small.stabilized and large.stabilized
-             and all(r.complete for pair in report.scans for r in pair),
-             "witness bound %d" % bound)
 
     ck.check("subfunctor-chain",
              all(g.contains_monomial(m) for m in b.monomial_generators())
@@ -220,7 +214,7 @@ def check_instance(instance):
              "verdicts %s" % (tuple(cmp.holds for cmp in report.comparisons),))
 
     small2 = gamma_small_cyclic(a2, b)
-    sub2_assf = assassin_scan(small2.preimage, b, bound)[1]
+    sub2_assf = assassin_scan(small2.preimage, b)[1]
     wq2 = sub2_assf.prime_set == frozenset(
         intersect_variety(base_assf.primes, a2))
     ck.check("between-quasifair-implication", (not wq2) or wq)
@@ -232,9 +226,8 @@ def check_instance(instance):
     ck.check("zero-module-iff-empty-weak",
              b.is_unit == (not base_assf.prime_set))
 
-    c_sub_ass, c_sub_assf = assassin_scan(c, b, bound)
-    c_quo_ass, c_quo_assf = assassin_scan(
-        IdealHandle.unit(instance.ring), c, bound)
+    c_sub_ass, c_sub_assf = assassin_scan(c, b)
+    c_quo_ass, c_quo_assf = assassin_scan(IdealHandle.unit(instance.ring), c)
     ck.check("exact-sequence-ass",
              c_sub_ass.prime_set <= base_ass.prime_set
              and base_ass.prime_set
@@ -252,15 +245,14 @@ def check_instance(instance):
              frozenset(difference_variety(c_quo_assf.primes, ann_sub))
              <= base_assf.prime_set)
 
-    cap = bound + 2
-    bnd_small = bounded_torsion_exponent(a, g, b, cap)
+    bnd_small = bounded_torsion_exponent(a, g, b)
     if bnd_small is not None:
         if not intersect_variety(quo_s_ass.primes, a):
             ck.check("bounded-small-fair", report.verdict("fair"))
         if not intersect_variety(quo_s_assf.primes, a):
             ck.check("bounded-small-weak-fair",
                      report.verdict("fair") and wf)
-    bnd_large = bounded_torsion_exponent(a, h, b, cap)
+    bnd_large = bounded_torsion_exponent(a, h, b)
     if bnd_large is not None:
         ck.check("bounded-large-fair", report.verdict("large_fair"))
         if not intersect_variety(quo_l_assf.primes, a):
@@ -285,7 +277,6 @@ def check_instance(instance):
 
 def proposition_harness(instances=DEFAULT_INSTANCES, seed=DEFAULT_SEED):
     rng = random.Random(seed)
-    start = time.perf_counter()
     checks = 0
     violations = []
     flags = []
@@ -304,5 +295,4 @@ def proposition_harness(instances=DEFAULT_INSTANCES, seed=DEFAULT_SEED):
                 -1, "sum-centredness-closure",
                 "acting and between witnesses all ok but a sum witness failed",
                 ""))
-    elapsed = time.perf_counter() - start
-    return HarnessReport(seed, instances, checks, tuple(violations), elapsed)
+    return HarnessReport(seed, instances, checks, tuple(violations))

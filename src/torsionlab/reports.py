@@ -94,7 +94,6 @@ def assassin_tree(report):
         "witnesses": [
             {"prime": format_prime(p), "witness": format_monomial(m)}
             for p, m in report.witnesses],
-        "complete": report.complete,
     }
 
 
@@ -109,7 +108,6 @@ def fairness_tree(report):
                 "left": prime_list(c.left),
                 "right": prime_list(c.right),
                 "holds": c.holds,
-                "complete": c.complete,
             }
             for c in report.comparisons},
         "centred_witness_ok": report.centred_witness_ok,

@@ -95,14 +95,9 @@ def difference_variety(primes, ideal):
 
 @dataclass(frozen=True)
 class AssassinReport:
-    """Primes with one monomial witness each.
-
-    complete means no explicit witness bound cut a witness off; a scan
-    without a bound is always complete.
-    """
+    """Primes with one monomial witness each, the grlex-first one."""
     primes: tuple  # of frozenset, sorted
     witnesses: tuple  # of (frozenset, Monomial), aligned with primes
-    complete: bool
 
     @property
     def prime_set(self):
@@ -118,41 +113,37 @@ def _sorted_primes(pairs):
     return tuple(primes), tuple((p, dedup[p]) for p in primes)
 
 
-def _witness_scan(numerator, denominator, bound=None):
-    """Normal divisors of L in the numerator but not the denominator, in
-    grlex order, and whether ``bound`` (a degree, when given) cut none off.
+def _witness_scan(numerator, denominator, top):
+    """Normal divisors of ``top`` in the numerator but not the denominator,
+    in grlex order.
 
-    L is the lcm of the numerator's generators and the denominator's lifted
-    basis.  A normal monomial lies in a monomial-mode ideal exactly when one
-    of its reduced generators divides it.
+    A normal monomial lies in a monomial-mode ideal exactly when one of its
+    reduced generators divides it.
     """
     num_gens = numerator.monomial_generators()
     den_gens = denominator.monomial_generators()
-    top = reduce(Monomial.lcm, num_gens + denominator.lifted_monomials(),
-                 Monomial.one())
-    witnesses = []
-    for m in numerator.ring.normal_divisors(top):
-        if (any(g.divides(m) for g in num_gens)
-                and not any(g.divides(m) for g in den_gens)):
-            if bound is not None and m.degree > bound:
-                return witnesses, False
-            witnesses.append(m)
-    return witnesses, True
+    return [m for m in numerator.ring.normal_divisors(top)
+            if any(g.divides(m) for g in num_gens)
+            and not any(g.divides(m) for g in den_gens)]
 
 
-def assassin_scan(numerator, denominator, witness_bound=None):
+def assassin_scan(numerator, denominator):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
-    One witness scan serves both reports; a ``witness_bound`` truncates it
-    at that degree, and None scans every witness.  A witness's annihilator,
-    the colon (denominator : m) as a lifted basis, gives an ass prime when
-    it is prime, and its minimal primes are ass^f primes.  Both are read
-    from the ring's witness table for the denominator's generators, so each
-    annihilator is computed once per ring, whatever the numerator.
+    One exact witness scan, over the normal divisors of L, serves both
+    reports.  A witness's annihilator, the colon (denominator : m) as a
+    lifted basis, gives an ass prime when it is prime, and its minimal
+    primes are ass^f primes.  Both are read from the ring's witness table
+    for the denominator's generators, so each annihilator is computed once
+    per ring, whatever the numerator.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
-    witnesses, complete = _witness_scan(numerator, denominator, witness_bound)
+    top = reduce(Monomial.lcm, numerator.monomial_generators()
+                 + denominator.lifted_monomials(), Monomial.one())
+    # L stays the scan's third positional argument: the perfbench tracer
+    # keys each traced scan on it (until ROADMAP item 1).
+    witnesses = _witness_scan(numerator, denominator, top)
     table = denominator.ring._witness_tables.setdefault(
         denominator.monomial_generators(), {})
     ass_pairs = []
@@ -167,17 +158,31 @@ def assassin_scan(numerator, denominator, witness_bound=None):
         if prime is not None:
             ass_pairs.append((prime, m))
         assf_pairs.extend((p, m) for p in minimal)
-    return tuple(AssassinReport(*_sorted_primes(pairs), complete)
+    return tuple(AssassinReport(*_sorted_primes(pairs))
                  for pairs in (ass_pairs, assf_pairs))
 
 
+def _within_degree(report, witness_bound):
+    """The primes of ``report`` whose witness has degree at most
+    ``witness_bound``; None keeps them all."""
+    if witness_bound is None:
+        return report
+    kept = tuple((p, m) for p, m in report.witnesses
+                 if m.degree <= witness_bound)
+    return AssassinReport(tuple(p for p, _ in kept), kept)
+
+
+# ``witness_bound`` stays only because perfbench's oracle workload passes it
+# positionally; ROADMAP item 1 removes it.
 def assassins_cyclic(denominator, witness_bound=None):
-    """ass(R / denominator)."""
-    return assassin_scan(
-        IdealHandle.unit(denominator.ring), denominator, witness_bound)[0]
+    """ass(R / denominator), optionally only the primes whose grlex-first
+    witness has degree at most ``witness_bound``."""
+    return _within_degree(assassin_scan(
+        IdealHandle.unit(denominator.ring), denominator)[0], witness_bound)
 
 
 def weak_assassins_cyclic(denominator, witness_bound=None):
-    """ass^f(R / denominator)."""
-    return assassin_scan(
-        IdealHandle.unit(denominator.ring), denominator, witness_bound)[1]
+    """ass^f(R / denominator), optionally only the primes whose grlex-first
+    witness has degree at most ``witness_bound``."""
+    return _within_degree(assassin_scan(
+        IdealHandle.unit(denominator.ring), denominator)[1], witness_bound)

@@ -68,14 +68,14 @@ def gamma_large_cyclic(acting, relations):
                          max((sat.steps for sat in sats), default=0))
 
 
-def bounded_torsion_exponent(acting, preimage, relations, cap=None):
+def bounded_torsion_exponent(acting, preimage, relations):
     """Smallest n with acting^n * preimage inside relations, or None past
-    ``cap`` (when given) or the work budget.
+    the work budget.
 
     When this exists the torsion submodule preimage/relations is killed by a
     single power of the acting ideal.
     """
-    return _power_kill_exponent(acting, preimage, relations, cap)
+    return _power_kill_exponent(acting, preimage, relations)
 
 
 VERDICT_NAMES = (
@@ -94,7 +94,6 @@ class FairnessComparison:
     left: tuple  # primes computed from the torsion side, sorted
     right: tuple  # primes from the base module restricted by the variety
     holds: bool
-    complete: bool
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ class FairnessReport:
     centred_witness_ok: bool
     half_centred_witness_ok: bool
     functors_agree: bool
-    complete: bool
+    complete: bool  # both saturations stabilized
     # (ass, ass^f) report pairs of R/relations, small torsion,
     # R/small preimage, large torsion and R/large preimage; not rendered.
     scans: tuple
@@ -123,14 +122,12 @@ class FairnessReport:
         return all(c.holds for c in self.comparisons)
 
 
-def _compare(name, left_report, right_report, right_primes):
-    """Compare the left scan's primes with primes read off the right scan;
-    complete only when both scans are."""
+def _compare(name, left_report, right_primes):
+    """Compare the left scan's primes with primes read off the base scan."""
     left = tuple(left_report.primes)
     right = tuple(sorted(right_primes, key=lambda s: (len(s), sorted(s))))
     return FairnessComparison(
-        name, left, right, frozenset(left) == frozenset(right),
-        left_report.complete and right_report.complete)
+        name, left, right, frozenset(left) == frozenset(right))
 
 
 def centredness_flags(acting, small, base_assf):
@@ -147,19 +144,18 @@ def centredness_flags(acting, small, base_assf):
     return centred, half_centred
 
 
-def fairness_report(acting, relations, witness_bound=None):
+def fairness_report(acting, relations):
     """All six fairness verdicts for the module R/relations at the acting
     ideal, plus centredness witnesses.
 
-    With a None witness bound every assassin scan is exact; an explicit
-    bound truncates every scan at that degree.  The complete flag reports
-    whether no scan was cut off and both saturations stabilized; verdicts
-    from incomplete scans are advisory.
+    Every assassin scan is exact.  The complete flag reports whether both
+    saturations stabilized; verdicts from an unstabilized torsion are
+    advisory.
     """
     small = gamma_small_cyclic(acting, relations)
     large = gamma_large_cyclic(acting, relations)
     unit = IdealHandle.unit(relations.ring)
-    scans = tuple(assassin_scan(numerator, denominator, witness_bound)
+    scans = tuple(assassin_scan(numerator, denominator)
                   for numerator, denominator in (
                       (unit, relations),
                       (small.preimage, relations),
@@ -174,24 +170,21 @@ def fairness_report(acting, relations, witness_bound=None):
     assf_meet = intersect_variety(base_assf.primes, acting)
 
     comparisons = (
-        _compare("fair", small_quot_ass, base_ass, ass_minus),
-        _compare("weakly_fair", small_quot_assf, base_assf, assf_minus),
-        _compare("weakly_quasifair", small_sub_assf, base_assf, assf_meet),
-        _compare("large_fair", large_quot_ass, base_ass, ass_minus),
-        _compare("weakly_large_fair", large_quot_assf, base_assf, assf_minus),
-        _compare("weakly_large_quasifair", large_sub_assf, base_assf,
-                 assf_meet),
+        _compare("fair", small_quot_ass, ass_minus),
+        _compare("weakly_fair", small_quot_assf, assf_minus),
+        _compare("weakly_quasifair", small_sub_assf, assf_meet),
+        _compare("large_fair", large_quot_ass, ass_minus),
+        _compare("weakly_large_fair", large_quot_assf, assf_minus),
+        _compare("weakly_large_quasifair", large_sub_assf, assf_meet),
     )
 
     centred_ok, half_centred_ok = centredness_flags(acting, small, base_assf)
     functors_agree = small.preimage.equals(large.preimage) is True
 
-    complete = (small.stabilized and large.stabilized
-                and all(c.complete for c in comparisons))
-
     return FairnessReport(
         acting, relations, small, large, comparisons,
-        centred_ok, half_centred_ok, functors_agree, complete, scans)
+        centred_ok, half_centred_ok, functors_agree,
+        small.stabilized and large.stabilized, scans)
 
 
 def radical_probe(acting, corpus):

@@ -81,8 +81,7 @@ def test_criterion_2_fairness_reports_all_true_on_random_instances():
     failures = 0
     for i in range(HARNESS_INSTANCES):
         instance = random_instance(i, rng)
-        report = fairness_report(instance.acting, instance.relations,
-                                 instance.witness_bound)
+        report = fairness_report(instance.acting, instance.relations)
         good = (report.complete
                 and all(report.verdict(name) for name in VERDICT_NAMES)
                 and report.centred_witness_ok
@@ -124,10 +123,10 @@ def test_criterion_3_oracle_equivalence_on_monomial_instances():
             == minimal_prime_sets(b)
 
         bound = instance.witness_bound
-        assert sorted(assassins_cyclic(b, bound).primes,
+        assert sorted(assassins_cyclic(b).primes,
                       key=lambda s: (len(s), sorted(s))) == \
             assassin_sets(b, bound, verify_bound=bound + 1)
-        assert sorted(weak_assassins_cyclic(b, bound).primes,
+        assert sorted(weak_assassins_cyclic(b).primes,
                       key=lambda s: (len(s), sorted(s))) == \
             weak_assassin_sets(b, bound, verify_bound=bound + 1)
         compared += 1

@@ -63,6 +63,15 @@ def test_missing_file_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_non_utf8_script_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "bad.tl"
+    path.write_bytes(b"\xff")
+    code, out, err = _run(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_parse_error_reports_position(tmp_path, capsys):
     path = _write(tmp_path, "ring R = vars X[1..3]\n")
     code, _, err = _run(capsys, "run", path)
@@ -249,7 +258,7 @@ def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
         tag="nil40A", levels=(4,), window=2, seed=42,
         claims=(ClaimResult("c", "d", values=((4, False),),
                             passed=False, stable=True),),
-        confluence_ok=True, elapsed_seconds=0.0)
+        confluence_ok=True)
     monkeypatch.setattr(cli, "replicate_example", lambda *a, **k: failing)
     path = _write(tmp_path, "run example nil40A\n")
     code, out, _ = _run(capsys, "run", path)

@@ -55,11 +55,17 @@ def test_comprehension_comma_lookahead():
 
 
 def test_shared_range_multi_name_binding():
-    script = parse("ring R = vars X[0..2]\nideal b = < X[i]*X[j] for i, j in 0..2 >\n")
-    ring = expand_ring(script.statements[0])
-    b = expand_ideal(script.statements[1], ring)
-    # nine products, reduced to the six distinct monomials
-    assert len(b.generators) == 6
+    many = ", ".join("v%d" % k for k in range(1500))
+    for comprehension, count in (
+            # nine products, reduced to the six distinct monomials
+            ("X[i]*X[j] for i, j in 0..2", 6),
+            # one environment over many loop variables, without recursion
+            ("X[0] for %s in 0..0" % many, 1)):
+        script = parse("ring R = vars X[0..2]\nideal b = < %s >\n"
+                       % comprehension)
+        ring = expand_ring(script.statements[0])
+        b = expand_ideal(script.statements[1], ring)
+        assert len(b.generators) == count
 
 
 def test_guard_comparisons_inside_ideal_brackets():

@@ -126,8 +126,7 @@ def test_replicate_small_window_passes_and_is_deterministic():
 def test_all_pass_requires_every_claim_and_confluence():
     good = ClaimResult("c", "d", values=((4, True),), passed=True, stable=True)
     bad = ClaimResult("c", "d", values=((4, False),), passed=False, stable=True)
-    base = dict(tag="t", levels=(4,), window=2, seed=1, confluence_ok=True,
-                elapsed_seconds=0.0)
+    base = dict(tag="t", levels=(4,), window=2, seed=1, confluence_ok=True)
     assert ExampleReport(claims=(good,), **base).all_pass
     assert not ExampleReport(claims=(good, bad), **base).all_pass
     assert not ExampleReport(claims=(good,), **{**base, "confluence_ok": False}).all_pass

@@ -64,8 +64,8 @@ def test_assassins_of_monomial_quotient():
         colon = ideal_colon(b, Element.from_monomial(ring, witness))
         assert prime_variable_set(colon) == prime
     # The witnesses divide lcm(X0^2, X0*X1), so even a free ring's scan is
-    # exact.
-    assert report.complete
+    # finite.
+    assert all(w.divides(_var(0, 2).mul(_var(1))) for w in witnesses.values())
 
 
 def test_zero_ideal_of_artinian_ring_has_the_maximal_ideal():
@@ -76,11 +76,10 @@ def test_zero_ideal_of_artinian_ring_has_the_maximal_ideal():
     ass = assassins_cyclic(zero)
     assert ass.primes == (frozenset({0, 1}),)
     assert ass.witnesses == ((frozenset({0, 1}), _var(0, 2).mul(_var(1))),)
-    assert ass.complete
     assert weak_assassins_cyclic(zero).primes == (frozenset({0, 1}),)
-    # A bound below the socle degree cuts the witness off, and says so.
-    assert assassins_cyclic(zero, 2) == spectrum_module.AssassinReport(
-        (), (), False)
+    # A witness bound keeps the primes whose witness fits under it.
+    assert assassins_cyclic(zero, 3) == ass
+    assert assassins_cyclic(zero, 2) == spectrum_module.AssassinReport((), ())
 
 
 def _ring_with_a_free_variable(rng):
@@ -107,7 +106,6 @@ def test_default_scans_are_exact_on_rings_with_free_variables():
         ring, b = _ring_with_a_free_variable(rng)
         top = reduce(Monomial.lcm, b.lifted_monomials(), Monomial.one())
         ass, assf = assassin_scan(IdealHandle.unit(ring), b)
-        assert ass.complete and assf.complete
         bound = top.degree
         assert list(ass.primes) == assassin_sets(
             b, bound, verify_bound=bound + 1), b
@@ -149,22 +147,23 @@ def test_normal_divisors_from_the_level_cache_equal_the_walk():
 
 def test_weak_assassin_of_domain_is_zero_ideal():
     ring = RingPresentation(1)
-    report = weak_assassins_cyclic(IdealHandle.zero(ring), witness_bound=3)
+    report = weak_assassins_cyclic(IdealHandle.zero(ring))
     assert [format_prime(p) for p in report.primes] == ["prime()"]
 
 
 def test_zero_module_has_empty_assassins():
     ring = RingPresentation(2)
     unit = IdealHandle.unit(ring)
-    assert assassins_cyclic(unit, witness_bound=3).primes == ()
-    assert weak_assassins_cyclic(unit, witness_bound=3).primes == ()
+    assert assassins_cyclic(unit).primes == ()
+    assert weak_assassins_cyclic(unit).primes == ()
 
 
 def test_subquotient_scan_restricts_to_numerator():
     ring = RingPresentation(2)
     b = IdealHandle.from_monomials(ring, [_var(0, 2).mul(_var(1))])
     numerator = IdealHandle.from_monomials(ring, [_var(0)])
-    report = assassin_scan(numerator, b, witness_bound=4)[0]
+    report = assassin_scan(numerator, b)[0]
+    assert report.witnesses
     for prime, witness in report.witnesses:
         assert numerator.contains_monomial(witness)
         assert not b.contains_monomial(witness)
@@ -174,32 +173,32 @@ def test_assassins_contained_in_weak_assassins():
     rng = random.Random(3)
     for i in range(15):
         instance = random_instance(i, rng)
-        ass = assassins_cyclic(instance.relations, instance.witness_bound)
-        assf = weak_assassins_cyclic(instance.relations, instance.witness_bound)
+        ass = assassins_cyclic(instance.relations)
+        assf = weak_assassins_cyclic(instance.relations)
         assert ass.prime_set <= assf.prime_set
-        assert ass.complete and assf.complete
+
+
+def _sweep_witness_bounds(seed, engine, oracle):
+    """At every witness bound up to one past the largest normal degree, the
+    engine's filtered report names the oracle's primes."""
+    rng = random.Random(seed)
+    for i in range(8):
+        instance = random_instance(i, rng)
+        b, limit = instance.relations, instance.witness_bound
+        for bound in range(limit + 1):
+            report = engine(b, bound)
+            expected = oracle(b, bound, verify_bound=limit + 1)
+            assert sorted(report.primes,
+                          key=lambda s: (len(s), sorted(s))) == expected
+        assert engine(b, limit) == engine(b)
 
 
 def test_assassin_oracle_agreement():
-    rng = random.Random(13)
-    for i in range(8):
-        instance = random_instance(i, rng)
-        report = assassins_cyclic(instance.relations, instance.witness_bound)
-        expected = assassin_sets(
-            instance.relations, instance.witness_bound,
-            verify_bound=instance.witness_bound + 1)
-        assert sorted(report.primes, key=lambda s: (len(s), sorted(s))) == expected
+    _sweep_witness_bounds(13, assassins_cyclic, assassin_sets)
 
 
 def test_weak_assassin_oracle_agreement():
-    rng = random.Random(17)
-    for i in range(8):
-        instance = random_instance(i, rng)
-        report = weak_assassins_cyclic(instance.relations, instance.witness_bound)
-        expected = weak_assassin_sets(
-            instance.relations, instance.witness_bound,
-            verify_bound=instance.witness_bound + 1)
-        assert sorted(report.primes, key=lambda s: (len(s), sorted(s))) == expected
+    _sweep_witness_bounds(17, weak_assassins_cyclic, weak_assassin_sets)
 
 
 def test_assassin_scan_shared_by_equal_handles(monkeypatch):
@@ -225,13 +224,17 @@ def test_assassin_scan_shared_by_equal_handles(monkeypatch):
         assert len(calls) == before
 
 
+def _top(numerator, denominator):
+    """L: the lcm of the numerator's generators and the denominator's
+    lifted basis."""
+    return reduce(Monomial.lcm, numerator.monomial_generators()
+                  + denominator.lifted_monomials(), Monomial.one())
+
+
 def test_witness_scan_matches_membership_filter():
-    """The scan lists the normal divisors of L (the lcm of the numerator's
-    generators and the denominator's lifted basis) that lie in the
-    numerator and outside the denominator, in grlex order; a bound keeps
-    those up to its degree and reports whether it dropped any."""
+    """The scan lists the normal divisors of L that lie in the numerator
+    and outside the denominator, in grlex order."""
     rng = random.Random(73)
-    flags = set()
     for i in range(30):
         instance = random_instance(i, rng)
         ring = instance.ring
@@ -239,21 +242,13 @@ def test_witness_scan_matches_membership_filter():
                 (IdealHandle.unit(ring), instance.relations),
                 (instance.extension, instance.relations),
                 (instance.acting, instance.extension)):
-            top = reduce(Monomial.lcm, numerator.monomial_generators()
-                         + denominator.lifted_monomials(), Monomial.one())
+            top = _top(numerator, denominator)
             survivors = [m for m in ring.normal_monomials_up_to(top.degree)
                          if m.divides(top)
                          and numerator.contains_monomial(m)
                          and not denominator.contains_monomial(m)]
-            assert spectrum_module._witness_scan(numerator, denominator) == (
-                survivors, True)
-            for bound in range(instance.witness_bound + 1):
-                expect = [m for m in survivors if m.degree <= bound]
-                complete = len(expect) == len(survivors)
-                assert spectrum_module._witness_scan(
-                    numerator, denominator, bound) == (expect, complete)
-                flags.add(complete)
-    assert flags == {True, False}
+            assert spectrum_module._witness_scan(
+                numerator, denominator, top) == survivors
 
 
 def test_assassin_scan_matches_per_witness_recomputation():
@@ -261,16 +256,15 @@ def test_assassin_scan_matches_per_witness_recomputation():
     for i in range(40):
         instance = random_instance(i, rng)
         ring = instance.ring
-        bound = instance.witness_bound
         unit = IdealHandle.unit(ring)
         small = gamma_small_cyclic(instance.acting, instance.relations)
         for numerator, denominator in ((unit, instance.relations),
                                        (instance.extension, instance.relations),
                                        (unit, instance.extension),
                                        (small.preimage, instance.relations)):
-            ass, assf = assassin_scan(numerator, denominator, bound)
-            witnesses, complete = spectrum_module._witness_scan(
-                numerator, denominator, bound)
+            ass, assf = assassin_scan(numerator, denominator)
+            witnesses = spectrum_module._witness_scan(
+                numerator, denominator, _top(numerator, denominator))
             # Witnesses come in grlex order, so the first one per prime is
             # the smallest.
             expect_ass, expect_assf = {}, {}
@@ -284,4 +278,3 @@ def test_assassin_scan_matches_per_witness_recomputation():
                     expect_assf.setdefault(prime, m)
             assert dict(ass.witnesses) == expect_ass
             assert dict(assf.witnesses) == expect_assf
-            assert ass.complete == assf.complete == complete
