@@ -83,7 +83,7 @@ from .dsl import Script, expand_ideal, expand_ring, parse
 
 # The cli names resolve on first use: importing torsionlab.cli here would
 # make `python -m torsionlab.cli` find the module already loaded and warn.
-_CLI_NAMES = ("ExecutionOptions", "execute", "main")
+_CLI_NAMES = ("execute", "main")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + [
     "cli", *_CLI_NAMES]

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import reports
 from .dsl import (
@@ -63,15 +62,9 @@ from .torsion import (
 )
 
 
-@dataclass
-class ExecutionOptions:
-    fmt: str = "text"
-    seed: int = DEFAULT_SEED
-
-
 class _Session:
-    def __init__(self, options):
-        self.options = options
+    def __init__(self, seed):
+        self.seed = seed
         self.rings = {}
         self.ideals = {}  # name -> (ring name, IdealHandle)
         self.current_ring = None
@@ -123,7 +116,6 @@ def _execute_query(session, stmt):
 
 
 def _execute_statement(session, stmt):
-    options = session.options
     if isinstance(stmt, RingStatement):
         ring = expand_ring(stmt)
         failures = check_local_confluence(ring)
@@ -159,17 +151,16 @@ def _execute_statement(session, stmt):
     if isinstance(stmt, RunExampleStatement):
         levels, window = session.schedules.get(
             stmt.tag, (DEFAULT_LEVELS, DEFAULT_WINDOW))
-        report = replicate_example(stmt.tag, levels, window, options.seed)
+        report = replicate_example(stmt.tag, levels, window, session.seed)
         if not report.all_pass:
             session.failed = True
         return reports.example_tree(report)
     raise TorsionlabError("unhandled statement")
 
 
-def execute(script, options=None):
+def execute(script, seed=DEFAULT_SEED):
     """Run a parsed script; returns (report tree, exit code)."""
-    options = options or ExecutionOptions()
-    session = _Session(options)
+    session = _Session(seed)
     results = []
     for index, stmt in enumerate(script.statements):
         try:
@@ -254,8 +245,7 @@ def _seed_from(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    options = ExecutionOptions(
-        fmt=args.format, seed=_seed_from(args, parser))
+    fmt, seed = args.format, _seed_from(args, parser)
 
     if args.command == "run":
         try:
@@ -273,14 +263,13 @@ def main(argv=None):
             print("parse error at line %d column %d: %s"
                   % (exc.line, exc.column, detail), file=sys.stderr)
             return 2
-        tree, code = execute(script, options)
-        sys.stdout.write(reports.render(tree, options.fmt))
+        tree, code = execute(script, seed)
+        sys.stdout.write(reports.render(tree, fmt))
         return code
 
     if args.command == "harness":
-        report = proposition_harness(args.instances, options.seed)
-        sys.stdout.write(reports.render(reports.harness_tree(report),
-                                        options.fmt))
+        report = proposition_harness(args.instances, seed)
+        sys.stdout.write(reports.render(reports.harness_tree(report), fmt))
         return 0 if report.ok else 1
 
     if args.command == "examples":
@@ -288,17 +277,16 @@ def main(argv=None):
             tree = {"examples": [
                 {"tag": tag, "description": get_family(tag).description}
                 for tag in family_tags()]}
-            sys.stdout.write(reports.render(tree, options.fmt))
+            sys.stdout.write(reports.render(tree, fmt))
             return 0
         tag = args.run
         levels = args.levels if args.levels is not None else DEFAULT_LEVELS
         try:
-            report = replicate_example(tag, levels, args.window, options.seed)
+            report = replicate_example(tag, levels, args.window, seed)
         except TorsionlabError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-        sys.stdout.write(reports.render(reports.example_tree(report),
-                                        options.fmt))
+        sys.stdout.write(reports.render(reports.example_tree(report), fmt))
         return 0 if report.all_pass else 1
 
     parser.error("unknown command")

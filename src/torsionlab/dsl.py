@@ -143,7 +143,7 @@ class VarFactor:
         body = "X[%s]" % self.index.render()
         if self.exponent == _affine_const(1):
             return body
-        if self.exponent.is_constant:
+        if self.exponent.is_constant and self.exponent.constant >= 0:
             return "%s^%d" % (body, self.exponent.constant)
         return "%s^(%s)" % (body, self.exponent.render())
 
@@ -434,7 +434,7 @@ class _Parser:
     def parse_rule(self):
         lhs = self.parse_term(allow_coeff=False)
         self.expect("->")
-        rhs = self.parse_term(allow_coeff=True)
+        rhs = self.parse_term(allow_coeff=True, allow_sign=True)
         if rhs.coeff == 0:
             # -> 0, -> 0*X[1] and -> 0/1*X[1] all rewrite to zero.
             rhs = None
@@ -702,9 +702,6 @@ def expand_ring(stmt):
         where = "rule %s" % template.render()
         for env in _environments(template.comprehension):
             lhs = _build_monomial(template.lhs, env, num_vars, where)
-            if template.lhs.coeff != 1:
-                raise PatternError("rule lhs must be a plain monomial in %s"
-                                   % where)
             if lhs.is_one:
                 raise PatternError("rule lhs must not be 1 in %s" % where)
             if template.rhs is None:

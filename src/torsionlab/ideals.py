@@ -32,7 +32,6 @@ from .ring import (
     FRACTION_ONE,
     Element,
     Monomial,
-    RingPresentation,
     check_local_confluence,
     grlex_key,
 )
@@ -87,11 +86,12 @@ def _colon_basis(basis, m):
 
 # ------------------------------------------------------ Groebner completion
 #
-# A basis entry is (lead, poly, cofactors): poly is a monic Element of the
-# rule-free ring the quotient ring lifts to, lead its leading monomial, and
+# A basis entry is (lead, terms, cofactors): terms is a monic polynomial of
+# the polynomial ring the quotient ring lifts to, plus the elimination tag,
+# as a {Monomial: coefficient} dict; lead is its leading monomial, and
 # cofactors maps generator index k to an Element h_k of the quotient ring
-# with poly = sum h_k * g_k there (rule binomials have none), or is None
-# where no certificate is wanted.
+# with terms = sum h_k * g_k there (rule binomials have none), or is None
+# in the tagged computations, which want no certificate.
 
 
 class _TermOrder(dict):
@@ -113,26 +113,25 @@ class _TermOrder(dict):
 
 
 def _lift(ring):
-    """(free ring, rule entries, term order) of a confluent ring.
+    """(rule entries, term order) of a confluent ring.
 
-    The free ring has no rules and one more variable, the elimination tag.
     The rule binomials lhs - c*rhs lead with lhs, since every rule lowers
     degree; confluent rules are a Groebner basis of the ideal they span, so
-    no completion starts from scratch.
+    no completion starts from scratch.  The term order knows one more
+    variable than the ring, the elimination tag.
     """
     if ring._lift is None:
         failures = check_local_confluence(ring)
         if failures:
             raise NonConfluent(str(failures[0]))
-        free = RingPresentation(ring.num_vars + 1)
         rules = []
         for rule in ring.rules:
             terms = {rule.lhs: 1}
             if rule.rhs is not None:
                 c, m = rule.rhs
                 terms[m] = _small(-c)
-            rules.append((rule.lhs, Element(free, terms), {}))
-        ring._lift = (free, tuple(rules), _TermOrder(ring.num_vars))
+            rules.append((rule.lhs, terms, {}))
+        ring._lift = (tuple(rules), _TermOrder(ring.num_vars))
     return ring._lift
 
 
@@ -189,10 +188,10 @@ def _divide(terms, basis, order, quotients=None, budget=None):
         else:
             i, lead, poly = hit
             if budget is not None:
-                budget.spend(len(poly.terms) * _size(c))
+                budget.spend(len(poly) * _size(c))
             # Subtracting c*q*poly cancels m, poly being monic.
             q = m.div(lead)
-            for gm, gc in poly.terms.items():
+            for gm, gc in poly.items():
                 n = q.mul(gm)
                 v = f.get(n, 0) - c * gc
                 if v:
@@ -239,8 +238,7 @@ def _entry(ring, rest, parts, quotients, basis, order, budget=None):
         return None
     lead = max(rest, key=order.__getitem__)
     inverse = FRACTION_ONE / rest[lead]
-    poly = Element(_lift(ring)[0], {
-        m: _small(c * inverse) for m, c in rest.items()})
+    poly = {m: _small(c * inverse) for m, c in rest.items()}
     cofactors = None
     if parts is not None:
         scaled = [({m: _small(c * inverse) for m, c in q.items()}, cof)
@@ -252,9 +250,9 @@ def _entry(ring, rest, parts, quotients, basis, order, budget=None):
 
 
 def _complete(ring, known, fresh):
-    """A minimal Groebner basis, as entries, of the ideal of the free ring
-    spanned by the ``known`` entries, which are a Groebner basis already,
-    and the ``fresh`` (terms, parts) pairs, parts as _entry takes them.
+    """A minimal Groebner basis, as entries, of the ideal spanned by the
+    ``known`` entries, which are a Groebner basis already, and the
+    ``fresh`` (terms, parts) pairs, parts as _entry takes them.
 
     Buchberger's algorithm, pairs by least lcm, with Gebauer and Moeller's
     update (J. Symbolic Comput. 6, 1988; Becker & Weispfenning, Groebner
@@ -264,10 +262,10 @@ def _complete(ring, known, fresh):
     divides its lcm strictly on both sides; an old element when the new
     lead divides its lead.  Pairs among the known entries count as done.
     """
-    order = _lift(ring)[2]
+    order = _lift(ring)[1]
     budget = _Budget()
     basis = list(known)
-    contents = [reduce(Monomial.gcd, poly.terms) for _, poly, _ in basis]
+    contents = [reduce(Monomial.gcd, poly) for _, poly, _ in basis]
     live = list(range(len(basis)))
     reducers = _Reducers(basis)
     pairs = {}
@@ -284,7 +282,7 @@ def _complete(ring, known, fresh):
         h = entry[0]
         j = len(basis)
         basis.append(entry)
-        content = reduce(Monomial.gcd, entry[1].terms)
+        content = reduce(Monomial.gcd, entry[1])
         contents.append(content)
         news = []
         for i in live:
@@ -323,10 +321,10 @@ def _complete(ring, known, fresh):
         if lcm is None:
             continue
         (li, pi, ci), (lj, pj, cj) = basis[i], basis[j]
-        budget.spend(len(pi.terms) + len(pj.terms))
+        budget.spend(len(pi) + len(pj))
         ui, uj = lcm.div(li), lcm.div(lj)
-        terms = {ui.mul(m): c for m, c in pi.terms.items()}
-        for m, c in pj.terms.items():
+        terms = {ui.mul(m): c for m, c in pi.items()}
+        for m, c in pj.items():
             n = uj.mul(m)
             v = terms.get(n, 0) - c
             if v:
@@ -342,7 +340,7 @@ def _reduced(ring, basis):
     """The reduced Groebner basis, as entries sorted by lead, of the ideal
     with Groebner basis ``basis``: one entry per minimal lead, each reduced
     by the others."""
-    order = _lift(ring)[2]
+    order = _lift(ring)[1]
     minimal = []
     for lead, poly, cofactors in sorted(basis, key=lambda e: order[e[0]]):
         if not any(other.divides(lead) for other, _, _ in minimal):
@@ -354,7 +352,7 @@ def _reduced(ring, basis):
     for entry in minimal:
         lead, poly, cofactors = entry
         quotients = {}
-        rest = _divide({m: c for m, c in poly.terms.items() if m != lead},
+        rest = _divide({m: c for m, c in poly.items() if m != lead},
                        reducers, order, quotients)
         if quotients:
             rest[lead] = 1
@@ -366,13 +364,12 @@ def _reduced(ring, basis):
 
 
 def _eliminate(ring, basis, polys):
-    """Reduced Groebner basis entries of B cap (polys) in the free ring, B
-    the ideal with Groebner basis ``basis``: the tag-free part of the
-    reduced basis of t*B + (1 - t)*(polys) under the elimination order."""
+    """Reduced Groebner basis entries of B cap (polys), B the ideal with
+    Groebner basis ``basis``: the tag-free part of the reduced basis of
+    t*B + (1 - t)*(polys) under the elimination order."""
     tag = Monomial.variable(ring.num_vars)
-    known = [(lead.mul(tag), Element(poly.ring, {
-        m.mul(tag): c for m, c in poly.terms.items()}), None)
-        for lead, poly, _ in basis]
+    known = [(lead.mul(tag), {m.mul(tag): c for m, c in poly.items()}, None)
+             for lead, poly, _ in basis]
     fresh = []
     for terms in polys:
         tagged = {m.mul(tag): -c for m, c in terms.items()}
@@ -395,8 +392,8 @@ class IdealHandle:
     generator monomials and, from the first call of lifted_monomials, the
     reduced lifted basis, both as tuples.  From its first general-mode
     query a handle keeps the reduced Groebner basis of its lifted ideal,
-    with cofactors over the generators once a membership query wanted
-    them (None when the completion ran out of WORK_BUDGET).
+    every entry with its cofactors over the generators, or None when that
+    one completion ran out of WORK_BUDGET.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
@@ -493,31 +490,22 @@ class IdealHandle:
         mono = nf.single_term()[0]
         return any(g.divides(mono) for g in self._monomial_gens)
 
-    def _groebner(self, certified=False):
-        """The reduced Groebner basis of the lifted ideal as _Reducers.
-        With ``certified`` every entry carries its cofactors over the
-        generators; otherwise they are there only when an earlier call
-        wanted them.  Raises _OutOfBudget past WORK_BUDGET, and
-        NonConfluent in a non-confluent ring."""
-        basis = self._basis
-        if basis is None:
-            raise _OutOfBudget()
-        # A completion gives cofactors to all of its entries or to none.
-        if basis is _NOT_YET or certified and basis and basis[0][2] is None:
-            rules = _lift(self.ring)[1]
+    def _groebner(self):
+        """The reduced Groebner basis of the lifted ideal as _Reducers, each
+        entry with its cofactors over the generators, completed on the
+        first call.  Raises _OutOfBudget past WORK_BUDGET, and NonConfluent
+        in a non-confluent ring."""
+        if self._basis is _NOT_YET:
             one = Element(self.ring, {Monomial.one(): 1})
             fresh = [(g.terms, [({Monomial.one(): 1}, {k: one})])
                      for k, g in enumerate(self.generators)]
-            if not certified:
-                rules = [(lead, poly, None) for lead, poly, _ in rules]
-                fresh = [(terms, None) for terms, _ in fresh]
             try:
-                self._basis = _Reducers(_reduced(
-                    self.ring, _complete(self.ring, rules, fresh)))
+                self._basis = _Reducers(_reduced(self.ring, _complete(
+                    self.ring, _lift(self.ring)[0], fresh)))
             except _OutOfBudget:
-                if basis is _NOT_YET:
-                    self._basis = None
-                raise
+                self._basis = None
+        if self._basis is None:
+            raise _OutOfBudget()
         return self._basis
 
     def equals(self, other):
@@ -560,7 +548,7 @@ class MembershipAnswer:
 
 def _image(ring, basis, complete):
     """The handle generated by the quotient-ring images of basis entries."""
-    return IdealHandle(ring, [Element.from_terms(ring, poly.terms.items())
+    return IdealHandle(ring, [Element.from_terms(ring, poly.items())
                               for _, poly, _ in basis], complete=complete)
 
 
@@ -577,11 +565,11 @@ def ideal_membership(f, ideal):
     if f.is_zero:
         return MembershipAnswer("yes", certificate=())
     try:
-        basis = ideal._groebner(certified=True)
+        basis = ideal._groebner()
     except _OutOfBudget:
         return MembershipAnswer("unknown")
     quotients = {}
-    if _divide(f.terms, basis, _lift(f.ring)[2], quotients):
+    if _divide(f.terms, basis, _lift(f.ring)[1], quotients):
         return MembershipAnswer("no")
     cert = _cofactor_sum(f.ring, [(q, basis[i][2])
                                   for i, q in quotients.items()])
@@ -625,7 +613,7 @@ def ideal_intersection(a, b):
         return IdealHandle(ring, b.generators, complete=complete)
     try:
         meet = _eliminate(ring, a._groebner(),
-                          [poly.terms for _, poly, _ in b._groebner()])
+                          [poly for _, poly, _ in b._groebner()])
     except _OutOfBudget:
         return IdealHandle(ring, ideal_product(a, b).generators,
                            complete=False)
@@ -655,14 +643,13 @@ def ideal_colon(ideal, f):
         meet = _eliminate(ring, ideal._groebner(), [f.terms])
     except _OutOfBudget:
         return IdealHandle(ring, ideal.generators, complete=False)
-    free, _, order = _lift(ring)
+    order = _lift(ring)[1]
     divisor = _Reducers([_entry(ring, f.terms, None, {}, (), order)])
     quotients = []
     for lead, poly, _ in meet:
         parts = {}
-        _divide(poly.terms, divisor, order, parts)
-        quotients.append((lead.div(divisor[0][0]), Element(free, parts[0]),
-                          None))
+        _divide(poly, divisor, order, parts)
+        quotients.append((lead.div(divisor[0][0]), parts[0], None))
     return _image(ring, _reduced(ring, quotients), ideal.complete)
 
 
@@ -707,7 +694,7 @@ def _power_kill_exponent(acting, module, target, cap=None):
         else:
             gens, products = acting.generators, [
                 (0, Element.constant(target.ring, 1), module.generators)]
-            basis, order = target._groebner(), _lift(target.ring)[2]
+            basis, order = target._groebner(), _lift(target.ring)[1]
 
             def inside(f):
                 return not _divide(f.terms, basis, order, budget=budget)
@@ -814,6 +801,12 @@ def ideal_radical(ideal):
         complete=ideal.complete)
 
 
+def prime_key(vars_set):
+    """Sort key of primes as variable sets: by size, then by the sorted
+    variable indices."""
+    return len(vars_set), sorted(vars_set)
+
+
 def minimal_transversals(edges):
     """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
     by Berge's step (Berge, Hypergraphs, 1989, ch. 2): take the edges by
@@ -824,7 +817,7 @@ def minimal_transversals(edges):
         kept = [c for c in covers if c & edge]
         grown = [c | {v} for c in covers if not c & edge for v in edge]
         covers = kept + [g for g in grown if not any(k <= g for k in kept)]
-    return sorted(covers, key=lambda s: (len(s), sorted(s)))
+    return sorted(covers, key=prime_key)
 
 
 def minimal_primes(ideal):

@@ -21,6 +21,10 @@ from fractions import Fraction
 
 from .errors import InvalidPresentation, RingMismatch, VariableOutOfRange
 
+# finite_basis_max_degree looks no higher than this degree for the first
+# empty level of normal monomials.
+DEGREE_CAP = 64
+
 
 class Monomial:
     """Finitely supported exponent vector, stored as sorted (var, exp) pairs.
@@ -273,9 +277,8 @@ class RingPresentation:
     pairs that do not join, kept by the first check_local_confluence, the
     witness tables of spectrum.assassin_scan: per denominator generator
     tuple, each witness scanned so far mapped to its annihilator's ass prime
-    (or None) and minimal primes, and the lift of ideals._lift: the
-    rule-free ring the ideals lift to, the rule binomials and the term
-    order.
+    (or None) and minimal primes, and the lift of ideals._lift: the rule
+    binomials as Groebner basis entries and the term order.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -441,15 +444,15 @@ class RingPresentation:
             out.extend(self.normal_monomials_of_degree(k))
         return out
 
-    def finite_basis_max_degree(self, degree_cap=64):
+    def finite_basis_max_degree(self):
         """Largest degree of a normal monomial, or None if none is found
-        below degree_cap (the truncation is then treated as non-artinian).
+        below DEGREE_CAP (the truncation is then treated as non-artinian).
 
         Divisors of normal monomials are normal, so the first empty degree
         level certifies that no higher level is populated.
         """
         last = 0
-        for d in range(1, degree_cap + 1):
+        for d in range(1, DEGREE_CAP + 1):
             if not self.normal_monomials_of_degree(d):
                 return last
             last = d

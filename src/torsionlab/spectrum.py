@@ -28,7 +28,12 @@ from functools import reduce
 from typing import Optional
 
 from .errors import RingMismatch
-from .ideals import IdealHandle, _basis_minimal_primes, _colon_basis
+from .ideals import (
+    IdealHandle,
+    _basis_minimal_primes,
+    _colon_basis,
+    prime_key,
+)
 from .ring import Monomial
 
 
@@ -69,7 +74,7 @@ def spectrum(ring):
         s = frozenset(v for v in range(n) if mask >> v & 1)
         if prime_variable_set(prime_ideal(ring, s)) == s:
             out.append(s)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    return sorted(out, key=prime_key)
 
 
 def in_variety(vars_set, ideal) -> bool:
@@ -84,13 +89,12 @@ def in_variety(vars_set, ideal) -> bool:
 
 
 def intersect_variety(primes, ideal):
-    return sorted((p for p in primes if in_variety(p, ideal)),
-                  key=lambda s: (len(s), sorted(s)))
+    return sorted((p for p in primes if in_variety(p, ideal)), key=prime_key)
 
 
 def difference_variety(primes, ideal):
     return sorted((p for p in primes if not in_variety(p, ideal)),
-                  key=lambda s: (len(s), sorted(s)))
+                  key=prime_key)
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ def _sorted_primes(pairs):
     dedup = {}
     for p, m in pairs:
         dedup.setdefault(p, m)
-    primes = sorted(dedup, key=lambda s: (len(s), sorted(s)))
+    primes = sorted(dedup, key=prime_key)
     return tuple(primes), tuple((p, dedup[p]) for p in primes)
 
 

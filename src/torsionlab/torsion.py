@@ -123,9 +123,10 @@ class FairnessReport:
 
 
 def _compare(name, left_report, right_primes):
-    """Compare the left scan's primes with primes read off the base scan."""
+    """Compare the left scan's primes with primes read off the base scan,
+    both already sorted by prime_key."""
     left = tuple(left_report.primes)
-    right = tuple(sorted(right_primes, key=lambda s: (len(s), sorted(s))))
+    right = tuple(right_primes)
     return FairnessComparison(
         name, left, right, frozenset(left) == frozenset(right))
 

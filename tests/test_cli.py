@@ -233,6 +233,20 @@ query saturation(b; a)
 """
 
 
+def test_colon_by_an_ideal_runs_from_a_script(tmp_path, capsys):
+    # In Q[X0, X1]/(X0^2 - X0, X1^2 - X1), (X0*X1 : X0) vanishes where
+    # X0*X1 does and X0 does not: at the point X0 = 1, X1 = 0.
+    path = _write(tmp_path, "ring B = vars X[0..1] rules "
+                            "{ X[i]^2 -> X[i] for i in 0..1 }\n"
+                            "ideal a = < X[0] >\n"
+                            "ideal b = < X[0]*X[1] >\n"
+                            "query colon(b; a)\n")
+    code, out, err = _run(capsys, "--format", "json", "run", path)
+    assert code == 0 and err == ""
+    result = json.loads(out)["statements"][-1]["result"]
+    assert result == {"ideal": "ideal(-1 + X0, X1)", "complete": True}
+
+
 def test_saturation_has_no_iteration_cap(tmp_path, capsys):
     path = _write(tmp_path, SATURATION_PAST_64)
     code, out, err = _run(capsys, "--format", "json", "run", path)
@@ -345,8 +359,7 @@ def test_package_resolves_cli_names_lazily():
     import torsionlab
     assert torsionlab.main is cli.main
     assert torsionlab.execute is cli.execute
-    assert torsionlab.ExecutionOptions is cli.ExecutionOptions
-    assert {"main", "execute", "ExecutionOptions"} <= set(torsionlab.__all__)
+    assert {"main", "execute"} <= set(torsionlab.__all__)
     with pytest.raises(AttributeError):
         torsionlab.no_such_name
 

@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from torsionlab.dsl import expand_element, expand_ideal, expand_ring, parse
+from torsionlab.dsl import (
+    expand_element,
+    expand_ideal,
+    expand_ring,
+    parse,
+    ring_statement,
+)
 from torsionlab.errors import ParseError, PatternError
 from torsionlab.harness import random_instance
 from torsionlab.ideals import format_ideal
-from torsionlab.ring import format_element
+from torsionlab.ring import (
+    Monomial,
+    RewriteRule,
+    RingPresentation,
+    format_element,
+)
 
 GOLDEN = """\
 # two-variable demo
@@ -29,11 +41,27 @@ run example nil40A
 
 
 def test_golden_script_round_trips_to_fixpoint():
-    script = parse(GOLDEN)
-    text = script.render()
-    again = parse(text)
-    assert again == script
-    assert again.render() == text
+    # Besides the golden script: a rule rhs with a negative coefficient,
+    # and a negative constant exponent, which prints in parentheses.
+    for source in (GOLDEN,
+                   "ring R = vars X[0..1] rules { X[0]^2 -> -2*X[1] }\n",
+                   "ideal e = < X[0]^(0-1) >\n"):
+        script = parse(source)
+        text = script.render()
+        again = parse(text)
+        assert again == script
+        assert again.render() == text
+
+
+def test_ring_statement_round_trips_a_negative_rule():
+    ring = RingPresentation(2, [RewriteRule(
+        Monomial.variable(0, 2), (Fraction(-2, 3), Monomial.variable(1)))])
+    stmt = ring_statement(ring, "R")
+    text = stmt.render()
+    assert text == "ring R = vars X[0..1] rules { X[0]^2 -> -2/3*X[1] }"
+    (again,) = parse(text + "\n").statements
+    assert again == stmt
+    assert expand_ring(again).rules == ring.rules
 
 
 def test_statement_kinds_and_counts():

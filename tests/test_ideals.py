@@ -701,13 +701,13 @@ def test_groebner_basis_reaches_past_the_generators():
                                 for i in range(3)])
     b = IdealHandle.from_monomials(ring, [_var(1)])
     assert not b.is_monomial_mode
-    basis = b._groebner(certified=True)
+    basis = b._groebner()
     assert [lead for lead, _, _ in basis] == [
         _var(1), _var(2), _var(3), _var(0, 2)]
     # Each basis element is a monomial, with a cofactor over b's generator
     # in R that re-multiplies to it.
     for lead, poly, cofactors in basis:
-        assert poly.terms == {lead: 1}
+        assert poly == {lead: 1}
         ((k, h),) = cofactors.items()
         assert b.generators[k].mul(h) == Element.from_monomial(ring, lead)
     got = ideal_membership(Element.from_monomial(ring, _var(3)), b)
@@ -838,17 +838,21 @@ def test_work_budget_ends_in_the_incomplete_flags(monkeypatch):
         a, b = IdealHandle(ring, [x0]), IdealHandle(ring, [x1])
         return (ideal_membership(x1, b).verdict, ideal_colon(b, x0),
                 ideal_saturation(b, a), gamma_small_cyclic(a, b),
-                gamma_large_cyclic(a, b), b.equals(IdealHandle(ring, [x1])))
+                gamma_large_cyclic(a, b), b.equals(IdealHandle(ring, [x1])),
+                ideal_intersection(a, b))
 
-    membership, colon, sat, small, large, same = probe()
+    membership, colon, sat, small, large, same, meet = probe()
     assert (membership, colon.complete, sat.stabilized, same) == (
         "yes", True, True, True)
     assert small.stabilized and large.stabilized
+    assert meet.complete and format_ideal(meet) == "ideal(X0*X1)"
     monkeypatch.setattr(ideals_module, "WORK_BUDGET", 0)
-    membership, colon, sat, small, large, same = probe()
+    membership, colon, sat, small, large, same, meet = probe()
     assert membership == "unknown" and same is None
-    # The colon falls back to b itself, which lies inside (b : X0).
+    # The colon falls back to b itself, which lies inside (b : X0), and the
+    # intersection to the product a*b, which lies inside a cap b.
     assert not colon.complete and format_ideal(colon) == "ideal(X1)"
+    assert not meet.complete and format_ideal(meet) == "ideal(X0*X1)"
     assert not sat.stabilized and sat.steps == 0
     assert not small.stabilized and not large.stabilized
 
