@@ -6,21 +6,22 @@ are replaced by guarded finite claims evaluated per level; a claim bundle
 passes when every claim holds at every scheduled level and its value is
 stable across the trailing window.
 
-Probe device used throughout: non-vanishing of a^n * f in the limit ring is
-certified at a finite level by multiplying f with powers of variables not
-occurring in f, which keeps the product in normal form.
-
+The claims are built from a few probe shapes, none of which builds a power
+of the acting ideal a:
+- kill probe (_kills): a^p * X_i lies in the target, b or zero, for each
+  (i, p); a walk over the products of a's generators that keep X_i outside
+  the target, through ideals._power_kill_exponent.
+- escape probe (_escapes): a monomial m with a nonzero normal form and
+  power_order(a, m) >= n, the most generators of a whose product divides
+  m, certifies a^n != 0; m outside b certifies that a^n is not inside b.
+  nil40A and nil40C share the window probes X_n..X_{2n-1}.
+- fresh-variable probe: non-vanishing of a^n * f in the limit ring is
+  certified at a finite level by multiplying f, a normal monomial or a
+  seeded _random_element, with powers of variables not occurring in f.
 A monomial probe m * x is read from the ring's cached normal form of the
-monomial product, not built as an Element product.  Each evaluator computes
-its level-invariant facts once per call (the monomial list, which of them
-lie outside an ideal, the random-element pool) and reuses them across its
-probe variables.
-
-No claim builds a power of the acting ideal.  "m lies in a^n" is
-power_order(a, m) >= n, the most generators of a whose product divides m;
-"a^n * X_i lies in b" (or is zero) is a walk over the products of a's
-generators that keep X_i outside b, through ideals._power_kill_exponent.
-The nil40A relations are built directly as their reduced basis.
+monomial product, not built as an Element product.  The four nil rings
+come from one builder (_nil_ring); the nil40A relations are built directly
+as their reduced basis.
 """
 
 from __future__ import annotations
@@ -132,10 +133,6 @@ def _variables_ideal(ring, start=0):
         Monomial.variable(v) for v in range(start, ring.num_vars)])
 
 
-def _monomial_elem(ring, m):
-    return Element.from_monomial(ring, m)
-
-
 def _product_of_vars(indices):
     acc = Monomial.one()
     for v in indices:
@@ -143,140 +140,145 @@ def _product_of_vars(indices):
     return acc
 
 
-def _kills_variable(acting, power, v, target):
-    """acting^power * X_v lies inside target (monomial mode)."""
-    module = IdealHandle.from_monomials(target.ring, [Monomial.variable(v)])
-    return _power_kill_exponent(acting, module, target, power) is not None
+def _pair_products(n, vanishes):
+    """X_i * X_j for i < j < n where vanishes(i, j), in lexicographic order."""
+    return [Monomial.variable(i).mul(Monomial.variable(j))
+            for i in range(n) for j in range(i + 1, n) if vanishes(i, j)]
+
+
+def _nil_ring(level, index, vanishes=lambda i, j: False):
+    """X_v^index(v) -> 0 for every variable, then X_i * X_j -> 0 for the
+    pairs that vanish; the acting ideal is every variable."""
+    n = level + 1
+    rules = [RewriteRule(Monomial.variable(v, index(v))) for v in range(n)]
+    rules += [RewriteRule(m) for m in _pair_products(n, vanishes)]
+    ring = RingPresentation(n, rules)
+    return ring, {"a": _variables_ideal(ring)}
+
+
+def _kills(acting, target, pairs):
+    """Kill probe: acting^p * X_i lies inside target for each (i, p)
+    (monomial mode)."""
+    ring = target.ring
+    return all(_power_kill_exponent(
+        acting, IdealHandle.from_monomials(ring, [Monomial.variable(i)]),
+        target, p) is not None for i, p in pairs)
+
+
+def _escapes(acting, probes, outside=None):
+    """Escape probe: for each (n, m), m has a nonzero normal form and lies
+    in acting^n, and, when the ideal outside is given, not in it."""
+    ring = acting.ring
+    return all(not ring.normal_form_monomial(m).is_zero
+               and power_order(acting, m) >= n
+               and (outside is None or not outside.contains_monomial(m))
+               for n, m in probes)
+
+
+def _window_probes(level):
+    """(n, X_n..X_{2n-1}) for each window that fits in X_0..X_level."""
+    return ((n, _product_of_vars(range(n, 2 * n)))
+            for n in range(1, level + 1) if 2 * n - 1 <= level)
+
+
+def _random_element(ring, rng, pool):
+    """Up to three pool monomials, each with a coefficient drawn from
+    1, -1 and 2."""
+    picks = rng.sample(pool, min(3, len(pool)))
+    return Element.from_terms(ring, [(m, rng.choice([1, -1, 2]))
+                                     for m in picks])
+
+
+def _idempotent(ring, monomials):
+    nf = ring.normal_form_monomial
+    return all(nf(m.mul(m)) == nf(m) for m in monomials)
+
+
+def _certificate_holds(answer, probe, b):
+    """The cofactors of a yes from ideal_membership times b's generators
+    sum back to the probe."""
+    total = Element.zero(probe.ring)
+    for k, h in answer.certificate:
+        total = total.add(b.generators[k].mul(h))
+    return total == probe
 
 
 # ---------------------------------------------------------------- nil40A
 
 def _build_nil40A(level):
-    n = level + 1
-    ring = RingPresentation(n, [
-        RewriteRule(Monomial.variable(v, 2)) for v in range(n)])
-    acting = _variables_ideal(ring)
+    ring, ideals = _nil_ring(level, lambda v: 2)
     # X_i times i other variables is a multiple of X_k * X_S, k the least
     # index of the product and S a k-subset of the indices above k; those
     # products are the reduced basis.
-    relations = IdealHandle.from_monomials(ring, [
+    n = level + 1
+    ideals["b"] = IdealHandle.from_monomials(ring, [
         _product_of_vars((k,) + above)
         for k in range(n) for above in combinations(range(k + 1, n), k)])
-    return ring, {"a": acting, "b": relations}
+    return ring, ideals
 
 
 def _nil40A_probe_whole_ring(ring, ideals, level, rng):
     # a^n * 1 stays nonzero while fresh variables remain: the squarefree
     # product X_1..X_n lies in a^n and is a nonzero normal form.
-    for n in range(1, level):
-        probe = _product_of_vars(range(1, n + 1))
-        if ring.normal_form_monomial(probe).is_zero:
-            return False
-        if power_order(ideals["a"], probe) < n:
-            return False
-    return True
+    return _escapes(ideals["a"], ((n, _product_of_vars(range(1, n + 1)))
+                                  for n in range(1, level)))
 
 
 def _nil40A_generators_torsion(ring, ideals, level, rng):
-    return all(_kills_variable(ideals["a"], i, i, ideals["b"])
-               for i in range(0, max(level - 1, 0)))
+    return _kills(ideals["a"], ideals["b"],
+                  ((i, i) for i in range(0, max(level - 1, 0))))
 
 
 def _nil40A_unit_not_torsion(ring, ideals, level, rng):
     # X_n..X_{2n-1} lies in a^n but escapes b, so a^n * 1 is not inside b.
-    ok = True
-    for n in range(1, level + 1):
-        if 2 * n - 1 > level:
-            break
-        probe = _product_of_vars(range(n, 2 * n))
-        ok = ok and not ring.normal_form_monomial(probe).is_zero
-        ok = ok and power_order(ideals["a"], probe) >= n
-        ok = ok and not ideals["b"].contains_monomial(probe)
-    return ok
+    return _escapes(ideals["a"], _window_probes(level), ideals["b"])
 
 
 def _nil40A_top_power_nonzero(ring, ideals, level, rng):
-    probe = _product_of_vars(range(0, level + 1))
-    return (not ring.normal_form_monomial(probe).is_zero
-            and power_order(ideals["a"], probe) >= level + 1)
+    return _escapes(ideals["a"],
+                    [(level + 1, _product_of_vars(range(0, level + 1)))])
 
 
 # ---------------------------------------------------------------- nil40B
 
 def _build_nil40B(level):
-    n = level + 1
-    rules = [RewriteRule(Monomial.variable(v, v + 1)) for v in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rules.append(RewriteRule(
-                Monomial.variable(i).mul(Monomial.variable(j))))
-    ring = RingPresentation(n, rules)
-    return ring, {"a": _variables_ideal(ring)}
+    return _nil_ring(level, lambda v: v + 1, lambda i, j: True)
 
 
 def _nil40B_generators_torsion(ring, ideals, level, rng):
     # a^i kills X_i: mixed products vanish by the pair rules and the pure
     # power by the X_i^{i+1} rule.
-    zero = IdealHandle.zero(ring)
-    return all(_kills_variable(ideals["a"], i, i, zero)
-               for i in range(1, level + 1))
+    return _kills(ideals["a"], IdealHandle.zero(ring),
+                  ((i, i) for i in range(1, level + 1)))
 
 
 def _nil40B_unit_not_torsion(ring, ideals, level, rng):
-    for n in range(1, level + 1):
-        probe = Monomial.variable(n, n)
-        if ring.normal_form_monomial(probe).is_zero:
-            return False
-        if power_order(ideals["a"], probe) < n:
-            return False
-    return True
+    return _escapes(ideals["a"], ((n, Monomial.variable(n, n))
+                                  for n in range(1, level + 1)))
 
 
 # ---------------------------------------------------------------- nil40C
 
 def _build_nil40C(level):
-    n = level + 1
-    rules = [RewriteRule(Monomial.variable(v, 2)) for v in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if 2 * i < j:
-                rules.append(RewriteRule(
-                    Monomial.variable(i).mul(Monomial.variable(j))))
-    ring = RingPresentation(n, rules)
-    return ring, {"a": _variables_ideal(ring)}
+    return _nil_ring(level, lambda v: 2, lambda i, j: 2 * i < j)
 
 
 def _nil40C_generators_torsion(ring, ideals, level, rng):
-    zero = IdealHandle.zero(ring)
-    return all(_kills_variable(ideals["a"], i + 1, i, zero)
-               for i in range(0, level + 1))
+    return _kills(ideals["a"], IdealHandle.zero(ring),
+                  ((i, i + 1) for i in range(0, level + 1)))
 
 
 def _nil40C_unit_not_torsion(ring, ideals, level, rng):
-    for n in range(1, level + 1):
-        if 2 * n - 1 > level:
-            break
-        probe = _product_of_vars(range(n, 2 * n))
-        if ring.normal_form_monomial(probe).is_zero:
-            return False
-        if power_order(ideals["a"], probe) < n:
-            return False
-    return True
+    return _escapes(ideals["a"], _window_probes(level))
 
 
 # ---------------------------------------------------------------- nil40D
 
 def _build_nil40D(level):
-    n = level + 1
-    rules = [RewriteRule(Monomial.variable(v, v + 1)) for v in range(n)]
-    ring = RingPresentation(n, rules)
-    acting = _variables_ideal(ring)
-    gens = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gens.append(Monomial.variable(i).mul(Monomial.variable(j)))
-    relations = IdealHandle.from_monomials(ring, gens)
-    return ring, {"a": acting, "b": relations}
+    ring, ideals = _nil_ring(level, lambda v: v + 1)
+    ideals["b"] = IdealHandle.from_monomials(
+        ring, _pair_products(level + 1, lambda i, j: True))
+    return ring, ideals
 
 
 def _nil40D_fresh_power_probe(ring, ideals, level, rng):
@@ -288,38 +290,29 @@ def _nil40D_fresh_power_probe(ring, ideals, level, rng):
     pool = [m for m in ring.normal_monomials_up_to(3)
             if m.max_var() < top]
     for _ in range(3):
-        picks = rng.sample(pool, min(3, len(pool)))
-        f = Element.zero(ring)
-        for m in picks:
-            f = f.add(Element.from_monomial(ring, m, rng.choice([1, -1, 2])))
+        f = _random_element(ring, rng, pool)
         if not f.is_zero:
             samples.append(f)
-    for n in range(1, top + 1):
-        power = Element.from_monomial(ring, Monomial.variable(top, n))
-        for f in samples:
-            if f.mul(power).is_zero:
-                return False
-    return True
+    powers = (Element.from_monomial(ring, Monomial.variable(top, n))
+              for n in range(1, top + 1))
+    return all(not f.mul(power).is_zero for power in powers for f in samples)
 
 
 def _nil40D_generators_torsion(ring, ideals, level, rng):
-    return all(_kills_variable(ideals["a"], i, i, ideals["b"])
-               for i in range(1, level + 1))
+    return _kills(ideals["a"], ideals["b"],
+                  ((i, i) for i in range(1, level + 1)))
 
 
 def _nil40D_unit_not_torsion(ring, ideals, level, rng):
-    if level < 2:
-        return True
     for n in range(2, level + 1):
         # X_n^n is a product of n acting generators, hence lies in a^n.
         probe = Monomial.variable(n, n)
-        if ring.normal_form_monomial(probe).is_zero:
-            return False
-        if ideals["b"].contains_monomial(probe):
+        if (ring.normal_form_monomial(probe).is_zero
+                or ideals["b"].contains_monomial(probe)):
             return False
     # Directly: 1 is not in (b : a^2), that is, a^2 is not inside b.
-    unit = IdealHandle.unit(ring)
-    return _power_kill_exponent(ideals["a"], unit, ideals["b"], 2) is None
+    return level < 2 or _power_kill_exponent(
+        ideals["a"], IdealHandle.unit(ring), ideals["b"], 2) is None
 
 
 # ---------------------------------------------------------------- idem50A
@@ -333,18 +326,12 @@ def _build_idem50A(level):
 
 
 def _idem50A_generators_idempotent(ring, ideals, level, rng):
-    for v in range(ring.num_vars):
-        x = Monomial.variable(v)
-        if ring.normal_form_monomial(x.mul(x)) != ring.normal_form_monomial(x):
-            return False
-    return True
+    return _idempotent(ring, (Monomial.variable(v)
+                              for v in range(ring.num_vars)))
 
 
 def _idem50A_low_degree_idempotent(ring, ideals, level, rng):
-    for m in ring.normal_monomials_up_to(3):
-        if ring.normal_form_monomial(m.mul(m)) != ring.normal_form_monomial(m):
-            return False
-    return True
+    return _idempotent(ring, ring.normal_monomials_up_to(3))
 
 
 # ---------------------------------------------------------------- idem50B
@@ -359,12 +346,9 @@ def _build_idem50B(level):
 
 
 def _idem50B_power_collapse(ring, ideals, level, rng):
-    for k in range(0, min(level, 3) + 1):
-        got = ring.normal_form_monomial(Monomial.variable(0, 2 ** k))
-        want = Element.from_monomial(ring, Monomial.variable(k))
-        if got != want:
-            return False
-    return True
+    return all(ring.normal_form_monomial(Monomial.variable(0, 2 ** k))
+               == Element.from_monomial(ring, Monomial.variable(k))
+               for k in range(0, min(level, 3) + 1))
 
 
 # ---------------------------------------------------------------- idem50C
@@ -407,16 +391,11 @@ def _idem50C_element_member(f):
 def _idem50C_membership_cross_check(ring, ideals, level, rng):
     b = ideals["b"]
     for m in ring.normal_monomials_up_to(4):
-        probe = _monomial_elem(ring, m)
-        engine = ideal_membership(probe, b)
-        if _idem50C_member(m) != engine.is_yes:
+        probe = Element.from_monomial(ring, m)
+        answer = ideal_membership(probe, b)
+        if _idem50C_member(m) != answer.is_yes or (
+                answer.is_yes and not _certificate_holds(answer, probe, b)):
             return False
-        if engine.is_yes:
-            total = Element.zero(ring)
-            for k, h in engine.certificate:
-                total = total.add(b.generators[k].mul(h))
-            if total != probe:
-                return False
     return True
 
 
@@ -436,10 +415,7 @@ def _idem50C_colon_by_acting_trivial(ring, ideals, level, rng):
     # Random general elements with a fresh multiplier beyond their span.
     pool = [m for m in low if m.max_var() < top and m.exponent(0) < top]
     for _ in range(5):
-        picks = rng.sample(pool, min(3, len(pool)))
-        f = Element.zero(ring)
-        for m in picks:
-            f = f.add(Element.from_monomial(ring, m, rng.choice([1, -1, 2])))
+        f = _random_element(ring, rng, pool)
         if f.is_zero or _idem50C_element_member(f):
             continue
         q = 1 + max(max(m.max_var() for m in f.terms), 0,
@@ -458,46 +434,29 @@ def _idem50C_colon_by_free_var_in_acting(ring, ideals, level, rng):
     # membership rule, and on the generators of the engine's exact colon.
     b = ideals["b"]
     x0 = Monomial.variable(0)
-    for m in ring.normal_monomials_up_to(4):
-        if _idem50C_member(m.mul(x0)):
-            _, s = _idem50C_split(m)
-            if not s:
-                return False
-    col = ideal_colon(b, Element.from_monomial(ring, x0))
-    if not col.complete:
+    if any(_idem50C_member(m.mul(x0)) and not _idem50C_split(m)[1]
+           for m in ring.normal_monomials_up_to(4)):
         return False
-    for g in col.generators:
-        for m in g.monomials():
-            _, s = _idem50C_split(m)
-            if not s:
-                return False
-    return True
+    col = ideal_colon(b, Element.from_monomial(ring, x0))
+    return col.complete and all(_idem50C_split(m)[1]
+                                for g in col.generators
+                                for m in g.monomials())
 
 
 def _idem50C_complement_kills(ring, ideals, level, rng):
     one = Element.constant(ring, 1)
-    for v in range(1, ring.num_vars):
-        x = Element.from_monomial(ring, Monomial.variable(v))
-        if not x.mul(one.sub(x)).is_zero:
-            return False
-    return True
+    xs = (Element.from_monomial(ring, Monomial.variable(v))
+          for v in range(1, ring.num_vars))
+    return all(x.mul(one.sub(x)).is_zero for x in xs)
 
 
 def _idem50C_deep_generator_member(ring, ideals, level, rng):
     if level < 3:
         return True
-    probe = Monomial.variable(0, 3).mul(Monomial.variable(3))
-    answer = ideal_membership(_monomial_elem(ring, probe), ideals["b"])
-    if not answer.is_yes:
-        return False
-    total = Element.zero(ring)
-    for k, h in answer.certificate:
-        total = total.add(ideals["b"].generators[k].mul(h))
-    return total == _monomial_elem(ring, probe)
-
-
-def _claim(name, description, evaluate):
-    return WindowedClaim(name, description, evaluate)
+    probe = Element.from_monomial(
+        ring, Monomial.variable(0, 3).mul(Monomial.variable(3)))
+    answer = ideal_membership(probe, ideals["b"])
+    return answer.is_yes and _certificate_holds(answer, probe, ideals["b"])
 
 
 FAMILIES = {
@@ -507,20 +466,20 @@ FAMILIES = {
         "matching power of the variable ideal",
         _build_nil40A,
         (
-            _claim("whole-ring-torsion-vanishes",
-                   "squarefree probes keep a^n away from zero below the "
-                   "truncation boundary",
-                   _nil40A_probe_whole_ring),
-            _claim("generators-are-quotient-torsion",
-                   "a^i * X_i falls into the relations ideal",
-                   _nil40A_generators_torsion),
-            _claim("unit-stays-outside-quotient-torsion",
-                   "the shifted squarefree probe lies in a^n but not in "
-                   "the relations ideal",
-                   _nil40A_unit_not_torsion),
-            _claim("top-power-nonzero",
-                   "the full variable product certifies a^(N+1) != 0",
-                   _nil40A_top_power_nonzero),
+            WindowedClaim("whole-ring-torsion-vanishes",
+                          "squarefree probes keep a^n away from zero below "
+                          "the truncation boundary",
+                          _nil40A_probe_whole_ring),
+            WindowedClaim("generators-are-quotient-torsion",
+                          "a^i * X_i falls into the relations ideal",
+                          _nil40A_generators_torsion),
+            WindowedClaim("unit-stays-outside-quotient-torsion",
+                          "the shifted squarefree probe lies in a^n but not "
+                          "in the relations ideal",
+                          _nil40A_unit_not_torsion),
+            WindowedClaim("top-power-nonzero",
+                          "the full variable product certifies a^(N+1) != 0",
+                          _nil40A_top_power_nonzero),
         )),
     "nil40B": FamilySpec(
         "nil40B",
@@ -528,25 +487,25 @@ FAMILIES = {
         "one more than its position",
         _build_nil40B,
         (
-            _claim("generators-are-torsion",
-                   "a^i kills X_i",
-                   _nil40B_generators_torsion),
-            _claim("unit-stays-outside-torsion",
-                   "X_n^n lies in a^n and is nonzero",
-                   _nil40B_unit_not_torsion),
+            WindowedClaim("generators-are-torsion",
+                          "a^i kills X_i",
+                          _nil40B_generators_torsion),
+            WindowedClaim("unit-stays-outside-torsion",
+                          "X_n^n lies in a^n and is nonzero",
+                          _nil40B_unit_not_torsion),
         )),
     "nil40C": FamilySpec(
         "nil40C",
         "square-zero variables with far-apart products vanishing",
         _build_nil40C,
         (
-            _claim("generators-are-torsion",
-                   "a^(i+1) kills X_i",
-                   _nil40C_generators_torsion),
-            _claim("unit-stays-outside-torsion",
-                   "the window product X_n..X_{2n-1} lies in a^n and is "
-                   "nonzero",
-                   _nil40C_unit_not_torsion),
+            WindowedClaim("generators-are-torsion",
+                          "a^(i+1) kills X_i",
+                          _nil40C_generators_torsion),
+            WindowedClaim("unit-stays-outside-torsion",
+                          "the window product X_n..X_{2n-1} lies in a^n "
+                          "and is nonzero",
+                          _nil40C_unit_not_torsion),
         )),
     "nil40D": FamilySpec(
         "nil40D",
@@ -554,38 +513,38 @@ FAMILIES = {
         "relations are the mixed products",
         _build_nil40D,
         (
-            _claim("fresh-power-probe",
-                   "multiplying by powers of the top variable keeps "
-                   "bounded elements nonzero",
-                   _nil40D_fresh_power_probe),
-            _claim("generators-are-quotient-torsion",
-                   "a^i * X_i falls into the relations ideal",
-                   _nil40D_generators_torsion),
-            _claim("unit-stays-outside-quotient-torsion",
-                   "X_n^n lies in a^n but not in the relations ideal, and "
-                   "1 is not in (b : a^2)",
-                   _nil40D_unit_not_torsion),
+            WindowedClaim("fresh-power-probe",
+                          "multiplying by powers of the top variable keeps "
+                          "bounded elements nonzero",
+                          _nil40D_fresh_power_probe),
+            WindowedClaim("generators-are-quotient-torsion",
+                          "a^i * X_i falls into the relations ideal",
+                          _nil40D_generators_torsion),
+            WindowedClaim("unit-stays-outside-quotient-torsion",
+                          "X_n^n lies in a^n but not in the relations "
+                          "ideal, and 1 is not in (b : a^2)",
+                          _nil40D_unit_not_torsion),
         )),
     "idem50A": FamilySpec(
         "idem50A",
         "all variables idempotent",
         _build_idem50A,
         (
-            _claim("generators-idempotent",
-                   "every variable squares to itself",
-                   _idem50A_generators_idempotent),
-            _claim("low-degree-idempotent",
-                   "every normal monomial up to degree 3 is idempotent",
-                   _idem50A_low_degree_idempotent),
+            WindowedClaim("generators-idempotent",
+                          "every variable squares to itself",
+                          _idem50A_generators_idempotent),
+            WindowedClaim("low-degree-idempotent",
+                          "every normal monomial up to degree 3 is idempotent",
+                          _idem50A_low_degree_idempotent),
         )),
     "idem50B": FamilySpec(
         "idem50B",
         "each square rewrites to the next variable",
         _build_idem50B,
         (
-            _claim("power-collapse",
-                   "X_0^(2^k) normalizes to X_k",
-                   _idem50B_power_collapse),
+            WindowedClaim("power-collapse",
+                          "X_0^(2^k) normalizes to X_k",
+                          _idem50B_power_collapse),
         )),
     "idem50C": FamilySpec(
         "idem50C",
@@ -593,24 +552,24 @@ FAMILIES = {
         "powers of the free variable with each idempotent",
         _build_idem50C,
         (
-            _claim("membership-cross-check",
-                   "the exact membership rule for the relations ideal "
-                   "matches the engine's membership decision",
-                   _idem50C_membership_cross_check),
-            _claim("colon-by-acting-trivial",
-                   "no bounded element sends the whole acting ideal into "
-                   "the relations ideal (fresh-variable probe)",
-                   _idem50C_colon_by_acting_trivial),
-            _claim("colon-by-free-var-inside-acting",
-                   "(b : X_0) stays inside the acting ideal",
-                   _idem50C_colon_by_free_var_in_acting),
-            _claim("complement-kills",
-                   "X_i * (1 - X_i) = 0 for idempotent variables",
-                   _idem50C_complement_kills),
-            _claim("deep-generator-member",
-                   "X_0^3*X_3 belongs to the relations ideal with a "
-                   "verifiable certificate",
-                   _idem50C_deep_generator_member),
+            WindowedClaim("membership-cross-check",
+                          "the exact membership rule for the relations ideal "
+                          "matches the engine's membership decision",
+                          _idem50C_membership_cross_check),
+            WindowedClaim("colon-by-acting-trivial",
+                          "no bounded element sends the whole acting ideal "
+                          "into the relations ideal (fresh-variable probe)",
+                          _idem50C_colon_by_acting_trivial),
+            WindowedClaim("colon-by-free-var-inside-acting",
+                          "(b : X_0) stays inside the acting ideal",
+                          _idem50C_colon_by_free_var_in_acting),
+            WindowedClaim("complement-kills",
+                          "X_i * (1 - X_i) = 0 for idempotent variables",
+                          _idem50C_complement_kills),
+            WindowedClaim("deep-generator-member",
+                          "X_0^3*X_3 belongs to the relations ideal with a "
+                          "verifiable certificate",
+                          _idem50C_deep_generator_member),
         )),
 }
 

@@ -375,6 +375,12 @@ def _eliminate(ring, basis, polys):
         tagged = {m.mul(tag): -c for m, c in terms.items()}
         tagged.update(terms)
         fresh.append((tagged, None))
+    return _tag_free(ring, known, fresh)
+
+
+def _tag_free(ring, known, fresh):
+    """The reduced tag-free part of the completion of known plus fresh:
+    the entries whose lead avoids the tag variable X_num_vars."""
     return _reduced(ring, [entry for entry in _complete(ring, known, fresh)
                            if entry[0].max_var() < ring.num_vars])
 
@@ -761,10 +767,8 @@ def _saturate_by(ideal, g):
     fresh = {m.mul(tag): -c for m, c in g.terms.items()}
     fresh[Monomial.one()] = 1
     known = [(lead, poly, None) for lead, poly, _ in ideal._groebner()]
-    basis = _complete(ring, known, [(fresh, None)])
-    return _image(ring, _reduced(ring, [
-        entry for entry in basis if entry[0].max_var() < ring.num_vars]),
-        ideal.complete)
+    return _image(ring, _tag_free(ring, known, [(fresh, None)]),
+                  ideal.complete)
 
 
 def ideal_saturation(ideal, other):

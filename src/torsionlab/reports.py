@@ -31,6 +31,18 @@ def _scalar(value):
     return str(value)
 
 
+def _scalar_lines(head, value, pad):
+    """head followed by the scalar; a multi-line scalar follows as a "|"
+    block, each of its lines one level deeper than pad."""
+    text = _scalar(value)
+    if "\n" not in text:
+        yield head + text
+        return
+    yield head + "|"
+    for line in text.splitlines():
+        yield pad + "  " + line
+
+
 def _text_lines(tree, depth):
     pad = "  " * depth
     if isinstance(tree, dict):
@@ -43,17 +55,18 @@ def _text_lines(tree, depth):
                 yield "%s%s: %s" % (pad, key, "{}" if isinstance(value, dict)
                                     else "[]")
             else:
-                yield "%s%s: %s" % (pad, key, _scalar(value))
+                yield from _scalar_lines("%s%s: " % (pad, key), value, pad)
     elif isinstance(tree, list):
         for item in tree:
             if isinstance(item, (dict, list)) and item:
                 yield "%s-" % pad
                 yield from _text_lines(item, depth + 1)
+            elif isinstance(item, (dict, list)):
+                yield "%s- {}" % pad
             else:
-                yield "%s- %s" % (pad, _scalar(item) if not isinstance(
-                    item, (dict, list)) else "{}")
+                yield from _scalar_lines("%s- " % pad, item, pad)
     else:
-        yield "%s%s" % (pad, _scalar(tree))
+        yield from _scalar_lines(pad, tree, pad)
 
 
 def prime_list(primes):

@@ -89,12 +89,14 @@ def in_variety(vars_set, ideal) -> bool:
 
 
 def intersect_variety(primes, ideal):
-    return sorted((p for p in primes if in_variety(p, ideal)), key=prime_key)
+    """The primes that contain the ideal, in their input order: callers
+    pass AssassinReport.primes, already sorted by prime_key."""
+    return [p for p in primes if in_variety(p, ideal)]
 
 
 def difference_variety(primes, ideal):
-    return sorted((p for p in primes if not in_variety(p, ideal)),
-                  key=prime_key)
+    """The primes that do not contain the ideal, in their input order."""
+    return [p for p in primes if not in_variety(p, ideal)]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, every private
 module-level function and private method is referenced somewhere in the
-package, the unchecked Monomial constructor is used only in ring.py, the
+package and does more than forward its own parameters to another
+callable, the unchecked Monomial constructor is used only in ring.py, the
 oracles import none of the modules they check, and every span name the
 benchmark tracer wraps resolves in the package.
 
@@ -84,6 +85,44 @@ def _unreferenced_private_functions(trees):
     return sorted(entry for entry in defined if entry[2] not in used)
 
 
+def _passed_names(call):
+    """The names a call passes, in order, or None when an argument is more
+    than a bare name (a keyword argument counts only as name=name)."""
+    values = [arg.value if isinstance(arg, ast.Starred) else arg
+              for arg in call.args] + [kw.value for kw in call.keywords]
+    if not all(isinstance(value, ast.Name) for value in values):
+        return None
+    if any(kw.arg not in (None, kw.value.id) for kw in call.keywords):
+        return None
+    return [value.id for value in values]
+
+
+def _parameter_names(args):
+    params = (args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs
+              + [args.kwarg])
+    return [p.arg for p in params if p is not None]
+
+
+def _private_forwarders(trees):
+    """(file, line, name) of each _private function or method whose body,
+    past its docstring, only returns a call of another callable on its
+    own parameters, unchanged."""
+    out = []
+    for path, tree in trees.items():
+        for node in _private_definitions(tree):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and isinstance(body[0].value, ast.Call)
+                    and _passed_names(body[0].value)
+                    == _parameter_names(node.args)):
+                out.append((path, node.lineno, node.name))
+    return sorted(out)
+
+
 def _trusted_constructor_uses(trees):
     """(file, line) of each reference to ring._trusted_monomial outside
     ring.py, which alone keeps the invariant that constructor skips."""
@@ -138,6 +177,31 @@ def test_unreferenced_private_method_is_reported():
     trees = {"m.py": ast.parse(source)}
     assert _unreferenced_private_functions(trees) == [
         ("m.py", 8, "_orphan"), ("m.py", 11, "_recursive")]
+
+
+def test_no_private_function_only_forwards_its_parameters():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _private_forwarders(trees) == []
+
+
+def test_private_forwarder_is_reported():
+    source = ("def _pass(ring, m):\n    \"\"\"Doc.\"\"\"\n"
+              "    return Element.from_monomial(ring, m)\n\n"
+              "def _star(*args, key=None, **kw):\n"
+              "    return f(*args, key=key, **kw)\n\n"
+              "def _swapped(a, b):\n    return f(b, a)\n\n"
+              "def _dropped(a, b):\n    return f(a)\n\n"
+              "def _changed(a):\n    return f(a + 1)\n\n"
+              "def _named(a, b):\n    return f(a, b=b)\n\n"
+              "def public(a):\n    return f(a)\n\n"
+              "class Handle:\n"
+              "    def _method(self, x):\n        return self.f(x)\n\n"
+              "    def _bound(self, x):\n        return g(self, x)\n")
+    trees = {"m.py": ast.parse(source)}
+    assert _private_forwarders(trees) == [
+        ("m.py", 1, "_pass"), ("m.py", 5, "_star"), ("m.py", 17, "_named"),
+        ("m.py", 27, "_bound")]
 
 
 def test_trusted_constructor_stays_in_ring():

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import json
 
+import random
+
+from torsionlab.harness import HarnessReport, HarnessViolation, random_instance
 from torsionlab.ideals import IdealHandle
 from torsionlab.reports import (
+    harness_tree,
     membership_tree,
     render,
     saturation_tree,
@@ -59,3 +63,19 @@ def test_membership_tree_includes_certificate():
     assert tree["certificate"] == [{"generator": 0, "multiplier": "X1"}]
     no = membership_tree(ideal_membership(Element.from_monomial(ring, _var(1)), b))
     assert no["verdict"] == "no"
+
+
+def test_multi_line_script_sits_under_its_key_in_text():
+    script = random_instance(0, random.Random(42)).script
+    assert script.count("\n") == 6
+    report = HarnessReport(42, 1, 1, (HarnessViolation(
+        0, "fair", "left != right", script),))
+    lines = render(harness_tree(report), "text").splitlines()
+    (at,) = [i for i, line in enumerate(lines)
+             if line.lstrip().startswith("script:")]
+    key_depth = len(lines[at]) - len(lines[at].lstrip())
+    block = lines[at + 1:at + 7]
+    assert all(len(line) - len(line.lstrip()) > key_depth for line in block)
+    indent = " " * (key_depth + 2)
+    assert all(line.startswith(indent) for line in block)
+    assert "".join(line[len(indent):] + "\n" for line in block) == script
