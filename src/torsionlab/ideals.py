@@ -813,15 +813,40 @@ def prime_key(vars_set):
 
 def minimal_transversals(edges):
     """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
-    by Berge's step (Berge, Hypergraphs, 1989, ch. 2): take the edges by
-    increasing size; a cover that meets the edge stays, any other grows by
-    one vertex of the edge unless it then contains a cover that stayed."""
-    covers = [frozenset()]
-    for edge in sorted(map(frozenset, edges), key=len):
+    sorted by prime_key."""
+    return _mask_transversals([sum(1 << v for v in e) for e in edges])
+
+
+def _mask_transversals(edges):
+    """minimal_transversals of edges given as int bitmasks, bit v standing
+    for vertex v.
+
+    A singleton edge is forced into every transversal, so the union of the
+    singleton edges starts the one cover and every edge it meets is
+    dropped.  Berge's step (Berge, Hypergraphs, 1989, ch. 2) takes the
+    edges left by increasing size: a cover that meets the edge stays, any
+    other grows by one vertex of the edge unless it then contains a cover
+    that stayed.
+    """
+    edges = set(edges)
+    forced = 0
+    for edge in edges:
+        if not edge & (edge - 1):
+            forced |= edge
+    covers = [forced]
+    for edge in sorted((e for e in edges if not e & forced),
+                       key=int.bit_count):
+        bits = [1 << v for v in range(edge.bit_length()) if edge >> v & 1]
         kept = [c for c in covers if c & edge]
-        grown = [c | {v} for c in covers if not c & edge for v in edge]
-        covers = kept + [g for g in grown if not any(k <= g for k in kept)]
-    return sorted(covers, key=prime_key)
+        grown = [c | b for c in covers if not c & edge for b in bits]
+        covers = kept + [g for g in grown
+                         if not any(k & g == k for k in kept)]
+    return sorted(map(_mask_vars, covers), key=prime_key)
+
+
+def _mask_vars(mask):
+    """The variable set of an int bitmask."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def minimal_primes(ideal):

@@ -43,6 +43,11 @@ def _scalar_lines(head, value, pad):
         yield pad + "  " + line
 
 
+def _empty(container):
+    """The text form of an empty dict or list."""
+    return "{}" if isinstance(container, dict) else "[]"
+
+
 def _text_lines(tree, depth):
     pad = "  " * depth
     if isinstance(tree, dict):
@@ -52,8 +57,7 @@ def _text_lines(tree, depth):
                 yield "%s%s:" % (pad, key)
                 yield from _text_lines(value, depth + 1)
             elif isinstance(value, (dict, list)):
-                yield "%s%s: %s" % (pad, key, "{}" if isinstance(value, dict)
-                                    else "[]")
+                yield "%s%s: %s" % (pad, key, _empty(value))
             else:
                 yield from _scalar_lines("%s%s: " % (pad, key), value, pad)
     elif isinstance(tree, list):
@@ -62,7 +66,7 @@ def _text_lines(tree, depth):
                 yield "%s-" % pad
                 yield from _text_lines(item, depth + 1)
             elif isinstance(item, (dict, list)):
-                yield "%s- {}" % pad
+                yield "%s- %s" % (pad, _empty(item))
             else:
                 yield from _scalar_lines("%s- " % pad, item, pad)
     else:

@@ -19,6 +19,15 @@ denominator b and the witness m, so the ring keeps one witness table per
 denominator generator tuple, mapping each witness to its ass prime (or
 None) and its minimal primes; every numerator scanned over an equal
 denominator reads it.
+
+A table entry is read from exponent comparisons, without building the
+colon: for each lifted basis monomial g of b, the quotient g / gcd(g, m)
+has support {v : e_v(g) > e_v(m)}, an int bitmask, and degree the sum of
+those excesses.  (b : m) is prime exactly when every quotient's support
+meets V, the variables that occur as a degree-1 quotient, and its prime is
+then V.  Its minimal primes are the minimal transversals of the quotient
+supports (Berge, Hypergraphs, ch. 2); a quotient divisible by another has
+the larger support, which changes no transversal, so nothing is reduced.
 """
 
 from __future__ import annotations
@@ -28,12 +37,7 @@ from functools import reduce
 from typing import Optional
 
 from .errors import RingMismatch
-from .ideals import (
-    IdealHandle,
-    _basis_minimal_primes,
-    _colon_basis,
-    prime_key,
-)
+from .ideals import IdealHandle, _mask_transversals, _mask_vars, prime_key
 from .ring import Monomial
 
 
@@ -133,20 +137,47 @@ def _witness_scan(numerator, denominator, top):
             and not any(g.divides(m) for g in den_gens)]
 
 
+def _annihilator(basis, m):
+    """(prime or None, minimal primes) of the colon (J : m), for the
+    monomial ideal J with this lifted basis and a monomial m outside J.
+
+    The prime is the colon's variable set when the colon is prime.  Both
+    are read from the supports and degrees of the quotients g / gcd(g, m),
+    as the module docstring describes.
+    """
+    exps = dict(m.pairs)
+    supports = set()
+    linear = 0
+    for g in basis:
+        mask = excess = 0
+        for v, e in g.pairs:
+            over = e - exps.get(v, 0)
+            if over > 0:
+                mask |= 1 << v
+                excess += over
+        supports.add(mask)
+        if excess == 1:
+            linear |= mask
+    prime = (_mask_vars(linear) if all(s & linear for s in supports)
+             else None)
+    return prime, _mask_transversals(supports)
+
+
 def assassin_scan(numerator, denominator):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
     One exact witness scan, over the normal divisors of L, serves both
-    reports.  A witness's annihilator, the colon (denominator : m) as a
-    lifted basis, gives an ass prime when it is prime, and its minimal
-    primes are ass^f primes.  Both are read from the ring's witness table
-    for the denominator's generators, so each annihilator is computed once
-    per ring, whatever the numerator.
+    reports.  A witness's annihilator, the colon (denominator : m), gives
+    an ass prime when it is prime, and its minimal primes are ass^f primes.
+    Both are read from the ring's witness table for the denominator's
+    generators, so each annihilator is computed once per ring, whatever
+    the numerator.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
-    top = reduce(Monomial.lcm, numerator.monomial_generators()
-                 + denominator.lifted_monomials(), Monomial.one())
+    basis = denominator.lifted_monomials()
+    top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
+                 Monomial.one())
     # L stays the scan's third positional argument: the perfbench tracer
     # keys each traced scan on it (until ROADMAP item 1).
     witnesses = _witness_scan(numerator, denominator, top)
@@ -157,9 +188,7 @@ def assassin_scan(numerator, denominator):
     for m in witnesses:
         entry = table.get(m)
         if entry is None:
-            basis = _colon_basis(denominator.lifted_monomials(), m)
-            entry = table[m] = (_basis_prime(basis),
-                                _basis_minimal_primes(basis))
+            entry = table[m] = _annihilator(basis, m)
         prime, minimal = entry
         if prime is not None:
             ass_pairs.append((prime, m))

@@ -107,7 +107,8 @@ def _brute_force_transversals(n, edges):
 
 def test_minimal_transversals_match_brute_force():
     rng = random.Random(83)
-    shapes = {"no edges": 0, "repeated edge": 0, "edge contains another": 0}
+    shapes = {"no edges": 0, "repeated edge": 0, "edge contains another": 0,
+              "has a singleton edge": 0, "every edge meets a singleton": 0}
     for _ in range(2400):
         n = rng.randint(1, 6)
         edges = []
@@ -124,6 +125,10 @@ def test_minimal_transversals_match_brute_force():
         shapes["repeated edge"] += len(set(edges)) < len(edges)
         shapes["edge contains another"] += any(
             e < f for e in edges for f in edges)
+        forced = frozenset().union(*(e for e in edges if len(e) == 1))
+        shapes["has a singleton edge"] += bool(forced)
+        shapes["every edge meets a singleton"] += bool(forced) and all(
+            e & forced for e in edges)
         rng.shuffle(edges)
         assert (minimal_transversals(edges)
                 == _brute_force_transversals(n, edges)), edges

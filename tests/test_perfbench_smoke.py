@@ -3,8 +3,8 @@
 The perfbench tracer wraps package functions from outside and reads some of
 their positional arguments, so a changed call contract shows up only when a
 traced run executes.  Each case runs one short traced round of a workload
-in a subprocess, from a copy of perfbench/ and src/, so the run's span
-files land in the test's temporary directory.
+in a subprocess, from a copy of perfbench/, scripts/ and src/, so the run's
+span files land in the test's temporary directory.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["harness", "oracle"])
+@pytest.mark.parametrize("workload",
+                         ["harness", "replication", "scripts", "oracle"])
 def test_traced_workload_has_no_failed_ops(workload, tmp_path):
     skip = shutil.ignore_patterns("out", "results", "__pycache__")
-    for part in ("perfbench", "src"):
+    for part in ("perfbench", "scripts", "src"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)
     proc = subprocess.run(
         [sys.executable, str(tmp_path / "perfbench" / "run.py"),

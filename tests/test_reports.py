@@ -34,6 +34,10 @@ def test_text_renderer_scalars_and_nesting():
     assert text.index("empty") < text.index("flag") < text.index("items")
 
 
+def test_empty_list_and_dict_items_differ_in_text():
+    assert render({"x": [[], {}]}, "text") == "x:\n  - []\n  - {}\n"
+
+
 def test_json_renderer_sorts_keys_and_ends_with_newline():
     tree = {"b": 1, "a": [2, 3]}
     out = render(tree, "json")

@@ -7,7 +7,13 @@ import random
 from functools import reduce
 
 from torsionlab.harness import random_instance
-from torsionlab.ideals import IdealHandle, ideal_colon, minimal_primes
+from torsionlab.ideals import (
+    IdealHandle,
+    _basis_minimal_primes,
+    _colon_basis,
+    ideal_colon,
+    minimal_primes,
+)
 from torsionlab.oracles import assassin_sets, weak_assassin_sets
 from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
 from torsionlab.spectrum import (
@@ -19,7 +25,7 @@ from torsionlab.spectrum import (
     spectrum,
     weak_assassins_cyclic,
 )
-from torsionlab.torsion import gamma_small_cyclic
+from torsionlab.torsion import gamma_large_cyclic, gamma_small_cyclic
 
 # The package re-exports the function spectrum under the module's name.
 spectrum_module = importlib.import_module("torsionlab.spectrum")
@@ -203,8 +209,8 @@ def test_weak_assassin_oracle_agreement():
 
 def test_assassin_scan_shared_by_equal_handles(monkeypatch):
     calls = []
-    real = spectrum_module._colon_basis
-    monkeypatch.setattr(spectrum_module, "_colon_basis",
+    real = spectrum_module._annihilator
+    monkeypatch.setattr(spectrum_module, "_annihilator",
                         lambda *args: calls.append(args) or real(*args))
     rng = random.Random(67)
     for i in range(10):
@@ -278,3 +284,51 @@ def test_assassin_scan_matches_per_witness_recomputation():
                     expect_assf.setdefault(prime, m)
             assert dict(ass.witnesses) == expect_ass
             assert dict(assf.witnesses) == expect_assf
+
+
+def _annihilator_by_colon_basis(basis, m):
+    colon = _colon_basis(basis, m)
+    return spectrum_module._basis_prime(colon), _basis_minimal_primes(colon)
+
+
+def test_annihilator_matches_the_colon_basis():
+    """The exponent-comparison table entry equals the prime and minimal
+    primes of the built colon basis, for every normal monomial outside the
+    denominator."""
+    rng = random.Random(89)
+    checked = 0
+    for i in range(100):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        small = gamma_small_cyclic(instance.acting, instance.relations)
+        large = gamma_large_cyclic(instance.acting, instance.relations)
+        for denominator in (instance.relations, instance.extension,
+                            small.preimage, large.preimage):
+            basis = denominator.lifted_monomials()
+            for m in ring.normal_monomials_up_to(instance.witness_bound):
+                if denominator.contains_monomial(m):
+                    continue
+                assert (spectrum_module._annihilator(basis, m)
+                        == _annihilator_by_colon_basis(basis, m)), (basis, m)
+                checked += 1
+    assert checked >= 2000, checked
+
+
+def test_annihilator_hand_cases():
+    x0, x1 = _var(0), _var(1)
+    zero = IdealHandle.zero(RingPresentation(2)).lifted_monomials()
+    cases = [
+        # (X0^3) : X0 = (X0^2), not prime, over the prime (X0)
+        ((_var(0, 3),), x0, (None, [frozenset({0})])),
+        # (X0*X1, X1^3) : X1 = (X0, X1^2), not prime, over (X0, X1)
+        ((x0.mul(x1), _var(1, 3)), x1, (None, [frozenset({0, 1})])),
+        # the zero ideal of a rule-free ring: the zero prime
+        (zero, Monomial.one(), (frozenset(), [frozenset()])),
+        (zero, x0.mul(x1), (frozenset(), [frozenset()])),
+        # (X0*X1, X0*X2) : X0 = (X1, X2), prime
+        ((x0.mul(x1), x0.mul(_var(2))), x0,
+         (frozenset({1, 2}), [frozenset({1, 2})])),
+    ]
+    for basis, m, expected in cases:
+        assert spectrum_module._annihilator(basis, m) == expected
+        assert _annihilator_by_colon_basis(basis, m) == expected
