@@ -245,8 +245,9 @@ def check_instance(instance):
              frozenset(difference_variety(c_quo_assf.primes, ann_sub))
              <= base_assf.prime_set)
 
-    bnd_small = bounded_torsion_exponent(a, g, b)
-    if bnd_small is not None:
+    # The saturation that gave g already found the least n with a^n * g
+    # inside b (small.steps), so only whether it stabilized matters here.
+    if small.stabilized:
         if not intersect_variety(quo_s_ass.primes, a):
             ck.check("bounded-small-fair", report.verdict("fair"))
         if not intersect_variety(quo_s_assf.primes, a):

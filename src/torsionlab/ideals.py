@@ -726,26 +726,32 @@ def power_order(acting, m):
     most generators of acting whose product divides m.  Unbounded (inf)
     when acting is the unit ideal."""
     gens = acting.monomial_generators()
-    if acting.is_unit:
+    # Reduced, the unit ideal's generators are 1 alone.
+    if gens == (Monomial.one(),):
         return math.inf
-    memo = {}
-
-    def order(d):
-        got = memo.get(d)
-        if got is None:
-            got = 0
-            if not d.is_one:
-                # A best product either uses a generator on the first
-                # variable of d, or divides d with that variable dropped.
-                v = d.pairs[0][0]
-                got = order(Monomial(d.pairs[1:]))
-                for g in gens:
-                    if g.pairs[0][0] == v and g.divides(d):
-                        got = max(got, 1 + order(d.div(g)))
-            memo[d] = got
-        return got
-
-    return order(m)
+    # An explicit stack: a recursion would go as deep as the degree of m.
+    # Each entry is a monomial d and, once expanded, the monomials that
+    # order[d] is read from.
+    order = {Monomial.one(): 0}
+    stack = [(m, None)]
+    while stack:
+        d, parts = stack.pop()
+        if d in order:
+            continue
+        if parts is None:
+            # A best product either divides d with its first variable
+            # dropped, or uses a generator on that variable.
+            v = d.pairs[0][0]
+            parts = [Monomial(d.pairs[1:])] + [
+                d.div(g) for g in gens
+                if g.pairs[0][0] == v and g.divides(d)]
+            todo = [(q, None) for q in parts if q not in order]
+            if todo:
+                stack.append((d, parts))
+                stack += todo
+                continue
+        order[d] = max([order[parts[0]]] + [1 + order[q] for q in parts[1:]])
+    return order[m]
 
 
 def _saturate_by(ideal, g):

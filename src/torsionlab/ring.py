@@ -270,15 +270,14 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from six caches: the normal-form cache,
+    Instances are immutable apart from five caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
-    so far, extended on demand by normal_monomials_of_degree), the normal
-    divisors of each monomial that normal_divisors was asked for, the critical
+    so far, extended on demand by normal_monomials_of_degree), the critical
     pairs that do not join, kept by the first check_local_confluence, the
-    witness tables of spectrum.assassin_scan: per denominator generator
-    tuple, each witness scanned so far mapped to its annihilator's ass prime
-    (or None) and minimal primes, and the lift of ideals._lift: the rule
-    binomials as Groebner basis entries and the term order.
+    assassin report cache of spectrum.assassin_scan, mapping each
+    (numerator, denominator) pair of generator tuples scanned so far to its
+    (ass, ass^f) reports, and the lift of ideals._lift: the rule binomials
+    as Groebner basis entries and the term order.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -310,9 +309,8 @@ class RingPresentation:
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
-        self._divisors = {}
         self._confluence_failures = None
-        self._witness_tables = {}
+        self._assassin_reports = {}
         self._lift = None
 
     def __repr__(self):
@@ -418,25 +416,19 @@ class RingPresentation:
         level), the divisors are those levels filtered by divisibility.
         Otherwise they are enumerated: divisors of a normal monomial are
         normal, so extending level by level up to the exponents of ``top``
-        misses none.  Computed once per ring and ``top``.
+        misses none.
         """
-        cached = self._divisors.get(top)
-        if cached is None:
-            levels = self._levels
-            if len(levels) > top.degree or not levels[-1]:
-                cached = tuple(m for level in levels[:top.degree + 1]
-                               for m in level if m.divides(top))
-            else:
-                steps = [(v, cap, Monomial.variable(v))
-                         for v, cap in top.pairs]
-                out = []
-                level = (Monomial.one(),)
-                while level:
-                    out.extend(level)
-                    level = self._next_level(level, steps)
-                cached = tuple(out)
-            self._divisors[top] = cached
-        return cached
+        levels = self._levels
+        if len(levels) > top.degree or not levels[-1]:
+            return tuple(m for level in levels[:top.degree + 1]
+                         for m in level if m.divides(top))
+        steps = [(v, cap, Monomial.variable(v)) for v, cap in top.pairs]
+        out = []
+        level = (Monomial.one(),)
+        while level:
+            out.extend(level)
+            level = self._next_level(level, steps)
+        return tuple(out)
 
     def normal_monomials_up_to(self, d):
         out = []

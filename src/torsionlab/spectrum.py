@@ -14,20 +14,19 @@ witness m at its exponent in L keeps it in the numerator and outside the
 denominator and leaves the colon (b : m) unchanged, so these divisors give
 every annihilator, including the grlex-first witness of each prime (Miller
 & Sturmfels, Combinatorial Commutative Algebra, ch. 1).  One scan yields
-both ass and ass^f.  A witness annihilator (b : m) depends only on the
-denominator b and the witness m, so the ring keeps one witness table per
-denominator generator tuple, mapping each witness to its ass prime (or
-None) and its minimal primes; every numerator scanned over an equal
-denominator reads it.
+both ass and ass^f.  The pair of reports depends only on the generator
+tuples of the numerator and the denominator, so the ring keeps each pair
+under those two tuples and scans a module once.
 
-A table entry is read from exponent comparisons, without building the
-colon: for each lifted basis monomial g of b, the quotient g / gcd(g, m)
-has support {v : e_v(g) > e_v(m)}, an int bitmask, and degree the sum of
-those excesses.  (b : m) is prime exactly when every quotient's support
-meets V, the variables that occur as a degree-1 quotient, and its prime is
-then V.  Its minimal primes are the minimal transversals of the quotient
-supports (Berge, Hypergraphs, ch. 2); a quotient divisible by another has
-the larger support, which changes no transversal, so nothing is reduced.
+Each witness annihilator is read from exponent comparisons, without
+building the colon: for each lifted basis monomial g of b, the quotient
+g / gcd(g, m) has support {v : e_v(g) > e_v(m)}, an int bitmask, and degree
+the sum of those excesses.  (b : m) is prime exactly when every quotient's
+support meets V, the variables that occur as a degree-1 quotient, and its
+prime is then V.  Its minimal primes are the minimal transversals of the
+quotient supports (Berge, Hypergraphs, ch. 2); a quotient divisible by
+another has the larger support, which changes no transversal, so nothing
+is reduced.
 """
 
 from __future__ import annotations
@@ -169,32 +168,31 @@ def assassin_scan(numerator, denominator):
     One exact witness scan, over the normal divisors of L, serves both
     reports.  A witness's annihilator, the colon (denominator : m), gives
     an ass prime when it is prime, and its minimal primes are ass^f primes.
-    Both are read from the ring's witness table for the denominator's
-    generators, so each annihilator is computed once per ring, whatever
-    the numerator.
+    The pair is kept on the ring under the generator tuples of numerator
+    and denominator, so each module is scanned once per ring.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
-    basis = denominator.lifted_monomials()
-    top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
-                 Monomial.one())
-    # L stays the scan's third positional argument: the perfbench tracer
-    # keys each traced scan on it (until ROADMAP item 1).
-    witnesses = _witness_scan(numerator, denominator, top)
-    table = denominator.ring._witness_tables.setdefault(
-        denominator.monomial_generators(), {})
-    ass_pairs = []
-    assf_pairs = []
-    for m in witnesses:
-        entry = table.get(m)
-        if entry is None:
-            entry = table[m] = _annihilator(basis, m)
-        prime, minimal = entry
-        if prime is not None:
-            ass_pairs.append((prime, m))
-        assf_pairs.extend((p, m) for p in minimal)
-    return tuple(AssassinReport(*_sorted_primes(pairs))
-                 for pairs in (ass_pairs, assf_pairs))
+    key = (numerator.monomial_generators(), denominator.monomial_generators())
+    reports = numerator.ring._assassin_reports
+    cached = reports.get(key)
+    if cached is None:
+        basis = denominator.lifted_monomials()
+        top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
+                     Monomial.one())
+        ass_pairs = []
+        assf_pairs = []
+        # L stays the scan's third positional argument: the perfbench
+        # tracer keys each traced scan on it (until ROADMAP item 1).
+        for m in _witness_scan(numerator, denominator, top):
+            prime, minimal = _annihilator(basis, m)
+            if prime is not None:
+                ass_pairs.append((prime, m))
+            assf_pairs.extend((p, m) for p in minimal)
+        cached = reports[key] = tuple(
+            AssassinReport(*_sorted_primes(pairs))
+            for pairs in (ass_pairs, assf_pairs))
+    return cached
 
 
 def _within_degree(report, witness_bound):

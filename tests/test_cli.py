@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from torsionlab import cli
+from torsionlab.dsl import parse
 from torsionlab.families import ClaimResult, ExampleReport
 
 DEMO = """\
@@ -265,6 +266,19 @@ def test_saturation_walk_out_of_budget_is_unstabilized(tmp_path, capsys,
     result = json.loads(out)["statements"][-1]["result"]
     assert result == {"ideal": "ideal(X0^70)", "stabilized": False,
                       "steps": 0}
+
+
+def test_saturation_of_a_deep_exponent():
+    # 1999 steps of the chain, each one exponent unit: a recursive walk
+    # over the exponent would pass the interpreter's recursion limit.
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..0] rules { X[0]^2000 -> 0 }\n"
+        "ideal a = < X[0] >\n"
+        "ideal z = < X[0]^1999 >\n"
+        "query saturation(z; a)\n"))
+    assert code == 0
+    assert tree["statements"][-1]["result"] == {
+        "ideal": "ideal(1)", "stabilized": True, "steps": 1999}
 
 
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):

@@ -603,6 +603,14 @@ def test_power_order_matches_power_membership():
     assert checked >= 5000
 
 
+def test_power_order_of_a_deep_exponent():
+    # A recursion over the exponent would go 3000 deep, past the
+    # interpreter's recursion limit.
+    ring = RingPresentation(1, [RewriteRule(_var(0, 5000))])
+    acting = IdealHandle.from_monomials(ring, [_var(0)])
+    assert power_order(acting, _var(0, 3000)) == 3000
+
+
 def _exhaustive_span(ideal, bound):
     """Reference for termwise membership, exhaustive for one bound: every
     generator in order times every normal multiplier up to the bound in

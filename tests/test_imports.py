@@ -1,9 +1,10 @@
 """Every name a module imports is used in that module, every private
 module-level function and private method is referenced somewhere in the
 package and does more than forward its own parameters to another
-callable, the unchecked Monomial constructor is used only in ring.py, the
-oracles import none of the modules they check, and every span name the
-benchmark tracer wraps resolves in the package.
+callable, every private attribute a class sets in __init__ is read
+somewhere in the package, the unchecked Monomial constructor is used only
+in ring.py, the oracles import none of the modules they check, and every
+span name the benchmark tracer wraps resolves in the package.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -123,6 +124,36 @@ def _private_forwarders(trees):
     return sorted(out)
 
 
+def _unread_init_attributes(trees):
+    """(file, line, name) of each _private attribute that a module-level
+    class sets on self in __init__ and no code in the package reads."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    out = []
+    for path, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, FUNCTIONS)
+                        and init.name == "__init__"):
+                    continue
+                self_name = init.args.args[0].arg
+                out.extend(
+                    (path, node.lineno, node.attr)
+                    for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == self_name
+                    and node.attr.startswith("_")
+                    and not (node.attr.startswith("__")
+                             and node.attr.endswith("__"))
+                    and node.attr not in read)
+    return sorted(out)
+
+
 def _trusted_constructor_uses(trees):
     """(file, line) of each reference to ring._trusted_monomial outside
     ring.py, which alone keeps the invariant that constructor skips."""
@@ -202,6 +233,27 @@ def test_private_forwarder_is_reported():
     assert _private_forwarders(trees) == [
         ("m.py", 1, "_pass"), ("m.py", 5, "_star"), ("m.py", 17, "_named"),
         ("m.py", 27, "_bound")]
+
+
+def test_every_private_init_attribute_is_read():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_init_attributes(trees) == []
+
+
+def test_unread_init_attribute_is_reported():
+    source = ("class Ring:\n"
+              "    def __init__(self):\n"
+              "        self._read = {}\n"
+              "        self._left = {}\n"
+              "        self._elsewhere, self.public = None, 1\n"
+              "        self.__dunder__ = 0\n"
+              "        other._set = 2\n\n"
+              "    def get(self):\n        return self._read\n\n"
+              "    def reset(self):\n        self._left = None\n")
+    trees = {"m.py": ast.parse(source),
+             "n.py": ast.parse("x = ring._elsewhere\n")}
+    assert _unread_init_attributes(trees) == [("m.py", 4, "_left")]
 
 
 def test_trusted_constructor_stays_in_ring():

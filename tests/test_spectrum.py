@@ -230,6 +230,60 @@ def test_assassin_scan_shared_by_equal_handles(monkeypatch):
         assert len(calls) == before
 
 
+def _scan_pairs(instance):
+    """(numerator, denominator) generator tuples of four modules of one
+    instance, three of them over the same denominator.
+
+    The harness rings are artinian and local, so the small torsion
+    preimage is the unit ideal; (c, b) comes first, so that forward and
+    reverse order each scan a different numerator over b first.
+    """
+    ring = instance.ring
+    b, c = instance.relations, instance.extension
+    small = gamma_small_cyclic(instance.acting, b)
+    return [(h.monomial_generators(), k.monomial_generators())
+            for h, k in ((c, b), (IdealHandle.unit(ring), b),
+                         (small.preimage, b), (IdealHandle.unit(ring), c))]
+
+
+def _scan_all(ring, pairs):
+    """assassin_scan of each pair, rebuilt as handles in ring."""
+    return [assassin_scan(IdealHandle.from_monomials(ring, num),
+                          IdealHandle.from_monomials(ring, den))
+            for num, den in pairs]
+
+
+def test_assassin_reports_depend_on_the_numerator_too():
+    """Scans over a shared denominator, in one order on the instance's ring
+    and in the reverse order on a fresh copy of it, give equal reports."""
+    rng = random.Random(79)
+    for i in range(40):
+        instance = random_instance(i, rng)
+        ring = instance.ring
+        pairs = _scan_pairs(instance)
+        forward = _scan_all(ring, pairs)
+        fresh = RingPresentation(ring.num_vars, ring.rules)
+        backward = _scan_all(fresh, pairs[::-1])[::-1]
+        assert forward == backward, pairs
+
+
+def test_repeated_scan_reads_the_report_cache(monkeypatch):
+    calls = []
+    real = spectrum_module._witness_scan
+    monkeypatch.setattr(spectrum_module, "_witness_scan",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(83)
+    for i in range(10):
+        instance = random_instance(i, rng)
+        pairs = _scan_pairs(instance)
+        start = len(calls)
+        first = _scan_all(instance.ring, pairs)
+        scanned = len(calls)
+        assert scanned - start == len(set(pairs))
+        assert _scan_all(instance.ring, pairs) == first
+        assert len(calls) == scanned
+
+
 def _top(numerator, denominator):
     """L: the lcm of the numerator's generators and the denominator's
     lifted basis."""
