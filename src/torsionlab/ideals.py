@@ -777,14 +777,38 @@ def _saturate_by(ideal, g):
                   ideal.complete)
 
 
+def _memo_key(ideal):
+    """The generators of a handle as a saturation memo key: the reduced
+    monomials in monomial mode, whose hashes are cached, else the sorted
+    generator elements.  The two kinds of tuple never compare equal."""
+    if ideal.is_monomial_mode:
+        return ideal._monomial_gens
+    return ideal.generators
+
+
 def ideal_saturation(ideal, other):
     """(I : J^inf), the intersection over the generators g of J of
     (I : g^inf), with steps the least n such that J^n * (I : J^inf) lies in
     I: the step at which the chain I, (I:J), ((I:J):J), ... stops moving.
     At step 0 the result is I itself.  Past WORK_BUDGET it is (I, False, 0),
     the only case with stabilized False.
+
+    The ring memoizes each result under the generators of I and J, I's
+    complete flag and WORK_BUDGET, of which it is a pure function, so a hit
+    returns the stored result.  When steps is 0 that result's ideal is the
+    handle of the first caller, which has the same generators.
     """
     _check_shared_ring(ideal, other)
+    key = (_memo_key(ideal), ideal.complete, _memo_key(other), WORK_BUDGET)
+    memo = ideal.ring._saturations
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _compute_saturation(ideal, other)
+    return result
+
+
+def _compute_saturation(ideal, other):
+    """ideal_saturation without the memo."""
     steps = None
     try:
         sat = reduce(ideal_intersection, [

@@ -270,14 +270,16 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from five caches: the normal-form cache,
+    Instances are immutable apart from six caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
     so far, extended on demand by normal_monomials_of_degree), the critical
     pairs that do not join, kept by the first check_local_confluence, the
     assassin report cache of spectrum.assassin_scan, mapping each
     (numerator, denominator) pair of generator tuples scanned so far to its
-    (ass, ass^f) reports, and the lift of ideals._lift: the rule binomials
-    as Groebner basis entries and the term order.
+    (ass, ass^f) reports, the saturation memo of ideals.ideal_saturation,
+    mapping each (ideal, complete flag, acting ideal, work budget) key
+    computed so far to its SaturationResult, and the lift of ideals._lift:
+    the rule binomials as Groebner basis entries and the term order.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -311,6 +313,7 @@ class RingPresentation:
         self._levels = [(Monomial.one(),)]
         self._confluence_failures = None
         self._assassin_reports = {}
+        self._saturations = {}
         self._lift = None
 
     def __repr__(self):

@@ -9,6 +9,10 @@ For the cyclic module R/b and an ideal a:
   b at the principal ideal (g): each generator must reach b at some
   individual power.
 
+Both functors take their saturations from ideals.ideal_saturation, which
+the ring memoizes, so they share every saturation they both ask for and
+repeat none that fairness or the harness asked for before.
+
 Fairness predicates compare assassins of the torsion submodule and of the
 quotient by it against intersections and differences with the variety of a.
 """

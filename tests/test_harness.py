@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import random
 
+import torsionlab.ideals as ideals_module
 from torsionlab.harness import (
+    HarnessInstance,
     check_instance,
     instance_script,
     proposition_harness,
     random_instance,
 )
-from torsionlab.ideals import ideal_membership, ideal_radical
+from torsionlab.ideals import IdealHandle, ideal_membership, ideal_radical
 from torsionlab.reports import harness_tree, render
+from torsionlab.ring import RingPresentation
 
 
 def test_instance_construction_invariants():
@@ -54,3 +57,34 @@ def test_harness_tree_is_deterministic_and_elapsed_free():
     second = render(harness_tree(proposition_harness(instances=8, seed=4)), "json")
     assert first == second
     assert "elapsed" not in first
+
+
+def _fresh_copy(instance):
+    """The instance rebuilt in a new copy of its ring, whose caches are
+    empty."""
+    ring = RingPresentation(instance.ring.num_vars, instance.ring.rules)
+
+    def move(ideal):
+        return IdealHandle.from_monomials(ring, ideal.monomial_generators())
+
+    return HarnessInstance(
+        instance.index, ring, move(instance.acting),
+        move(instance.relations), move(instance.extension),
+        move(instance.between), instance.witness_bound)
+
+
+def test_warm_caches_leave_check_instance_unchanged(monkeypatch):
+    """A second check_instance on one instance saturates nothing anew and
+    answers as one run on a fresh copy of the ring."""
+    saturations = []
+    real = ideals_module._saturate_by
+    monkeypatch.setattr(ideals_module, "_saturate_by",
+                        lambda *args: saturations.append(args) or real(*args))
+    rng = random.Random(107)
+    for i in range(40):
+        instance = random_instance(i, rng)
+        check_instance(instance)
+        before = len(saturations)
+        warm = check_instance(instance)
+        assert len(saturations) == before
+        assert warm == check_instance(_fresh_copy(instance))

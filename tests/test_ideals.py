@@ -870,6 +870,62 @@ def test_work_budget_ends_in_the_incomplete_flags(monkeypatch):
     assert not small.stabilized and not large.stabilized
 
 
+def _saturation_summary(result):
+    return (format_ideal(result.ideal), result.ideal.complete,
+            result.stabilized, result.steps)
+
+
+def test_saturation_memo_keeps_the_complete_flag():
+    """Handles with equal generators but different complete flags get
+    results with their own flags, whichever is saturated first, in both
+    modes, at step 0 and past it."""
+    nilpotent = [RewriteRule(_var(1, 3))]
+    idempotent = [RewriteRule(_var(i, 2), (1, _var(i))) for i in range(2)]
+    cases = (  # rules, generators of the saturated ideal, expected steps
+        (nilpotent, lambda x0, x1: [x0.mul(x1)], 1),
+        (nilpotent, lambda x0, x1: [x1], 0),
+        (nilpotent, lambda x0, x1: [x0.add(x1)], 3),
+        (nilpotent, lambda x0, x1: [x1.add(x0.mul(x1))], 0),
+        (idempotent, lambda x0, x1: [x0.mul(x1)], 1),
+        (idempotent, lambda x0, x1: [x0.add(x1)], 1),
+    )
+    for rules, relations, steps in cases:
+        for flags in ((False, True), (True, False)):
+            ring = RingPresentation(2, rules)
+            x0, x1 = (Element.from_monomial(ring, _var(i)) for i in range(2))
+            acting = IdealHandle(ring, [x0])
+            results = [ideal_saturation(
+                IdealHandle(ring, relations(x0, x1), complete=complete),
+                acting) for complete in flags]
+            assert [r.ideal.complete for r in results] == list(flags)
+            first, second = ((format_ideal(r.ideal), r.stabilized, r.steps)
+                             for r in results)
+            assert first == second and first[2] == steps
+
+
+def test_saturation_memo_matches_fresh_rings():
+    """Saturations of one ideal at several acting ideals, asked in one
+    order on the instance's ring and in the reverse order on a fresh copy
+    of it, agree."""
+    rng = random.Random(109)
+    for i in range(40):
+        instance = random_instance(i, rng)
+        a, b = instance.acting, instance.relations
+        acting = [a, instance.between, ideal_sum(a, instance.between)] + [
+            IdealHandle(a.ring, [g]) for g in a.generators]
+        gens = [h.monomial_generators() for h in [b] + acting]
+        fresh = RingPresentation(a.ring.num_vars, a.ring.rules)
+
+        def ask(ring, order):
+            ideal = IdealHandle.from_monomials(ring, gens[0])
+            return {k: _saturation_summary(ideal_saturation(
+                ideal, IdealHandle.from_monomials(ring, gens[k])))
+                for k in order}
+
+        forward = ask(a.ring, range(1, len(gens)))
+        assert forward == ask(fresh, range(len(gens) - 1, 0, -1))
+
+
 def test_general_mode_is_exact_on_random_rings_with_polynomials():
     """Random confluent rings (any rule shape) and ideals with polynomial
     generators: a yes re-multiplies, a no has no certificate of degree 3,

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 
+import torsionlab.ideals as ideals_module
 from torsionlab.harness import random_instance
-from torsionlab.ideals import IdealHandle, format_ideal
+from torsionlab.ideals import IdealHandle, format_ideal, ideal_saturation
 from torsionlab.ring import Monomial, RewriteRule, RingPresentation
 from torsionlab.torsion import (
     VERDICT_NAMES,
@@ -134,3 +135,47 @@ def test_torsion_vanishing_against_weak_assassins():
             assert large.is_zero_submodule
         if large.is_whole_module:
             assert all(in_variety(p, instance.acting) for p in assf.primes)
+
+
+def _count_walks(monkeypatch):
+    """The names of the saturation walks called from now on, in order."""
+    calls = []
+    for name in ("_saturate_by", "_power_kill_exponent"):
+        real = getattr(ideals_module, name)
+        monkeypatch.setattr(
+            ideals_module, name,
+            lambda *args, _name=name, _real=real, **kwargs:
+            calls.append(_name) or _real(*args, **kwargs))
+    return calls
+
+
+def _report_summary(report):
+    """What a fairness report says, with its torsion preimages formatted."""
+    return (report.comparisons, report.scans, report.centred_witness_ok,
+            report.half_centred_witness_ok, report.functors_agree,
+            report.complete,
+            tuple((format_ideal(t.preimage), t.stabilized, t.steps)
+                  for t in (report.small, report.large)))
+
+
+def test_repeated_saturations_read_the_ring_memo(monkeypatch):
+    """A saturation asked again of the same ring is computed once: the
+    small torsion after the saturation it is, and a second fairness report,
+    walk nothing."""
+    calls = _count_walks(monkeypatch)
+    rng = random.Random(89)
+    for i in range(40):
+        instance = random_instance(i, rng)
+        a, b = instance.acting, instance.relations
+        sat = ideal_saturation(b, a)
+        assert "_saturate_by" in calls
+        del calls[:]
+        small = gamma_small_cyclic(a, b)
+        assert not calls
+        assert (small.preimage, small.stabilized, small.steps) == (
+            sat.ideal, sat.stabilized, sat.steps)
+        first = fairness_report(a, b)
+        del calls[:]
+        second = fairness_report(a, b)
+        assert not calls
+        assert _report_summary(second) == _report_summary(first)
