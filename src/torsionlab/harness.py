@@ -127,7 +127,7 @@ def random_instance(index, rng):
               if rng.random() < 0.5]
     between = ideal_sum(
         acting, IdealHandle.from_monomials(ring, extras))
-    # Also fills the ring's level cache, which every witness scan filters.
+    # perfbench reads witness_bound; computing it fills the level cache.
     witness_bound = ring.finite_basis_max_degree() + 1
     return HarnessInstance(
         index, ring, acting, relations, extension, between, witness_bound)

@@ -232,6 +232,46 @@ def format_monomial(m):
     return "*".join(parts)
 
 
+def _power_index(basis):
+    """The basis monomials of a monomial ideal, each filed under each of its
+    (variable, exponent) pairs, for _next_level."""
+    index = {}
+    for g in basis:
+        for pair in g.pairs:
+            index.setdefault(pair, []).append(g)
+    return index
+
+
+def _next_level(level, caps, index):
+    """The next degree of the monomials outside a monomial ideal, whose
+    basis ``index`` files (_power_index), and within the exponent ``caps``
+    (None caps nothing; variables past them stay out), from one degree's
+    ``level``.  Such monomials are closed under division (Miller &
+    Sturmfels, Combinatorial Commutative Algebra, ch. 1), so each is made
+    once, as m * X_v for m in ``level`` and v at least m's largest
+    variable, in grlex order as ``level`` is (within a degree, lex order of
+    the sorted variable indices).  As m is outside the ideal, only a basis
+    monomial with the exponent of v in m * X_v can divide it, so only that
+    file is searched.
+    """
+    out = []
+    for m in level:
+        pairs = m.pairs
+        last, e = pairs[-1] if pairs else (0, 0)
+        for v in range(last, len(caps)):
+            exp = e + 1 if v == last else 1
+            cap = caps[v]
+            if cap is not None and exp > cap:
+                continue
+            cand = _trusted_monomial(
+                pairs[:-1] + ((v, exp),) if v == last else pairs + ((v, 1),),
+                m.degree + 1)
+            blockers = index.get((v, exp))
+            if blockers is None or not any(g.divides(cand) for g in blockers):
+                out.append(cand)
+    return out
+
+
 class RewriteRule:
     """lhs -> 0 or lhs -> coeff * monomial, strictly degree-decreasing."""
 
@@ -308,6 +348,7 @@ class RingPresentation:
         for pos, rule in enumerate(self.rules):
             self._rules_by_var.setdefault(rule.lhs.pairs[0][0], []).append(
                 (pos, rule))
+        self._lhs_index = _power_index(rule.lhs for rule in self.rules)
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
@@ -378,60 +419,21 @@ class RingPresentation:
     def is_normal(self, m):
         return self._first_applicable(m) is None
 
-    def _next_level(self, level, steps):
-        """The normal m * X_v for m in ``level`` and (v, cap, X_v) in
-        ``steps``, with v at least the largest variable of m and the exponent
-        of v in m below cap (None caps nothing).  Each monomial of the next
-        degree comes once, in grlex order when ``level`` is: within one
-        degree, grlex order is lex order of the sorted variable indices.
-        """
-        out = []
-        for m in level:
-            last = m.max_var()
-            for v, cap, x in steps:
-                if v < last or (v == last and m.pairs[-1][1] == cap):
-                    continue
-                cand = m.mul(x)
-                if self.is_normal(cand):
-                    out.append(cand)
-        return out
-
     def normal_monomials_of_degree(self, d):
         """All normal monomials of total degree d, as a tuple in grlex order.
 
-        Levels are computed once per ring, each from the one below it.
+        Levels are computed once per ring, each from the one below it, as a
+        walk outside the ideal of the rule lhs, whatever their rhs.
         """
         if d < 0:
             return ()
         levels = self._levels
         if len(levels) <= d:
-            steps = [(v, None, Monomial.variable(v))
-                     for v in range(self.num_vars)]
+            caps = (None,) * self.num_vars
             while len(levels) <= d:
-                levels.append(tuple(self._next_level(levels[-1], steps)))
+                levels.append(tuple(
+                    _next_level(levels[-1], caps, self._lhs_index)))
         return levels[d]
-
-    def normal_divisors(self, top):
-        """All normal monomials dividing ``top``, as a tuple in grlex order.
-
-        When the level cache already holds every normal monomial of degree
-        up to that of ``top`` (it reaches that degree, or ends in an empty
-        level), the divisors are those levels filtered by divisibility.
-        Otherwise they are enumerated: divisors of a normal monomial are
-        normal, so extending level by level up to the exponents of ``top``
-        misses none.
-        """
-        levels = self._levels
-        if len(levels) > top.degree or not levels[-1]:
-            return tuple(m for level in levels[:top.degree + 1]
-                         for m in level if m.divides(top))
-        steps = [(v, cap, Monomial.variable(v)) for v, cap in top.pairs]
-        out = []
-        level = (Monomial.one(),)
-        while level:
-            out.extend(level)
-            level = self._next_level(level, steps)
-        return tuple(out)
 
     def normal_monomials_up_to(self, d):
         out = []

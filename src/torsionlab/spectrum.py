@@ -8,15 +8,16 @@ The zero prime (empty set) exists only in rule-free rings.
 Assassins are computed from monomial witnesses.  Modules here are spanned by
 monomials and graded by exponent vectors, and associated primes of such
 modules are annihilators of monomial elements.  The witness set is finite
-and exact: the normal monomials that divide L, the lcm of the numerator's
-generators and the denominator's lifted basis.  Capping each exponent of a
-witness m at its exponent in L keeps it in the numerator and outside the
-denominator and leaves the colon (b : m) unchanged, so these divisors give
-every annihilator, including the grlex-first witness of each prime (Miller
-& Sturmfels, Combinatorial Commutative Algebra, ch. 1).  One scan yields
-both ass and ass^f.  The pair of reports depends only on the generator
-tuples of the numerator and the denominator, so the ring keeps each pair
-under those two tuples and scans a module once.
+and exact: the divisors of L, the lcm of the numerator's generators and the
+denominator's lifted basis, in the numerator but not the denominator.
+Capping a witness's exponents at L keeps it there and leaves (b : m)
+unchanged, so these give every annihilator and the grlex-first witness of
+each prime.  Monomials outside a monomial ideal are closed under division
+(Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1), so the scan
+walks them degree by degree outside the lifted basis, which holds every
+rule lhs, capped at L.  One scan yields both ass and ass^f.  The report
+pair depends only on the generator tuples of the numerator and the
+denominator, so the ring keeps it under them and scans a module once.
 
 Each witness annihilator is read from exponent comparisons, without
 building the colon: for each lifted basis monomial g of b, the quotient
@@ -37,7 +38,7 @@ from typing import Optional
 
 from .errors import RingMismatch
 from .ideals import IdealHandle, _mask_transversals, _mask_vars, prime_key
-from .ring import Monomial
+from .ring import Monomial, _next_level, _power_index
 
 
 def format_prime(vars_set):
@@ -123,17 +124,17 @@ def _sorted_primes(pairs):
 
 
 def _witness_scan(numerator, denominator, top):
-    """Normal divisors of ``top`` in the numerator but not the denominator,
-    in grlex order.
-
-    A normal monomial lies in a monomial-mode ideal exactly when one of its
-    reduced generators divides it.
-    """
+    """The divisors of ``top`` in the numerator but not the denominator,
+    in grlex order, walked outside the denominator's lifted basis."""
+    index = _power_index(denominator.lifted_monomials())
+    caps = tuple(top.exponent(v) for v in range(top.max_var() + 1))
     num_gens = numerator.monomial_generators()
-    den_gens = denominator.monomial_generators()
-    return [m for m in numerator.ring.normal_divisors(top)
-            if any(g.divides(m) for g in num_gens)
-            and not any(g.divides(m) for g in den_gens)]
+    out = []
+    level = () if denominator.is_unit else (Monomial.one(),)
+    while level:
+        out.extend(m for m in level if any(g.divides(m) for g in num_gens))
+        level = _next_level(level, caps, index)
+    return out
 
 
 def _annihilator(basis, m):
@@ -165,11 +166,12 @@ def _annihilator(basis, m):
 def assassin_scan(numerator, denominator):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
-    One exact witness scan, over the normal divisors of L, serves both
-    reports.  A witness's annihilator, the colon (denominator : m), gives
-    an ass prime when it is prime, and its minimal primes are ass^f primes.
-    The pair is kept on the ring under the generator tuples of numerator
-    and denominator, so each module is scanned once per ring.
+    One exact witness scan, over the divisors of L outside the
+    denominator, serves both reports.  A witness's annihilator, the colon
+    (denominator : m), gives an ass prime when it is prime, and its minimal
+    primes are ass^f primes.  The pair is kept on the ring under the
+    generator tuples of numerator and denominator, so each module is
+    scanned once per ring.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")

@@ -281,6 +281,23 @@ def test_saturation_of_a_deep_exponent():
         "ideal": "ideal(1)", "stabilized": True, "steps": 1999}
 
 
+def test_nil40D_assassins_at_level_10_from_a_script():
+    # L has 11! normal divisors; the scan walks only the 56 monomials
+    # outside b.
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..10] rules { X[i]^(i + 1) -> 0 for i in 0..10 }\n"
+        "ideal a = < X[i] for i in 0..10 >\n"
+        "ideal b = < X[i]*X[j] for i in 0..10, j in 0..10 if i < j >\n"
+        "query ass(b)\n"
+        "query assf(b)\n"
+        "check fairness(a; b)\n"))
+    assert code == 0, tree
+    maximal = "prime(%s)" % ", ".join("X%d" % v for v in range(11))
+    ass, assf = (s["result"] for s in tree["statements"][3:5])
+    assert ass["witnesses"] == [{"prime": maximal, "witness": "X1"}]
+    assert assf["witnesses"] == [{"prime": maximal, "witness": "1"}]
+
+
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
     failing = ExampleReport(
         tag="nil40A", levels=(4,), window=2, seed=42,

@@ -6,6 +6,7 @@ import importlib
 import random
 from functools import reduce
 
+from torsionlab import families
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
@@ -117,38 +118,6 @@ def test_default_scans_are_exact_on_rings_with_free_variables():
             b, bound, verify_bound=bound + 1), b
         assert list(assf.primes) == weak_assassin_sets(
             b, bound, verify_bound=bound + 1), b
-
-
-def _divisors_both_ways(ring, top, fill):
-    """normal_divisors(top) on two fresh copies of ring: one walks, the
-    other has its level cache filled by ``fill`` first and may not walk."""
-    walked = RingPresentation(ring.num_vars, ring.rules)
-    filtered = RingPresentation(ring.num_vars, ring.rules)
-    fill(filtered)
-
-    def no_walk(*args):
-        raise AssertionError("walked although the level cache covers top")
-
-    filtered._next_level = no_walk
-    return walked.normal_divisors(top), filtered.normal_divisors(top)
-
-
-def test_normal_divisors_from_the_level_cache_equal_the_walk():
-    rng = random.Random(2107)
-    for _ in range(150):
-        ring, b = _ring_with_a_free_variable(rng)
-        top = reduce(Monomial.lcm, b.lifted_monomials(), Monomial.one())
-        walked, filtered = _divisors_both_ways(
-            ring, top, lambda r: r.normal_monomials_of_degree(top.degree))
-        assert walked == filtered, top
-    rng = random.Random(4)
-    for index in range(40):
-        inst = random_instance(index, rng)
-        top = reduce(Monomial.lcm, inst.acting.monomial_generators()
-                     + inst.relations.lifted_monomials(), Monomial.one())
-        walked, filtered = _divisors_both_ways(
-            inst.ring, top, RingPresentation.finite_basis_max_degree)
-        assert walked == filtered, top
 
 
 def test_weak_assassin_of_domain_is_zero_ideal():
@@ -291,24 +260,52 @@ def _top(numerator, denominator):
                   + denominator.lifted_monomials(), Monomial.one())
 
 
-def test_witness_scan_matches_membership_filter():
-    """The scan lists the normal divisors of L that lie in the numerator
-    and outside the denominator, in grlex order."""
+def _scan_inputs():
+    """(numerator, denominator) pairs: four per harness instance, one of
+    them over the unit ideal, and the cyclic module R / b of each ring with
+    a free variable, where the caps at L's exponents bind."""
     rng = random.Random(73)
     for i in range(30):
         instance = random_instance(i, rng)
-        ring = instance.ring
-        for numerator, denominator in (
-                (IdealHandle.unit(ring), instance.relations),
-                (instance.extension, instance.relations),
-                (instance.acting, instance.extension)):
-            top = _top(numerator, denominator)
-            survivors = [m for m in ring.normal_monomials_up_to(top.degree)
-                         if m.divides(top)
-                         and numerator.contains_monomial(m)
-                         and not denominator.contains_monomial(m)]
-            assert spectrum_module._witness_scan(
-                numerator, denominator, top) == survivors
+        unit = IdealHandle.unit(instance.ring)
+        yield unit, instance.relations
+        yield instance.extension, instance.relations
+        yield instance.acting, instance.extension
+        yield instance.acting, unit
+    rng = random.Random(2107)
+    for _ in range(150):
+        ring, b = _ring_with_a_free_variable(rng)
+        yield IdealHandle.unit(ring), b
+
+
+def test_witness_scan_matches_membership_filter():
+    """The scan lists the normal divisors of L that lie in the numerator
+    and outside the denominator, in grlex order."""
+    for numerator, denominator in _scan_inputs():
+        ring = numerator.ring
+        top = _top(numerator, denominator)
+        survivors = [m for m in ring.normal_monomials_up_to(top.degree)
+                     if m.divides(top)
+                     and numerator.contains_monomial(m)
+                     and not denominator.contains_monomial(m)]
+        assert spectrum_module._witness_scan(
+            numerator, denominator, top) == survivors
+
+
+def test_nil40D_scan_at_level_10_walks_few_monomials(monkeypatch):
+    """L has 11! normal divisors, but the walk stays outside b: it visits
+    1 and the powers X_v^k with 1 <= k <= v, 56 monomials."""
+    visited = []
+    real = spectrum_module._next_level
+    monkeypatch.setattr(spectrum_module, "_next_level",
+                        lambda level, *rest: visited.append(len(level))
+                        or real(level, *rest))
+    ring, ideals = families._build_nil40D(10)
+    ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
+    maximal = frozenset(range(11))
+    assert ass.witnesses == ((maximal, _var(1)),)
+    assert assf.witnesses == ((maximal, Monomial.one()),)
+    assert sum(visited) == 56
 
 
 def test_assassin_scan_matches_per_witness_recomputation():
