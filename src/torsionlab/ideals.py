@@ -394,12 +394,13 @@ def _generator_key(g):
 class IdealHandle:
     """Finite generator list inside a ring presentation.
 
-    Handles are immutable.  Monomial-mode handles keep their reduced
-    generator monomials and, from the first call of lifted_monomials, the
-    reduced lifted basis, both as tuples.  From its first general-mode
-    query a handle keeps the reduced Groebner basis of its lifted ideal,
-    every entry with its cofactors over the generators, or None when that
-    one completion ran out of WORK_BUDGET.
+    Handles are immutable.  Each monic generator is the shared, immutable
+    Element that the ring's normal-form cache holds for its monomial.
+    Monomial-mode handles keep their reduced generator monomials and, from
+    the first call of lifted_monomials, the reduced lifted basis, both as
+    tuples.  From its first general-mode query a handle keeps the reduced
+    Groebner basis of its lifted ideal, every entry with its cofactors over
+    the generators, or None when that one completion ran out of WORK_BUDGET.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
@@ -414,13 +415,12 @@ class IdealHandle:
                 continue
             if e.is_single_term:
                 # Units of the coefficient field never change the ideal.
-                m, c = e.single_term()
-                e = Element(ring, {m: FRACTION_ONE})
+                e = ring.normal_form_monomial(e.single_term()[0])
             gens.append(e)
         monos = None
         if ring.all_rhs_zero and all(g.is_monomial for g in gens):
             monos = _reduce_monomials([g.single_term()[0] for g in gens])
-            gens = [Element(ring, {m: FRACTION_ONE}) for m in monos]
+            gens = [ring.normal_form_monomial(m) for m in monos]
             mode = MONOMIAL_MODE
         else:
             unique = {_generator_key(g): g for g in gens}
@@ -841,15 +841,10 @@ def prime_key(vars_set):
     return len(vars_set), sorted(vars_set)
 
 
-def minimal_transversals(edges):
-    """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
-    sorted by prime_key."""
-    return _mask_transversals([sum(1 << v for v in e) for e in edges])
-
-
 def _mask_transversals(edges):
-    """minimal_transversals of edges given as int bitmasks, bit v standing
-    for vertex v.
+    """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
+    each an int bitmask with bit v standing for vertex v, sorted by
+    prime_key.
 
     A singleton edge is forced into every transversal, so the union of the
     singleton edges starts the one cover and every edge it meets is
@@ -893,7 +888,7 @@ def minimal_primes(ideal):
 def _basis_minimal_primes(basis):
     """Minimal primes over the monomial ideal with this reduced lifted basis:
     the minimal transversals of the basis supports."""
-    supports = [m.support for m in basis]
-    if any(not s for s in supports):
+    supports = [sum(1 << v for v, _ in m.pairs) for m in basis]
+    if 0 in supports:
         raise UnitIdeal("the unit ideal has no minimal primes")
-    return minimal_transversals(supports)
+    return _mask_transversals(supports)

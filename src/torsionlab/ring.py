@@ -320,6 +320,9 @@ class RingPresentation:
     mapping each (ideal, complete flag, acting ideal, work budget) key
     computed so far to its SaturationResult, and the lift of ideals._lift:
     the rule binomials as Groebner basis entries and the term order.
+    Cached normal forms are shared, immutable Elements: Element.from_monomial
+    with coefficient 1 and the monic generators of every ideal handle are
+    these objects themselves.
     """
 
     def __init__(self, num_vars, rules=()):
@@ -471,7 +474,6 @@ class Element:
 
     @classmethod
     def from_monomial(cls, ring, m, coeff=1):
-        coeff = Fraction(coeff)
         if coeff == 0:
             return cls.zero(ring)
         return ring.normal_form_monomial(m).scale(coeff)

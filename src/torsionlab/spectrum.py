@@ -129,10 +129,13 @@ def _witness_scan(numerator, denominator, top):
     index = _power_index(denominator.lifted_monomials())
     caps = tuple(top.exponent(v) for v in range(top.max_var() + 1))
     num_gens = numerator.monomial_generators()
+    # Reduced, the unit ideal's generators are 1 alone, which divides all.
+    keep_all = num_gens == (Monomial.one(),)
     out = []
     level = () if denominator.is_unit else (Monomial.one(),)
     while level:
-        out.extend(m for m in level if any(g.divides(m) for g in num_gens))
+        out.extend(m for m in level
+                   if keep_all or any(g.divides(m) for g in num_gens))
         level = _next_level(level, caps, index)
     return out
 

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 
 from torsionlab import brute_force_membership
-from torsionlab.errors import NonConfluent, RingMismatch
-from torsionlab.harness import random_instance
+from torsionlab.errors import NonConfluent, RingMismatch, VariableOutOfRange
+from torsionlab.harness import check_instance, random_instance
 from torsionlab.ideals import (
     IdealHandle,
     MembershipAnswer,
+    _mask_transversals,
     _power_kill_exponent,
     format_ideal,
     ideal_colon,
@@ -25,7 +26,6 @@ from torsionlab.ideals import (
     ideal_saturation,
     ideal_sum,
     minimal_primes,
-    minimal_transversals,
     power_order,
 )
 from torsionlab.oracles import (
@@ -61,6 +61,59 @@ def test_generator_reduction_drops_multiples():
     assert format_ideal(ideal) == "ideal(X0)"
 
 
+def test_monic_generators_are_the_cached_normal_forms(monkeypatch):
+    """Every monic generator of every handle that 40 harness instances and
+    general-mode queries in an idempotent ring build is the Element held by
+    the ring's normal-form cache, not a copy of it."""
+    from torsionlab.families import get_family, instantiate
+    handles = []
+    real = IdealHandle.__init__
+
+    def record(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        handles.append(self)
+
+    monkeypatch.setattr(IdealHandle, "__init__", record)
+    rng = random.Random(61)
+    for index in range(40):
+        check_instance(random_instance(index, rng))
+    ring, ideals = instantiate(get_family("idem50C"), 3)
+    ideal_colon_ideal(ideals["b"], ideals["a"])
+    gamma_large_cyclic(ideals["a"], ideals["b"])
+    monic = [(h, g) for h in handles for g in h.generators if g.is_monomial]
+    assert sum(h.ring is ring and not h.is_monomial_mode
+               for h, _ in monic) >= 10
+    assert len({h.ring for h, _ in monic}) == 41
+    for h, g in monic:
+        assert g is h.ring.normal_form_monomial(g.single_term()[0]), g
+
+
+def test_from_monomials_builds_no_fraction(monkeypatch):
+    ring = RingPresentation(3, [RewriteRule(_var(v, 3)) for v in range(3)])
+    monos = ring.normal_monomials_of_degree(2)
+    made = []
+    real = Fraction.__new__
+
+    def count(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", count)
+    assert Fraction(1, 2) and made == [(1, 2)]
+    made.clear()
+    ideal = IdealHandle.from_monomials(ring, monos)
+    assert made == []
+    assert ideal.monomial_generators() == monos
+    assert len(ring._nf_cache) == len(monos)
+
+
+def test_zero_coefficient_skips_the_range_check():
+    ring = _free(2)
+    assert Element.from_monomial(ring, _var(99), 0).is_zero
+    with pytest.raises(VariableOutOfRange):
+        Element.from_monomial(ring, _var(99))
+
+
 def test_colon_by_variable():
     ring = _free(2)
     b = IdealHandle.from_monomials(ring, [_var(0, 2).mul(_var(1))])
@@ -91,8 +144,13 @@ def test_minimal_primes_of_two_generator_ideal():
     assert [sorted(p) for p in minimal_primes(ideal)] == [[0], [1, 2]]
 
 
+def _masks(edges):
+    """Vertex sets as the int bitmasks _mask_transversals takes."""
+    return [sum(1 << v for v in e) for e in edges]
+
+
 def test_minimal_transversals_example():
-    hits = minimal_transversals([frozenset({0, 1}), frozenset({0, 2})])
+    hits = _mask_transversals(_masks([{0, 1}, {0, 2}]))
     assert sorted(sorted(t) for t in hits) == [[0], [1, 2]]
 
 
@@ -130,7 +188,7 @@ def test_minimal_transversals_match_brute_force():
         shapes["every edge meets a singleton"] += bool(forced) and all(
             e & forced for e in edges)
         rng.shuffle(edges)
-        assert (minimal_transversals(edges)
+        assert (_mask_transversals(_masks(edges))
                 == _brute_force_transversals(n, edges)), edges
     assert min(shapes.values()) >= 50, shapes
 
