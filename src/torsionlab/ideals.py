@@ -411,18 +411,17 @@ class IdealHandle:
         for e in elements:
             if e.ring is not ring:
                 raise RingMismatch("generator from a different ring")
-            if e.is_zero:
-                continue
-            if e.is_single_term:
-                # Units of the coefficient field never change the ideal.
-                e = ring.normal_form_monomial(e.single_term()[0])
-            gens.append(e)
+            if not e.is_zero:
+                gens.append(e)
+        # Units never change the ideal: a single term stands for its monic.
         monos = None
-        if ring.all_rhs_zero and all(g.is_monomial for g in gens):
+        if ring.all_rhs_zero and all(g.is_single_term for g in gens):
             monos = _reduce_monomials([g.single_term()[0] for g in gens])
             gens = [ring.normal_form_monomial(m) for m in monos]
             mode = MONOMIAL_MODE
         else:
+            gens = [ring.normal_form_monomial(g.single_term()[0])
+                    if g.is_single_term else g for g in gens]
             unique = {_generator_key(g): g for g in gens}
             gens = [unique[key] for key in sorted(unique)]
             mode = GENERAL_MODE
@@ -436,7 +435,7 @@ class IdealHandle:
 
     @classmethod
     def from_monomials(cls, ring, monos, complete=True):
-        return cls(ring, [Element.from_monomial(ring, m) for m in monos],
+        return cls(ring, [ring.normal_form_monomial(m) for m in monos],
                    complete=complete)
 
     @classmethod
@@ -843,8 +842,8 @@ def prime_key(vars_set):
 
 def _mask_transversals(edges):
     """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
-    each an int bitmask with bit v standing for vertex v, sorted by
-    prime_key.
+    each an int bitmask with bit v standing for vertex v, as a list of
+    such bitmasks in no particular order.
 
     A singleton edge is forced into every transversal, so the union of the
     singleton edges starts the one cover and every edge it meets is
@@ -866,7 +865,7 @@ def _mask_transversals(edges):
         grown = [c | b for c in covers if not c & edge for b in bits]
         covers = kept + [g for g in grown
                          if not any(k & g == k for k in kept)]
-    return sorted(map(_mask_vars, covers), key=prime_key)
+    return covers
 
 
 def _mask_vars(mask):
@@ -891,4 +890,5 @@ def _basis_minimal_primes(basis):
     supports = [sum(1 << v for v, _ in m.pairs) for m in basis]
     if 0 in supports:
         raise UnitIdeal("the unit ideal has no minimal primes")
-    return _mask_transversals(supports)
+    return sorted(map(_mask_vars, _mask_transversals(supports)),
+                  key=prime_key)

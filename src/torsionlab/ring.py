@@ -21,10 +21,6 @@ from fractions import Fraction
 
 from .errors import InvalidPresentation, RingMismatch, VariableOutOfRange
 
-# finite_basis_max_degree looks no higher than this degree for the first
-# empty level of normal monomials.
-DEGREE_CAP = 64
-
 
 class Monomial:
     """Finitely supported exponent vector, stored as sorted (var, exp) pairs.
@@ -445,18 +441,18 @@ class RingPresentation:
         return out
 
     def finite_basis_max_degree(self):
-        """Largest degree of a normal monomial, or None if none is found
-        below DEGREE_CAP (the truncation is then treated as non-artinian).
-
-        Divisors of normal monomials are normal, so the first empty degree
-        level certifies that no higher level is populated.
+        """Largest degree of a normal monomial, or None if there are
+        infinitely many: exactly when some X_v has no pure power among the
+        rule lhs (only those divide X_v^k; with all, degrees are bounded).
+        Divisors of normals are normal: the first empty level gives the top.
         """
+        pure = {r.lhs.max_var() for r in self.rules if len(r.lhs.pairs) == 1}
+        if len(pure) < self.num_vars:
+            return None
         last = 0
-        for d in range(1, DEGREE_CAP + 1):
-            if not self.normal_monomials_of_degree(d):
-                return last
-            last = d
-        return None
+        while self.normal_monomials_of_degree(last + 1):
+            last += 1
+        return last
 
 
 class Element:
@@ -480,10 +476,13 @@ class Element:
 
     @classmethod
     def from_terms(cls, ring, pairs):
-        acc = cls.zero(ring)
+        acc = {}
         for m, c in pairs:
-            acc = acc.add(cls.from_monomial(ring, m, c))
-        return acc
+            if c == 0:
+                continue
+            for n, d in ring.normal_form_monomial(m).terms.items():
+                acc[n] = acc.get(n, 0) + d * c
+        return cls(ring, acc)
 
     @classmethod
     def constant(cls, ring, c):

@@ -27,7 +27,8 @@ support meets V, the variables that occur as a degree-1 quotient, and its
 prime is then V.  Its minimal primes are the minimal transversals of the
 quotient supports (Berge, Hypergraphs, ch. 2); a quotient divisible by
 another has the larger support, which changes no transversal, so nothing
-is reduced.
+is reduced.  Primes stay bitmasks through the scan until a report is built,
+which converts each distinct prime to its variable set once.
 """
 
 from __future__ import annotations
@@ -114,13 +115,12 @@ class AssassinReport:
         return frozenset(self.primes)
 
 
-def _sorted_primes(pairs):
-    """Witnesses arrive in grlex order, so the first one per prime is kept."""
-    dedup = {}
-    for p, m in pairs:
-        dedup.setdefault(p, m)
-    primes = sorted(dedup, key=prime_key)
-    return tuple(primes), tuple((p, dedup[p]) for p in primes)
+def _sorted_primes(first):
+    """(primes, witnesses) from a dict mapping each prime mask to its
+    grlex-first witness; each distinct prime becomes a variable set once."""
+    witnesses = sorted(((_mask_vars(mask), m) for mask, m in first.items()),
+                       key=lambda w: prime_key(w[0]))
+    return tuple(p for p, _ in witnesses), tuple(witnesses)
 
 
 def _witness_scan(numerator, denominator, top):
@@ -142,11 +142,12 @@ def _witness_scan(numerator, denominator, top):
 
 def _annihilator(basis, m):
     """(prime or None, minimal primes) of the colon (J : m), for the
-    monomial ideal J with this lifted basis and a monomial m outside J.
+    monomial ideal J with this lifted basis and a monomial m outside J,
+    every prime an int bitmask of its variables (0 is the zero prime).
 
     The prime is the colon's variable set when the colon is prime.  Both
     are read from the supports and degrees of the quotients g / gcd(g, m),
-    as the module docstring describes.
+    as the module docstring describes; the minimal primes are unsorted.
     """
     exps = dict(m.pairs)
     supports = set()
@@ -161,8 +162,7 @@ def _annihilator(basis, m):
         supports.add(mask)
         if excess == 1:
             linear |= mask
-    prime = (_mask_vars(linear) if all(s & linear for s in supports)
-             else None)
+    prime = linear if all(s & linear for s in supports) else None
     return prime, _mask_transversals(supports)
 
 
@@ -185,18 +185,19 @@ def assassin_scan(numerator, denominator):
         basis = denominator.lifted_monomials()
         top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
                      Monomial.one())
-        ass_pairs = []
-        assf_pairs = []
+        ass_first = {}
+        assf_first = {}
         # L stays the scan's third positional argument: the perfbench
         # tracer keys each traced scan on it (until ROADMAP item 1).
         for m in _witness_scan(numerator, denominator, top):
             prime, minimal = _annihilator(basis, m)
             if prime is not None:
-                ass_pairs.append((prime, m))
-            assf_pairs.extend((p, m) for p in minimal)
+                ass_first.setdefault(prime, m)
+            for p in minimal:
+                assf_first.setdefault(p, m)
         cached = reports[key] = tuple(
-            AssassinReport(*_sorted_primes(pairs))
-            for pairs in (ass_pairs, assf_pairs))
+            AssassinReport(*_sorted_primes(first))
+            for first in (ass_first, assf_first))
     return cached
 
 

@@ -14,6 +14,7 @@ from torsionlab.ideals import (
     IdealHandle,
     MembershipAnswer,
     _mask_transversals,
+    _mask_vars,
     _power_kill_exponent,
     format_ideal,
     ideal_colon,
@@ -27,6 +28,7 @@ from torsionlab.ideals import (
     ideal_sum,
     minimal_primes,
     power_order,
+    prime_key,
 )
 from torsionlab.oracles import (
     colon_monomials,
@@ -107,6 +109,24 @@ def test_from_monomials_builds_no_fraction(monkeypatch):
     assert len(ring._nf_cache) == len(monos)
 
 
+def test_from_monomials_looks_each_generator_up_once(monkeypatch):
+    """k monomials that reduce to r generators cost k + r normal-form
+    lookups: one per monomial, one per reduced generator."""
+    ring = _free(2)
+    monos = [_var(0), _var(0).mul(_var(1)), _var(1, 2), _var(0, 2)]
+    calls = []
+    real = ring.normal_form_monomial
+
+    def count(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(ring, "normal_form_monomial", count)
+    ideal = IdealHandle.from_monomials(ring, monos)
+    assert ideal.monomial_generators() == (_var(0), _var(1, 2))
+    assert len(calls) == len(monos) + 2
+
+
 def test_zero_coefficient_skips_the_range_check():
     ring = _free(2)
     assert Element.from_monomial(ring, _var(99), 0).is_zero
@@ -150,7 +170,7 @@ def _masks(edges):
 
 
 def test_minimal_transversals_example():
-    hits = _mask_transversals(_masks([{0, 1}, {0, 2}]))
+    hits = map(_mask_vars, _mask_transversals(_masks([{0, 1}, {0, 2}])))
     assert sorted(sorted(t) for t in hits) == [[0], [1, 2]]
 
 
@@ -188,7 +208,8 @@ def test_minimal_transversals_match_brute_force():
         shapes["every edge meets a singleton"] += bool(forced) and all(
             e & forced for e in edges)
         rng.shuffle(edges)
-        assert (_mask_transversals(_masks(edges))
+        assert (sorted(map(_mask_vars, _mask_transversals(_masks(edges))),
+                       key=prime_key)
                 == _brute_force_transversals(n, edges)), edges
     assert min(shapes.values()) >= 50, shapes
 

@@ -287,6 +287,16 @@ def _level_templates():
             yield ring, ring.finite_basis_max_degree()
 
 
+def test_finite_basis_is_decided_by_pure_powers():
+    """Finite exactly when every variable has a pure power among the rule
+    lhs; without one the answer comes before any level is enumerated."""
+    assert RingPresentation(1, [RewriteRule(_var(0, 70))]
+                            ).finite_basis_max_degree() == 69
+    ring = RingPresentation(4, [RewriteRule(_var(0, 2))])
+    assert ring.finite_basis_max_degree() is None
+    assert len(ring._levels) == 1
+
+
 @pytest.mark.parametrize("descending", [False, True])
 def test_level_cache_matches_direct_enumeration(descending):
     for template, last in _level_templates():

@@ -12,8 +12,10 @@ from torsionlab.ideals import (
     IdealHandle,
     _basis_minimal_primes,
     _colon_basis,
+    _mask_vars,
     ideal_colon,
     minimal_primes,
+    prime_key,
 )
 from torsionlab.oracles import assassin_sets, weak_assassin_sets
 from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
@@ -337,6 +339,13 @@ def test_assassin_scan_matches_per_witness_recomputation():
             assert dict(assf.witnesses) == expect_assf
 
 
+def _annihilator_as_sets(basis, m):
+    """_annihilator with its prime masks converted to sorted variable sets."""
+    prime, minimal = spectrum_module._annihilator(basis, m)
+    return (None if prime is None else _mask_vars(prime),
+            sorted(map(_mask_vars, minimal), key=prime_key))
+
+
 def _annihilator_by_colon_basis(basis, m):
     colon = _colon_basis(basis, m)
     return spectrum_module._basis_prime(colon), _basis_minimal_primes(colon)
@@ -359,7 +368,7 @@ def test_annihilator_matches_the_colon_basis():
             for m in ring.normal_monomials_up_to(instance.witness_bound):
                 if denominator.contains_monomial(m):
                     continue
-                assert (spectrum_module._annihilator(basis, m)
+                assert (_annihilator_as_sets(basis, m)
                         == _annihilator_by_colon_basis(basis, m)), (basis, m)
                 checked += 1
     assert checked >= 2000, checked
@@ -381,5 +390,27 @@ def test_annihilator_hand_cases():
          (frozenset({1, 2}), [frozenset({1, 2})])),
     ]
     for basis, m, expected in cases:
-        assert spectrum_module._annihilator(basis, m) == expected
+        assert _annihilator_as_sets(basis, m) == expected
         assert _annihilator_by_colon_basis(basis, m) == expected
+
+
+def test_assassin_scan_converts_each_distinct_prime_once(monkeypatch):
+    """Primes stay bitmasks through the scan: one scan converts exactly
+    as many masks to variable sets as its two reports hold primes."""
+    ideals_module = importlib.import_module("torsionlab.ideals")
+    converted = []
+    real = ideals_module._mask_vars
+
+    def count(mask):
+        converted.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(ideals_module, "_mask_vars", count)
+    monkeypatch.setattr(spectrum_module, "_mask_vars", count)
+    rng = random.Random(97)
+    for i in range(40):
+        instance = random_instance(i, rng)
+        converted.clear()
+        ass, assf = assassin_scan(IdealHandle.unit(instance.ring),
+                                  instance.relations)
+        assert len(converted) == len(ass.primes) + len(assf.primes)
