@@ -394,44 +394,60 @@ def _generator_key(g):
 class IdealHandle:
     """Finite generator list inside a ring presentation.
 
-    Handles are immutable.  Each monic generator is the shared, immutable
-    Element that the ring's normal-form cache holds for its monomial.
-    Monomial-mode handles keep their reduced generator monomials and, from
-    the first call of lifted_monomials, the reduced lifted basis, both as
-    tuples.  From its first general-mode query a handle keeps the reduced
-    Groebner basis of its lifted ideal, every entry with its cofactors over
-    the generators, or None when that one completion ran out of WORK_BUDGET.
+    Handles are immutable and interned: a ring keeps one handle per reduced
+    generator tuple, complete flag and WORK_BUDGET, and it holds every fact
+    known about its ideal.  Each monic generator is the shared Element that
+    the ring's normal-form cache holds for its monomial; a single term with
+    normal form zero is dropped, and a multi-term Element is trusted to be
+    in normal form.  Facts are filled on first use: the reduced lifted
+    basis in monomial mode; in general mode the reduced Groebner basis of
+    the lifted ideal, with cofactors over the generators, or None when that
+    one completion ran out of WORK_BUDGET; saturations; assassin reports.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_basis")
+                 "_lifted", "_basis", "_saturations", "_assassins",
+                 "_lifted_index")
 
-    def __init__(self, ring, elements, complete=True):
+    def __new__(cls, ring, elements, complete=True):
         gens = []
         for e in elements:
             if e.ring is not ring:
                 raise RingMismatch("generator from a different ring")
             if not e.is_zero:
                 gens.append(e)
-        # Units never change the ideal: a single term stands for its monic.
+        # Units never change the ideal: a single term stands for its monic,
+        # or drops out when that is zero.  In monomial mode so does every
+        # multiple of it, so the reduction can come first.
         monos = None
         if ring.all_rhs_zero and all(g.is_single_term for g in gens):
             monos = _reduce_monomials([g.single_term()[0] for g in gens])
-            gens = [ring.normal_form_monomial(m) for m in monos]
+            gens = [nf for nf in map(ring.normal_form_monomial, monos)
+                    if not nf.is_zero]
+            key = monos = tuple(g.single_term()[0] for g in gens)
             mode = MONOMIAL_MODE
         else:
             gens = [ring.normal_form_monomial(g.single_term()[0])
                     if g.is_single_term else g for g in gens]
-            unique = {_generator_key(g): g for g in gens}
-            gens = [unique[key] for key in sorted(unique)]
+            unique = {_generator_key(g): g for g in gens if not g.is_zero}
+            key = tuple(sorted(unique))
+            gens = [unique[k] for k in key]
             mode = GENERAL_MODE
-        self.ring = ring
-        self.generators = tuple(gens)
-        self.mode = mode
-        self.complete = complete
-        self._monomial_gens = monos
-        self._lifted = None
-        self._basis = _NOT_YET
+        key = (key, complete, WORK_BUDGET)
+        self = ring._ideals.get(key)
+        if self is None:
+            self = ring._ideals[key] = super().__new__(cls)
+            self.ring = ring
+            self.generators = tuple(gens)
+            self.mode = mode
+            self.complete = complete
+            self._monomial_gens = monos
+            self._lifted = None
+            self._basis = _NOT_YET
+            self._lifted_index = None
+            self._saturations = {}
+            self._assassins = {}
+        return self
 
     @classmethod
     def from_monomials(cls, ring, monos, complete=True):
@@ -776,15 +792,6 @@ def _saturate_by(ideal, g):
                   ideal.complete)
 
 
-def _memo_key(ideal):
-    """The generators of a handle as a saturation memo key: the reduced
-    monomials in monomial mode, whose hashes are cached, else the sorted
-    generator elements.  The two kinds of tuple never compare equal."""
-    if ideal.is_monomial_mode:
-        return ideal._monomial_gens
-    return ideal.generators
-
-
 def ideal_saturation(ideal, other):
     """(I : J^inf), the intersection over the generators g of J of
     (I : g^inf), with steps the least n such that J^n * (I : J^inf) lies in
@@ -792,18 +799,13 @@ def ideal_saturation(ideal, other):
     At step 0 the result is I itself.  Past WORK_BUDGET it is (I, False, 0),
     the only case with stabilized False.
 
-    The ring memoizes each result under the generators of I and J, I's
-    complete flag and WORK_BUDGET, of which it is a pure function, so a hit
-    returns the stored result.  When steps is 0 that result's ideal is the
-    handle of the first caller, which has the same generators.
+    The interned handle of I keeps each result under the handle of J, so
+    a repeated saturation returns the stored result.
     """
     _check_shared_ring(ideal, other)
-    key = (_memo_key(ideal), ideal.complete, _memo_key(other), WORK_BUDGET)
-    memo = ideal.ring._saturations
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = _compute_saturation(ideal, other)
-    return result
+    if other not in ideal._saturations:
+        ideal._saturations[other] = _compute_saturation(ideal, other)
+    return ideal._saturations[other]
 
 
 def _compute_saturation(ideal, other):

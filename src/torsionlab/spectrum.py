@@ -15,9 +15,9 @@ unchanged, so these give every annihilator and the grlex-first witness of
 each prime.  Monomials outside a monomial ideal are closed under division
 (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1), so the scan
 walks them degree by degree outside the lifted basis, which holds every
-rule lhs, capped at L.  One scan yields both ass and ass^f.  The report
-pair depends only on the generator tuples of the numerator and the
-denominator, so the ring keeps it under them and scans a module once.
+rule lhs, capped at L.  One scan yields both ass and ass^f.  Ideal handles
+are interned per ring, and the denominator's handle keeps its power index
+and the report pair per numerator handle, so a module is scanned once.
 
 Each witness annihilator is read from exponent comparisons, without
 building the colon: for each lifted basis monomial g of b, the quotient
@@ -126,7 +126,10 @@ def _sorted_primes(first):
 def _witness_scan(numerator, denominator, top):
     """The divisors of ``top`` in the numerator but not the denominator,
     in grlex order, walked outside the denominator's lifted basis."""
-    index = _power_index(denominator.lifted_monomials())
+    if denominator._lifted_index is None:
+        denominator._lifted_index = _power_index(
+            denominator.lifted_monomials())
+    index = denominator._lifted_index
     caps = tuple(top.exponent(v) for v in range(top.max_var() + 1))
     num_gens = numerator.monomial_generators()
     # Reduced, the unit ideal's generators are 1 alone, which divides all.
@@ -172,16 +175,13 @@ def assassin_scan(numerator, denominator):
     One exact witness scan, over the divisors of L outside the
     denominator, serves both reports.  A witness's annihilator, the colon
     (denominator : m), gives an ass prime when it is prime, and its minimal
-    primes are ass^f primes.  The pair is kept on the ring under the
-    generator tuples of numerator and denominator, so each module is
-    scanned once per ring.
+    primes are ass^f primes.  The interned handle of the denominator keeps
+    the pair under the handle of the numerator, so each module is scanned
+    once per ring.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
-    key = (numerator.monomial_generators(), denominator.monomial_generators())
-    reports = numerator.ring._assassin_reports
-    cached = reports.get(key)
-    if cached is None:
+    if numerator not in denominator._assassins:
         basis = denominator.lifted_monomials()
         top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
                      Monomial.one())
@@ -195,10 +195,10 @@ def assassin_scan(numerator, denominator):
                 ass_first.setdefault(prime, m)
             for p in minimal:
                 assf_first.setdefault(p, m)
-        cached = reports[key] = tuple(
+        denominator._assassins[numerator] = tuple(
             AssassinReport(*_sorted_primes(first))
             for first in (ass_first, assf_first))
-    return cached
+    return denominator._assassins[numerator]
 
 
 def _within_degree(report, witness_bound):

@@ -69,13 +69,14 @@ def test_monic_generators_are_the_cached_normal_forms(monkeypatch):
     the ring's normal-form cache, not a copy of it."""
     from torsionlab.families import get_family, instantiate
     handles = []
-    real = IdealHandle.__init__
+    real = IdealHandle.__new__
 
-    def record(self, *args, **kwargs):
-        real(self, *args, **kwargs)
-        handles.append(self)
+    def record(cls, *args, **kwargs):
+        handle = real(cls, *args, **kwargs)
+        handles.append(handle)
+        return handle
 
-    monkeypatch.setattr(IdealHandle, "__init__", record)
+    monkeypatch.setattr(IdealHandle, "__new__", record)
     rng = random.Random(61)
     for index in range(40):
         check_instance(random_instance(index, rng))
@@ -125,6 +126,59 @@ def test_from_monomials_looks_each_generator_up_once(monkeypatch):
     ideal = IdealHandle.from_monomials(ring, monos)
     assert ideal.monomial_generators() == (_var(0), _var(1, 2))
     assert len(calls) == len(monos) + 2
+
+
+def test_equal_reduced_generators_give_one_handle():
+    ring = _free(3)
+    x01 = _var(0).mul(_var(1))
+    assert (IdealHandle.from_monomials(ring, [x01, x01.mul(_var(2))])
+            is IdealHandle.from_monomials(ring, [x01]))
+
+
+def test_flag_budget_and_ring_each_give_their_own_handle(monkeypatch):
+    import torsionlab.ideals as ideals_module
+    rules = [RewriteRule(_var(0, 2))]
+    ring = RingPresentation(2, rules)
+    monos = [_var(0).mul(_var(1))]
+    handle = IdealHandle.from_monomials(ring, monos)
+    assert IdealHandle.from_monomials(ring, monos, complete=False) is not handle
+    assert IdealHandle.from_monomials(
+        RingPresentation(2, rules), monos) is not handle
+    monkeypatch.setattr(ideals_module, "WORK_BUDGET", 0)
+    assert IdealHandle.from_monomials(ring, monos) is not handle
+    monkeypatch.undo()
+    assert IdealHandle.from_monomials(ring, monos) is handle
+
+
+def test_generator_with_zero_normal_form_is_dropped():
+    """A raw single-term Element outside normal form whose normal form is
+    zero leaves the ideal it generates the zero ideal, in both modes."""
+    nilpotent = RingPresentation(1, [RewriteRule(_var(0, 2))])
+    ideal = IdealHandle(nilpotent, [Element(nilpotent, {_var(0, 2): 1})])
+    assert ideal is IdealHandle.zero(nilpotent)
+    assert ideal.monomial_generators() == ()
+    general = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(0))),
+                                   RewriteRule(_var(0).mul(_var(1)))])
+    product = Element(general, {_var(0, 2).mul(_var(1)): 1})
+    assert IdealHandle(general, [product]) is IdealHandle.zero(general)
+
+
+def test_general_mode_handle_completes_once(monkeypatch):
+    """The ideal (X0 + X1) of a cube ring, rebuilt from its generators, is
+    the handle that already holds its Groebner basis."""
+    import torsionlab.ideals as ideals_module
+    ring = RingPresentation(2, [RewriteRule(_var(i, 2), (1, _var(i)))
+                                for i in range(2)])
+    x0, x1 = (Element.from_monomial(ring, _var(i)) for i in range(2))
+    calls = []
+    real = ideals_module._complete
+    monkeypatch.setattr(ideals_module, "_complete",
+                        lambda *args: calls.append(args) or real(*args))
+    for _ in range(2):
+        ideal = IdealHandle(ring, [x0.add(x1)])
+        assert not ideal.is_monomial_mode
+        assert ideal_membership(x0.mul(x1), ideal).is_yes
+    assert len(calls) == 1
 
 
 def test_zero_coefficient_skips_the_range_check():

@@ -124,9 +124,24 @@ def _private_forwarders(trees):
     return sorted(out)
 
 
+def _instance_names(method):
+    """The names a constructor gives the instance it sets up: the first
+    parameter of __init__; in __new__, each name bound to the result of a
+    __new__ call."""
+    if method.name == "__init__":
+        return {method.args.args[0].arg}
+    return {target.id for node in ast.walk(method)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr == "__new__"
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
 def _unread_init_attributes(trees):
     """(file, line, name) of each _private attribute that a module-level
-    class sets on self in __init__ and no code in the package reads."""
+    class sets on its new instance in __init__ or __new__ and no code in
+    the package reads."""
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
@@ -137,16 +152,16 @@ def _unread_init_attributes(trees):
                 continue
             for init in cls.body:
                 if not (isinstance(init, FUNCTIONS)
-                        and init.name == "__init__"):
+                        and init.name in ("__init__", "__new__")):
                     continue
-                self_name = init.args.args[0].arg
+                names = _instance_names(init)
                 out.extend(
                     (path, node.lineno, node.attr)
                     for node in ast.walk(init)
                     if isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Store)
                     and isinstance(node.value, ast.Name)
-                    and node.value.id == self_name
+                    and node.value.id in names
                     and node.attr.startswith("_")
                     and not (node.attr.startswith("__")
                              and node.attr.endswith("__"))
@@ -254,6 +269,19 @@ def test_unread_init_attribute_is_reported():
     trees = {"m.py": ast.parse(source),
              "n.py": ast.parse("x = ring._elsewhere\n")}
     assert _unread_init_attributes(trees) == [("m.py", 4, "_left")]
+
+
+def test_unread_new_attribute_is_reported():
+    source = ("class Handle:\n"
+              "    def __new__(cls, table, key):\n"
+              "        self = table[key] = super().__new__(cls)\n"
+              "        self._read = {}\n"
+              "        self._left = {}\n"
+              "        cls._shared = 0\n"
+              "        return self\n\n"
+              "    def get(self):\n        return self._read\n")
+    trees = {"m.py": ast.parse(source)}
+    assert _unread_init_attributes(trees) == [("m.py", 5, "_left")]
 
 
 def test_trusted_constructor_stays_in_ring():
