@@ -722,11 +722,9 @@ def expand_ring(stmt):
 
 def expand_element(template, ring, env=None, where="element"):
     env = env or {}
-    total = Element.zero(ring)
-    for term in template.terms:
-        m = _build_monomial(term, env, ring.num_vars, where)
-        total = total.add(Element.from_monomial(ring, m, term.coeff))
-    return total
+    return Element.from_terms(ring, [
+        (_build_monomial(term, env, ring.num_vars, where), term.coeff)
+        for term in template.terms])
 
 
 def expand_ideal(stmt, ring):

@@ -84,11 +84,9 @@ def _random_monomial(rng, exponents, max_degree, min_degree):
         degree = rng.randint(min_degree, max_degree)
         acc = {}
         total = 0
-        stuck = False
-        while total < degree and not stuck:
+        while total < degree:
             options = [v for v in range(n) if acc.get(v, 0) < exponents[v] - 1]
             if not options:
-                stuck = True
                 break
             v = rng.choice(options)
             acc[v] = acc.get(v, 0) + 1

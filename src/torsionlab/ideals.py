@@ -406,8 +406,7 @@ class IdealHandle:
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_basis", "_saturations", "_assassins",
-                 "_lifted_index")
+                 "_lifted", "_basis", "_saturations", "_assassins")
 
     def __new__(cls, ring, elements, complete=True):
         gens = []
@@ -444,7 +443,6 @@ class IdealHandle:
             self._monomial_gens = monos
             self._lifted = None
             self._basis = _NOT_YET
-            self._lifted_index = None
             self._saturations = {}
             self._assassins = {}
         return self
@@ -799,8 +797,9 @@ def ideal_saturation(ideal, other):
     At step 0 the result is I itself.  Past WORK_BUDGET it is (I, False, 0),
     the only case with stabilized False.
 
-    The interned handle of I keeps each result under the handle of J, so
-    a repeated saturation returns the stored result.
+    The interned handle of I keeps each result under the handle of J.
+    Principal saturations are the memo's unit: each (I : g^inf) is
+    computed once, and any other (I : J^inf) meets the stored ones.
     """
     _check_shared_ring(ideal, other)
     if other not in ideal._saturations:
@@ -808,15 +807,27 @@ def ideal_saturation(ideal, other):
     return ideal._saturations[other]
 
 
+def _principal_saturations(ideal, other):
+    """(meet, parts): the memo's (I : g^inf) for each generator g of J, and
+    the intersection of their ideals (the unit ideal when J is zero)."""
+    parts = [ideal_saturation(ideal, IdealHandle(ideal.ring, [g]))
+             for g in other.generators]
+    meet = reduce(ideal_intersection, [part.ideal for part in parts]
+                  or [IdealHandle.unit(ideal.ring)])
+    return meet, parts
+
+
 def _compute_saturation(ideal, other):
-    """ideal_saturation without the memo."""
+    """ideal_saturation without the memo; a principal J is closed form."""
     steps = None
     try:
-        sat = reduce(ideal_intersection, [
-            _saturate_by(ideal, g) for g in other.generators]
-            or [IdealHandle.unit(ideal.ring)])
+        if len(other.generators) == 1:
+            sat, parts = _saturate_by(ideal, other.generators[0]), ()
+        else:
+            sat, parts = _principal_saturations(ideal, other)
         # An intersection past WORK_BUDGET comes back incomplete.
-        if sat.complete or not ideal.complete:
+        if (all(part.stabilized for part in parts)
+                and (sat.complete or not ideal.complete)):
             steps = _power_kill_exponent(other, sat, ideal)
     except _OutOfBudget:
         pass

@@ -16,8 +16,8 @@ each prime.  Monomials outside a monomial ideal are closed under division
 (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1), so the scan
 walks them degree by degree outside the lifted basis, which holds every
 rule lhs, capped at L.  One scan yields both ass and ass^f.  Ideal handles
-are interned per ring, and the denominator's handle keeps its power index
-and the report pair per numerator handle, so a module is scanned once.
+are interned per ring, and the denominator's handle keeps the report pair
+per numerator handle, so a module is scanned once.
 
 Each witness annihilator is read from exponent comparisons, without
 building the colon: for each lifted basis monomial g of b, the quotient
@@ -126,10 +126,7 @@ def _sorted_primes(first):
 def _witness_scan(numerator, denominator, top):
     """The divisors of ``top`` in the numerator but not the denominator,
     in grlex order, walked outside the denominator's lifted basis."""
-    if denominator._lifted_index is None:
-        denominator._lifted_index = _power_index(
-            denominator.lifted_monomials())
-    index = denominator._lifted_index
+    index = _power_index(denominator.lifted_monomials())
     caps = tuple(top.exponent(v) for v in range(top.max_var() + 1))
     num_gens = numerator.monomial_generators()
     # Reduced, the unit ideal's generators are 1 alone, which divides all.

@@ -9,9 +9,9 @@ For the cyclic module R/b and an ideal a:
   b at the principal ideal (g): each generator must reach b at some
   individual power.
 
-Both functors take their saturations from ideals.ideal_saturation, kept on
-the interned handle of b, so they share every saturation they both ask for
-and repeat none that fairness or the harness asked for before.
+Both preimages meet the principal saturations (b : g^inf), one per generator
+g of a, that the interned handle of b keeps, so neither functor repeats one
+that the other, fairness or the harness asked for before.
 
 Fairness predicates compare assassins of the torsion submodule and of the
 quotient by it against intersections and differences with the variety of a.
@@ -20,12 +20,11 @@ quotient by it against intersections and differences with the variety of a.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .ideals import (
     IdealHandle,
     _power_kill_exponent,
-    ideal_intersection,
+    _principal_saturations,
     ideal_saturation,
 )
 from .spectrum import assassin_scan, difference_variety, intersect_variety
@@ -62,10 +61,7 @@ def gamma_small_cyclic(acting, relations):
 
 def gamma_large_cyclic(acting, relations):
     """Preimage of the large torsion submodule of R/relations."""
-    sats = [ideal_saturation(relations, IdealHandle(relations.ring, [g]))
-            for g in acting.generators]
-    acc = reduce(ideal_intersection, [sat.ideal for sat in sats]
-                 or [IdealHandle.unit(relations.ring)])
+    acc, sats = _principal_saturations(relations, acting)
     # An intersection past the work budget is flagged incomplete.
     stabilized = all(sat.stabilized for sat in sats) and acc.complete
     return TorsionResult(LARGE, acting, relations, acc, stabilized,

@@ -7,7 +7,7 @@ import random
 import torsionlab.ideals as ideals_module
 from torsionlab.harness import random_instance
 from torsionlab.ideals import IdealHandle, format_ideal, ideal_saturation
-from torsionlab.ring import Monomial, RewriteRule, RingPresentation
+from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
 from torsionlab.torsion import (
     VERDICT_NAMES,
     bounded_torsion_exponent,
@@ -179,3 +179,61 @@ def test_repeated_saturations_read_the_ring_memo(monkeypatch):
         second = fairness_report(a, b)
         assert not calls
         assert _report_summary(second) == _report_summary(first)
+
+
+def test_large_torsion_reads_the_principal_saturations(monkeypatch):
+    """Once b : a^inf is known, the large torsion saturates by no
+    generator of a again: both functors read the same (b : g^inf)."""
+    calls = _count_walks(monkeypatch)
+    rng = random.Random(42)
+    checked = 0
+    for i in range(60):
+        instance = random_instance(i, rng)
+        a, b = instance.acting, instance.relations
+        if len(a.generators) < 2:
+            continue
+        ideal_saturation(b, a)
+        del calls[:]
+        gamma_large_cyclic(a, b)
+        assert "_saturate_by" not in calls
+        checked += 1
+    assert checked >= 20
+
+
+def test_general_mode_large_torsion_completes_only_its_meet(monkeypatch):
+    """In Q[X0..X2]/(X_i^2 - X_i), after the small torsion of R/b at
+    a = (X0, X1), the large torsion runs at most one completion: the meet
+    of the principal saturations, which the small one did not keep."""
+    ring = RingPresentation(3, [RewriteRule(_var(i, 2), (1, _var(i)))
+                                for i in range(3)])
+    x0, x1, x2 = (Element.from_monomial(ring, _var(i)) for i in range(3))
+    a = IdealHandle(ring, [x0, x1])
+    b = IdealHandle(ring, [x0.mul(x2).add(x1.mul(x2))])
+    small = gamma_small_cyclic(a, b)
+    calls = []
+    real = ideals_module._complete
+    monkeypatch.setattr(ideals_module, "_complete",
+                        lambda *args: calls.append(args) or real(*args))
+    large = gamma_large_cyclic(a, b)
+    assert len(calls) <= 1
+    assert large.preimage.equals(small.preimage) is True
+    assert (large.stabilized, large.steps) == (True, 1)
+
+
+def test_zero_and_unit_acting_ideals():
+    """b : 0^inf is the unit ideal at step 1 (0^1 kills everything), the
+    large torsion at the zero ideal meets no saturation, and b : (1)^inf is
+    b at step 0, in both modes."""
+    idempotent = [RewriteRule(_var(i, 2), (1, _var(i))) for i in range(2)]
+    for rules in ([RewriteRule(_var(0, 3))], idempotent):
+        ring = RingPresentation(2, rules)
+        b = IdealHandle(ring, [Element.from_monomial(ring, _var(0, 2))])
+        zero, unit = IdealHandle.zero(ring), IdealHandle.unit(ring)
+        assert b.is_monomial_mode is (rules is not idempotent)
+        sat = ideal_saturation(b, zero)
+        assert (sat.ideal, sat.stabilized, sat.steps) == (unit, True, 1)
+        large = gamma_large_cyclic(zero, b)
+        assert (large.preimage, large.stabilized, large.steps) == (
+            unit, True, 0)
+        sat = ideal_saturation(b, unit)
+        assert (sat.ideal, sat.stabilized, sat.steps) == (b, True, 0)
