@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
@@ -879,6 +880,39 @@ def _mask_transversals(edges):
         covers = kept + [g for g in grown
                          if not any(k & g == k for k in kept)]
     return covers
+
+
+def _staircase_corners(basis):
+    """The maximal standard monomials (staircase corners) of a monomial
+    ideal whose reduced basis holds a pure power X_v^a_v of every variable
+    X_0..X_{n-1}, as a list of exponent tuples of length n in no
+    particular order.
+
+    The exponent form of _mask_transversals (Miller & Sturmfels,
+    Combinatorial Commutative Algebra, ch. 5): the pure powers leave the
+    one corner (a_v - 1)_v.  Each other basis monomial u then replaces
+    every corner c it divides by one candidate per variable v of u, c with
+    its v exponent lowered to u_v - 1; a corner u does not divide stays.
+    Every standard monomial below c that u does not divide lies below a
+    candidate, so the new corners are the candidates that no kept corner
+    and no other candidate dominates.
+    """
+    pure = {g.pairs[0][0]: g.degree for g in basis if len(g.pairs) == 1}
+    corners = {tuple(pure[v] - 1 for v in range(len(pure)))}
+    for u in basis:
+        if len(u.pairs) == 1:
+            continue
+        hit = [c for c in corners if all(c[v] >= e for v, e in u.pairs)]
+        if not hit:
+            continue
+        corners.difference_update(hit)
+        candidates = {c[:v] + (e - 1,) + c[v + 1:]
+                      for c in hit for v, e in u.pairs}
+        corners.update([
+            d for d in candidates
+            if not any(k != d and all(x <= y for x, y in zip(d, k))
+                       for k in chain(corners, candidates))])
+    return list(corners)
 
 
 def _mask_vars(mask):

@@ -338,6 +338,11 @@ class RingPresentation:
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
         self.all_rhs_zero = all(rule.rhs is None for rule in self.rules)
+        # Each variable's pure-power rule lhs exponent, or None: only those
+        # lhs divide a power of the variable alone (lhs are distinct).
+        pure = {r.lhs.max_var(): r.lhs.degree
+                for r in self.rules if len(r.lhs.pairs) == 1}
+        self._pure_powers = tuple(pure.get(v) for v in range(num_vars))
         # A rule can apply to m only if the smallest variable of its lhs
         # occurs in m: bucket the rules by that variable, each with its
         # position in the grlex rule order.
@@ -443,8 +448,7 @@ class RingPresentation:
         rule lhs (only those divide X_v^k; with all, degrees are bounded).
         Divisors of normals are normal: the first empty level gives the top.
         """
-        pure = {r.lhs.max_var() for r in self.rules if len(r.lhs.pairs) == 1}
-        if len(pure) < self.num_vars:
+        if None in self._pure_powers:
             return None
         last = 0
         while self.normal_monomials_of_degree(last + 1):

@@ -7,17 +7,27 @@ The zero prime (empty set) exists only in rule-free rings.
 
 Assassins are computed from monomial witnesses.  Modules here are spanned by
 monomials and graded by exponent vectors, and associated primes of such
-modules are annihilators of monomial elements.  The witness set is finite
-and exact: the divisors of L, the lcm of the numerator's generators and the
-denominator's lifted basis, in the numerator but not the denominator.
-Capping a witness's exponents at L keeps it there and leaves (b : m)
-unchanged, so these give every annihilator and the grlex-first witness of
-each prime.  Monomials outside a monomial ideal are closed under division
-(Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1), so the scan
-walks them degree by degree outside the lifted basis, which holds every
-rule lhs, capped at L.  One scan yields both ass and ass^f.  Ideal handles
-are interned per ring, and the denominator's handle keeps the report pair
-per numerator handle, so a module is scanned once.
+modules are annihilators of monomial elements.  One scan yields both ass and
+ass^f.  Ideal handles are interned per ring, and the denominator's handle
+keeps the report pair per numerator handle, so a module is scanned once.
+
+In an artinian ring (monomial mode, a pure-power rule lhs for every
+variable) the only prime of a nonzero module is the maximal ideal, and the
+scan reads its witnesses off the staircase corners, the maximal standard
+monomials, of the denominator's lifted basis (Miller & Sturmfels,
+Combinatorial Commutative Algebra, ch. 5): the ass witness is the
+grlex-least corner in the numerator, the socle monomials being the
+corners, and the ass^f witness is the grlex-least numerator generator
+outside the denominator.  No monomial is walked.
+
+With a free variable the scan walks the witnesses.  The witness set is
+finite and exact: the divisors of L, the lcm of the numerator's generators
+and the denominator's lifted basis, in the numerator but not the
+denominator.  Capping a witness's exponents at L keeps it there and leaves
+(b : m) unchanged, so these give every annihilator and the grlex-first
+witness of each prime.  Monomials outside a monomial ideal are closed under
+division (Miller & Sturmfels, ch. 1), so the walk goes degree by degree
+outside the lifted basis, which holds every rule lhs, capped at L.
 
 Each witness annihilator is read from exponent comparisons, without
 building the colon: for each lifted basis monomial g of b, the quotient
@@ -27,7 +37,7 @@ support meets V, the variables that occur as a degree-1 quotient, and its
 prime is then V.  Its minimal primes are the minimal transversals of the
 quotient supports (Berge, Hypergraphs, ch. 2); a quotient divisible by
 another has the larger support, which changes no transversal, so nothing
-is reduced.  Primes stay bitmasks through the scan until a report is built,
+is reduced.  On both paths primes stay bitmasks until a report is built,
 which converts each distinct prime to its variable set once.
 """
 
@@ -38,8 +48,14 @@ from functools import reduce
 from typing import Optional
 
 from .errors import RingMismatch
-from .ideals import IdealHandle, _mask_transversals, _mask_vars, prime_key
-from .ring import Monomial, _next_level, _power_index
+from .ideals import (
+    IdealHandle,
+    _mask_transversals,
+    _mask_vars,
+    _staircase_corners,
+    prime_key,
+)
+from .ring import Monomial, _next_level, _power_index, grlex_key
 
 
 def format_prime(vars_set):
@@ -166,35 +182,79 @@ def _annihilator(basis, m):
     return prime, _mask_transversals(supports)
 
 
+def _corner_witnesses(numerator, denominator):
+    """(ass, ass^f) first-witness dicts of (numerator + denominator) /
+    denominator in an artinian ring, read off the staircase corners.
+
+    The only prime is the maximal ideal, every variable.  Its ass witnesses
+    are the socle monomials in the numerator, the corners of the
+    denominator's lifted basis.  Every proper colon is primary to it, and
+    every witness is a multiple of a numerator generator outside the
+    denominator, so its first ass^f witness is the grlex-least of those.
+    """
+    basis = denominator.lifted_monomials()
+    # Reduced monomial generators are grlex-sorted.
+    outside = [g for g in numerator.monomial_generators()
+               if not any(k.divides(g) for k in basis)]
+    if not outside:
+        return {}, {}
+    corners = (Monomial(enumerate(c)) for c in _staircase_corners(basis))
+    witness = min((c for c in corners if any(g.divides(c) for g in outside)),
+                  key=grlex_key)
+    maximal = (1 << numerator.ring.num_vars) - 1
+    return {maximal: witness}, {maximal: outside[0]}
+
+
+def _walked_witnesses(numerator, denominator):
+    """(ass, ass^f) first-witness dicts of (numerator + denominator) /
+    denominator from the witness walk over the divisors of L outside the
+    denominator: a witness's annihilator, the colon (denominator : m),
+    gives an ass prime when it is prime, and its minimal primes are ass^f
+    primes."""
+    basis = denominator.lifted_monomials()
+    top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
+                 Monomial.one())
+    ass_first = {}
+    assf_first = {}
+    # L stays the scan's third positional argument: the perfbench tracer
+    # keys each traced scan on it (until ROADMAP item 1).
+    for m in _witness_scan(numerator, denominator, top):
+        prime, minimal = _annihilator(basis, m)
+        if prime is not None:
+            ass_first.setdefault(prime, m)
+        for p in minimal:
+            assf_first.setdefault(p, m)
+    return ass_first, assf_first
+
+
+def _report_pair(ass_first, assf_first):
+    """The (ass, ass^f) reports of one scan from its first-witness dicts."""
+    return tuple(AssassinReport(*_sorted_primes(first))
+                 for first in (ass_first, assf_first))
+
+
 def assassin_scan(numerator, denominator):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
-    One exact witness scan, over the divisors of L outside the
-    denominator, serves both reports.  A witness's annihilator, the colon
-    (denominator : m), gives an ass prime when it is prime, and its minimal
-    primes are ass^f primes.  The interned handle of the denominator keeps
-    the pair under the handle of the numerator, so each module is scanned
-    once per ring.
+    In an artinian ring (monomial mode, a pure-power rule lhs for every
+    variable) the pair is read off the staircase corners of the
+    denominator's lifted basis (_corner_witnesses).  Building them costs,
+    per basis monomial that is not a pure power, one divisibility test per
+    corner and a pairwise comparison of the candidates it splits off.  The
+    corners can grow exponentially in number with the variables, but never
+    outnumber the standard monomials that the walk would visit.  Otherwise
+    one exact witness walk serves both reports (_walked_witnesses).  The
+    interned handle of the denominator keeps the pair under the handle of
+    the numerator, so each module is scanned once per ring.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
     if numerator not in denominator._assassins:
-        basis = denominator.lifted_monomials()
-        top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
-                     Monomial.one())
-        ass_first = {}
-        assf_first = {}
-        # L stays the scan's third positional argument: the perfbench
-        # tracer keys each traced scan on it (until ROADMAP item 1).
-        for m in _witness_scan(numerator, denominator, top):
-            prime, minimal = _annihilator(basis, m)
-            if prime is not None:
-                ass_first.setdefault(prime, m)
-            for p in minimal:
-                assf_first.setdefault(p, m)
-        denominator._assassins[numerator] = tuple(
-            AssassinReport(*_sorted_primes(first))
-            for first in (ass_first, assf_first))
+        ring = numerator.ring
+        artinian = ring.all_rhs_zero and None not in ring._pure_powers
+        scan = _corner_witnesses if artinian else _walked_witnesses
+        denominator._assassins[numerator] = _report_pair(
+            *scan(numerator, denominator))
     return denominator._assassins[numerator]
 
 

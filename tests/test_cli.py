@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -282,8 +283,8 @@ def test_saturation_of_a_deep_exponent():
 
 
 def test_nil40D_assassins_at_level_10_from_a_script():
-    # L has 11! normal divisors; the scan walks only the 56 monomials
-    # outside b.
+    # L has 11! normal divisors; the witnesses are read off b's 10
+    # staircase corners.
     tree, code = cli.execute(parse(
         "ring R = vars X[0..10] rules { X[i]^(i + 1) -> 0 for i in 0..10 }\n"
         "ideal a = < X[i] for i in 0..10 >\n"
@@ -296,6 +297,30 @@ def test_nil40D_assassins_at_level_10_from_a_script():
     ass, assf = (s["result"] for s in tree["statements"][3:5])
     assert ass["witnesses"] == [{"prime": maximal, "witness": "X1"}]
     assert assf["witnesses"] == [{"prime": maximal, "witness": "1"}]
+
+
+def test_wide_artinian_assassins_need_no_walk(monkeypatch):
+    """In Q[X0..X13]/(X_i^3) the ass witness is a staircase corner: no
+    witness walk and no level enumeration runs."""
+    spectrum = importlib.import_module("torsionlab.spectrum")
+    ring_module = importlib.import_module("torsionlab.ring")
+    calls = []
+    for module, name in ((spectrum, "_witness_scan"),
+                         (spectrum, "_next_level"),
+                         (ring_module, "_next_level")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: calls.append(name))
+    ring = "ring R = vars X[0..13] rules { X[i]^3 -> 0 for i in 0..13 }\n"
+    maximal = "prime(%s)" % ", ".join("X%d" % v for v in range(14))
+    rest = "*".join("X%d^2" % v for v in range(2, 14))
+    for b, witness in (("< X[0]^2*X[1]^2 >", "X0^2*X1*" + rest),
+                       ("< 0 >", "X0^2*X1^2*" + rest)):
+        tree, code = cli.execute(parse(
+            ring + "ideal b = %s\nquery ass(b)\n" % b))
+        assert code == 0, tree
+        assert tree["statements"][-1]["result"]["witnesses"] == [
+            {"prime": maximal, "witness": witness}]
+    assert calls == []
 
 
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):

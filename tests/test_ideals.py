@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,6 +17,7 @@ from torsionlab.ideals import (
     _mask_transversals,
     _mask_vars,
     _power_kill_exponent,
+    _staircase_corners,
     format_ideal,
     ideal_colon,
     ideal_colon_ideal,
@@ -265,6 +267,52 @@ def test_minimal_transversals_match_brute_force():
         assert (sorted(map(_mask_vars, _mask_transversals(_masks(edges))),
                        key=prime_key)
                 == _brute_force_transversals(n, edges)), edges
+    assert min(shapes.values()) >= 50, shapes
+
+
+def _random_artinian_basis(rng):
+    """(box, lifted basis): a ring on 1..5 variables with X_v^box[v] -> 0
+    for each v, up to 2 mixed rule lhs, and an ideal of up to 5 monomials,
+    none of them 1, with every exponent below the box."""
+    n = rng.randint(1, 5)
+    box = [rng.randint(1, 4) for _ in range(n)]
+
+    def draws(count):
+        out = (Monomial((v, rng.randint(0, box[v] - 1)) for v in range(n)
+                        if rng.random() < 0.6) for _ in range(count))
+        return [m for m in out if not m.is_one]
+
+    rules = {_var(v, box[v]) for v in range(n)}
+    rules.update(m for m in draws(rng.randint(0, 2)) if len(m.pairs) > 1)
+    ring = RingPresentation(n, [RewriteRule(m) for m in rules])
+    ideal = IdealHandle.from_monomials(ring, draws(rng.randint(0, 5)))
+    return box, ideal.lifted_monomials()
+
+
+def _brute_force_corners(box, basis):
+    """The maximal standard monomials, by enumerating the exponent box."""
+    def standard(e):
+        return not any(all(e[v] >= k for v, k in g.pairs) for g in basis)
+
+    inside = [e for e in product(*map(range, box)) if standard(e)]
+    return sorted(e for e in inside
+                  if not any(standard(e[:v] + (e[v] + 1,) + e[v + 1:])
+                             for v in range(len(box))))
+
+
+def test_staircase_corners_match_brute_force():
+    rng = random.Random(101)
+    shapes = {"one corner": 0, "several corners": 0, "a variable is zero": 0,
+              "mixed generator": 0}
+    for _ in range(400):
+        box, basis = _random_artinian_basis(rng)
+        corners = _staircase_corners(basis)
+        expected = _brute_force_corners(box, basis)
+        assert sorted(corners) == expected, basis
+        shapes["one corner"] += len(expected) == 1
+        shapes["several corners"] += len(expected) > 1
+        shapes["a variable is zero"] += any(g.degree == 1 for g in basis)
+        shapes["mixed generator"] += any(len(g.pairs) > 1 for g in basis)
     assert min(shapes.values()) >= 50, shapes
 
 

@@ -180,8 +180,8 @@ def test_weak_assassin_oracle_agreement():
 
 def test_assassin_scan_shared_by_equal_handles(monkeypatch):
     calls = []
-    real = spectrum_module._annihilator
-    monkeypatch.setattr(spectrum_module, "_annihilator",
+    real = spectrum_module._report_pair
+    monkeypatch.setattr(spectrum_module, "_report_pair",
                         lambda *args: calls.append(args) or real(*args))
     rng = random.Random(67)
     for i in range(10):
@@ -240,8 +240,8 @@ def test_assassin_reports_depend_on_the_numerator_too():
 
 def test_repeated_scan_reads_the_report_cache(monkeypatch):
     calls = []
-    real = spectrum_module._witness_scan
-    monkeypatch.setattr(spectrum_module, "_witness_scan",
+    real = spectrum_module._report_pair
+    monkeypatch.setattr(spectrum_module, "_report_pair",
                         lambda *args: calls.append(args) or real(*args))
     rng = random.Random(83)
     for i in range(10):
@@ -294,20 +294,103 @@ def test_witness_scan_matches_membership_filter():
             numerator, denominator, top) == survivors
 
 
+def _force_walk(monkeypatch, ring):
+    """Make the scan take the witness walk in ring, as in a ring with a
+    free variable: the ring fact that selects the corner path says the
+    last variable has no pure-power rule."""
+    monkeypatch.setattr(ring, "_pure_powers",
+                        ring._pure_powers[:-1] + (None,))
+
+
+def _count_calls(monkeypatch, name, record):
+    """Wrap spectrum's ``name`` so that each call ends by running
+    ``record`` on its arguments and result."""
+    real = getattr(spectrum_module, name)
+
+    def wrapped(*args):
+        out = real(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(spectrum_module, name, wrapped)
+
+
 def test_nil40D_scan_at_level_10_walks_few_monomials(monkeypatch):
     """L has 11! normal divisors, but the walk stays outside b: it visits
-    1 and the powers X_v^k with 1 <= k <= v, 56 monomials."""
-    visited = []
-    real = spectrum_module._next_level
-    monkeypatch.setattr(spectrum_module, "_next_level",
-                        lambda level, *rest: visited.append(len(level))
-                        or real(level, *rest))
-    ring, ideals = families._build_nil40D(10)
-    ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
+    1 and the powers X_v^k with 1 <= k <= v, 56 monomials.  The default
+    path reads the same witnesses off b's corners, the powers X_v^v."""
+    visited, corners = [], []
+    _count_calls(monkeypatch, "_next_level",
+                 lambda args, out: visited.append(len(args[0])))
+    _count_calls(monkeypatch, "_staircase_corners",
+                 lambda args, out: corners.append(len(out)))
     maximal = frozenset(range(11))
-    assert ass.witnesses == ((maximal, _var(1)),)
-    assert assf.witnesses == ((maximal, Monomial.one()),)
+    for walk in (True, False):
+        ring, ideals = families._build_nil40D(10)
+        if walk:
+            _force_walk(monkeypatch, ring)
+        ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
+        assert ass.witnesses == ((maximal, _var(1)),)
+        assert assf.witnesses == ((maximal, Monomial.one()),)
+        if walk:
+            assert sum(visited) == 56 and corners == []
     assert sum(visited) == 56
+    assert corners == [10]
+
+
+def _random_artinian_ring(rng):
+    """A ring on 1..6 variables with a pure-power rule for each, of
+    exponent 1..3, and up to 3 mixed rule lhs."""
+    n = rng.randint(1, 6)
+    box = [rng.randint(1, 3) for _ in range(n)]
+    lhs = {_var(v, box[v]) for v in range(n)}
+    for _ in range(rng.randint(0, 3)):
+        m = Monomial((v, rng.randint(1, box[v])) for v in range(n)
+                     if rng.random() < 0.5)
+        if len(m.pairs) > 1:
+            lhs.add(m)
+    return RingPresentation(n, [RewriteRule(m) for m in lhs])
+
+
+def _random_monomials(rng, ring, count):
+    """Up to ``count`` monomials other than 1, exponents 1 and 2."""
+    out = (Monomial((v, rng.randint(1, 2)) for v in range(ring.num_vars)
+                    if rng.random() < 0.4) for _ in range(count))
+    return [m for m in out if not m.is_one]
+
+
+def test_corner_scan_matches_the_walk_on_random_artinian_rings(monkeypatch):
+    """The corner path and the witness walk, forced on a copy of the same
+    ring, give equal report pairs, for the unit numerator and monomial
+    ones over denominators of up to 5 generators."""
+    rng = random.Random(103)
+    shapes = {"zero module": 0, "nonzero module": 0, "unit numerator": 0,
+              "monomial numerator": 0, "mixed rule": 0, "six variables": 0}
+    walked = []
+    _count_calls(monkeypatch, "_witness_scan",
+                 lambda args, out: walked.append(1))
+    for _ in range(300):
+        ring = _random_artinian_ring(rng)
+        walk = RingPresentation(ring.num_vars, ring.rules)
+        _force_walk(monkeypatch, walk)
+        den = _random_monomials(rng, ring, rng.randint(0, 5))
+        nums = [None, _random_monomials(rng, ring, 3) or [_var(0)]]
+        for num in nums:
+            pair = []
+            for r in (ring, walk):
+                numerator = (IdealHandle.unit(r) if num is None
+                             else IdealHandle.from_monomials(r, num))
+                pair.append(assassin_scan(
+                    numerator, IdealHandle.from_monomials(r, den)))
+            assert pair[0] == pair[1], (ring.rules, num, den)
+            shapes["nonzero module" if pair[0][0].primes
+                   else "zero module"] += 1
+            shapes["unit numerator" if num is None
+                   else "monomial numerator"] += 1
+        shapes["mixed rule"] += any(len(r.lhs.pairs) > 1 for r in ring.rules)
+        shapes["six variables"] += ring.num_vars == 6
+    assert len(walked) == 600
+    assert min(shapes.values()) >= 30, shapes
 
 
 def test_assassin_scan_matches_per_witness_recomputation():
