@@ -124,7 +124,7 @@ def random_instance(index, rng):
               if rng.random() < 0.5]
     between = ideal_sum(
         acting, IdealHandle.from_monomials(ring, extras))
-    # perfbench reads witness_bound; computing it fills the level cache.
+    # perfbench reads witness_bound, which the ring reads off its corners.
     witness_bound = ring.finite_basis_max_degree() + 1
     return HarnessInstance(
         index, ring, acting, relations, extension, between, witness_bound)

@@ -6,8 +6,9 @@ rule binomials lhs - c*rhs.  Results map back by normal forms.
 
 * monomial mode: every ring rule rewrites to zero and every generator is a
   monic monomial.  The lifted ideal is a monomial ideal, so membership,
-  colon by a monomial, intersection, saturation, radical and minimal
-  primes have closed forms over its reduced monomial basis.
+  colon by a monomial, intersection, saturation and radical have closed
+  forms over its reduced monomial basis, and minimal primes are read off
+  the staircase corners of the radical, its irreducible components.
 * general mode: anything else, in a confluent ring.  Confluent rules are a
   Groebner basis of the rule ideal for a degree-compatible order, so each
   handle completes its generators and the rules to one reduced Groebner
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import compress
 from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
@@ -33,6 +34,7 @@ from .ring import (
     FRACTION_ONE,
     Element,
     Monomial,
+    _staircase_corners,
     check_local_confluence,
     grlex_key,
 )
@@ -400,14 +402,16 @@ class IdealHandle:
     known about its ideal.  Each monic generator is the shared Element that
     the ring's normal-form cache holds for its monomial; a single term with
     normal form zero is dropped, and a multi-term Element is trusted to be
-    in normal form.  Facts are filled on first use: the reduced lifted
-    basis in monomial mode; in general mode the reduced Groebner basis of
-    the lifted ideal, with cofactors over the generators, or None when that
-    one completion ran out of WORK_BUDGET; saturations; assassin reports.
+    in normal form.  Facts are filled on first use: in monomial mode the
+    reduced lifted basis and the staircase corners of the lifted ideal,
+    its irreducible components; in general mode the reduced Groebner basis
+    of the lifted ideal, with cofactors over the generators, or None when
+    that one completion ran out of WORK_BUDGET; saturations; assassin
+    reports.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_basis", "_saturations", "_assassins")
+                 "_lifted", "_corners", "_basis", "_saturations", "_assassins")
 
     def __new__(cls, ring, elements, complete=True):
         gens = []
@@ -443,6 +447,7 @@ class IdealHandle:
             self.complete = complete
             self._monomial_gens = monos
             self._lifted = None
+            self._corners = None
             self._basis = _NOT_YET
             self._saturations = {}
             self._assassins = {}
@@ -500,6 +505,18 @@ class IdealHandle:
                 self._monomial_gens
                 + tuple(rule.lhs for rule in self.ring.rules))
         return self._lifted
+
+    def _components(self):
+        """The staircase corners of the lifted ideal, each with the bitmask
+        of its finite coordinates: the ring's corners split by the
+        generators (ring._staircase_corners)."""
+        if self._corners is None:
+            bits = [1 << v for v in range(self.ring.num_vars)]
+            self._corners = tuple(
+                (c, sum(compress(bits, map(math.isfinite, c))))
+                for c in _staircase_corners(self.monomial_generators(),
+                                            self.ring._components()))
+        return self._corners
 
     def contains_monomial(self, m):
         """Exact membership for a monomial, monomial mode only."""
@@ -854,67 +871,6 @@ def prime_key(vars_set):
     return len(vars_set), sorted(vars_set)
 
 
-def _mask_transversals(edges):
-    """Inclusion-minimal hitting sets of a family of nonempty vertex sets,
-    each an int bitmask with bit v standing for vertex v, as a list of
-    such bitmasks in no particular order.
-
-    A singleton edge is forced into every transversal, so the union of the
-    singleton edges starts the one cover and every edge it meets is
-    dropped.  Berge's step (Berge, Hypergraphs, 1989, ch. 2) takes the
-    edges left by increasing size: a cover that meets the edge stays, any
-    other grows by one vertex of the edge unless it then contains a cover
-    that stayed.
-    """
-    edges = set(edges)
-    forced = 0
-    for edge in edges:
-        if not edge & (edge - 1):
-            forced |= edge
-    covers = [forced]
-    for edge in sorted((e for e in edges if not e & forced),
-                       key=int.bit_count):
-        bits = [1 << v for v in range(edge.bit_length()) if edge >> v & 1]
-        kept = [c for c in covers if c & edge]
-        grown = [c | b for c in covers if not c & edge for b in bits]
-        covers = kept + [g for g in grown
-                         if not any(k & g == k for k in kept)]
-    return covers
-
-
-def _staircase_corners(basis):
-    """The maximal standard monomials (staircase corners) of a monomial
-    ideal whose reduced basis holds a pure power X_v^a_v of every variable
-    X_0..X_{n-1}, as a list of exponent tuples of length n in no
-    particular order.
-
-    The exponent form of _mask_transversals (Miller & Sturmfels,
-    Combinatorial Commutative Algebra, ch. 5): the pure powers leave the
-    one corner (a_v - 1)_v.  Each other basis monomial u then replaces
-    every corner c it divides by one candidate per variable v of u, c with
-    its v exponent lowered to u_v - 1; a corner u does not divide stays.
-    Every standard monomial below c that u does not divide lies below a
-    candidate, so the new corners are the candidates that no kept corner
-    and no other candidate dominates.
-    """
-    pure = {g.pairs[0][0]: g.degree for g in basis if len(g.pairs) == 1}
-    corners = {tuple(pure[v] - 1 for v in range(len(pure)))}
-    for u in basis:
-        if len(u.pairs) == 1:
-            continue
-        hit = [c for c in corners if all(c[v] >= e for v, e in u.pairs)]
-        if not hit:
-            continue
-        corners.difference_update(hit)
-        candidates = {c[:v] + (e - 1,) + c[v + 1:]
-                      for c in hit for v, e in u.pairs}
-        corners.update([
-            d for d in candidates
-            if not any(k != d and all(x <= y for x, y in zip(d, k))
-                       for k in chain(corners, candidates))])
-    return list(corners)
-
-
 def _mask_vars(mask):
     """The variable set of an int bitmask."""
     return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
@@ -923,19 +879,13 @@ def _mask_vars(mask):
 def minimal_primes(ideal):
     """Minimal primes over a proper monomial-mode ideal, as variable sets.
 
-    These are the minimal transversals of the supports of the lifted
-    generators; with no rules and no generators the zero prime (empty set)
-    is the unique answer.
+    The components of a radical monomial ideal are its minimal primes: the
+    finite coordinates of each corner of the radical are 0.  With no rules
+    and no generators the zero prime (empty set) is the unique answer.
     """
     ideal._require_monomial()
-    return _basis_minimal_primes(ideal.lifted_monomials())
-
-
-def _basis_minimal_primes(basis):
-    """Minimal primes over the monomial ideal with this reduced lifted basis:
-    the minimal transversals of the basis supports."""
-    supports = [sum(1 << v for v, _ in m.pairs) for m in basis]
-    if 0 in supports:
+    components = ideal_radical(ideal)._components()
+    if not components:
         raise UnitIdeal("the unit ideal has no minimal primes")
-    return sorted(map(_mask_vars, _mask_transversals(supports)),
+    return sorted((_mask_vars(mask) for _, mask in components),
                   key=prime_key)

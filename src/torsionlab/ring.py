@@ -12,12 +12,19 @@ A monomial's pairs hold one invariant: variable indices strictly increase
 and exponents are positive.  The public ``Monomial`` constructor checks it
 on every input; the private ``_trusted_monomial`` assumes it and serves
 only the monomial operations of this module, whose results keep it.
+
+The ring keeps the staircase corners of its rule-lhs ideal
+(_staircase_corners): the top normal degree is read off them, and every
+ideal handle splits its own corners from them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from operator import itemgetter, le
 
 from .errors import InvalidPresentation, RingMismatch, VariableOutOfRange
 
@@ -268,6 +275,54 @@ def _next_level(level, caps, index):
     return out
 
 
+def _below(d, k):
+    """Does the exponent tuple d lie below k in every coordinate?"""
+    return all(map(le, d, k))
+
+
+def _staircase_corners(monomials, corners):
+    """The staircase corners of J + (``monomials``), J the monomial ideal
+    with these ``corners``, as a list of exponent tuples in no particular
+    order; a free coordinate is ``math.inf``.
+
+    A corner c stands for the irreducible component generated by
+    X_v^(c_v + 1) over its finite coordinates v, and the ideal is the
+    intersection of its components: a monomial lies outside it exactly when
+    it lies below a corner (Miller & Sturmfels, Combinatorial Commutative
+    Algebra, ch. 5).  The polynomial ring's one corner is all ``inf``, and
+    the unit ideal has none.  Berge's step (Berge, Hypergraphs, ch. 2) adds
+    one monomial u at a time: every corner c above u gives way to one
+    candidate per variable v of u, c with X_v lowered to u_v - 1.  A
+    candidate is dropped when a corner that u does not reach lies above it,
+    or a reached corner with a lower X_v exponent than c's does (it lies
+    above the candidate from that corner and v); any other corner above it
+    would lie above c.  No two candidates are compared.
+    """
+    corners = set(corners)
+    for u in monomials:
+        # u's exponents up to its last variable: _below stops there.
+        low = [0] * (u.max_var() + 1)
+        for v, e in u.pairs:
+            low[v] = e
+        hit = [c for c in corners if _below(low, c)]
+        if not hit:
+            continue
+        corners.difference_update(hit)
+        grown = []
+        for v, e in u.pairs:
+            hit.sort(key=itemgetter(v))
+            lower = 0
+            for c in hit:
+                while hit[lower][v] < c[v]:
+                    lower += 1
+                d = c[:v] + (e - 1,) + c[v + 1:]
+                if not any(_below(d, k)
+                           for k in chain(corners, islice(hit, lower))):
+                    grown.append(d)
+        corners.update(grown)
+    return list(corners)
+
+
 class RewriteRule:
     """lhs -> 0 or lhs -> coeff * monomial, strictly degree-decreasing."""
 
@@ -306,14 +361,16 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
-    Instances are immutable apart from five caches: the normal-form cache,
+    Instances are immutable apart from six caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
     so far, extended on demand by normal_monomials_of_degree), the critical
     pairs that do not join, kept by the first check_local_confluence, the
     lift of ideals._lift: the rule binomials as Groebner basis entries and
-    the term order, and the ideal table of ideals.IdealHandle, mapping each
-    (reduced generators, complete flag, work budget) key built so far to its
-    one handle, which keeps every fact computed about that ideal.
+    the term order, the staircase corners of the rule-lhs ideal, which
+    every ideal handle's corners start from, and the ideal table of
+    ideals.IdealHandle, mapping each (reduced generators, complete flag,
+    work budget) key built so far to its one handle, which keeps every fact
+    computed about that ideal.
     Cached normal forms are shared, immutable Elements: Element.from_monomial
     with coefficient 1 and the monic generators of every ideal handle are
     these objects themselves.
@@ -338,11 +395,6 @@ class RingPresentation:
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
         self.all_rhs_zero = all(rule.rhs is None for rule in self.rules)
-        # Each variable's pure-power rule lhs exponent, or None: only those
-        # lhs divide a power of the variable alone (lhs are distinct).
-        pure = {r.lhs.max_var(): r.lhs.degree
-                for r in self.rules if len(r.lhs.pairs) == 1}
-        self._pure_powers = tuple(pure.get(v) for v in range(num_vars))
         # A rule can apply to m only if the smallest variable of its lhs
         # occurs in m: bucket the rules by that variable, each with its
         # position in the grlex rule order.
@@ -356,6 +408,7 @@ class RingPresentation:
         self._levels = [(Monomial.one(),)]
         self._confluence_failures = None
         self._lift = None
+        self._corners = None
         self._ideals = {}
 
     def __repr__(self):
@@ -442,18 +495,21 @@ class RingPresentation:
             out.extend(self.normal_monomials_of_degree(k))
         return out
 
+    def _components(self):
+        """The staircase corners of the rule-lhs ideal, whatever the rhs
+        (_staircase_corners), computed on the first call."""
+        if self._corners is None:
+            self._corners = tuple(_staircase_corners(
+                (rule.lhs for rule in self.rules),
+                [(math.inf,) * self.num_vars]))
+        return self._corners
+
     def finite_basis_max_degree(self):
-        """Largest degree of a normal monomial, or None if there are
-        infinitely many: exactly when some X_v has no pure power among the
-        rule lhs (only those divide X_v^k; with all, degrees are bounded).
-        Divisors of normals are normal: the first empty level gives the top.
-        """
-        if None in self._pure_powers:
-            return None
-        last = 0
-        while self.normal_monomials_of_degree(last + 1):
-            last += 1
-        return last
+        """Largest degree of a normal monomial, the largest corner degree,
+        or None if there are infinitely many: exactly when a corner has a
+        free coordinate."""
+        top = max(map(sum, self._components()))
+        return None if top == math.inf else top
 
 
 class Element:

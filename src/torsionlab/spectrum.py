@@ -11,33 +11,33 @@ modules are annihilators of monomial elements.  One scan yields both ass and
 ass^f.  Ideal handles are interned per ring, and the denominator's handle
 keeps the report pair per numerator handle, so a module is scanned once.
 
-In an artinian ring (monomial mode, a pure-power rule lhs for every
-variable) the only prime of a nonzero module is the maximal ideal, and the
-scan reads its witnesses off the staircase corners, the maximal standard
-monomials, of the denominator's lifted basis (Miller & Sturmfels,
-Combinatorial Commutative Algebra, ch. 5): the ass witness is the
-grlex-least corner in the numerator, the socle monomials being the
-corners, and the ass^f witness is the grlex-least numerator generator
-outside the denominator.  No monomial is walked.
+Both paths read the denominator's staircase corners, the irreducible
+components of its lifted ideal (ring._staircase_corners).  When every
+corner is finite, R/b is artinian: the only prime of a nonzero module is
+the maximal ideal, and the scan reads its witnesses off the corners, the
+maximal standard monomials (Miller & Sturmfels, Combinatorial Commutative
+Algebra, ch. 5).  The ass witness is the grlex-least corner in the
+numerator, the socle monomials being the corners, and the ass^f witness
+is the grlex-least numerator generator outside the denominator.  No
+monomial is walked.
 
-With a free variable the scan walks the witnesses.  The witness set is
-finite and exact: the divisors of L, the lcm of the numerator's generators
-and the denominator's lifted basis, in the numerator but not the
-denominator.  Capping a witness's exponents at L keeps it there and leaves
-(b : m) unchanged, so these give every annihilator and the grlex-first
-witness of each prime.  Monomials outside a monomial ideal are closed under
-division (Miller & Sturmfels, ch. 1), so the walk goes degree by degree
-outside the lifted basis, which holds every rule lhs, capped at L.
+Otherwise the scan walks the witnesses.  The witness set is finite and
+exact: the divisors of L, the lcm of the numerator's generators and the
+denominator's lifted basis, in the numerator but not the denominator.
+Capping a witness's exponents at L keeps it there and leaves (b : m)
+unchanged, so these give every annihilator and the grlex-first witness of
+each prime.  Monomials outside a monomial ideal are closed under division
+(Miller & Sturmfels, ch. 1), so the walk goes degree by degree outside the
+lifted basis, which holds every rule lhs, capped at L.
 
-Each witness annihilator is read from exponent comparisons, without
-building the colon: for each lifted basis monomial g of b, the quotient
-g / gcd(g, m) has support {v : e_v(g) > e_v(m)}, an int bitmask, and degree
-the sum of those excesses.  (b : m) is prime exactly when every quotient's
-support meets V, the variables that occur as a degree-1 quotient, and its
-prime is then V.  Its minimal primes are the minimal transversals of the
-quotient supports (Berge, Hypergraphs, ch. 2); a quotient divisible by
-another has the larger support, which changes no transversal, so nothing
-is reduced.  On both paths primes stay bitmasks until a report is built,
+Each witness annihilator is read off the corners, without building the
+colon.  A corner c stands for the component generated by X_v^(c_v + 1)
+over its finite coordinates, and (b : m) is the meet of the components of
+the corners c above m, each divided by m: X_v^(c_v + 1 - m_v), primary to
+the prime of c's finite coordinates.  So the minimal primes of (b : m) are
+the minimal finite-coordinate masks among those corners, and (b : m) is
+prime exactly when there is one, sigma, and every such c agrees with m on
+sigma.  On both paths primes stay int bitmasks until a report is built,
 which converts each distinct prime to its variable set once.
 """
 
@@ -48,13 +48,7 @@ from functools import reduce
 from typing import Optional
 
 from .errors import RingMismatch
-from .ideals import (
-    IdealHandle,
-    _mask_transversals,
-    _mask_vars,
-    _staircase_corners,
-    prime_key,
-)
+from .ideals import IdealHandle, _mask_vars, prime_key
 from .ring import Monomial, _next_level, _power_index, grlex_key
 
 
@@ -156,41 +150,39 @@ def _witness_scan(numerator, denominator, top):
     return out
 
 
-def _annihilator(basis, m):
+def _annihilator(components, m):
     """(prime or None, minimal primes) of the colon (J : m), for the
-    monomial ideal J with this lifted basis and a monomial m outside J,
-    every prime an int bitmask of its variables (0 is the zero prime).
+    monomial ideal J with these (corner, finite-coordinate mask)
+    components and a monomial m outside J, every prime an int bitmask of
+    its variables (0 is the zero prime).
 
-    The prime is the colon's variable set when the colon is prime.  Both
-    are read from the supports and degrees of the quotients g / gcd(g, m),
-    as the module docstring describes; the minimal primes are unsorted.
+    Read off the corners above m, as the module docstring describes; the
+    minimal primes are unsorted.
     """
-    exps = dict(m.pairs)
-    supports = set()
-    linear = 0
-    for g in basis:
-        mask = excess = 0
-        for v, e in g.pairs:
-            over = e - exps.get(v, 0)
-            if over > 0:
-                mask |= 1 << v
-                excess += over
-        supports.add(mask)
-        if excess == 1:
-            linear |= mask
-    prime = linear if all(s & linear for s in supports) else None
-    return prime, _mask_transversals(supports)
+    above = [(c, mask) for c, mask in components
+             if all(c[v] >= e for v, e in m.pairs)]
+    masks = {mask for _, mask in above}
+    minimal = [s for s in masks if not any(t != s and t & s == t
+                                           for t in masks)]
+    prime = None
+    if len(minimal) == 1:
+        sigma = minimal[0]
+        exps = dict(m.pairs)
+        on = [v for v in range(sigma.bit_length()) if sigma >> v & 1]
+        if all(c[v] == exps.get(v, 0) for c, _ in above for v in on):
+            prime = sigma
+    return prime, minimal
 
 
 def _corner_witnesses(numerator, denominator):
     """(ass, ass^f) first-witness dicts of (numerator + denominator) /
-    denominator in an artinian ring, read off the staircase corners.
+    denominator when the denominator's corners are finite.
 
     The only prime is the maximal ideal, every variable.  Its ass witnesses
-    are the socle monomials in the numerator, the corners of the
-    denominator's lifted basis.  Every proper colon is primary to it, and
-    every witness is a multiple of a numerator generator outside the
-    denominator, so its first ass^f witness is the grlex-least of those.
+    are the socle monomials in the numerator, the corners.  Every proper
+    colon is primary to it, and every witness is a multiple of a numerator
+    generator outside the denominator, so its first ass^f witness is the
+    grlex-least of those.
     """
     basis = denominator.lifted_monomials()
     # Reduced monomial generators are grlex-sorted.
@@ -198,7 +190,7 @@ def _corner_witnesses(numerator, denominator):
                if not any(k.divides(g) for k in basis)]
     if not outside:
         return {}, {}
-    corners = (Monomial(enumerate(c)) for c in _staircase_corners(basis))
+    corners = (Monomial(enumerate(c)) for c, _ in denominator._components())
     witness = min((c for c in corners if any(g.divides(c) for g in outside)),
                   key=grlex_key)
     maximal = (1 << numerator.ring.num_vars) - 1
@@ -211,15 +203,15 @@ def _walked_witnesses(numerator, denominator):
     denominator: a witness's annihilator, the colon (denominator : m),
     gives an ass prime when it is prime, and its minimal primes are ass^f
     primes."""
-    basis = denominator.lifted_monomials()
-    top = reduce(Monomial.lcm, numerator.monomial_generators() + basis,
-                 Monomial.one())
+    top = reduce(Monomial.lcm, numerator.monomial_generators()
+                 + denominator.lifted_monomials(), Monomial.one())
+    components = denominator._components()
     ass_first = {}
     assf_first = {}
     # L stays the scan's third positional argument: the perfbench tracer
     # keys each traced scan on it (until ROADMAP item 1).
     for m in _witness_scan(numerator, denominator, top):
-        prime, minimal = _annihilator(basis, m)
+        prime, minimal = _annihilator(components, m)
         if prime is not None:
             ass_first.setdefault(prime, m)
         for p in minimal:
@@ -236,22 +228,19 @@ def _report_pair(ass_first, assf_first):
 def assassin_scan(numerator, denominator):
     """(ass, ass^f) of the module (numerator + denominator) / denominator.
 
-    In an artinian ring (monomial mode, a pure-power rule lhs for every
-    variable) the pair is read off the staircase corners of the
-    denominator's lifted basis (_corner_witnesses).  Building them costs,
-    per basis monomial that is not a pure power, one divisibility test per
-    corner and a pairwise comparison of the candidates it splits off.  The
-    corners can grow exponentially in number with the variables, but never
-    outnumber the standard monomials that the walk would visit.  Otherwise
-    one exact witness walk serves both reports (_walked_witnesses).  The
-    interned handle of the denominator keeps the pair under the handle of
-    the numerator, so each module is scanned once per ring.
+    When R / denominator is artinian (every corner of the denominator
+    finite) the pair is read off the corners (_corner_witnesses), which can
+    grow exponentially in number with the variables but never outnumber
+    the standard monomials that the walk would visit.  Otherwise one exact
+    witness walk serves both reports (_walked_witnesses).  The interned
+    handle of the denominator keeps the pair under the handle of the
+    numerator, so each module is scanned once per ring.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
     if numerator not in denominator._assassins:
-        ring = numerator.ring
-        artinian = ring.all_rhs_zero and None not in ring._pure_powers
+        full = (1 << numerator.ring.num_vars) - 1
+        artinian = all(mask == full for _, mask in denominator._components())
         scan = _corner_witnesses if artinian else _walked_witnesses
         denominator._assassins[numerator] = _report_pair(
             *scan(numerator, denominator))

@@ -323,6 +323,49 @@ def test_wide_artinian_assassins_need_no_walk(monkeypatch):
     assert calls == []
 
 
+def test_artinian_quotient_of_a_free_ring_needs_no_walk(monkeypatch):
+    """R/b is artinian though no rule bounds a variable: both reports come
+    off b's one corner, X0*X1^2, with no witness walk."""
+    spectrum = importlib.import_module("torsionlab.spectrum")
+    calls = []
+    monkeypatch.setattr(spectrum, "_witness_scan",
+                        lambda *args: calls.append(args))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..1]\nideal b = < X[0]^2, X[1]^3 >\n"
+        "query ass(b)\nquery assf(b)\n"))
+    assert code == 0, tree
+    assert [s["result"]["witnesses"] for s in tree["statements"][-2:]] == [
+        [{"prime": "prime(X0, X1)", "witness": "X0*X1^2"}],
+        [{"prime": "prime(X0, X1)", "witness": "1"}]]
+    assert calls == []
+
+
+def test_disjoint_pairs_cost_one_comparison_per_corner(monkeypatch):
+    """b = (X0*X1, X2*X3, ..., X22*X23) in Q[X0..X23]/(X_i^2) has 2^12
+    corners.  Building them compares each generator with the corners it
+    splits, and no candidate with another: a count, not a wall-clock
+    bound, that a pairwise candidate check would raise to about 4^12."""
+    ring_module = importlib.import_module("torsionlab.ring")
+    real = ring_module._below
+    calls = []
+
+    def below(d, k):
+        calls.append(1)
+        return real(d, k)
+
+    monkeypatch.setattr(ring_module, "_below", below)
+    pairs = ", ".join("X[%d]*X[%d]" % (v, v + 1) for v in range(0, 24, 2))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..23] rules { X[i]^2 -> 0 for i in 0..23 }\n"
+        "ideal b = < %s >\nquery ass(b)\n" % pairs))
+    assert code == 0, tree
+    maximal = "prime(%s)" % ", ".join("X%d" % v for v in range(24))
+    witness = "*".join("X%d" % v for v in range(0, 24, 2))
+    assert tree["statements"][-1]["result"]["witnesses"] == [
+        {"prime": maximal, "witness": witness}]
+    assert len(calls) <= 2 * 4096, len(calls)
+
+
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
     failing = ExampleReport(
         tag="nil40A", levels=(4,), window=2, seed=42,

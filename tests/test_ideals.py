@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,10 +15,7 @@ from torsionlab.harness import check_instance, random_instance
 from torsionlab.ideals import (
     IdealHandle,
     MembershipAnswer,
-    _mask_transversals,
-    _mask_vars,
     _power_kill_exponent,
-    _staircase_corners,
     format_ideal,
     ideal_colon,
     ideal_colon_ideal,
@@ -30,7 +28,6 @@ from torsionlab.ideals import (
     ideal_sum,
     minimal_primes,
     power_order,
-    prime_key,
 )
 from torsionlab.oracles import (
     colon_monomials,
@@ -46,6 +43,7 @@ from torsionlab.ring import (
     Monomial,
     RewriteRule,
     RingPresentation,
+    _staircase_corners,
     check_local_confluence,
 )
 from torsionlab.torsion import gamma_large_cyclic, gamma_small_cyclic
@@ -220,13 +218,16 @@ def test_minimal_primes_of_two_generator_ideal():
     assert [sorted(p) for p in minimal_primes(ideal)] == [[0], [1, 2]]
 
 
-def _masks(edges):
-    """Vertex sets as the int bitmasks _mask_transversals takes."""
-    return [sum(1 << v for v in e) for e in edges]
+def _edge_ideal(n, edges):
+    """The ideal of the products of the vertices of each edge, in the
+    rule-free ring on n variables: its minimal primes are the minimal
+    transversals of the edges."""
+    return IdealHandle.from_monomials(
+        _free(n), [Monomial((v, 1) for v in edge) for edge in edges])
 
 
 def test_minimal_transversals_example():
-    hits = map(_mask_vars, _mask_transversals(_masks([{0, 1}, {0, 2}])))
+    hits = minimal_primes(_edge_ideal(3, [{0, 1}, {0, 2}]))
     assert sorted(sorted(t) for t in hits) == [[0], [1, 2]]
 
 
@@ -264,55 +265,75 @@ def test_minimal_transversals_match_brute_force():
         shapes["every edge meets a singleton"] += bool(forced) and all(
             e & forced for e in edges)
         rng.shuffle(edges)
-        assert (sorted(map(_mask_vars, _mask_transversals(_masks(edges))),
-                       key=prime_key)
+        assert (minimal_primes(_edge_ideal(n, edges))
                 == _brute_force_transversals(n, edges)), edges
     assert min(shapes.values()) >= 50, shapes
 
 
-def _random_artinian_basis(rng):
-    """(box, lifted basis): a ring on 1..5 variables with X_v^box[v] -> 0
-    for each v, up to 2 mixed rule lhs, and an ideal of up to 5 monomials,
-    none of them 1, with every exponent below the box."""
+def _random_monomial_ideal(rng):
+    """(ring, ideal): a ring on 1..5 variables, each with a rule X_v^a -> 0
+    (a in 1..4) at odds 3 in 5 and free otherwise, and up to 2 mixed rule
+    lhs; an ideal of up to 5 monomials other than 1 (exponents up to 3)."""
     n = rng.randint(1, 5)
-    box = [rng.randint(1, 4) for _ in range(n)]
+    box = [rng.randint(1, 4) if rng.random() < 0.6 else None
+           for _ in range(n)]
 
     def draws(count):
-        out = (Monomial((v, rng.randint(0, box[v] - 1)) for v in range(n)
-                        if rng.random() < 0.6) for _ in range(count))
+        out = (Monomial((v, rng.randint(0, (box[v] or 4) - 1))
+                        for v in range(n) if rng.random() < 0.6)
+               for _ in range(count))
         return [m for m in out if not m.is_one]
 
-    rules = {_var(v, box[v]) for v in range(n)}
+    rules = {_var(v, a) for v, a in enumerate(box) if a is not None}
     rules.update(m for m in draws(rng.randint(0, 2)) if len(m.pairs) > 1)
     ring = RingPresentation(n, [RewriteRule(m) for m in rules])
-    ideal = IdealHandle.from_monomials(ring, draws(rng.randint(0, 5)))
-    return box, ideal.lifted_monomials()
+    return ring, IdealHandle.from_monomials(ring, draws(rng.randint(0, 5)))
 
 
-def _brute_force_corners(box, basis):
-    """The maximal standard monomials, by enumerating the exponent box."""
+def _brute_force_corners(n, basis):
+    """The staircase corners, by enumerating exponent vectors up to one
+    past each variable's largest basis exponent: past it, membership no
+    longer depends on that exponent, so a maximal vector that reaches the
+    top there has a free coordinate (inf)."""
+    top = [max((g.exponent(v) for g in basis), default=0) + 1
+           for v in range(n)]
+
     def standard(e):
         return not any(all(e[v] >= k for v, k in g.pairs) for g in basis)
 
-    inside = [e for e in product(*map(range, box)) if standard(e)]
-    return sorted(e for e in inside
-                  if not any(standard(e[:v] + (e[v] + 1,) + e[v + 1:])
-                             for v in range(len(box))))
+    inside = [e for e in product(*(range(t + 1) for t in top))
+              if standard(e)]
+    return sorted(tuple(math.inf if x == t else x for x, t in zip(e, top))
+                  for e in inside
+                  if not any(e[v] < top[v]
+                             and standard(e[:v] + (e[v] + 1,) + e[v + 1:])
+                             for v in range(n)))
 
 
 def test_staircase_corners_match_brute_force():
+    """From the polynomial ring's corner, and from the ring's corners split
+    by the ideal's generators, as a handle builds them."""
     rng = random.Random(101)
     shapes = {"one corner": 0, "several corners": 0, "a variable is zero": 0,
               "mixed generator": 0}
-    for _ in range(400):
-        box, basis = _random_artinian_basis(rng)
-        corners = _staircase_corners(basis)
-        expected = _brute_force_corners(box, basis)
-        assert sorted(corners) == expected, basis
+    free = 0
+    for _ in range(700):
+        ring, ideal = _random_monomial_ideal(rng)
+        n = ring.num_vars
+        basis = ideal.lifted_monomials()
+        expected = _brute_force_corners(n, basis)
+        assert sorted(_staircase_corners(basis, [(math.inf,) * n])) \
+            == expected, basis
+        split = _staircase_corners(ideal.monomial_generators(),
+                                   ring._components())
+        assert sorted(split) == expected, basis
+        assert sorted(c for c, _ in ideal._components()) == expected
+        free += any(math.inf in c for c in expected)
         shapes["one corner"] += len(expected) == 1
         shapes["several corners"] += len(expected) > 1
         shapes["a variable is zero"] += any(g.degree == 1 for g in basis)
         shapes["mixed generator"] += any(len(g.pairs) > 1 for g in basis)
+    assert free >= 300, free
     assert min(shapes.values()) >= 50, shapes
 
 

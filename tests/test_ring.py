@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from collections import Counter
@@ -287,14 +288,22 @@ def _level_templates():
             yield ring, ring.finite_basis_max_degree()
 
 
-def test_finite_basis_is_decided_by_pure_powers():
+def test_finite_basis_is_decided_by_pure_powers(monkeypatch):
     """Finite exactly when every variable has a pure power among the rule
-    lhs; without one the answer comes before any level is enumerated."""
+    lhs.  The top degree is read off the staircase corners of the rule
+    lhs: no level is enumerated."""
+    ring_module = importlib.import_module("torsionlab.ring")
+    calls = []
+    monkeypatch.setattr(ring_module, "_next_level",
+                        lambda *args: calls.append(args))
     assert RingPresentation(1, [RewriteRule(_var(0, 70))]
                             ).finite_basis_max_degree() == 69
+    assert RingPresentation(14, [RewriteRule(_var(v, 3)) for v in range(14)]
+                            ).finite_basis_max_degree() == 28
     ring = RingPresentation(4, [RewriteRule(_var(0, 2))])
     assert ring.finite_basis_max_degree() is None
     assert len(ring._levels) == 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -309,6 +318,7 @@ def test_level_cache_matches_direct_enumeration(descending):
             assert [m.pairs for m in ring.normal_monomials_of_degree(d)] \
                 == _direct_normal_pairs(ring, d)
         if last is not None:
+            assert ring.normal_monomials_of_degree(last) != ()
             assert ring.normal_monomials_of_degree(top) == ()
         assert ring.normal_monomials_of_degree(-1) == ()
         assert ring.normal_monomials_up_to(top) == [

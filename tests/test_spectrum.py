@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import importlib
 import random
+from contextlib import contextmanager, nullcontext
 from functools import reduce
+
+import pytest
 
 from torsionlab import families
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
-    _basis_minimal_primes,
     _colon_basis,
     _mask_vars,
     ideal_colon,
@@ -294,12 +296,15 @@ def test_witness_scan_matches_membership_filter():
             numerator, denominator, top) == survivors
 
 
-def _force_walk(monkeypatch, ring):
-    """Make the scan take the witness walk in ring, as in a ring with a
-    free variable: the ring fact that selects the corner path says the
-    last variable has no pure-power rule."""
-    monkeypatch.setattr(ring, "_pure_powers",
-                        ring._pure_powers[:-1] + (None,))
+@contextmanager
+def _walking():
+    """Within it, every scan takes the witness walk, as when R/b is not
+    artinian: scan a copy of the ring here to compare it with the corner
+    path on the original."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum_module, "_corner_witnesses",
+                      spectrum_module._walked_witnesses)
+        yield
 
 
 def _count_calls(monkeypatch, name, record):
@@ -318,24 +323,19 @@ def _count_calls(monkeypatch, name, record):
 def test_nil40D_scan_at_level_10_walks_few_monomials(monkeypatch):
     """L has 11! normal divisors, but the walk stays outside b: it visits
     1 and the powers X_v^k with 1 <= k <= v, 56 monomials.  The default
-    path reads the same witnesses off b's corners, the powers X_v^v."""
-    visited, corners = [], []
+    path reads the same witnesses off b's 10 corners, the powers X_v^v."""
+    visited = []
     _count_calls(monkeypatch, "_next_level",
                  lambda args, out: visited.append(len(args[0])))
-    _count_calls(monkeypatch, "_staircase_corners",
-                 lambda args, out: corners.append(len(out)))
     maximal = frozenset(range(11))
     for walk in (True, False):
         ring, ideals = families._build_nil40D(10)
-        if walk:
-            _force_walk(monkeypatch, ring)
-        ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
+        with _walking() if walk else nullcontext():
+            ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
         assert ass.witnesses == ((maximal, _var(1)),)
         assert assf.witnesses == ((maximal, Monomial.one()),)
-        if walk:
-            assert sum(visited) == 56 and corners == []
-    assert sum(visited) == 56
-    assert corners == [10]
+        assert sum(visited) == 56
+    assert len(ideals["b"]._components()) == 10
 
 
 def _random_artinian_ring(rng):
@@ -363,7 +363,17 @@ def test_corner_scan_matches_the_walk_on_random_artinian_rings(monkeypatch):
     """The corner path and the witness walk, forced on a copy of the same
     ring, give equal report pairs, for the unit numerator and monomial
     ones over denominators of up to 5 generators."""
-    rng = random.Random(103)
+    _compare_corners_with_the_walk(monkeypatch, random.Random(103), False)
+
+
+def test_corner_scan_matches_the_walk_on_free_variable_rings(monkeypatch):
+    """As above, with some pure powers moved from the rules into the
+    denominator: the ring has a free variable and R/b is still artinian,
+    so the corner path runs."""
+    _compare_corners_with_the_walk(monkeypatch, random.Random(104), True)
+
+
+def _compare_corners_with_the_walk(monkeypatch, rng, free):
     shapes = {"zero module": 0, "nonzero module": 0, "unit numerator": 0,
               "monomial numerator": 0, "mixed rule": 0, "six variables": 0}
     walked = []
@@ -371,17 +381,24 @@ def test_corner_scan_matches_the_walk_on_random_artinian_rings(monkeypatch):
                  lambda args, out: walked.append(1))
     for _ in range(300):
         ring = _random_artinian_ring(rng)
-        walk = RingPresentation(ring.num_vars, ring.rules)
-        _force_walk(monkeypatch, walk)
         den = _random_monomials(rng, ring, rng.randint(0, 5))
+        if free:
+            pure = [r.lhs for r in ring.rules if len(r.lhs.pairs) == 1]
+            moved = [m for m in pure if rng.random() < 0.5] or pure[:1]
+            ring = RingPresentation(ring.num_vars, [
+                r for r in ring.rules if r.lhs not in moved])
+            assert ring.finite_basis_max_degree() is None
+            den += moved
+        walk = RingPresentation(ring.num_vars, ring.rules)
         nums = [None, _random_monomials(rng, ring, 3) or [_var(0)]]
         for num in nums:
             pair = []
             for r in (ring, walk):
                 numerator = (IdealHandle.unit(r) if num is None
                              else IdealHandle.from_monomials(r, num))
-                pair.append(assassin_scan(
-                    numerator, IdealHandle.from_monomials(r, den)))
+                with _walking() if r is walk else nullcontext():
+                    pair.append(assassin_scan(
+                        numerator, IdealHandle.from_monomials(r, den)))
             assert pair[0] == pair[1], (ring.rules, num, den)
             shapes["nonzero module" if pair[0][0].primes
                    else "zero module"] += 1
@@ -422,16 +439,25 @@ def test_assassin_scan_matches_per_witness_recomputation():
             assert dict(assf.witnesses) == expect_assf
 
 
-def _annihilator_as_sets(basis, m):
-    """_annihilator with its prime masks converted to sorted variable sets."""
-    prime, minimal = spectrum_module._annihilator(basis, m)
+def _annihilator_as_sets(denominator, m):
+    """_annihilator on the denominator's components, with its prime masks
+    converted to sorted variable sets."""
+    prime, minimal = spectrum_module._annihilator(
+        denominator._components(), m)
     return (None if prime is None else _mask_vars(prime),
             sorted(map(_mask_vars, minimal), key=prime_key))
 
 
-def _annihilator_by_colon_basis(basis, m):
+def _annihilator_by_colon_basis(n, basis, m):
+    """The prime of the built colon basis, and the minimal transversals of
+    its supports, by enumerating every subset of range(n)."""
     colon = _colon_basis(basis, m)
-    return spectrum_module._basis_prime(colon), _basis_minimal_primes(colon)
+    subsets = [frozenset(v for v in range(n) if mask >> v & 1)
+               for mask in range(1 << n)]
+    hitting = [s for s in subsets if all(s & g.support for g in colon)]
+    minimal = [s for s in hitting if not any(o < s for o in hitting)]
+    return (spectrum_module._basis_prime(colon),
+            sorted(minimal, key=prime_key))
 
 
 def test_annihilator_matches_the_colon_basis():
@@ -451,30 +477,33 @@ def test_annihilator_matches_the_colon_basis():
             for m in ring.normal_monomials_up_to(instance.witness_bound):
                 if denominator.contains_monomial(m):
                     continue
-                assert (_annihilator_as_sets(basis, m)
-                        == _annihilator_by_colon_basis(basis, m)), (basis, m)
+                assert (_annihilator_as_sets(denominator, m)
+                        == _annihilator_by_colon_basis(
+                            ring.num_vars, basis, m)), (basis, m)
                 checked += 1
     assert checked >= 2000, checked
 
 
 def test_annihilator_hand_cases():
     x0, x1 = _var(0), _var(1)
-    zero = IdealHandle.zero(RingPresentation(2)).lifted_monomials()
+    ring = RingPresentation(3)
     cases = [
         # (X0^3) : X0 = (X0^2), not prime, over the prime (X0)
         ((_var(0, 3),), x0, (None, [frozenset({0})])),
         # (X0*X1, X1^3) : X1 = (X0, X1^2), not prime, over (X0, X1)
         ((x0.mul(x1), _var(1, 3)), x1, (None, [frozenset({0, 1})])),
         # the zero ideal of a rule-free ring: the zero prime
-        (zero, Monomial.one(), (frozenset(), [frozenset()])),
-        (zero, x0.mul(x1), (frozenset(), [frozenset()])),
+        ((), Monomial.one(), (frozenset(), [frozenset()])),
+        ((), x0.mul(x1), (frozenset(), [frozenset()])),
         # (X0*X1, X0*X2) : X0 = (X1, X2), prime
         ((x0.mul(x1), x0.mul(_var(2))), x0,
          (frozenset({1, 2}), [frozenset({1, 2})])),
     ]
     for basis, m, expected in cases:
-        assert _annihilator_as_sets(basis, m) == expected
-        assert _annihilator_by_colon_basis(basis, m) == expected
+        denominator = IdealHandle.from_monomials(ring, basis)
+        assert denominator.lifted_monomials() == basis
+        assert _annihilator_as_sets(denominator, m) == expected
+        assert _annihilator_by_colon_basis(3, basis, m) == expected
 
 
 def test_assassin_scan_converts_each_distinct_prime_once(monkeypatch):
