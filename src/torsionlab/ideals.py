@@ -407,11 +407,13 @@ class IdealHandle:
     its irreducible components; in general mode the reduced Groebner basis
     of the lifted ideal, with cofactors over the generators, or None when
     that one completion ran out of WORK_BUDGET; saturations; assassin
-    reports.
+    reports; and, in monomial mode, the membership answer for each monomial
+    asked of contains_monomial.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_corners", "_basis", "_saturations", "_assassins")
+                 "_lifted", "_corners", "_basis", "_saturations", "_assassins",
+                 "_members")
 
     def __new__(cls, ring, elements, complete=True):
         gens = []
@@ -451,6 +453,7 @@ class IdealHandle:
             self._basis = _NOT_YET
             self._saturations = {}
             self._assassins = {}
+            self._members = None
         return self
 
     @classmethod
@@ -519,13 +522,20 @@ class IdealHandle:
         return self._corners
 
     def contains_monomial(self, m):
-        """Exact membership for a monomial, monomial mode only."""
-        self._require_monomial()
-        nf = self.ring.normal_form_monomial(m)
-        if nf.is_zero:
-            return True
-        mono = nf.single_term()[0]
-        return any(g.divides(mono) for g in self._monomial_gens)
+        """Exact membership for a monomial, monomial mode only, kept as one
+        of the handle's facts.  Every rule rewrites to zero, so m is in the
+        ideal exactly when some rule lhs or some generator divides it; no
+        normal form is built."""
+        members = self._members
+        if members is None:
+            self._require_monomial()
+            members = self._members = {}
+        answer = members.get(m)
+        if answer is None:
+            answer = members[m] = (
+                not self.ring.is_normal(m)
+                or any(g.divides(m) for g in self._monomial_gens))
+        return answer
 
     def _groebner(self):
         """The reduced Groebner basis of the lifted ideal as _Reducers, each

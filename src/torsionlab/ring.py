@@ -471,6 +471,7 @@ class RingPresentation:
         return self._nf_cache[m]
 
     def is_normal(self, m):
+        self.check_variable_range(m)
         return self._first_applicable(m) is None
 
     def normal_monomials_of_degree(self, d):

@@ -10,7 +10,12 @@ from itertools import product
 import pytest
 
 from torsionlab import brute_force_membership
-from torsionlab.errors import NonConfluent, RingMismatch, VariableOutOfRange
+from torsionlab.errors import (
+    NonConfluent,
+    NotMonomialMode,
+    RingMismatch,
+    VariableOutOfRange,
+)
 from torsionlab.harness import check_instance, random_instance
 from torsionlab.ideals import (
     IdealHandle,
@@ -126,6 +131,96 @@ def test_from_monomials_looks_each_generator_up_once(monkeypatch):
     ideal = IdealHandle.from_monomials(ring, monos)
     assert ideal.monomial_generators() == (_var(0), _var(1, 2))
     assert len(calls) == len(monos) + 2
+
+
+def _member_by_normal_form(ideal, m):
+    """Membership as it was defined before the handle kept it: the normal
+    form is zero, or a generator divides it."""
+    nf = ideal.ring.normal_form_monomial(m)
+    return nf.is_zero or any(g.divides(nf.single_term()[0])
+                             for g in ideal.monomial_generators())
+
+
+def _membership_queries(ring, rng, degree):
+    """The unit monomial, the normal monomials up to degree, and products
+    of two of them, which include the non-normal ones."""
+    normal = [m for d in range(degree + 1)
+              for m in ring.normal_monomials_of_degree(d)]
+    products = [rng.choice(normal).mul(rng.choice(normal)) for _ in range(40)]
+    products += [rule.lhs.mul(rng.choice(normal)) for rule in ring.rules]
+    return [Monomial.one()] + normal + products
+
+
+def _free_variable_ring(rng):
+    """A rule-free ring, or one whose power rules leave a variable free."""
+    n = rng.randint(1, 3)
+    free = rng.randrange(n)
+    rules = [RewriteRule(_var(v, rng.randint(2, 3))) for v in range(n)
+             if v != free and rng.random() < 0.5]
+    return RingPresentation(n, rules)
+
+
+def _assert_membership_as_before(ideal, queries):
+    outside = _var(ideal.ring.num_vars)
+    for m in queries:
+        expected = _member_by_normal_form(ideal, m)
+        assert ideal.contains_monomial(m) is expected
+        assert ideal.contains_monomial(m) is expected
+    for _ in range(2):
+        with pytest.raises(VariableOutOfRange):
+            ideal.contains_monomial(outside)
+
+
+def test_membership_matches_the_normal_form_definition():
+    rng = random.Random(3001)
+    for index in range(100):
+        inst = random_instance(index, rng)
+        queries = _membership_queries(
+            inst.ring, rng, inst.ring.finite_basis_max_degree() + 1)
+        for ideal in (inst.acting, inst.relations, inst.extension,
+                      inst.between):
+            _assert_membership_as_before(ideal, queries)
+    for _ in range(60):
+        ring = _free_variable_ring(rng)
+        queries = _membership_queries(ring, rng, 3)
+        gens = [rng.choice(queries) for _ in range(rng.randint(0, 3))]
+        _assert_membership_as_before(
+            IdealHandle.from_monomials(ring, gens), queries)
+    general = IdealHandle(ring, [Element.from_monomial(ring, _var(0)).add(
+        Element.constant(ring, 1))])
+    assert not general.is_monomial_mode
+    for _ in range(2):
+        with pytest.raises(NotMonomialMode):
+            general.contains_monomial(_var(0))
+
+
+def test_membership_is_one_divisibility_test_per_monomial(monkeypatch):
+    ring = RingPresentation(3, [RewriteRule(_var(0, 2)),
+                                RewriteRule(_var(1).mul(_var(2)))])
+    gens = [_var(1, 2), _var(0).mul(_var(2))]
+    ideal = IdealHandle.from_monomials(ring, gens)
+    calls = []
+    real = ring.is_normal
+
+    def count(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(ring, "is_normal", count)
+    queries = [_var(0, 3), _var(1).mul(_var(2, 4)), _var(1, 3),
+               _var(2, 5), Monomial.one(), _var(0).mul(_var(1))]
+    cached = len(ring._nf_cache)
+    assert [ideal.contains_monomial(m) for m in queries] == [
+        True, True, True, False, False, False]
+    assert len(calls) == len(queries)
+    assert len(ring._nf_cache) == cached
+    assert [ideal.contains_monomial(m) for m in queries] == [
+        True, True, True, False, False, False]
+    assert len(calls) == len(queries)
+    # Equal generators intern to one handle, so they share one memo.
+    same = IdealHandle.from_monomials(ring, gens[::-1])
+    assert same.contains_monomial(_var(1, 3))
+    assert len(calls) == len(queries)
 
 
 def test_equal_reduced_generators_give_one_handle():

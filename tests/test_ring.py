@@ -421,3 +421,11 @@ def test_warm_normal_form_cache_still_checks_range():
         with pytest.raises(VariableOutOfRange):
             ring.normal_form_monomial(m)
     assert all(m.max_var() < ring.num_vars for m in ring._nf_cache)
+
+
+def test_is_normal_checks_range():
+    ring = RingPresentation(2, [RewriteRule(_var(0, 2))])
+    for m in (_var(5), _var(0).mul(_var(2)), _var(0, 2).mul(_var(3))):
+        with pytest.raises(VariableOutOfRange):
+            ring.is_normal(m)
+    assert ring.is_normal(_var(1, 7)) and not ring.is_normal(_var(0, 3))
