@@ -323,6 +323,35 @@ def _staircase_corners(monomials, corners):
     return list(corners)
 
 
+def _exponent_monomial(t):
+    """The monomial with the exponent tuple t, every exponent finite."""
+    return _trusted_monomial(tuple((v, e) for v, e in enumerate(t) if e),
+                             sum(t))
+
+
+def _meet_generators(corners):
+    """The minimal generators, as exponent tuples, of the meet of the
+    irreducible components with these ``corners``, a nonempty list.
+
+    Alexander duality (Miller & Sturmfels, ch. 5) in the box a one past
+    each coordinate's largest finite exponent, 0 where none is: m lies
+    below the corner c exactly when a - m is a multiple of X^(a - c), with
+    0 for a free coordinate of c, so the generators reflect the corners in
+    the box of the dual ideal (_staircase_corners).  The dual generators go
+    by degree, so one that an earlier one divides splits no corner.
+    """
+    box = [max((e + 1 for e in column if e != math.inf), default=0)
+           for column in zip(*corners)]
+    dual = []
+    for c in corners:
+        pairs = tuple((v, a - e) for v, (a, e) in enumerate(zip(box, c))
+                      if e != math.inf)
+        dual.append(_trusted_monomial(pairs, sum(e for _, e in pairs)))
+    dual.sort(key=lambda u: u.degree)
+    return [tuple(map(int.__sub__, box, k))
+            for k in _staircase_corners(dual, [tuple(box)])]
+
+
 class RewriteRule:
     """lhs -> 0 or lhs -> coeff * monomial, strictly degree-decreasing."""
 

@@ -11,45 +11,44 @@ modules are annihilators of monomial elements.  One scan yields both ass and
 ass^f.  Ideal handles are interned per ring, and the denominator's handle
 keeps the report pair per numerator handle, so a module is scanned once.
 
-Both paths read the denominator's staircase corners, the irreducible
-components of its lifted ideal (ring._staircase_corners).  When every
-corner is finite, R/b is artinian: the only prime of a nonzero module is
-the maximal ideal, and the scan reads its witnesses off the corners, the
-maximal standard monomials (Miller & Sturmfels, Combinatorial Commutative
-Algebra, ch. 5).  The ass witness is the grlex-least corner in the
-numerator, the socle monomials being the corners, and the ass^f witness
-is the grlex-least numerator generator outside the denominator.  No
-monomial is walked.
+One routine reads both off the staircase corners of the denominator's
+lifted ideal J, its irreducible components (ring._staircase_corners); no
+monomial is walked.  A corner c stands for the component generated by
+X_v^(c_v + 1) over its finite coordinates, whose mask sigma is the
+component's prime.  For m outside J, (J : m) is the meet over the corners c
+above m of the X_v^(c_v + 1 - m_v), primary to c's prime (Miller &
+Sturmfels, Combinatorial Commutative Algebra, ch. 5).  So the masks are the
+candidate primes, ass and ass^f have the same primes, and for each sigma:
 
-Otherwise the scan walks the witnesses.  The witness set is finite and
-exact: the divisors of L, the lcm of the numerator's generators and the
-denominator's lifted basis, in the numerator but not the denominator.
-Capping a witness's exponents at L keeps it there and leaves (b : m)
-unchanged, so these give every annihilator and the grlex-first witness of
-each prime.  Monomials outside a monomial ideal are closed under division
-(Miller & Sturmfels, ch. 1), so the walk goes degree by degree outside the
-lifted basis, which holds every rule lhs, capped at L.
+- m is an ass^f witness when it lies below a sigma-corner and in the meet
+  of the components whose mask is a proper subset of sigma;
+- m is an ass witness when it agrees on sigma with a sigma-corner c and
+  lies below no bad corner d, one above c on sigma that misses part of
+  sigma or differs from c there: m's off-sigma part lies in the meet of
+  the components of the bad corners' off-sigma parts.
 
-Each witness annihilator is read off the corners, without building the
-colon.  A corner c stands for the component generated by X_v^(c_v + 1)
-over its finite coordinates, and (b : m) is the meet of the components of
-the corners c above m, each divided by m: X_v^(c_v + 1 - m_v), primary to
-the prime of c's finite coordinates.  So the minimal primes of (b : m) are
-the minimal finite-coordinate masks among those corners, and (b : m) is
-prime exactly when there is one, sigma, and every such c agrees with m on
-sigma.  On both paths primes stay int bitmasks until a report is built,
+Both read the lcm(u, g), u a minimal generator of the meet
+(ring._meet_generators) and g a numerator generator: the ass^f witnesses
+are their multiples below a sigma-corner, and the ass witnesses of c have
+c's exponents on sigma and a multiple of one with g below c off it.
+Lying below a corner is closed under division and grlex is a monomial
+order, so each first witness is one of these lcms.  When R/J is artinian
+both meets are empty: the ass witness is the grlex-least corner above a
+numerator generator, and the ass^f witness the grlex-least numerator
+generator outside J.  Primes stay int bitmasks until a report is built,
 which converts each distinct prime to its variable set once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from operator import neg
 from typing import Optional
 
 from .errors import RingMismatch
 from .ideals import IdealHandle, _mask_vars, prime_key
-from .ring import Monomial, _next_level, _power_index, grlex_key
+from .ring import Monomial, _below, _exponent_monomial, _meet_generators
 
 
 def format_prime(vars_set):
@@ -125,98 +124,75 @@ class AssassinReport:
         return frozenset(self.primes)
 
 
+def _grlex(t):
+    """A sort key that orders exponent tuples as grlex_key orders their
+    monomials: by degree, then the larger exponent at the first variable
+    where two differ first."""
+    return sum(t), tuple(map(neg, t))
+
+
+def _lcms(corners, gens):
+    """lcm(u, g) for u among the minimal generators of the meet of the
+    components with these corners (1 alone for none) and g in gens, in
+    grlex order if gens are."""
+    if not corners:
+        return gens
+    return sorted({tuple(map(max, u, g))
+                   for u in _meet_generators(corners) for g in gens},
+                  key=_grlex)
+
+
+def _first_witnesses(numerator, denominator):
+    """(ass, ass^f) first-witness dicts of (numerator + denominator) /
+    denominator, each prime mask mapped to the exponent tuple of its
+    grlex-first witness, read off the denominator's corners as the module
+    docstring describes."""
+    n = numerator.ring.num_vars
+    components = denominator._components()
+    gens = [tuple(map(g.exponent, range(n)))
+            for g in numerator.monomial_generators()]
+    ass_first, assf_first = {}, {}
+    for sigma in {mask for _, mask in components}:
+        group = [c for c, mask in components if mask == sigma]
+        lower = [c for c, mask in components
+                 if mask | sigma == sigma and mask != sigma]
+        # Reduced generators are grlex-sorted.
+        first = next((t for t in _lcms(lower, gens)
+                      if any(_below(t, c) for c in group)), None)
+        if first is None:
+            # ass and ass^f have the same primes: sigma is in neither.
+            continue
+        assf_first[sigma] = first
+        # inf on sigma, 0 off it: the min with a corner is its sigma-part,
+        # the max its off-sigma part, each a corner again.
+        mark = tuple(math.inf if sigma >> v & 1 else 0 for v in range(n))
+        # A corner whose mask lies in sigma is never bad: it would lie
+        # above a corner of mask sigma.
+        others = [d for d, mask in components if mask | sigma != sigma]
+        witnesses = []
+        for c in group:
+            floor = tuple(map(min, c, mark))
+            # lcm(floor, g) has c's exponents on sigma and g's off it.
+            lifted = {tuple(map(max, floor, g)) for g in gens if _below(g, c)}
+            if lifted:
+                # Above c on sigma, with another sigma-part: inf where d
+                # misses part of sigma, or a different exponent.
+                bad = [tuple(map(max, d, mark)) for d in others
+                       if _below(floor, d)
+                       and tuple(map(min, d, mark)) != floor]
+                witnesses.extend(_lcms(bad, lifted))
+        ass_first[sigma] = min(witnesses, key=_grlex)
+    return ass_first, assf_first
+
+
 def _sorted_primes(first):
-    """(primes, witnesses) from a dict mapping each prime mask to its
-    grlex-first witness; each distinct prime becomes a variable set once."""
-    witnesses = sorted(((_mask_vars(mask), m) for mask, m in first.items()),
+    """(primes, witnesses) from a dict mapping each prime mask to the
+    exponent tuple of its grlex-first witness; each distinct prime becomes
+    a variable set once."""
+    witnesses = sorted(((_mask_vars(mask), _exponent_monomial(t))
+                        for mask, t in first.items()),
                        key=lambda w: prime_key(w[0]))
     return tuple(p for p, _ in witnesses), tuple(witnesses)
-
-
-def _witness_scan(numerator, denominator, top):
-    """The divisors of ``top`` in the numerator but not the denominator,
-    in grlex order, walked outside the denominator's lifted basis."""
-    index = _power_index(denominator.lifted_monomials())
-    caps = tuple(top.exponent(v) for v in range(top.max_var() + 1))
-    num_gens = numerator.monomial_generators()
-    # Reduced, the unit ideal's generators are 1 alone, which divides all.
-    keep_all = num_gens == (Monomial.one(),)
-    out = []
-    level = () if denominator.is_unit else (Monomial.one(),)
-    while level:
-        out.extend(m for m in level
-                   if keep_all or any(g.divides(m) for g in num_gens))
-        level = _next_level(level, caps, index)
-    return out
-
-
-def _annihilator(components, m):
-    """(prime or None, minimal primes) of the colon (J : m), for the
-    monomial ideal J with these (corner, finite-coordinate mask)
-    components and a monomial m outside J, every prime an int bitmask of
-    its variables (0 is the zero prime).
-
-    Read off the corners above m, as the module docstring describes; the
-    minimal primes are unsorted.
-    """
-    above = [(c, mask) for c, mask in components
-             if all(c[v] >= e for v, e in m.pairs)]
-    masks = {mask for _, mask in above}
-    minimal = [s for s in masks if not any(t != s and t & s == t
-                                           for t in masks)]
-    prime = None
-    if len(minimal) == 1:
-        sigma = minimal[0]
-        exps = dict(m.pairs)
-        on = [v for v in range(sigma.bit_length()) if sigma >> v & 1]
-        if all(c[v] == exps.get(v, 0) for c, _ in above for v in on):
-            prime = sigma
-    return prime, minimal
-
-
-def _corner_witnesses(numerator, denominator):
-    """(ass, ass^f) first-witness dicts of (numerator + denominator) /
-    denominator when the denominator's corners are finite.
-
-    The only prime is the maximal ideal, every variable.  Its ass witnesses
-    are the socle monomials in the numerator, the corners.  Every proper
-    colon is primary to it, and every witness is a multiple of a numerator
-    generator outside the denominator, so its first ass^f witness is the
-    grlex-least of those.
-    """
-    basis = denominator.lifted_monomials()
-    # Reduced monomial generators are grlex-sorted.
-    outside = [g for g in numerator.monomial_generators()
-               if not any(k.divides(g) for k in basis)]
-    if not outside:
-        return {}, {}
-    corners = (Monomial(enumerate(c)) for c, _ in denominator._components())
-    witness = min((c for c in corners if any(g.divides(c) for g in outside)),
-                  key=grlex_key)
-    maximal = (1 << numerator.ring.num_vars) - 1
-    return {maximal: witness}, {maximal: outside[0]}
-
-
-def _walked_witnesses(numerator, denominator):
-    """(ass, ass^f) first-witness dicts of (numerator + denominator) /
-    denominator from the witness walk over the divisors of L outside the
-    denominator: a witness's annihilator, the colon (denominator : m),
-    gives an ass prime when it is prime, and its minimal primes are ass^f
-    primes."""
-    top = reduce(Monomial.lcm, numerator.monomial_generators()
-                 + denominator.lifted_monomials(), Monomial.one())
-    components = denominator._components()
-    ass_first = {}
-    assf_first = {}
-    # L stays the scan's third positional argument: the perfbench tracer
-    # keys each traced scan on it (until ROADMAP item 1).
-    for m in _witness_scan(numerator, denominator, top):
-        prime, minimal = _annihilator(components, m)
-        if prime is not None:
-            ass_first.setdefault(prime, m)
-        for p in minimal:
-            assf_first.setdefault(p, m)
-    return ass_first, assf_first
 
 
 def _report_pair(ass_first, assf_first):
@@ -226,24 +202,16 @@ def _report_pair(ass_first, assf_first):
 
 
 def assassin_scan(numerator, denominator):
-    """(ass, ass^f) of the module (numerator + denominator) / denominator.
-
-    When R / denominator is artinian (every corner of the denominator
-    finite) the pair is read off the corners (_corner_witnesses), which can
-    grow exponentially in number with the variables but never outnumber
-    the standard monomials that the walk would visit.  Otherwise one exact
-    witness walk serves both reports (_walked_witnesses).  The interned
-    handle of the denominator keeps the pair under the handle of the
-    numerator, so each module is scanned once per ring.
+    """(ass, ass^f) of the module (numerator + denominator) / denominator,
+    both read off the denominator's corners (_first_witnesses).  The
+    interned handle of the denominator keeps the pair under the handle of
+    the numerator, so each module is scanned once per ring.
     """
     if numerator.ring is not denominator.ring:
         raise RingMismatch("numerator and denominator in different rings")
     if numerator not in denominator._assassins:
-        full = (1 << numerator.ring.num_vars) - 1
-        artinian = all(mask == full for _, mask in denominator._components())
-        scan = _corner_witnesses if artinian else _walked_witnesses
         denominator._assassins[numerator] = _report_pair(
-            *scan(numerator, denominator))
+            *_first_witnesses(numerator, denominator))
     return denominator._assassins[numerator]
 
 

@@ -301,15 +301,11 @@ def test_nil40D_assassins_at_level_10_from_a_script():
 
 def test_wide_artinian_assassins_need_no_walk(monkeypatch):
     """In Q[X0..X13]/(X_i^3) the ass witness is a staircase corner: no
-    witness walk and no level enumeration runs."""
-    spectrum = importlib.import_module("torsionlab.spectrum")
+    level enumeration runs."""
     ring_module = importlib.import_module("torsionlab.ring")
     calls = []
-    for module, name in ((spectrum, "_witness_scan"),
-                         (spectrum, "_next_level"),
-                         (ring_module, "_next_level")):
-        monkeypatch.setattr(module, name,
-                            lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(ring_module, "_next_level",
+                        lambda *args: calls.append(args))
     ring = "ring R = vars X[0..13] rules { X[i]^3 -> 0 for i in 0..13 }\n"
     maximal = "prime(%s)" % ", ".join("X%d" % v for v in range(14))
     rest = "*".join("X%d^2" % v for v in range(2, 14))
@@ -325,10 +321,10 @@ def test_wide_artinian_assassins_need_no_walk(monkeypatch):
 
 def test_artinian_quotient_of_a_free_ring_needs_no_walk(monkeypatch):
     """R/b is artinian though no rule bounds a variable: both reports come
-    off b's one corner, X0*X1^2, with no witness walk."""
-    spectrum = importlib.import_module("torsionlab.spectrum")
+    off b's one corner, X0*X1^2, with no level walked."""
+    ring_module = importlib.import_module("torsionlab.ring")
     calls = []
-    monkeypatch.setattr(spectrum, "_witness_scan",
+    monkeypatch.setattr(ring_module, "_next_level",
                         lambda *args: calls.append(args))
     tree, code = cli.execute(parse(
         "ring R = vars X[0..1]\nideal b = < X[0]^2, X[1]^3 >\n"
@@ -364,6 +360,75 @@ def test_disjoint_pairs_cost_one_comparison_per_corner(monkeypatch):
     assert tree["statements"][-1]["result"]["witnesses"] == [
         {"prime": maximal, "witness": witness}]
     assert len(calls) <= 2 * 4096, len(calls)
+
+
+def _count_cost(monkeypatch, bound):
+    """The list that grows by one per call of ring._below, in every module
+    that holds it.  The count fails the test as soon as it passes
+    ``bound``, and so does any level walked (ring._next_level), so a rung
+    that regresses fails fast."""
+    ring_module = importlib.import_module("torsionlab.ring")
+    real = ring_module._below
+    comparisons = []
+
+    def below(d, k):
+        comparisons.append(1)
+        assert len(comparisons) <= bound, "more than %d comparisons" % bound
+        return real(d, k)
+
+    def walk(*args):
+        raise AssertionError("a level was walked")
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("torsionlab")
+                and getattr(module, "_below", None) is real):
+            monkeypatch.setattr(module, "_below", below)
+    monkeypatch.setattr(ring_module, "_next_level", walk)
+    return comparisons
+
+
+def _scan_results(source):
+    tree, code = cli.execute(parse(source))
+    assert code == 0, tree
+    return [s["result"]["witnesses"] for s in tree["statements"][-2:]]
+
+
+@pytest.mark.parametrize("k", [13, 20])
+def test_cost_ladder_one_free_variable(monkeypatch, k):
+    """Rung (a): X_i^3 -> 0 on X0..X(k-1), X(k) free, b = (X0^2*X1^2).
+    R/b is not artinian, and the scan reads b's two corners: a count of
+    comparisons linear in variables * (generators + corners), generators
+    counting the rule lhs, no level walked, and no wall-clock bound."""
+    variables, generators, corners = k + 1, k + 1, 2
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    ass, assf = _scan_results(
+        "ring R = vars X[0..%d] rules { X[i]^3 -> 0 for i in 0..%d }\n"
+        "ideal b = < X[0]^2*X[1]^2 >\nquery ass(b)\nquery assf(b)\n"
+        % (k, k - 1))
+    prime = "prime(%s)" % ", ".join("X%d" % v for v in range(k))
+    witness = "X0^2*X1*" + "*".join("X%d^2" % v for v in range(2, k))
+    assert ass == [{"prime": prime, "witness": witness}]
+    assert assf == [{"prime": prime, "witness": "1"}]
+    assert comparisons
+
+
+@pytest.mark.parametrize("e", [1000, 3000])
+def test_cost_ladder_two_variables_high_exponent(monkeypatch, e):
+    """Rung (b): the rule-free Q[X0, X1], b = (X0^e*X1^e), whose two
+    components are (X0^e) and (X1^e): the count does not grow with e."""
+    variables, generators, corners = 2, 1, 2
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    ass, assf = _scan_results(
+        "ring R = vars X[0..1]\nideal b = < X[0]^%d*X[1]^%d >\n"
+        "query ass(b)\nquery assf(b)\n" % (e, e))
+    assert ass == [
+        {"prime": "prime(X0)", "witness": "X0^%d*X1^%d" % (e - 1, e)},
+        {"prime": "prime(X1)", "witness": "X0^%d*X1^%d" % (e, e - 1)}]
+    assert assf == [{"prime": "prime(X0)", "witness": "1"},
+                    {"prime": "prime(X1)", "witness": "1"}]
+    assert comparisons
 
 
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):

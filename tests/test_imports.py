@@ -3,8 +3,9 @@ module-level function and private method is referenced somewhere in the
 package and does more than forward its own parameters to another
 callable, every private attribute a class sets in __init__ is read
 somewhere in the package, the unchecked Monomial constructor is used only
-in ring.py, the oracles import none of the modules they check, and every
-span name the benchmark tracer wraps resolves in the package.
+in ring.py, the oracles import none of the modules they check, spectrum.py
+references no level walker, and every span name the benchmark tracer
+wraps resolves in the package.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -25,7 +26,10 @@ SPANS = ROOT / "perfbench" / "spans.py"
 TRUSTED_CONSTRUCTOR = "_trusted_monomial"
 # Span names the tracer still lists although the package no longer has
 # them; the tracer belongs to the benchmark and is mended with it.
-STALE_SPAN_NAMES = {"torsion.fairness_from_parts"}
+STALE_SPAN_NAMES = {"torsion.fairness_from_parts", "spectrum._witness_scan"}
+# The level walkers of ring.py: the assassin layer reads corners instead.
+LEVEL_WALKERS = {"_next_level", "_power_index", "normal_monomials_of_degree",
+                 "normal_monomials_up_to"}
 
 
 def _unused_imports(tree):
@@ -337,6 +341,40 @@ def test_engine_import_is_reported():
     assert [entry for entry in _package_imports(tree)
             if entry[1] in ENGINE_MODULES] == [
         (2, "ideals"), (3, "torsion"), (4, "spectrum")]
+
+
+def _walker_references(tree):
+    """(line, name) of each name, attribute or imported name under tree
+    that is a level walker."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            name = node.name
+        else:
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+        if name in LEVEL_WALKERS:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_assassin_scans_walk_no_level():
+    ring = ast.parse((PACKAGE / "ring.py").read_text())
+    # The walkers still exist, so the check cannot pass vacuously.
+    assert LEVEL_WALKERS <= {node.name for node in ast.walk(ring)
+                             if isinstance(node, FUNCTIONS)}
+    spectrum = ast.parse((PACKAGE / "spectrum.py").read_text())
+    assert _walker_references(spectrum) == []
+
+
+def test_level_walker_reference_is_reported():
+    tree = ast.parse("from .ring import Monomial, _next_level\n"
+                     "index = _power_index(basis)\n"
+                     "out = ring.normal_monomials_up_to(3)\n"
+                     "normal_monomials_of_degree = levels\n"
+                     "next_level = 0\n")
+    assert _walker_references(tree) == [
+        (1, "_next_level"), (2, "_power_index"),
+        (3, "normal_monomials_up_to"), (4, "normal_monomials_of_degree")]
 
 
 def _load_spans():

@@ -32,7 +32,9 @@ from torsionlab.families import (
     _build_nil40D,
 )
 from torsionlab.ideals import IdealHandle, format_ideal
-from torsionlab.ring import RingPresentation, format_monomial
+from torsionlab.ring import format_monomial
+
+from test_spectrum import brute_force_pair
 
 # The package re-exports the function spectrum under the module's name.
 spectrum = importlib.import_module("torsionlab.spectrum")
@@ -101,25 +103,17 @@ def test_scan_witnesses_match_the_fixture():
     assert render().encode("utf-8") == FIXTURE.read_bytes()
 
 
-def test_harness_scans_match_the_walk(monkeypatch):
+def test_harness_scans_match_the_walk():
     """Every scan check_instance asks for, on 100 draws each of seeds 42
-    and 7, gives the report pair that the witness walk gives on a copy of
-    the ring that takes the walk."""
+    and 7, gives the witnesses of the brute-force reference, which walks
+    the divisors of L and builds each annihilator."""
     scans = 0
     for seed in (42, 7):
-        for instance, pairs in harness_pairs(100, seed):
-            ring = instance.ring
-            walk = RingPresentation(ring.num_vars, ring.rules)
+        for _, pairs in harness_pairs(100, seed):
             for num, den in pairs:
-                corners = spectrum.assassin_scan(num, den)
-                copies = [IdealHandle.from_monomials(
-                    walk, h.monomial_generators()) for h in (num, den)]
-                # Every harness ring is artinian: the walk must be forced.
-                with monkeypatch.context() as patch:
-                    patch.setattr(spectrum, "_corner_witnesses",
-                                  spectrum._walked_witnesses)
-                    assert corners == spectrum.assassin_scan(*copies), (
-                        num, den)
+                assert tuple(dict(report.witnesses) for report
+                             in spectrum.assassin_scan(num, den)) \
+                    == brute_force_pair(num, den), (num, den)
                 scans += 1
     assert scans >= 600, scans
 

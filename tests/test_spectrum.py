@@ -4,23 +4,26 @@ from __future__ import annotations
 
 import importlib
 import random
-from contextlib import contextmanager, nullcontext
 from functools import reduce
-
-import pytest
+from itertools import product
 
 from torsionlab import families
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
     _colon_basis,
-    _mask_vars,
     ideal_colon,
     minimal_primes,
     prime_key,
 )
 from torsionlab.oracles import assassin_sets, weak_assassin_sets
-from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
+from torsionlab.ring import (
+    Element,
+    Monomial,
+    RewriteRule,
+    RingPresentation,
+    grlex_key,
+)
 from torsionlab.spectrum import (
     assassin_scan,
     assassins_cyclic,
@@ -264,10 +267,42 @@ def _top(numerator, denominator):
                   + denominator.lifted_monomials(), Monomial.one())
 
 
+def brute_force_pair(numerator, denominator):
+    """(ass, ass^f) of (numerator + denominator) / denominator as dicts
+    mapping each prime's variable set to its grlex-first witness, by brute
+    force: the divisors of L in grlex order, each in the numerator and
+    outside the denominator read through its built annihilator.
+
+    Capping a witness's exponents at L keeps it in the numerator and
+    outside the denominator and leaves its annihilator unchanged, so these
+    divisors give every prime and its grlex-first witness.
+    """
+    ring = numerator.ring
+    top = _top(numerator, denominator)
+    divisors = (Monomial(enumerate(exps)) for exps in product(
+        *(range(top.exponent(v) + 1) for v in range(ring.num_vars))))
+    ass, assf = {}, {}
+    for m in sorted(divisors, key=grlex_key):
+        if (not numerator.contains_monomial(m)
+                or denominator.contains_monomial(m)):
+            continue
+        annihilator = ideal_colon(denominator, Element.from_monomial(ring, m))
+        prime = prime_variable_set(annihilator)
+        if prime is not None:
+            ass.setdefault(prime, m)
+        for prime in minimal_primes(annihilator):
+            assf.setdefault(prime, m)
+    return ass, assf
+
+
+def _witness_dicts(pair):
+    return tuple(dict(report.witnesses) for report in pair)
+
+
 def _scan_inputs():
     """(numerator, denominator) pairs: four per harness instance, one of
     them over the unit ideal, and the cyclic module R / b of each ring with
-    a free variable, where the caps at L's exponents bind."""
+    a free variable, where L's exponents bind."""
     rng = random.Random(73)
     for i in range(30):
         instance = random_instance(i, rng)
@@ -283,59 +318,34 @@ def _scan_inputs():
 
 
 def test_witness_scan_matches_membership_filter():
-    """The scan lists the normal divisors of L that lie in the numerator
-    and outside the denominator, in grlex order."""
+    """The scan's primes and witnesses are the brute-force reference's: the
+    divisors of L filtered by membership in the numerator and not the
+    denominator."""
     for numerator, denominator in _scan_inputs():
-        ring = numerator.ring
-        top = _top(numerator, denominator)
-        survivors = [m for m in ring.normal_monomials_up_to(top.degree)
-                     if m.divides(top)
-                     and numerator.contains_monomial(m)
-                     and not denominator.contains_monomial(m)]
-        assert spectrum_module._witness_scan(
-            numerator, denominator, top) == survivors
+        assert _witness_dicts(assassin_scan(numerator, denominator)) \
+            == brute_force_pair(numerator, denominator), (
+                numerator, denominator)
 
 
-@contextmanager
-def _walking():
-    """Within it, every scan takes the witness walk, as when R/b is not
-    artinian: scan a copy of the ring here to compare it with the corner
-    path on the original."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectrum_module, "_corner_witnesses",
-                      spectrum_module._walked_witnesses)
-        yield
-
-
-def _count_calls(monkeypatch, name, record):
-    """Wrap spectrum's ``name`` so that each call ends by running
-    ``record`` on its arguments and result."""
-    real = getattr(spectrum_module, name)
-
-    def wrapped(*args):
-        out = real(*args)
-        record(args, out)
-        return out
-
-    monkeypatch.setattr(spectrum_module, name, wrapped)
-
-
-def test_nil40D_scan_at_level_10_walks_few_monomials(monkeypatch):
-    """L has 11! normal divisors, but the walk stays outside b: it visits
-    1 and the powers X_v^k with 1 <= k <= v, 56 monomials.  The default
-    path reads the same witnesses off b's 10 corners, the powers X_v^v."""
-    visited = []
-    _count_calls(monkeypatch, "_next_level",
-                 lambda args, out: visited.append(len(args[0])))
+def test_nil40D_scan_at_level_10_reads_the_corners(monkeypatch):
+    """L has 11! normal divisors, and the scan reads the witnesses off b's
+    10 corners, the powers X_v^v, with no level walked.  At levels 4..6 the
+    brute-force reference agrees."""
+    for level in range(4, 7):
+        ring, ideals = families._build_nil40D(level)
+        unit = IdealHandle.unit(ring)
+        assert _witness_dicts(assassin_scan(unit, ideals["b"])) \
+            == brute_force_pair(unit, ideals["b"])
+    walked = []
+    monkeypatch.setattr(importlib.import_module("torsionlab.ring"),
+                        "_next_level", lambda *args: walked.append(args))
     maximal = frozenset(range(11))
-    for walk in (True, False):
-        ring, ideals = families._build_nil40D(10)
-        with _walking() if walk else nullcontext():
-            ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
-        assert ass.witnesses == ((maximal, _var(1)),)
-        assert assf.witnesses == ((maximal, Monomial.one()),)
-        assert sum(visited) == 56
+    ring, ideals = families._build_nil40D(10)
+    ass, assf = assassin_scan(IdealHandle.unit(ring), ideals["b"])
+    assert ass.witnesses == ((maximal, _var(1)),)
+    assert assf.witnesses == ((maximal, Monomial.one()),)
     assert len(ideals["b"]._components()) == 10
+    assert walked == []
 
 
 def _random_artinian_ring(rng):
@@ -352,33 +362,29 @@ def _random_artinian_ring(rng):
     return RingPresentation(n, [RewriteRule(m) for m in lhs])
 
 
-def _random_monomials(rng, ring, count):
-    """Up to ``count`` monomials other than 1, exponents 1 and 2."""
-    out = (Monomial((v, rng.randint(1, 2)) for v in range(ring.num_vars)
+def _random_monomials(rng, ring, count, top=2):
+    """Up to ``count`` monomials other than 1, exponents 1..top."""
+    out = (Monomial((v, rng.randint(1, top)) for v in range(ring.num_vars)
                     if rng.random() < 0.4) for _ in range(count))
     return [m for m in out if not m.is_one]
 
 
-def test_corner_scan_matches_the_walk_on_random_artinian_rings(monkeypatch):
-    """The corner path and the witness walk, forced on a copy of the same
-    ring, give equal report pairs, for the unit numerator and monomial
-    ones over denominators of up to 5 generators."""
-    _compare_corners_with_the_walk(monkeypatch, random.Random(103), False)
+def test_corner_scan_matches_the_walk_on_random_artinian_rings():
+    """The scan and the brute-force reference's walk over the divisors of
+    L give equal witnesses, for the unit numerator and monomial ones over
+    denominators of up to 5 generators."""
+    _compare_corners_with_the_walk(random.Random(103), False)
 
 
-def test_corner_scan_matches_the_walk_on_free_variable_rings(monkeypatch):
+def test_corner_scan_matches_the_walk_on_free_variable_rings():
     """As above, with some pure powers moved from the rules into the
-    denominator: the ring has a free variable and R/b is still artinian,
-    so the corner path runs."""
-    _compare_corners_with_the_walk(monkeypatch, random.Random(104), True)
+    denominator: the ring has a free variable and R/b is still artinian."""
+    _compare_corners_with_the_walk(random.Random(104), True)
 
 
-def _compare_corners_with_the_walk(monkeypatch, rng, free):
+def _compare_corners_with_the_walk(rng, free):
     shapes = {"zero module": 0, "nonzero module": 0, "unit numerator": 0,
               "monomial numerator": 0, "mixed rule": 0, "six variables": 0}
-    walked = []
-    _count_calls(monkeypatch, "_witness_scan",
-                 lambda args, out: walked.append(1))
     for _ in range(300):
         ring = _random_artinian_ring(rng)
         den = _random_monomials(rng, ring, rng.randint(0, 5))
@@ -389,63 +395,93 @@ def _compare_corners_with_the_walk(monkeypatch, rng, free):
                 r for r in ring.rules if r.lhs not in moved])
             assert ring.finite_basis_max_degree() is None
             den += moved
-        walk = RingPresentation(ring.num_vars, ring.rules)
+        denominator = IdealHandle.from_monomials(ring, den)
         nums = [None, _random_monomials(rng, ring, 3) or [_var(0)]]
         for num in nums:
-            pair = []
-            for r in (ring, walk):
-                numerator = (IdealHandle.unit(r) if num is None
-                             else IdealHandle.from_monomials(r, num))
-                with _walking() if r is walk else nullcontext():
-                    pair.append(assassin_scan(
-                        numerator, IdealHandle.from_monomials(r, den)))
-            assert pair[0] == pair[1], (ring.rules, num, den)
-            shapes["nonzero module" if pair[0][0].primes
-                   else "zero module"] += 1
+            numerator = (IdealHandle.unit(ring) if num is None
+                         else IdealHandle.from_monomials(ring, num))
+            pair = _witness_dicts(assassin_scan(numerator, denominator))
+            assert pair == brute_force_pair(numerator, denominator), (
+                ring.rules, num, den)
+            shapes["nonzero module" if pair[0] else "zero module"] += 1
             shapes["unit numerator" if num is None
                    else "monomial numerator"] += 1
         shapes["mixed rule"] += any(len(r.lhs.pairs) > 1 for r in ring.rules)
         shapes["six variables"] += ring.num_vars == 6
-    assert len(walked) == 600
     assert min(shapes.values()) >= 30, shapes
+
+
+def _random_ring_with_free_variables(rng):
+    """A ring on 1..5 variables, up to two of them rule-free, the others
+    with a pure-power rule of exponent 1..3, and up to 2 mixed rule lhs."""
+    n = rng.randint(1, 5)
+    box = [rng.randint(1, 3) for _ in range(n)]
+    free = rng.sample(range(n), rng.randint(0, min(n, 2)))
+    lhs = {_var(v, box[v]) for v in range(n) if v not in free}
+    for _ in range(rng.randint(0, 2)):
+        m = Monomial((v, rng.randint(1, box[v])) for v in range(n)
+                     if rng.random() < 0.5)
+        if len(m.pairs) > 1:
+            lhs.add(m)
+    return RingPresentation(n, [RewriteRule(m) for m in lhs])
+
+
+def test_scans_match_the_brute_force_reference_on_random_rings():
+    """5,000 scans of random rings, most of them with a free variable, and
+    of denominators and numerators of up to 4 and 3 random monomials with
+    exponents up to 3: each report pair equals the brute-force
+    reference's."""
+    rng = random.Random(2203)
+    shapes = {"non-artinian": 0, "several primes": 0,
+              "monomial numerator": 0, "unit numerator": 0}
+    for _ in range(5000):
+        ring = _random_ring_with_free_variables(rng)
+        denominator = IdealHandle.from_monomials(
+            ring, _random_monomials(rng, ring, rng.randint(0, 4), top=3))
+        if rng.random() < 0.5:
+            numerator = IdealHandle.unit(ring)
+            shapes["unit numerator"] += 1
+        else:
+            numerator = IdealHandle.from_monomials(
+                ring, _random_monomials(rng, ring, 3, top=3) or [_var(0)])
+            shapes["monomial numerator"] += 1
+        pair = _witness_dicts(assassin_scan(numerator, denominator))
+        assert pair == brute_force_pair(numerator, denominator), (
+            ring.rules, numerator, denominator)
+        full = (1 << ring.num_vars) - 1
+        shapes["non-artinian"] += any(
+            mask != full for _, mask in denominator._components())
+        shapes["several primes"] += len(pair[1]) > 1
+    assert min(shapes.values()) >= 300, shapes
 
 
 def test_assassin_scan_matches_per_witness_recomputation():
     rng = random.Random(71)
     for i in range(40):
         instance = random_instance(i, rng)
-        ring = instance.ring
-        unit = IdealHandle.unit(ring)
+        unit = IdealHandle.unit(instance.ring)
         small = gamma_small_cyclic(instance.acting, instance.relations)
         for numerator, denominator in ((unit, instance.relations),
                                        (instance.extension, instance.relations),
                                        (unit, instance.extension),
                                        (small.preimage, instance.relations)):
-            ass, assf = assassin_scan(numerator, denominator)
-            witnesses = spectrum_module._witness_scan(
-                numerator, denominator, _top(numerator, denominator))
-            # Witnesses come in grlex order, so the first one per prime is
-            # the smallest.
-            expect_ass, expect_assf = {}, {}
-            for m in witnesses:
-                annihilator = ideal_colon(denominator,
-                                          Element.from_monomial(ring, m))
-                prime = prime_variable_set(annihilator)
-                if prime is not None:
-                    expect_ass.setdefault(prime, m)
-                for prime in minimal_primes(annihilator):
-                    expect_assf.setdefault(prime, m)
-            assert dict(ass.witnesses) == expect_ass
-            assert dict(assf.witnesses) == expect_assf
+            assert _witness_dicts(assassin_scan(numerator, denominator)) \
+                == brute_force_pair(numerator, denominator)
 
 
 def _annihilator_as_sets(denominator, m):
-    """_annihilator on the denominator's components, with its prime masks
-    converted to sorted variable sets."""
-    prime, minimal = spectrum_module._annihilator(
-        denominator._components(), m)
-    return (None if prime is None else _mask_vars(prime),
-            sorted(map(_mask_vars, minimal), key=prime_key))
+    """The prime (or None) and the minimal primes of (denominator : m), as
+    the scans read them: in R / (denominator : m) the witness 1, the
+    grlex-least monomial, has that colon as its annihilator, so it is the
+    first ass witness of the colon when the colon is prime, and the first
+    ass^f witness of each of its minimal primes."""
+    ring = denominator.ring
+    colon = ideal_colon(denominator, Element.from_monomial(ring, m))
+    ass, assf = (dict(report.witnesses) for report in assassin_scan(
+        IdealHandle.unit(ring), colon))
+    primes = [p for p, w in ass.items() if w.is_one]
+    return (primes[0] if primes else None,
+            sorted((p for p, w in assf.items() if w.is_one), key=prime_key))
 
 
 def _annihilator_by_colon_basis(n, basis, m):
@@ -461,7 +497,7 @@ def _annihilator_by_colon_basis(n, basis, m):
 
 
 def test_annihilator_matches_the_colon_basis():
-    """The exponent-comparison table entry equals the prime and minimal
+    """The annihilator as the scans read it equals the prime and minimal
     primes of the built colon basis, for every normal monomial outside the
     denominator."""
     rng = random.Random(89)
