@@ -9,11 +9,12 @@ stable across the trailing window.
 The claims are built from a few probe shapes, none of which builds a power
 of the acting ideal a:
 - kill probe (_kills): a^p * X_i lies in the target, b or zero, for each
-  (i, p); a walk over the products of a's generators that keep X_i outside
-  the target, through ideals._power_kill_exponent.
+  (i, p): the least n with a^n * X_i inside the target, read off the
+  target's staircase corners by ideals._power_kill_exponent, is at most p.
 - escape probe (_escapes): a monomial m with a nonzero normal form and
   power_order(a, m) >= n, the most generators of a whose product divides
   m, certifies a^n != 0; m outside b certifies that a^n is not inside b.
+  Both probes count generators of a with ideals._most_factors.
   nil40A and nil40C share the window probes X_n..X_{2n-1}.
 - fresh-variable probe: non-vanishing of a^n * f in the limit ring is
   certified at a finite level by multiplying f, a normal monomial or a
@@ -157,12 +158,16 @@ def _nil_ring(level, index, vanishes=lambda i, j: False):
 
 
 def _kills(acting, target, pairs):
-    """Kill probe: acting^p * X_i lies inside target for each (i, p)
-    (monomial mode)."""
+    """Kill probe: acting^p * X_i lies inside target for each (i, p), that
+    is, the exact kill exponent of X_i is at most p (monomial mode)."""
     ring = target.ring
-    return all(_power_kill_exponent(
-        acting, IdealHandle.from_monomials(ring, [Monomial.variable(i)]),
-        target, p) is not None for i, p in pairs)
+    for i, p in pairs:
+        n = _power_kill_exponent(
+            acting, IdealHandle.from_monomials(ring, [Monomial.variable(i)]),
+            target)
+        if n is None or n > p:
+            return False
+    return True
 
 
 def _escapes(acting, probes, outside=None):
@@ -311,8 +316,8 @@ def _nil40D_unit_not_torsion(ring, ideals, level, rng):
                 or ideals["b"].contains_monomial(probe)):
             return False
     # Directly: 1 is not in (b : a^2), that is, a^2 is not inside b.
-    return level < 2 or _power_kill_exponent(
-        ideals["a"], IdealHandle.unit(ring), ideals["b"], 2) is None
+    n = _power_kill_exponent(ideals["a"], IdealHandle.unit(ring), ideals["b"])
+    return level < 2 or n is None or n > 2
 
 
 # ---------------------------------------------------------------- idem50A

@@ -7,8 +7,9 @@ rule binomials lhs - c*rhs.  Results map back by normal forms.
 * monomial mode: every ring rule rewrites to zero and every generator is a
   monic monomial.  The lifted ideal is a monomial ideal, so membership,
   colon by a monomial, intersection, saturation and radical have closed
-  forms over its reduced monomial basis, and minimal primes are read off
-  the staircase corners of the radical, its irreducible components.
+  forms over its reduced monomial basis, and minimal primes and the step
+  count of a saturation are read off staircase corners, the irreducible
+  components of the radical and of the ideal.
 * general mode: anything else, in a confluent ring.  Confluent rules are a
   Groebner basis of the rule ideal for a degree-compatible order, so each
   handle completes its generators and the rules to one reduced Groebner
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import compress
+from operator import sub
 from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
@@ -34,6 +36,7 @@ from .ring import (
     FRACTION_ONE,
     Element,
     Monomial,
+    _below,
     _staircase_corners,
     check_local_confluence,
     grlex_key,
@@ -719,42 +722,95 @@ class SaturationResult:
     steps: int
 
 
-def _power_kill_exponent(acting, module, target, cap=None):
-    """Smallest n with acting^n * module inside target, or None past
-    ``cap`` (when given) or WORK_BUDGET.
+def _most_factors(gens, room):
+    """The most generators, repeats allowed, whose exponent sum lies below
+    the exponent tuple ``room``, where an ``inf`` coordinate is unbounded;
+    ``inf`` when a generator that fits there has no finite coordinate of
+    room in its support.
 
-    Walks the products of n generators of acting, level by level, keeping
-    each with the module generators it still sends outside target.  Once
-    p * m lies in target so does every multiple of it, so a product with
-    none left is dropped, and the first empty level is n.  Each multiset of
-    generator indices is built once, extended only by indices at least its
-    last one.  No power of acting is built as an ideal (Cox, Little &
-    O'Shea, ch. 9 section 2).  Membership is contains_monomial in monomial
-    mode and division by the Groebner basis of target otherwise.
+    Only the finite coordinates of room bound a count.  A fitting generator
+    that shares none of them with any other fitting one takes its own
+    coordinates alone, min(room_v // g_v) times; the others go through one
+    memoized recursion over how many times each of them is taken.
     """
+    fit, seen, twice = [], 0, 0
+    for g in gens:
+        if _below(g, room):
+            mask = sum(1 << v for v, e in enumerate(g)
+                       if e and room[v] != math.inf)
+            if not mask:
+                return math.inf
+            twice |= seen & mask
+            seen |= mask
+            fit.append((g, mask))
+    total = sum(min(r // e for e, r in zip(g, room) if e and r != math.inf)
+                for g, mask in fit if not mask & twice)
+    shared = [g for g, mask in fit if mask & twice]
+    if not shared:
+        return total
+    memo = {}
+
+    def most(j, left):
+        if j == len(shared):
+            return 0
+        if (j, left) not in memo:
+            g, best, taken, rest = shared[j], 0, 0, left
+            while True:
+                best = max(best, taken + most(j + 1, rest))
+                if not _below(g, rest):
+                    break
+                rest, taken = tuple(map(sub, rest, g)), taken + 1
+            memo[j, left] = best
+        return memo[j, left]
+
+    return total + most(0, room)
+
+
+def _power_kill_exponent(acting, module, target):
+    """Smallest n with acting^n * module inside target, or None when no
+    power of acting gets there or, in general mode, past WORK_BUDGET.
+
+    In monomial mode n is read off the corners of target (_components): a
+    product p of generators of acting sends the module generator m outside
+    target exactly when p * m lies below a corner c, that is, m lies below
+    c and p below c - m.  So the products of 1 + _most_factors(gens,
+    c - m) generators are the first that send m past c, n is the largest
+    of these over such (c, m), and 0 when no m lies below a corner.
+
+    Otherwise walks the products of n generators of acting, level by level,
+    keeping each with the module generators it still sends outside target,
+    by division by the Groebner basis of target.  Once p * m lies in
+    target so does every multiple of it, so a product with none left is
+    dropped, and the first empty level is n.  Each multiset of generator
+    indices is built once, extended only by indices at least its last one.
+    No power of acting is built as an ideal (Cox, Little & O'Shea, ch. 9
+    section 2).
+    """
+    if all(h.is_monomial_mode for h in (acting, module, target)):
+        width = range(target.ring.num_vars)
+        gens, elements = ([tuple(map(g.exponent, width))
+                           for g in h.monomial_generators()]
+                          for h in (acting, module))
+        n = max((1 + _most_factors(gens, tuple(map(sub, c, m)))
+                 for c, _ in target._components()
+                 for m in elements if _below(m, c)), default=0)
+        return None if n == math.inf else n
     budget = _Budget()
     try:
-        if all(h.is_monomial_mode for h in (acting, module, target)):
-            gens, products = acting.monomial_generators(), [
-                (0, Monomial.one(), module.monomial_generators())]
-            inside = target.contains_monomial
-        else:
-            gens, products = acting.generators, [
-                (0, Element.constant(target.ring, 1), module.generators)]
-            basis, order = target._groebner(), _lift(target.ring)[1]
-
-            def inside(f):
-                return not _divide(f.terms, basis, order, budget=budget)
+        gens, products = acting.generators, [
+            (0, Element.constant(target.ring, 1), module.generators)]
+        basis, order = target._groebner(), _lift(target.ring)[1]
         n = 0
         while True:
             level = []
             for low, p, escaping in products:
                 budget.spend(len(escaping))
-                left = tuple(m for m in escaping if not inside(p.mul(m)))
+                left = tuple(m for m in escaping if _divide(
+                    p.mul(m).terms, basis, order, budget=budget))
                 if left:
                     level.append((low, p, left))
-            if not level or n == cap:
-                return None if level else n
+            if not level:
+                return n
             n += 1
             products = [(i, p.mul(gens[i]), left) for low, p, left in level
                         for i in range(low, len(gens))]
@@ -764,35 +820,12 @@ def _power_kill_exponent(acting, module, target, cap=None):
 
 def power_order(acting, m):
     """Largest k with the normal monomial m in acting^k (monomial mode): the
-    most generators of acting whose product divides m.  Unbounded (inf)
-    when acting is the unit ideal."""
-    gens = acting.monomial_generators()
-    # Reduced, the unit ideal's generators are 1 alone.
-    if gens == (Monomial.one(),):
-        return math.inf
-    # An explicit stack: a recursion would go as deep as the degree of m.
-    # Each entry is a monomial d and, once expanded, the monomials that
-    # order[d] is read from.
-    order = {Monomial.one(): 0}
-    stack = [(m, None)]
-    while stack:
-        d, parts = stack.pop()
-        if d in order:
-            continue
-        if parts is None:
-            # A best product either divides d with its first variable
-            # dropped, or uses a generator on that variable.
-            v = d.pairs[0][0]
-            parts = [Monomial(d.pairs[1:])] + [
-                d.div(g) for g in gens
-                if g.pairs[0][0] == v and g.divides(d)]
-            todo = [(q, None) for q in parts if q not in order]
-            if todo:
-                stack.append((d, parts))
-                stack += todo
-                continue
-        order[d] = max([order[parts[0]]] + [1 + order[q] for q in parts[1:]])
-    return order[m]
+    most generators of acting whose product divides m (_most_factors on
+    m's exponents).  Unbounded (inf) when acting is the unit ideal."""
+    width = range(acting.ring.num_vars)
+    return _most_factors([tuple(map(g.exponent, width))
+                          for g in acting.monomial_generators()],
+                         tuple(map(m.exponent, width)))
 
 
 def _saturate_by(ideal, g):

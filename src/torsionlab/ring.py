@@ -245,27 +245,23 @@ def _power_index(basis):
     return index
 
 
-def _next_level(level, caps, index):
-    """The next degree of the monomials outside a monomial ideal, whose
-    basis ``index`` files (_power_index), and within the exponent ``caps``
-    (None caps nothing; variables past them stay out), from one degree's
-    ``level``.  Such monomials are closed under division (Miller &
-    Sturmfels, Combinatorial Commutative Algebra, ch. 1), so each is made
-    once, as m * X_v for m in ``level`` and v at least m's largest
-    variable, in grlex order as ``level`` is (within a degree, lex order of
-    the sorted variable indices).  As m is outside the ideal, only a basis
-    monomial with the exponent of v in m * X_v can divide it, so only that
-    file is searched.
+def _next_level(ring, level):
+    """The next degree of the monomials outside the rule-lhs ideal of
+    ``ring``, whose basis the ring files by (variable, exponent)
+    (_power_index), from one degree's ``level``.  Such monomials are closed
+    under division (Miller & Sturmfels, Combinatorial Commutative Algebra,
+    ch. 1), so each is made once, as m * X_v for m in ``level`` and v at
+    least m's largest variable, in grlex order as ``level`` is (within a
+    degree, lex order of the sorted variable indices).  As m is outside the
+    ideal, only a rule lhs with the exponent of v in m * X_v can divide it,
+    so only that file is searched.
     """
-    out = []
+    index, out = ring._lhs_index, []
     for m in level:
         pairs = m.pairs
         last, e = pairs[-1] if pairs else (0, 0)
-        for v in range(last, len(caps)):
+        for v in range(last, ring.num_vars):
             exp = e + 1 if v == last else 1
-            cap = caps[v]
-            if cap is not None and exp > cap:
-                continue
             cand = _trusted_monomial(
                 pairs[:-1] + ((v, exp),) if v == last else pairs + ((v, 1),),
                 m.degree + 1)
@@ -512,11 +508,8 @@ class RingPresentation:
         if d < 0:
             return ()
         levels = self._levels
-        if len(levels) <= d:
-            caps = (None,) * self.num_vars
-            while len(levels) <= d:
-                levels.append(tuple(
-                    _next_level(levels[-1], caps, self._lhs_index)))
+        while len(levels) <= d:
+            levels.append(tuple(_next_level(self, levels[-1])))
         return levels[d]
 
     def normal_monomials_up_to(self, d):

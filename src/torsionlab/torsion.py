@@ -69,8 +69,9 @@ def gamma_large_cyclic(acting, relations):
 
 
 def bounded_torsion_exponent(acting, preimage, relations):
-    """Smallest n with acting^n * preimage inside relations, or None past
-    the work budget.
+    """Smallest n with acting^n * preimage inside relations, or None when
+    no power of acting gets there or, in general mode only, past the work
+    budget.
 
     When this exists the torsion submodule preimage/relations is killed by a
     single power of the acting ideal.

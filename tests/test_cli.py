@@ -259,14 +259,27 @@ def test_saturation_has_no_iteration_cap(tmp_path, capsys):
 
 def test_saturation_walk_out_of_budget_is_unstabilized(tmp_path, capsys,
                                                        monkeypatch):
+    """Only the general-mode product walk spends the work budget: with
+    X1^2 -> X1 the two principal parts fit in 200 term operations, and the
+    walk for b : a^inf, 39 levels deep, does not.  The monomial kill
+    exponent is read off the corners and spends none."""
     import torsionlab.ideals as ideals_module
-    monkeypatch.setattr(ideals_module, "WORK_BUDGET", 50)
-    path = _write(tmp_path, SATURATION_PAST_64)
+    monkeypatch.setattr(ideals_module, "WORK_BUDGET", 200)
+    path = _write(tmp_path, "ring R = vars X[0..2] rules { X[1]^2 -> X[1] }\n"
+                            "ideal a = < X[0], X[2] >\n"
+                            "ideal b = < X[0]^20, X[2]^20 >\n"
+                            "query saturation(b; a)\n")
     code, out, err = _run(capsys, "--format", "json", "run", path)
     assert code == 0 and "Traceback" not in out + err
     result = json.loads(out)["statements"][-1]["result"]
-    assert result == {"ideal": "ideal(X0^70)", "stabilized": False,
+    assert result == {"ideal": "ideal(X0^20, X2^20)", "stabilized": False,
                       "steps": 0}
+    monkeypatch.setattr(ideals_module, "WORK_BUDGET", 0)
+    path = _write(tmp_path, SATURATION_PAST_64)
+    code, out, err = _run(capsys, "--format", "json", "run", path)
+    assert code == 0
+    result = json.loads(out)["statements"][-1]["result"]
+    assert result == {"ideal": "ideal(1)", "stabilized": True, "steps": 70}
 
 
 def test_saturation_of_a_deep_exponent():
@@ -364,26 +377,43 @@ def test_disjoint_pairs_cost_one_comparison_per_corner(monkeypatch):
 
 def _count_cost(monkeypatch, bound):
     """The list that grows by one per call of ring._below, in every module
-    that holds it.  The count fails the test as soon as it passes
-    ``bound``, and so does any level walked (ring._next_level), so a rung
-    that regresses fails fast."""
+    that holds it, and per monomial membership asked of a handle
+    (IdealHandle.contains_monomial), which a product walk would ask once
+    per product.  The count fails the test as soon as it passes ``bound``,
+    and so does any level walked (ring._next_level) or any general-mode
+    division (ideals._divide), so a rung that regresses fails fast."""
     ring_module = importlib.import_module("torsionlab.ring")
+    ideals_module = importlib.import_module("torsionlab.ideals")
     real = ring_module._below
+    member = ideals_module.IdealHandle.contains_monomial
     comparisons = []
 
-    def below(d, k):
+    def count():
         comparisons.append(1)
         assert len(comparisons) <= bound, "more than %d comparisons" % bound
+
+    def below(d, k):
+        count()
         return real(d, k)
+
+    def contains(handle, m):
+        count()
+        return member(handle, m)
 
     def walk(*args):
         raise AssertionError("a level was walked")
+
+    def divide(*args, **kwargs):
+        raise AssertionError("a polynomial was divided")
 
     for name, module in list(sys.modules.items()):
         if (name.startswith("torsionlab")
                 and getattr(module, "_below", None) is real):
             monkeypatch.setattr(module, "_below", below)
     monkeypatch.setattr(ring_module, "_next_level", walk)
+    monkeypatch.setattr(ideals_module, "_divide", divide)
+    monkeypatch.setattr(ideals_module.IdealHandle, "contains_monomial",
+                        contains)
     return comparisons
 
 
@@ -428,6 +458,54 @@ def test_cost_ladder_two_variables_high_exponent(monkeypatch, e):
         {"prime": "prime(X1)", "witness": "X0^%d*X1^%d" % (e, e - 1)}]
     assert assf == [{"prime": "prime(X0)", "witness": "1"},
                     {"prime": "prime(X1)", "witness": "1"}]
+    assert comparisons
+
+
+@pytest.mark.parametrize("k", [12, 14, 20])
+def test_cost_ladder_saturation_by_every_variable(monkeypatch, k):
+    """Rung (d): Q[X0..X(k-1)]/(X_i^3), a every variable, b = (X0^2*X1^2).
+    The kill exponent is read off b's two corners, of degree 2k - 1: both
+    functors reach the unit ideal at step 2k, with no product walked."""
+    variables, generators, corners = k, k + 1, 2
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..%d] rules { X[i]^3 -> 0 for i in 0..%d }\n"
+        "ideal a = < X[i] for i in 0..%d >\nideal b = < X[0]^2*X[1]^2 >\n"
+        "query saturation(b; a)\nquery gamma(a; b)\n" % ((k - 1,) * 3)))
+    assert code == 0, tree
+    saturation, gamma = (s["result"] for s in tree["statements"][-2:])
+    assert saturation == {"ideal": "ideal(1)", "stabilized": True,
+                          "steps": 2 * k}
+    assert (gamma["preimage"], gamma["stabilized"], gamma["steps"]) == (
+        "ideal(1)", True, 2 * k)
+    assert comparisons
+
+
+@pytest.mark.parametrize("level", range(10, 16))
+def test_cost_ladder_nil40D(monkeypatch, level):
+    """Rung (e): nil40D, X_i^(i+1) -> 0 and b every mixed product.  ass(b)
+    and the two kill claims read b's corners, one per variable past X0."""
+    from torsionlab.families import get_family, instantiate
+    variables = level + 1
+    generators, corners = variables * (variables + 1) // 2, variables
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..%d] rules { X[i]^(i + 1) -> 0 for i in 0..%d }\n"
+        "ideal b = < X[i]*X[j] for i in 0..%d, j in 0..%d if i < j >\n"
+        "query ass(b)\n" % ((level,) * 4)))
+    assert code == 0, tree
+    maximal = "prime(%s)" % ", ".join("X%d" % v for v in range(variables))
+    assert tree["statements"][-1]["result"]["witnesses"] == [
+        {"prime": maximal, "witness": "X1"}]
+    family = get_family("nil40D")
+    ring, ideals = instantiate(family, level)
+    kills = [c for c in family.claims if c.name in (
+        "generators-are-quotient-torsion",
+        "unit-stays-outside-quotient-torsion")]
+    assert len(kills) == 2
+    assert all(c.evaluate(ring, ideals, level, None) for c in kills)
     assert comparisons
 
 

@@ -157,7 +157,7 @@ def test_shipped_script_matches_registry_instance():
 
 def test_generator_torsion_claims_are_tight():
     # The exact kill exponent of (X_i) meets or undercuts each claim's
-    # power, and one cap lower gives None: every claim is able to fail.
+    # power, and a claim fails as soon as its power drops below it.
     from torsionlab.ideals import IdealHandle, _power_kill_exponent
     for level in range(4, 9):
         expected = {
@@ -172,9 +172,7 @@ def test_generator_torsion_claims_are_tight():
             for i, n in exponents.items():
                 module = IdealHandle.from_monomials(ring, [Monomial.variable(i)])
                 assert _power_kill_exponent(
-                    ideals["a"], module, target, level + 2) == n
-                assert _power_kill_exponent(
-                    ideals["a"], module, target, n - 1) is None
+                    ideals["a"], module, target) == n
 
 
 def _idem50C_claim(name):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -48,6 +49,7 @@ from torsionlab.ring import (
     Monomial,
     RewriteRule,
     RingPresentation,
+    _below,
     _staircase_corners,
     check_local_confluence,
 )
@@ -848,16 +850,73 @@ def _kill_exponent_triples(count, seed):
             yield principal, ideal_saturation(b, principal).ideal, b
 
 
+def _assert_matches_product_chain(acting, module, target):
+    """The exact kill exponent against the product chain stopped at 8: the
+    same n where the chain stops, and None or past 8 where it does not.
+    Returns the exponent."""
+    expected = _product_chain_kill_exponent(acting, module, target, 8)
+    got = _power_kill_exponent(acting, module, target)
+    if expected is None:
+        assert got is None or got > 8, got
+    else:
+        assert got == expected
+    return got
+
+
 def test_power_kill_exponent_matches_product_chain():
-    results = set()
-    for acting, module, target in _kill_exponent_triples(300, 67):
-        top = _product_chain_kill_exponent(acting, module, target, 8)
-        for cap in range(9):
-            # The chain stops at the same n under every cap it fits.
-            expected = top if top is not None and top <= cap else None
-            assert _power_kill_exponent(acting, module, target, cap) == expected
-            results.add(expected)
-    assert None in results and {1, 2, 3, 4} <= results
+    results = {_assert_matches_product_chain(*triple)
+               for triple in _kill_exponent_triples(300, 67)}
+    assert {0, 1, 2, 3, 4, 5, 6} <= results
+
+
+def _monomial_in(rng, n, top):
+    return Monomial((v, rng.randint(1, top))
+                    for v in rng.sample(range(n), rng.randint(1, n)))
+
+
+def _shares_fitting_variables(acting, module, target):
+    """Do two generators of acting that fit below c - m, for a corner c of
+    target and a module generator m below it, share a coordinate that is
+    finite in c?  Then the kill exponent needs the shared recursion."""
+    width = range(target.ring.num_vars)
+    gens = [tuple(map(g.exponent, width))
+            for g in acting.monomial_generators()]
+    for c, _ in target._components():
+        for m in module.monomial_generators():
+            m = tuple(map(m.exponent, width))
+            if not _below(m, c):
+                continue
+            fit = [g for g in gens
+                   if _below(g, tuple(map(operator.sub, c, m)))]
+            if any(g[v] and h[v] and math.isfinite(c[v])
+                   for i, g in enumerate(fit) for h in fit[i + 1:]
+                   for v in width):
+                return True
+    return False
+
+
+def test_power_kill_exponent_fuzz_with_free_and_shared_variables():
+    """Seeded rings over 1..5 variables, each bounded by a power rule or
+    left free, and acting ideals of up to 4 generators over random
+    supports, against the product chain.  Both the shared-generator
+    recursion and the case with no killing power occur."""
+    rng = random.Random(83)
+    shared = unkilled = 0
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        ring = RingPresentation(n, [RewriteRule(_var(v, rng.randint(3, 5)))
+                                    for v in range(n) if rng.random() < 0.7])
+        acting, module, target = (
+            IdealHandle.from_monomials(ring, [
+                _monomial_in(rng, n, top) for _ in range(rng.randint(*count))])
+            for count, top in (((2, 4), 2), ((0, 2), 2), ((0, 3), 3)))
+        if rng.random() < 0.6:
+            module = IdealHandle.unit(ring)
+        got = _assert_matches_product_chain(acting, module, target)
+        shared += got is not None and _shares_fitting_variables(
+            acting, module, target)
+        unkilled += got is None
+    assert shared >= 150 and unkilled >= 150, (shared, unkilled)
 
 
 def test_power_kill_exponent_edge_cases():
@@ -867,19 +926,23 @@ def test_power_kill_exponent_edge_cases():
     a = IdealHandle.from_monomials(ring, [_var(0), _var(1)])
     x0 = IdealHandle.from_monomials(ring, [_var(0)])
     # Zero acting ideal: a^1 * M = 0 already.
-    assert _power_kill_exponent(zero, unit, zero, 5) == 1
-    assert _power_kill_exponent(zero, unit, zero, 0) is None
+    assert _power_kill_exponent(zero, unit, zero) == 1
     # Unit acting ideal: every power is M itself.
-    assert _power_kill_exponent(unit, x0, zero, 8) is None
-    assert _power_kill_exponent(unit, x0, x0, 8) == 0
+    assert _power_kill_exponent(unit, x0, zero) is None
+    assert _power_kill_exponent(unit, x0, x0) == 0
     # Zero module, and a module inside the target.
-    assert _power_kill_exponent(a, zero, zero, 0) == 0
-    assert _power_kill_exponent(a, x0, a, 0) == 0
+    assert _power_kill_exponent(a, zero, zero) == 0
+    assert _power_kill_exponent(a, x0, a) == 0
     # X0*X1 survives a^2, every product of three generators dies.
-    assert _power_kill_exponent(a, unit, zero, 3) == 3
-    assert _power_kill_exponent(a, unit, zero, 2) is None
-    assert _power_kill_exponent(a, x0, zero, 2) == 2
-    assert _power_kill_exponent(a, x0, zero, 1) is None
+    assert _power_kill_exponent(a, unit, zero) == 3
+    assert _power_kill_exponent(a, x0, zero) == 2
+    # A free variable: no power of (X0) reaches zero, X0^5 takes five.
+    free = _free(2)
+    x0 = IdealHandle.from_monomials(free, [_var(0)])
+    unit = IdealHandle.unit(free)
+    assert _power_kill_exponent(x0, unit, IdealHandle.zero(free)) is None
+    assert _power_kill_exponent(
+        x0, unit, IdealHandle.from_monomials(free, [_var(0, 5)])) == 5
 
 
 def test_power_order_matches_power_membership():

@@ -4,8 +4,9 @@ package and does more than forward its own parameters to another
 callable, every private attribute a class sets in __init__ is read
 somewhere in the package, the unchecked Monomial constructor is used only
 in ring.py, the oracles import none of the modules they check, spectrum.py
-references no level walker, and every span name the benchmark tracer
-wraps resolves in the package.
+references no level walker, no call passes _power_kill_exponent more than
+its three arguments, and every span name the benchmark tracer wraps
+resolves in the package.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -30,6 +31,8 @@ STALE_SPAN_NAMES = {"torsion.fairness_from_parts", "spectrum._witness_scan"}
 # The level walkers of ring.py: the assassin layer reads corners instead.
 LEVEL_WALKERS = {"_next_level", "_power_index", "normal_monomials_of_degree",
                  "normal_monomials_up_to"}
+# The monomial kill exponent is exact, so no call passes it a cap.
+KILL_EXPONENT = "_power_kill_exponent"
 
 
 def _unused_imports(tree):
@@ -375,6 +378,39 @@ def test_level_walker_reference_is_reported():
     assert _walker_references(tree) == [
         (1, "_next_level"), (2, "_power_index"),
         (3, "normal_monomials_up_to"), (4, "normal_monomials_of_degree")]
+
+
+def _kill_exponent_calls(tree):
+    """(line, argument count) of each call under tree whose callee is named
+    _power_kill_exponent, keyword arguments counted."""
+    return sorted(
+        (node.lineno, len(node.args) + len(node.keywords))
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and KILL_EXPONENT in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None)))
+
+
+def _kill_exponent_calls_past_three(tree):
+    return [line for line, count in _kill_exponent_calls(tree) if count > 3]
+
+
+def test_kill_exponents_take_no_cap():
+    trees = {str(path.relative_to(ROOT)): ast.parse(path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    # Saturation, torsion and the families call it, so the check cannot
+    # pass vacuously.
+    assert sum(len(_kill_exponent_calls(tree)) for tree in trees.values()) >= 3
+    past = {path: _kill_exponent_calls_past_three(tree)
+            for path, tree in trees.items()}
+    assert {path: lines for path, lines in past.items() if lines} == {}
+
+
+def test_kill_exponent_cap_is_reported():
+    tree = ast.parse("n = _power_kill_exponent(a, m, t, 2)\n"
+                     "n = ideals._power_kill_exponent(a, m, t, cap=2)\n"
+                     "n = _power_kill_exponent(a, m, t)\n"
+                     "n = power_kill_exponent(a, m, t, 2)\n")
+    assert _kill_exponent_calls_past_three(tree) == [1, 2]
 
 
 def _load_spans():
