@@ -48,7 +48,6 @@ from .spectrum import (
     format_prime,
     prime_ideal,
     prime_variable_set,
-    spectrum,
     weak_assassins_cyclic,
 )
 from .torsion import (

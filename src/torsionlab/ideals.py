@@ -37,6 +37,7 @@ from .ring import (
     Element,
     Monomial,
     _below,
+    _exponent_vector,
     _staircase_corners,
     check_local_confluence,
     grlex_key,
@@ -406,17 +407,17 @@ class IdealHandle:
     the ring's normal-form cache holds for its monomial; a single term with
     normal form zero is dropped, and a multi-term Element is trusted to be
     in normal form.  Facts are filled on first use: in monomial mode the
-    reduced lifted basis and the staircase corners of the lifted ideal,
-    its irreducible components; in general mode the reduced Groebner basis
-    of the lifted ideal, with cofactors over the generators, or None when
-    that one completion ran out of WORK_BUDGET; saturations; assassin
-    reports; and, in monomial mode, the membership answer for each monomial
-    asked of contains_monomial.
+    generators' exponent tuples, the reduced lifted basis and the staircase
+    corners of the lifted ideal, its irreducible components; in general
+    mode the reduced Groebner basis of the lifted ideal, with cofactors over
+    the generators, or None when that one completion ran out of
+    WORK_BUDGET; saturations; assassin reports; and, in monomial mode, the
+    membership answer for each monomial asked of contains_monomial.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
-                 "_lifted", "_corners", "_basis", "_saturations", "_assassins",
-                 "_members")
+                 "_exponents", "_lifted", "_corners", "_basis", "_saturations",
+                 "_assassins", "_members")
 
     def __new__(cls, ring, elements, complete=True):
         gens = []
@@ -451,6 +452,7 @@ class IdealHandle:
             self.mode = mode
             self.complete = complete
             self._monomial_gens = monos
+            self._exponents = None
             self._lifted = None
             self._corners = None
             self._basis = _NOT_YET
@@ -502,6 +504,15 @@ class IdealHandle:
         if not self.is_monomial_mode:
             raise NotMonomialMode("operation requires a monomial-mode ideal")
 
+    def _vectors(self):
+        """The exponent tuples of the monomial generators, in their order
+        (ring._exponent_vector): the one form the corner layer reads."""
+        if self._exponents is None:
+            n = self.ring.num_vars
+            self._exponents = tuple(_exponent_vector(g, n)
+                                    for g in self.monomial_generators())
+        return self._exponents
+
     def lifted_monomials(self):
         """Generators plus rule lhs monomials: the polynomial-ring ideal
         whose image in the quotient is this ideal."""
@@ -520,7 +531,7 @@ class IdealHandle:
             bits = [1 << v for v in range(self.ring.num_vars)]
             self._corners = tuple(
                 (c, sum(compress(bits, map(math.isfinite, c))))
-                for c in _staircase_corners(self.monomial_generators(),
+                for c in _staircase_corners(self._vectors(),
                                             self.ring._components()))
         return self._corners
 
@@ -787,13 +798,9 @@ def _power_kill_exponent(acting, module, target):
     section 2).
     """
     if all(h.is_monomial_mode for h in (acting, module, target)):
-        width = range(target.ring.num_vars)
-        gens, elements = ([tuple(map(g.exponent, width))
-                           for g in h.monomial_generators()]
-                          for h in (acting, module))
-        n = max((1 + _most_factors(gens, tuple(map(sub, c, m)))
+        n = max((1 + _most_factors(acting._vectors(), tuple(map(sub, c, m)))
                  for c, _ in target._components()
-                 for m in elements if _below(m, c)), default=0)
+                 for m in module._vectors() if _below(m, c)), default=0)
         return None if n == math.inf else n
     budget = _Budget()
     try:
@@ -822,10 +829,8 @@ def power_order(acting, m):
     """Largest k with the normal monomial m in acting^k (monomial mode): the
     most generators of acting whose product divides m (_most_factors on
     m's exponents).  Unbounded (inf) when acting is the unit ideal."""
-    width = range(acting.ring.num_vars)
-    return _most_factors([tuple(map(g.exponent, width))
-                          for g in acting.monomial_generators()],
-                         tuple(map(m.exponent, width)))
+    return _most_factors(acting._vectors(),
+                         _exponent_vector(m, acting.ring.num_vars))
 
 
 def _saturate_by(ideal, g):

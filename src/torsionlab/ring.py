@@ -15,7 +15,8 @@ only the monomial operations of this module, whose results keep it.
 
 The ring keeps the staircase corners of its rule-lhs ideal
 (_staircase_corners): the top normal degree is read off them, and every
-ideal handle splits its own corners from them.
+ideal handle splits its own corners from them by its generators' exponent
+tuples (_exponent_vector).
 """
 
 from __future__ import annotations
@@ -276,10 +277,11 @@ def _below(d, k):
     return all(map(le, d, k))
 
 
-def _staircase_corners(monomials, corners):
-    """The staircase corners of J + (``monomials``), J the monomial ideal
-    with these ``corners``, as a list of exponent tuples in no particular
-    order; a free coordinate is ``math.inf``.
+def _staircase_corners(points, corners):
+    """The staircase corners of J + (X^u for u in ``points``), J the
+    monomial ideal with these ``corners``, as a list of exponent tuples in
+    no particular order; a free coordinate is ``math.inf``.  The points are
+    exponent tuples too, as long as the corners.
 
     A corner c stands for the irreducible component generated by
     X_v^(c_v + 1) over its finite coordinates v, and the ideal is the
@@ -287,25 +289,21 @@ def _staircase_corners(monomials, corners):
     it lies below a corner (Miller & Sturmfels, Combinatorial Commutative
     Algebra, ch. 5).  The polynomial ring's one corner is all ``inf``, and
     the unit ideal has none.  Berge's step (Berge, Hypergraphs, ch. 2) adds
-    one monomial u at a time: every corner c above u gives way to one
-    candidate per variable v of u, c with X_v lowered to u_v - 1.  A
-    candidate is dropped when a corner that u does not reach lies above it,
-    or a reached corner with a lower X_v exponent than c's does (it lies
-    above the candidate from that corner and v); any other corner above it
-    would lie above c.  No two candidates are compared.
+    one point u at a time: every corner c above u gives way to one
+    candidate per coordinate v where u is nonzero, c with v lowered to
+    u_v - 1.  A candidate is dropped when a corner that u does not reach
+    lies above it, or a reached corner with a lower v coordinate than c's
+    does (it lies above the candidate from that corner and v); any other
+    corner above it would lie above c.  No two candidates are compared.
     """
     corners = set(corners)
-    for u in monomials:
-        # u's exponents up to its last variable: _below stops there.
-        low = [0] * (u.max_var() + 1)
-        for v, e in u.pairs:
-            low[v] = e
-        hit = [c for c in corners if _below(low, c)]
+    for u in points:
+        hit = [c for c in corners if _below(u, c)]
         if not hit:
             continue
         corners.difference_update(hit)
         grown = []
-        for v, e in u.pairs:
+        for v, e in filter(itemgetter(1), enumerate(u)):
             hit.sort(key=itemgetter(v))
             lower = 0
             for c in hit:
@@ -317,6 +315,15 @@ def _staircase_corners(monomials, corners):
                     grown.append(d)
         corners.update(grown)
     return list(corners)
+
+
+def _exponent_vector(m, n):
+    """The exponent tuple of the monomial m over n variables, the inverse
+    of _exponent_monomial."""
+    t = [0] * n
+    for v, e in m.pairs:
+        t[v] = e
+    return tuple(t)
 
 
 def _exponent_monomial(t):
@@ -333,17 +340,14 @@ def _meet_generators(corners):
     each coordinate's largest finite exponent, 0 where none is: m lies
     below the corner c exactly when a - m is a multiple of X^(a - c), with
     0 for a free coordinate of c, so the generators reflect the corners in
-    the box of the dual ideal (_staircase_corners).  The dual generators go
-    by degree, so one that an earlier one divides splits no corner.
+    the box of the dual ideal, whose generators are these exponent tuples
+    (_staircase_corners).  The dual generators go by degree, so one that an
+    earlier one divides splits no corner.
     """
     box = [max((e + 1 for e in column if e != math.inf), default=0)
            for column in zip(*corners)]
-    dual = []
-    for c in corners:
-        pairs = tuple((v, a - e) for v, (a, e) in enumerate(zip(box, c))
-                      if e != math.inf)
-        dual.append(_trusted_monomial(pairs, sum(e for _, e in pairs)))
-    dual.sort(key=lambda u: u.degree)
+    dual = sorted((tuple(0 if e == math.inf else a - e
+                         for a, e in zip(box, c)) for c in corners), key=sum)
     return [tuple(map(int.__sub__, box, k))
             for k in _staircase_corners(dual, [tuple(box)])]
 
@@ -523,7 +527,7 @@ class RingPresentation:
         (_staircase_corners), computed on the first call."""
         if self._corners is None:
             self._corners = tuple(_staircase_corners(
-                (rule.lhs for rule in self.rules),
+                (_exponent_vector(r.lhs, self.num_vars) for r in self.rules),
                 [(math.inf,) * self.num_vars]))
         return self._corners
 
@@ -571,11 +575,6 @@ class Element:
     @property
     def is_zero(self):
         return not self.terms
-
-    @property
-    def is_monomial(self):
-        """Single term with coefficient 1."""
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
 
     @property
     def is_single_term(self):

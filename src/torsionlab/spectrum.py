@@ -47,7 +47,7 @@ from operator import neg
 from typing import Optional
 
 from .errors import RingMismatch
-from .ideals import IdealHandle, _mask_vars, prime_key
+from .ideals import IdealHandle, _mask_vars, minimal_primes, prime_key
 from .ring import Monomial, _below, _exponent_monomial, _meet_generators
 
 
@@ -81,14 +81,12 @@ def prime_ideal(ring, vars_set):
 
 def spectrum(ring):
     """All canonical primes of a monomial-mode ring, sorted by size then
-    by variable indices.  Exponential in the variable count."""
-    out = []
-    n = ring.num_vars
-    for mask in range(1 << n):
-        s = frozenset(v for v in range(n) if mask >> v & 1)
-        if prime_variable_set(prime_ideal(ring, s)) == s:
-            out.append(s)
-    return sorted(out, key=prime_key)
+    by variable indices: the variable sets that contain a minimal prime of
+    the zero ideal.  Exponential in the variable count."""
+    least = [sum(1 << v for v in p)
+             for p in minimal_primes(IdealHandle.zero(ring))]
+    return sorted((_mask_vars(mask) for mask in range(1 << ring.num_vars)
+                   if any(p & mask == p for p in least)), key=prime_key)
 
 
 def in_variety(vars_set, ideal) -> bool:
@@ -149,8 +147,7 @@ def _first_witnesses(numerator, denominator):
     docstring describes."""
     n = numerator.ring.num_vars
     components = denominator._components()
-    gens = [tuple(map(g.exponent, range(n)))
-            for g in numerator.monomial_generators()]
+    gens = numerator._vectors()
     ass_first, assf_first = {}, {}
     for sigma in {mask for _, mask in components}:
         group = [c for c, mask in components if mask == sigma]

@@ -50,6 +50,8 @@ from torsionlab.ring import (
     RewriteRule,
     RingPresentation,
     _below,
+    _exponent_vector,
+    _meet_generators,
     _staircase_corners,
     check_local_confluence,
 )
@@ -90,7 +92,8 @@ def test_monic_generators_are_the_cached_normal_forms(monkeypatch):
     ring, ideals = instantiate(get_family("idem50C"), 3)
     ideal_colon_ideal(ideals["b"], ideals["a"])
     gamma_large_cyclic(ideals["a"], ideals["b"])
-    monic = [(h, g) for h in handles for g in h.generators if g.is_monomial]
+    monic = [(h, g) for h in handles for g in h.generators
+             if g.is_single_term and g.single_term()[1] == 1]
     assert sum(h.ring is ring and not h.is_monomial_mode
                for h, _ in monic) >= 10
     assert len({h.ring for h, _ in monic}) == 41
@@ -409,7 +412,9 @@ def _brute_force_corners(n, basis):
 
 def test_staircase_corners_match_brute_force():
     """From the polynomial ring's corner, and from the ring's corners split
-    by the ideal's generators, as a handle builds them."""
+    by the ideal's generators, as a handle builds them; and back again: the
+    minimal generators of the meet of the corners' components are the
+    lifted basis (Alexander duality, _meet_generators)."""
     rng = random.Random(101)
     shapes = {"one corner": 0, "several corners": 0, "a variable is zero": 0,
               "mixed generator": 0}
@@ -418,13 +423,14 @@ def test_staircase_corners_match_brute_force():
         ring, ideal = _random_monomial_ideal(rng)
         n = ring.num_vars
         basis = ideal.lifted_monomials()
+        vectors = [_exponent_vector(g, n) for g in basis]
         expected = _brute_force_corners(n, basis)
-        assert sorted(_staircase_corners(basis, [(math.inf,) * n])) \
+        assert sorted(_staircase_corners(vectors, [(math.inf,) * n])) \
             == expected, basis
-        split = _staircase_corners(ideal.monomial_generators(),
-                                   ring._components())
+        split = _staircase_corners(ideal._vectors(), ring._components())
         assert sorted(split) == expected, basis
         assert sorted(c for c, _ in ideal._components()) == expected
+        assert sorted(_meet_generators(expected)) == sorted(vectors), basis
         free += any(math.inf in c for c in expected)
         shapes["one corner"] += len(expected) == 1
         shapes["several corners"] += len(expected) > 1

@@ -4,9 +4,10 @@ package and does more than forward its own parameters to another
 callable, every private attribute a class sets in __init__ is read
 somewhere in the package, the unchecked Monomial constructor is used only
 in ring.py, the oracles import none of the modules they check, spectrum.py
-references no level walker, no call passes _power_kill_exponent more than
-its three arguments, and every span name the benchmark tracer wraps
-resolves in the package.
+references no level walker, the corner layer reads no Monomial.exponent,
+no call passes _power_kill_exponent more than its three arguments, every
+span name the benchmark tracer wraps resolves in the package, and each
+package attribute named after a module is that module.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -33,6 +34,9 @@ LEVEL_WALKERS = {"_next_level", "_power_index", "normal_monomials_of_degree",
                  "normal_monomials_up_to"}
 # The monomial kill exponent is exact, so no call passes it a cap.
 KILL_EXPONENT = "_power_kill_exponent"
+# The corner layer reads exponent tuples: each handle converts its
+# generators once (IdealHandle._vectors), through ring._exponent_vector.
+CORNER_LAYER = ("ring.py", "ideals.py", "spectrum.py")
 
 
 def _unused_imports(tree):
@@ -380,6 +384,31 @@ def test_level_walker_reference_is_reported():
         (3, "normal_monomials_up_to"), (4, "normal_monomials_of_degree")]
 
 
+def _exponent_reads(tree):
+    """Lines of each attribute named exponent under tree."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "exponent")
+
+
+def test_corner_layer_reads_no_monomial_exponent():
+    trees = {name: ast.parse((PACKAGE / name).read_text())
+             for name in CORNER_LAYER}
+    # Monomial.exponent still exists, so the check cannot pass vacuously.
+    assert "exponent" in {node.name for node in ast.walk(trees["ring.py"])
+                          if isinstance(node, FUNCTIONS)}
+    reads = {name: _exponent_reads(tree) for name, tree in trees.items()}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_monomial_exponent_read_is_reported():
+    tree = ast.parse("t = tuple(map(g.exponent, range(n)))\n"
+                     "e = m.exponent(0)\n"
+                     "exponent = m.exponents\n"
+                     "def exponent(self, var):\n    pass\n")
+    assert _exponent_reads(tree) == [1, 2]
+
+
 def _kill_exponent_calls(tree):
     """(line, argument count) of each call under tree whose callee is named
     _power_kill_exponent, keyword arguments counted."""
@@ -441,3 +470,15 @@ def test_traced_span_names_resolve():
               spans.CLAIM, *spans.GAMMA}
     missing = {n for n in names if not _resolves(n)}
     assert missing == STALE_SPAN_NAMES
+
+
+def test_package_attributes_name_their_modules():
+    """import torsionlab.<name> as m binds the module src/torsionlab/<name>.py:
+    no re-exported function shadows a module's name."""
+    package = importlib.import_module("torsionlab")
+    names = sorted(path.stem for path in PACKAGE.glob("*.py")
+                   if not path.stem.startswith("__"))
+    assert "spectrum" in names
+    for name in names:
+        module = importlib.import_module("torsionlab." + name)
+        assert getattr(package, name) is module, name

@@ -17,14 +17,13 @@ with each report a list of [prime, witness].  Regenerate it on purpose with
 
 from __future__ import annotations
 
-import importlib
 import json
 import random
 import sys
 from pathlib import Path
 from unittest import mock
 
-from torsionlab import harness, torsion
+from torsionlab import harness, spectrum, torsion
 from torsionlab.families import (
     _build_nil40A,
     _build_nil40B,
@@ -35,9 +34,6 @@ from torsionlab.ideals import IdealHandle, format_ideal
 from torsionlab.ring import format_monomial
 
 from test_spectrum import brute_force_pair
-
-# The package re-exports the function spectrum under the module's name.
-spectrum = importlib.import_module("torsionlab.spectrum")
 
 FIXTURE = Path(__file__).resolve().parent / "golden" / "scan_witnesses.json"
 DRAWS = 40

@@ -7,11 +7,13 @@ import random
 from functools import reduce
 from itertools import product
 
+import torsionlab.spectrum as spectrum_module
 from torsionlab import families
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
     _colon_basis,
+    _power_kill_exponent,
     ideal_colon,
     minimal_primes,
     prime_key,
@@ -35,9 +37,6 @@ from torsionlab.spectrum import (
 )
 from torsionlab.torsion import gamma_large_cyclic, gamma_small_cyclic
 
-# The package re-exports the function spectrum under the module's name.
-spectrum_module = importlib.import_module("torsionlab.spectrum")
-
 
 def _var(i, e=1):
     return Monomial.variable(i, e)
@@ -51,6 +50,41 @@ def test_spectrum_of_free_ring_is_all_variable_subsets():
 def test_spectrum_of_nilpotent_ring_is_maximal_ideal_only():
     ring = RingPresentation(2, [RewriteRule(_var(0, 2)), RewriteRule(_var(1, 2))])
     assert [sorted(p) for p in spectrum(ring)] == [[0, 1]]
+
+
+def _random_rules(rng, n):
+    """Up to four random rule lhs monomials on n variables."""
+    lhs = (Monomial((v, rng.randint(1, 3)) for v in range(n)
+                    if rng.random() < 0.4)
+           for _ in range(rng.randint(0, 4)))
+    return [RewriteRule(m) for m in set(lhs) if not m.is_one]
+
+
+def test_spectrum_keeps_the_sets_over_a_minimal_prime():
+    """spectrum(ring) is every variable set s whose prime ideal is prime
+    with canonical set s, on seeded rings; it asks no handle of a subset,
+    so the handle table stays small as the subsets double."""
+    rng = random.Random(23)
+    shapes = {"all subsets": 0, "maximal only": 0, "other": 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        rules = _random_rules(rng, n)
+        reference = RingPresentation(n, rules)
+        expected = sorted(
+            (s for k in range(1 << n)
+             for s in [frozenset(v for v in range(n) if k >> v & 1)]
+             if prime_variable_set(prime_ideal(reference, s)) == s),
+            key=prime_key)
+        ring = RingPresentation(n, rules)
+        assert spectrum(ring) == expected, rules
+        assert len(ring._ideals) <= 2
+        shapes["all subsets" if len(expected) == 1 << n
+               else "maximal only" if len(expected) == 1 else "other"] += 1
+    assert min(shapes.values()) >= 40, shapes
+    pairs = RingPresentation(12, [
+        RewriteRule(_var(2 * j).mul(_var(2 * j + 1))) for j in range(6)])
+    assert len(spectrum(pairs)) == 3 ** 6
+    assert len(pairs._ideals) == 1
 
 
 def test_prime_ideal_round_trip():
@@ -562,3 +596,35 @@ def test_assassin_scan_converts_each_distinct_prime_once(monkeypatch):
         ass, assf = assassin_scan(IdealHandle.unit(instance.ring),
                                   instance.relations)
         assert len(converted) == len(ass.primes) + len(assf.primes)
+
+
+def test_each_handle_converts_its_generators_once(monkeypatch):
+    """Two scans of one module and one kill exponent turn each generator of
+    the three handles, and each rule lhs, into an exponent tuple exactly
+    once: the handle keeps the tuples (IdealHandle._vectors)."""
+    converted = []
+    real = importlib.import_module("torsionlab.ring")._exponent_vector
+
+    def count(m, n):
+        converted.append(m)
+        return real(m, n)
+
+    for name in ("ring", "ideals", "spectrum"):
+        module = importlib.import_module("torsionlab." + name)
+        if hasattr(module, "_exponent_vector"):
+            monkeypatch.setattr(module, "_exponent_vector", count)
+    # X3 is free, so the scan meets a free coordinate.
+    ring = RingPresentation(4, [RewriteRule(_var(v, 3)) for v in range(3)])
+    numerator = IdealHandle.from_monomials(ring, [_var(0), _var(1, 2)])
+    denominator = IdealHandle.from_monomials(
+        ring, [_var(0, 2).mul(_var(3)), _var(1, 2).mul(_var(2)), _var(3, 4)])
+    acting = IdealHandle.from_monomials(ring, [_var(2), _var(3)])
+    for _ in range(2):
+        ass, assf = spectrum_module._first_witnesses(numerator, denominator)
+        assert ass and assf
+    # X0 * X2^2 * X3^3 is the last product outside the denominator.
+    assert _power_kill_exponent(acting, numerator, denominator) == 6
+    handles = (numerator, denominator, acting)
+    assert sorted(converted, key=grlex_key) == sorted(
+        [g for h in handles for g in h.monomial_generators()]
+        + [rule.lhs for rule in ring.rules], key=grlex_key)
