@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from operator import sub
 from typing import Optional
 
@@ -742,7 +742,9 @@ def _most_factors(gens, room):
     Only the finite coordinates of room bound a count.  A fitting generator
     that shares none of them with any other fitting one takes its own
     coordinates alone, min(room_v // g_v) times; the others go through one
-    memoized recursion over how many times each of them is taken.
+    memoized recursion over their counts, the largest first, which skips a
+    count when it plus the finite room left after it, over the least finite
+    degree of the generators still to come, cannot beat the best so far.
     """
     fit, seen, twice = [], 0, 0
     for g in gens:
@@ -759,22 +761,27 @@ def _most_factors(gens, room):
     shared = [g for g, mask in fit if mask & twice]
     if not shared:
         return total
+    finite = [v for v, r in enumerate(room) if r != math.inf]
+    degree = [sum(g[v] for v in finite) for g in shared]
+    least = list(accumulate(reversed(degree), min, initial=math.inf))[::-1]
     memo = {}
 
-    def most(j, left):
+    def most(j, left, free):
+        # free: the sum of left's finite coordinates.
         if j == len(shared):
             return 0
         if (j, left) not in memo:
-            g, best, taken, rest = shared[j], 0, 0, left
-            while True:
-                best = max(best, taken + most(j + 1, rest))
-                if not _below(g, rest):
-                    break
-                rest, taken = tuple(map(sub, rest, g)), taken + 1
+            g, rests, best = shared[j], [left], 0
+            while _below(g, rests[-1]):
+                rests.append(tuple(map(sub, rests[-1], g)))
+            for taken in reversed(range(len(rests))):
+                rest = free - taken * degree[j]
+                if taken + rest // least[j + 1] > best:
+                    best = max(best, taken + most(j + 1, rests[taken], rest))
             memo[j, left] = best
         return memo[j, left]
 
-    return total + most(0, room)
+    return total + most(0, room, sum(room[v] for v in finite))
 
 
 def _power_kill_exponent(acting, module, target):

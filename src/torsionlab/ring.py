@@ -236,38 +236,28 @@ def format_monomial(m):
     return "*".join(parts)
 
 
-def _power_index(basis):
-    """The basis monomials of a monomial ideal, each filed under each of its
-    (variable, exponent) pairs, for _next_level."""
-    index = {}
-    for g in basis:
-        for pair in g.pairs:
-            index.setdefault(pair, []).append(g)
-    return index
-
-
 def _next_level(ring, level):
     """The next degree of the monomials outside the rule-lhs ideal of
-    ``ring``, whose basis the ring files by (variable, exponent)
-    (_power_index), from one degree's ``level``.  Such monomials are closed
-    under division (Miller & Sturmfels, Combinatorial Commutative Algebra,
-    ch. 1), so each is made once, as m * X_v for m in ``level`` and v at
-    least m's largest variable, in grlex order as ``level`` is (within a
-    degree, lex order of the sorted variable indices).  As m is outside the
-    ideal, only a rule lhs with the exponent of v in m * X_v can divide it,
-    so only that file is searched.
+    ``ring`` from one degree's ``level``.  Such monomials are closed under
+    division (Miller & Sturmfels, Combinatorial Commutative Algebra, ch. 1),
+    so each is made once, as m * X_v for m in ``level`` and v at least m's
+    largest variable, in grlex order as ``level`` is (within a degree, lex
+    order of the sorted variable indices).  As m is outside the ideal, a
+    rule lhs dividing m * X_v ends in v with the exponent of v there, so
+    only the rules the ring files under v (_rules_by_var) are tried.
     """
-    index, out = ring._lhs_index, []
+    buckets, out = ring._rules_by_var, []
     for m in level:
         pairs = m.pairs
         last, e = pairs[-1] if pairs else (0, 0)
         for v in range(last, ring.num_vars):
-            exp = e + 1 if v == last else 1
-            cand = _trusted_monomial(
-                pairs[:-1] + ((v, exp),) if v == last else pairs + ((v, 1),),
-                m.degree + 1)
-            blockers = index.get((v, exp))
-            if blockers is None or not any(g.divides(cand) for g in blockers):
+            head, top = (pairs[:-1], (v, e + 1)) if v == last else (
+                pairs, (v, 1))
+            cand = _trusted_monomial(head + (top,), m.degree + 1)
+            for _, rule in buckets.get(v, ()):
+                if rule.lhs.pairs[-1] == top and rule.lhs.divides(cand):
+                    break
+            else:
                 out.append(cand)
     return out
 
@@ -390,6 +380,8 @@ class RewriteRule:
 class RingPresentation:
     """Truncated variable set X_0..X_{num_vars-1} plus rewrite rules.
 
+    One rule index, keyed by the largest variable of each lhs
+    (_rules_by_var), serves both the normal form and the level walk.
     Instances are immutable apart from six caches: the normal-form cache,
     the level cache (the tuple of normal monomials of each degree enumerated
     so far, extended on demand by normal_monomials_of_degree), the critical
@@ -424,14 +416,13 @@ class RingPresentation:
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
         self.all_rhs_zero = all(rule.rhs is None for rule in self.rules)
-        # A rule can apply to m only if the smallest variable of its lhs
-        # occurs in m: bucket the rules by that variable, each with its
-        # position in the grlex rule order.
+        # The one rule index: a rule can apply to m only if the largest
+        # variable of its lhs occurs in m, so bucket the rules by that
+        # variable, each with its position in the grlex rule order.
         self._rules_by_var = {}
         for pos, rule in enumerate(self.rules):
-            self._rules_by_var.setdefault(rule.lhs.pairs[0][0], []).append(
+            self._rules_by_var.setdefault(rule.lhs.max_var(), []).append(
                 (pos, rule))
-        self._lhs_index = _power_index(rule.lhs for rule in self.rules)
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]

@@ -352,17 +352,10 @@ def test_artinian_quotient_of_a_free_ring_needs_no_walk(monkeypatch):
 def test_disjoint_pairs_cost_one_comparison_per_corner(monkeypatch):
     """b = (X0*X1, X2*X3, ..., X22*X23) in Q[X0..X23]/(X_i^2) has 2^12
     corners.  Building them compares each generator with the corners it
-    splits, and no candidate with another: a count, not a wall-clock
-    bound, that a pairwise candidate check would raise to about 4^12."""
-    ring_module = importlib.import_module("torsionlab.ring")
-    real = ring_module._below
-    calls = []
-
-    def below(d, k):
-        calls.append(1)
-        return real(d, k)
-
-    monkeypatch.setattr(ring_module, "_below", below)
+    splits, and no candidate with another, and the scan compares each
+    corner once: a count, not a wall-clock bound, that a pairwise
+    candidate check would raise to about 4^12."""
+    comparisons = _count_cost(monkeypatch, 3 * 4096)
     pairs = ", ".join("X[%d]*X[%d]" % (v, v + 1) for v in range(0, 24, 2))
     tree, code = cli.execute(parse(
         "ring R = vars X[0..23] rules { X[i]^2 -> 0 for i in 0..23 }\n"
@@ -372,7 +365,7 @@ def test_disjoint_pairs_cost_one_comparison_per_corner(monkeypatch):
     witness = "*".join("X%d" % v for v in range(0, 24, 2))
     assert tree["statements"][-1]["result"]["witnesses"] == [
         {"prime": maximal, "witness": witness}]
-    assert len(calls) <= 2 * 4096, len(calls)
+    assert comparisons
 
 
 def _count_cost(monkeypatch, bound):
@@ -506,6 +499,32 @@ def test_cost_ladder_nil40D(monkeypatch, level):
         "unit-stays-outside-quotient-torsion")]
     assert len(kills) == 2
     assert all(c.evaluate(ring, ideals, level, None) for c in kills)
+    assert comparisons
+
+
+@pytest.mark.parametrize("k", [12, 16, 20])
+def test_cost_ladder_all_pair_products(monkeypatch, k):
+    """Rung (f): Q[X0..X(k-1)]/(X_i^3), a every X_i*X_j, b = 0.  Every
+    generator of a shares its variables with others, so the kill exponent
+    goes through _most_factors' recursion, one comparison per count it
+    tries: bounded by the best count so far, it stays linear, where
+    trying every count took 179,696 comparisons at k = 9."""
+    variables, generators, corners = k, k * (k - 1) // 2 + k, 1
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..%d] rules { X[i]^3 -> 0 for i in 0..%d }\n"
+        "ideal a = < X[i]*X[j] for i in 0..%d, j in 0..%d if i < j >\n"
+        "ideal b = < 0 >\nquery saturation(b; a)\nquery gamma(a; b)\n"
+        "query gammabar(a; b)\n" % ((k - 1,) * 4)))
+    assert code == 0, tree
+    saturation, gamma, gammabar = (
+        s["result"] for s in tree["statements"][-3:])
+    assert saturation == {"ideal": "ideal(1)", "stabilized": True,
+                          "steps": k + 1}
+    assert [(r["preimage"], r["stabilized"], r["steps"])
+            for r in (gamma, gammabar)] == [
+        ("ideal(1)", True, k + 1), ("ideal(1)", True, 3)]
     assert comparisons
 
 

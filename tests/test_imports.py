@@ -4,10 +4,11 @@ package and does more than forward its own parameters to another
 callable, every private attribute a class sets in __init__ is read
 somewhere in the package, the unchecked Monomial constructor is used only
 in ring.py, the oracles import none of the modules they check, spectrum.py
-references no level walker, the corner layer reads no Monomial.exponent,
-no call passes _power_kill_exponent more than its three arguments, every
-span name the benchmark tracer wraps resolves in the package, and each
-package attribute named after a module is that module.
+references no level walker, ring.py keeps one rule index, which the normal
+form and the level walk both read, the corner layer reads no
+Monomial.exponent, no call passes _power_kill_exponent more than its three
+arguments, every span name the benchmark tracer wraps resolves in the
+package, and each package attribute named after a module is that module.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -30,8 +31,13 @@ TRUSTED_CONSTRUCTOR = "_trusted_monomial"
 # them; the tracer belongs to the benchmark and is mended with it.
 STALE_SPAN_NAMES = {"torsion.fairness_from_parts", "spectrum._witness_scan"}
 # The level walkers of ring.py: the assassin layer reads corners instead.
-LEVEL_WALKERS = {"_next_level", "_power_index", "normal_monomials_of_degree",
+LEVEL_WALKERS = {"_next_level", "normal_monomials_of_degree",
                  "normal_monomials_up_to"}
+# The one rule index of a ring, the functions of ring.py that read it, and
+# the second index it replaced.
+RULE_INDEX = "_rules_by_var"
+RULE_INDEX_READERS = ("_first_applicable", "_next_level")
+SECOND_RULE_INDEX = {"_power_index", "_lhs_index"}
 # The monomial kill exponent is exact, so no call passes it a cap.
 KILL_EXPONENT = "_power_kill_exponent"
 # The corner layer reads exponent tuples: each handle converts its
@@ -375,13 +381,56 @@ def test_assassin_scans_walk_no_level():
 
 def test_level_walker_reference_is_reported():
     tree = ast.parse("from .ring import Monomial, _next_level\n"
-                     "index = _power_index(basis)\n"
+                     "index = ring._rules_by_var\n"
                      "out = ring.normal_monomials_up_to(3)\n"
                      "normal_monomials_of_degree = levels\n"
                      "next_level = 0\n")
     assert _walker_references(tree) == [
-        (1, "_next_level"), (2, "_power_index"),
-        (3, "normal_monomials_up_to"), (4, "normal_monomials_of_degree")]
+        (1, "_next_level"), (3, "normal_monomials_up_to"),
+        (4, "normal_monomials_of_degree")]
+
+
+def _rule_index_faults(tree):
+    """(line, name) of each function defined or attribute assigned under
+    tree that is named after the second rule index, and (0, name) of each
+    reader of the rule index that is missing or reads no _rules_by_var."""
+    faults, functions = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS):
+            functions[node.name] = node
+            name = node.name
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)):
+            name = node.attr
+        else:
+            continue
+        if name in SECOND_RULE_INDEX:
+            faults.append((node.lineno, name))
+    for name in RULE_INDEX_READERS:
+        reads = {getattr(node, "attr", None)
+                 for node in ast.walk(functions.get(name, ast.Module()))}
+        if RULE_INDEX not in reads:
+            faults.append((0, name))
+    return sorted(faults)
+
+
+def test_ring_keeps_one_rule_index():
+    """The normal form and the level walk read the same buckets."""
+    ring = ast.parse((PACKAGE / "ring.py").read_text())
+    assert _rule_index_faults(ring) == []
+
+
+def test_second_rule_index_is_reported():
+    tree = ast.parse("def _power_index(basis):\n    pass\n"
+                     "def _next_level(ring, level):\n"
+                     "    index = ring._lhs_index\n"
+                     "class RingPresentation:\n"
+                     "    def __init__(self):\n"
+                     "        self._rules_by_var = {}\n"
+                     "        self._lhs_index = {}\n")
+    assert _rule_index_faults(tree) == [
+        (0, "_first_applicable"), (0, "_next_level"), (1, "_power_index"),
+        (8, "_lhs_index")]
 
 
 def _exponent_reads(tree):
