@@ -853,8 +853,8 @@ def _saturate_by(ideal, g):
     if ideal.is_monomial_mode and g.is_single_term:
         drop = g.single_term()[0].support
         return IdealHandle.from_monomials(ring, [
-            Monomial((v, e) for v, e in m.pairs if v not in drop)
-            for m in ideal.lifted_monomials()], complete=ideal.complete)
+            m.without(drop) for m in ideal.lifted_monomials()],
+            complete=ideal.complete)
     tag = Monomial.variable(ring.num_vars)
     fresh = {m.mul(tag): -c for m, c in g.terms.items()}
     fresh[Monomial.one()] = 1

@@ -6,11 +6,22 @@ no transversal enumeration, no reduced-basis comparisons, no Groebner
 completion.  They are deliberately slow and meant for small instances.
 Nothing here imports the ideal, spectrum, torsion, family or harness
 modules, so the oracles share no code with what they check.
+
+The assassin oracles share two enumerations, each kept for one input only.
+The witness annihilators (relations : m) are computed once per module and
+kept for the last module (_witness_annihilators), which both assassin_sets
+and weak_assassin_sets read.  Each bounded primality probe is computed once
+per ring and kept for the last ring (_ring_probes), which those two and
+minimal_prime_sets read.  Every answer is still read from the definitions:
+a shared annihilator is the same colon_monomials set, a shared probe the
+same enumeration.  A test that needs cold caches calls
+_witness_annihilators.cache_clear() and _ring_probes.cache_clear().
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import RingMismatch
@@ -245,21 +256,60 @@ def _variable_ideal_is_prime(ring, vars_set, probe_bound):
     return True
 
 
+@lru_cache(maxsize=1)
+def _ring_probes(ring):
+    """The probe answers of one ring, keyed by (variable set, bound)."""
+    return {}
+
+
+def _is_prime(ring, vars_set, probe_bound):
+    """_variable_ideal_is_prime, each (variable set, bound) probed once
+    per ring."""
+    probes = _ring_probes(ring)
+    key = vars_set, probe_bound
+    if key not in probes:
+        probes[key] = _variable_ideal_is_prime(ring, vars_set, probe_bound)
+    return probes[key]
+
+
+def _variable_sets(n):
+    """Every subset of range(n), by size, then lexicographically."""
+    return [frozenset(combo) for size in range(n + 1)
+            for combo in combinations(range(n), size)]
+
+
 def minimal_prime_sets(ideal, probe_bound=3):
     """Inclusion-minimal variable sets whose ideal is prime (by bounded
     probe) and contains the given ideal, by subset enumeration."""
     ring = ideal.ring
-    n = ring.num_vars
     containing = []
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            s = frozenset(combo)
-            if any(c <= s for c in containing):
-                continue
-            if (_contained_in_variable_ideal(ideal, s)
-                    and _variable_ideal_is_prime(ring, s, probe_bound)):
-                containing.append(s)
+    for s in _variable_sets(ring.num_vars):
+        if any(c <= s for c in containing):
+            continue
+        if (_contained_in_variable_ideal(ideal, s)
+                and _is_prime(ring, s, probe_bound)):
+            containing.append(s)
     return sorted(containing, key=lambda s: (len(s), sorted(s)))
+
+
+@lru_cache(maxsize=1)
+def _witness_annihilators(relations, witness_bound, verify_bound):
+    """The distinct annihilators (relations : m), m a normal monomial of
+    degree <= witness_bound outside relations, each the frozenset of
+    colon_monomials up to verify_bound, in witness order."""
+    ring = relations.ring
+    return tuple(dict.fromkeys(
+        frozenset(colon_monomials(relations, m, verify_bound))
+        for m in ring.normal_monomials_up_to(witness_bound)
+        if not relations.contains_monomial(m)))
+
+
+def _variable_ideal_sets(ring, bound):
+    """(s, P_s) for every variable set s, P_s the normal monomials of
+    degree <= bound in the ideal of s: those whose support meets s."""
+    monos = ring.normal_monomials_up_to(bound)
+    return [(s, frozenset(f for f in monos if f.support & s))
+            for s in _variable_sets(ring.num_vars)]
 
 
 def assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
@@ -267,20 +317,13 @@ def assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
     monomial set against every candidate variable ideal on all normal
     monomials up to the verification bound."""
     ring = relations.ring
-    n = ring.num_vars
-    monos = ring.normal_monomials_up_to(verify_bound)
+    by_ideal = {}
+    for s, ideal in _variable_ideal_sets(ring, verify_bound):
+        by_ideal.setdefault(ideal, []).append(s)
     found = set()
-    for m in ring.normal_monomials_up_to(witness_bound):
-        if relations.contains_monomial(m):
-            continue
-        ann = set(colon_monomials(relations, m, verify_bound))
-        for size in range(n + 1):
-            for combo in combinations(range(n), size):
-                s = frozenset(combo)
-                matches = all(
-                    (f in ann) == bool(f.support & s) for f in monos)
-                if matches and _variable_ideal_is_prime(ring, s, probe_bound):
-                    found.add(s)
+    for ann in _witness_annihilators(relations, witness_bound, verify_bound):
+        found.update(s for s in by_ideal.get(ann, ())
+                     if _is_prime(ring, s, probe_bound))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -288,20 +331,14 @@ def weak_assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
     """Union over witnesses of the minimal prime variable sets containing
     the witness annihilator, by subset enumeration."""
     ring = relations.ring
-    n = ring.num_vars
+    candidates = _variable_ideal_sets(ring, verify_bound)
     found = set()
-    for m in ring.normal_monomials_up_to(witness_bound):
-        if relations.contains_monomial(m):
-            continue
-        ann = set(colon_monomials(relations, m, verify_bound))
+    for ann in _witness_annihilators(relations, witness_bound, verify_bound):
         containing = []
-        for size in range(n + 1):
-            for combo in combinations(range(n), size):
-                s = frozenset(combo)
-                if any(c <= s for c in containing):
-                    continue
-                if (all(bool(f.support & s) for f in ann)
-                        and _variable_ideal_is_prime(ring, s, probe_bound)):
-                    containing.append(s)
+        for s, ideal in candidates:
+            if any(c <= s for c in containing):
+                continue
+            if ann <= ideal and _is_prime(ring, s, probe_bound):
+                containing.append(s)
         found.update(containing)
     return sorted(found, key=lambda s: (len(s), sorted(s)))

@@ -37,9 +37,9 @@ class Monomial:
     indices of ``pairs`` strictly increase and every exponent is positive;
     an absent index means exponent zero.  ``Monomial(...)`` takes pairs from
     outside (the DSL, the harness, the families) and checks the invariant.
-    ``mul``, ``div``, ``gcd``, ``lcm``, ``pow`` and ``squarefree`` build
-    their results from operands that already hold it, so they go through
-    ``_trusted_monomial``, which checks nothing.
+    ``mul``, ``div``, ``gcd``, ``lcm``, ``pow``, ``squarefree`` and
+    ``without`` build their results from operands that already hold it, so
+    they go through ``_trusted_monomial``, which checks nothing.
     """
 
     __slots__ = ("pairs", "degree", "_hash", "_support")
@@ -199,6 +199,11 @@ class Monomial:
     def squarefree(self):
         return _trusted_monomial(tuple((v, 1) for v, _ in self.pairs),
                                  len(self.pairs))
+
+    def without(self, variables):
+        """The monomial with the exponents on these variables set to zero."""
+        out = tuple(p for p in self.pairs if p[0] not in variables)
+        return _trusted_monomial(out, sum(e for _, e in out))
 
 
 def _trusted_monomial(pairs, degree):

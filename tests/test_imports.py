@@ -3,7 +3,8 @@ module-level function and private method is referenced somewhere in the
 package and does more than forward its own parameters to another
 callable, every private attribute a class sets in __init__ is read
 somewhere in the package, the unchecked Monomial constructor is used only
-in ring.py, the oracles import none of the modules they check, spectrum.py
+in ring.py, the oracles import none of the modules they check and keep
+no cache that grows without bound, spectrum.py
 references no level walker, ring.py keeps one rule index, which the normal
 form and the level walk both read, the corner layer reads no
 Monomial.exponent, no call passes _power_kill_exponent more than its three
@@ -354,6 +355,106 @@ def test_engine_import_is_reported():
     assert [entry for entry in _package_imports(tree)
             if entry[1] in ENGINE_MODULES] == [
         (2, "ideals"), (3, "torsion"), (4, "spectrum")]
+
+
+# The caches of oracles.py, each of which keeps one entry: the witness
+# annihilators of the last module and the prime probes of the last ring.
+ORACLE_CACHES = {"_witness_annihilators", "_ring_probes"}
+MUTABLE_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict",
+                 "Counter"}
+MUTABLE_DISPLAYS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,
+                    ast.ListComp)
+
+
+def _is_mutable(node):
+    """Is node a display, comprehension or constructor call of a mutable
+    container?"""
+    if isinstance(node, MUTABLE_DISPLAYS):
+        return True
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call)
+            and (getattr(func, "id", None) or getattr(func, "attr", None))
+            in MUTABLE_CALLS)
+
+
+def _lru_maxsize(call):
+    """The maxsize node of an lru_cache(...) call, or None when call is
+    not one; a call without maxsize gives functools' default, 128."""
+    func = call.func
+    if (getattr(func, "id", None) or getattr(func, "attr", None)) \
+            != "lru_cache":
+        return None
+    for kw in call.keywords:
+        if kw.arg == "maxsize":
+            return kw.value
+    return call.args[0] if call.args else ast.Constant(128)
+
+
+def _unbounded_caches(tree):
+    """(line, kind) of each cache under tree that can grow without bound:
+    functools.cache, lru_cache(maxsize=None), a module-level name bound to
+    a mutable container, and a mutable default argument."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(alias.name == "cache" for alias in node.names)):
+            out.append((node.lineno, "functools.cache"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and getattr(node.value, "id", None) == "functools"):
+            out.append((node.lineno, "functools.cache"))
+        elif isinstance(node, ast.Call):
+            maxsize = _lru_maxsize(node)
+            if (isinstance(maxsize, ast.Constant)
+                    and maxsize.value is None):
+                out.append((node.lineno, "lru_cache(maxsize=None)"))
+        elif isinstance(node, FUNCTIONS):
+            out.extend((default.lineno, "mutable default")
+                       for default in node.args.defaults
+                       + node.args.kw_defaults
+                       if default is not None and _is_mutable(default))
+    for node in tree.body:
+        if (isinstance(node, (ast.Assign, ast.AnnAssign))
+                and node.value is not None and _is_mutable(node.value)):
+            out.append((node.lineno, "module-level container"))
+    return sorted(out)
+
+
+def _one_entry_caches(tree):
+    """Names of the module-level functions decorated lru_cache(maxsize=1)."""
+    return {node.name for node in tree.body if isinstance(node, FUNCTIONS)
+            for dec in node.decorator_list if isinstance(dec, ast.Call)
+            and isinstance(_lru_maxsize(dec), ast.Constant)
+            and _lru_maxsize(dec).value == 1}
+
+
+def test_oracle_caches_are_bounded():
+    """A long run keeps the last module and the last ring alive, not every
+    ring it has seen."""
+    tree = ast.parse((PACKAGE / "oracles.py").read_text())
+    # The caches still exist, so the check cannot pass vacuously.
+    assert ORACLE_CACHES <= _one_entry_caches(tree)
+    assert _unbounded_caches(tree) == []
+
+
+def test_unbounded_cache_is_reported():
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "MEMO = {}\n"
+                     "SEEN: set = set()\n"
+                     "LIMIT = 3\n"
+                     "@functools.cache\ndef f(x):\n    return x\n"
+                     "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n"
+                     "@lru_cache(None)\ndef h(x):\n    return x\n"
+                     "@lru_cache(maxsize=1)\ndef k(x):\n    return {}\n"
+                     "@lru_cache\ndef j(x):\n    return x\n"
+                     "def m(x, memo={}):\n    cache = {}\n"
+                     "    return cache.get(x)\n")
+    assert _unbounded_caches(tree) == [
+        (2, "functools.cache"), (3, "module-level container"),
+        (4, "module-level container"), (6, "functools.cache"),
+        (9, "lru_cache(maxsize=None)"), (12, "lru_cache(maxsize=None)"),
+        (21, "mutable default")]
+    assert _one_entry_caches(tree) == {"k"}
 
 
 def _walker_references(tree):

@@ -383,6 +383,8 @@ def test_merge_walk_ops_match_dict_arithmetic(ea, eb):
                                                 for v, e in ea.items()}))
     _assert_same_monomial(a.pow(0), Monomial.one())
     _assert_same_monomial(a.squarefree(), _from_dict(dict.fromkeys(ea, 1)))
+    _assert_same_monomial(a.without(b.support), _from_dict(
+        {v: e for v, e in ea.items() if v not in eb}))
     if not b.divides(a):
         with pytest.raises(ValueError, match="non-exact"):
             a.div(b)
