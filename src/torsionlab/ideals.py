@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate, compress
-from operator import sub
+from operator import or_, sub
 from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
@@ -739,49 +739,49 @@ def _most_factors(gens, room):
     ``inf`` when a generator that fits there has no finite coordinate of
     room in its support.
 
-    Only the finite coordinates of room bound a count.  A fitting generator
-    that shares none of them with any other fitting one takes its own
-    coordinates alone, min(room_v // g_v) times; the others go through one
-    memoized recursion over their counts, the largest first, which skips a
-    count when it plus the finite room left after it, over the least finite
-    degree of the generators still to come, cannot beat the best so far.
+    Only finite coordinates bound a count, so it is a sum over the groups
+    of fitting generators joined by shared finite coordinates, the parts of
+    this set packing (NP-hard; Karp 1972).  A group of one takes
+    min(room_v // g_v); a larger one, one memoized recursion over its
+    counts by that division, largest first, each skipped when it plus
+    (room left) // (least degree to come) cannot beat the best so far.
     """
-    fit, seen, twice = [], 0, 0
+    groups = {}
     for g in gens:
         if _below(g, room):
             mask = sum(1 << v for v, e in enumerate(g)
                        if e and room[v] != math.inf)
             if not mask:
                 return math.inf
-            twice |= seen & mask
-            seen |= mask
-            fit.append((g, mask))
-    total = sum(min(r // e for e, r in zip(g, room) if e and r != math.inf)
-                for g, mask in fit if not mask & twice)
-    shared = [g for g, mask in fit if mask & twice]
-    if not shared:
-        return total
-    finite = [v for v, r in enumerate(room) if r != math.inf]
-    degree = [sum(g[v] for v in finite) for g in shared]
-    least = list(accumulate(reversed(degree), min, initial=math.inf))[::-1]
-    memo = {}
+            hit = [m for m in groups if m & mask]
+            groups[reduce(or_, hit, mask)] = sum(map(groups.pop, hit), [g])
+    total = 0
+    for mask, group in groups.items():
+        if len(group) == 1:
+            total += min(r // e for e, r in zip(group[0], room)
+                         if e and r != math.inf)
+            continue
+        finite = [mask >> v & 1 for v in range(len(room))]
+        group = [tuple(compress(g, finite)) for g in group]
+        degree = list(map(sum, group))
+        least = list(accumulate(reversed(degree), min, initial=math.inf))[::-1]
+        memo = {}
 
-    def most(j, left, free):
-        # free: the sum of left's finite coordinates.
-        if j == len(shared):
-            return 0
-        if (j, left) not in memo:
-            g, rests, best = shared[j], [left], 0
-            while _below(g, rests[-1]):
-                rests.append(tuple(map(sub, rests[-1], g)))
-            for taken in reversed(range(len(rests))):
-                rest = free - taken * degree[j]
-                if taken + rest // least[j + 1] > best:
-                    best = max(best, taken + most(j + 1, rests[taken], rest))
+        def most(j, left):
+            if j == len(group) or (j, left) in memo:
+                return memo.get((j, left), 0)
+            g, free, best = group[j], sum(left), 0
+            top = (min(r // e for e, r in zip(g, left) if e)
+                   if _below(g, left) else 0)
+            for taken in range(top, -1, -1):
+                if taken + (free - taken * degree[j]) // least[j + 1] > best:
+                    best = max(best, taken + most(j + 1, tuple(
+                        r - taken * e for e, r in zip(g, left))))
             memo[j, left] = best
-        return memo[j, left]
+            return best
 
-    return total + most(0, room, sum(room[v] for v in finite))
+        total += most(0, tuple(compress(room, finite)))
+    return total
 
 
 def _power_kill_exponent(acting, module, target):

@@ -506,9 +506,9 @@ def test_cost_ladder_nil40D(monkeypatch, level):
 def test_cost_ladder_all_pair_products(monkeypatch, k):
     """Rung (f): Q[X0..X(k-1)]/(X_i^3), a every X_i*X_j, b = 0.  Every
     generator of a shares its variables with others, so the kill exponent
-    goes through _most_factors' recursion, one comparison per count it
-    tries: bounded by the best count so far, it stays linear, where
-    trying every count took 179,696 comparisons at k = 9."""
+    goes through _most_factors' recursion, one comparison per state:
+    bounded by the best count so far, it stays linear, where trying every
+    count took 179,696 comparisons at k = 9."""
     variables, generators, corners = k, k * (k - 1) // 2 + k, 1
     comparisons = _count_cost(
         monkeypatch, 2 * variables * (generators + corners))
@@ -525,6 +525,35 @@ def test_cost_ladder_all_pair_products(monkeypatch, k):
     assert [(r["preimage"], r["stabilized"], r["steps"])
             for r in (gamma, gammabar)] == [
         ("ideal(1)", True, k + 1), ("ideal(1)", True, 3)]
+    assert comparisons
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_cost_ladder_disjoint_cliques(monkeypatch, k):
+    """Rung (g): k disjoint 7-variable cliques of pair products in
+    Q[X0..X(7k-1)]/(X_i^2), b = 0.  The cliques share no variable, so
+    _most_factors runs one recursion per clique, each bounded by its own
+    room, and the count stays linear in k, where one recursion over every
+    clique took 3,033,580 comparisons at k = 3."""
+    variables = 7 * k
+    generators, corners = 21 * k + variables, 1
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    pairs = ", ".join("X[%d]*X[%d]" % (i, j) for c in range(0, variables, 7)
+                      for i in range(c, c + 7) for j in range(i + 1, c + 7))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..%d] rules { X[i]^2 -> 0 for i in 0..%d }\n"
+        "ideal a = < %s >\nideal b = < 0 >\nquery saturation(b; a)\n"
+        "query gamma(a; b)\nquery gammabar(a; b)\n"
+        % (variables - 1, variables - 1, pairs)))
+    assert code == 0, tree
+    saturation, gamma, gammabar = (
+        s["result"] for s in tree["statements"][-3:])
+    assert saturation == {"ideal": "ideal(1)", "stabilized": True,
+                          "steps": 3 * k + 1}
+    assert [(r["preimage"], r["stabilized"], r["steps"])
+            for r in (gamma, gammabar)] == [
+        ("ideal(1)", True, 3 * k + 1), ("ideal(1)", True, 2)]
     assert comparisons
 
 

@@ -21,6 +21,7 @@ from torsionlab.harness import check_instance, random_instance
 from torsionlab.ideals import (
     IdealHandle,
     MembershipAnswer,
+    _most_factors,
     _power_kill_exponent,
     format_ideal,
     ideal_colon,
@@ -975,6 +976,75 @@ def test_power_order_of_a_deep_exponent():
     ring = RingPresentation(1, [RewriteRule(_var(0, 5000))])
     acting = IdealHandle.from_monomials(ring, [_var(0)])
     assert power_order(acting, _var(0, 3000)) == 3000
+    # A group of two generators that share X0: each count is read by one
+    # division, with no tuple built per unit of it.
+    ring = RingPresentation(2, [RewriteRule(_var(0, 5000))])
+    acting = IdealHandle.from_monomials(ring, [_var(0, 2),
+                                               _var(0).mul(_var(1))])
+    assert len(acting.generators) == 2
+    assert power_order(acting, _var(0, 3000).mul(_var(1))) == 1500
+    assert _most_factors([(1, 0), (1, 1)], (3000, 1)) == 3000
+
+
+def _most_factors_by_enumeration(gens, room):
+    """Reference for _most_factors: every vector of generator counts whose
+    exponent sum stays below room, walked one generator at a time; inf
+    when a generator that fits has no finite coordinate of room in its
+    support."""
+    fit = [g for g in gens if all(e <= r for e, r in zip(g, room))]
+    if any(all(r == math.inf for e, r in zip(g, room) if e) for g in fit):
+        return math.inf
+
+    def best(i, left):
+        if i == len(fit):
+            return 0
+        out, count = 0, 0
+        while all(r >= 0 for r in left):
+            out = max(out, count + best(i + 1, left))
+            left = tuple(r - e for r, e in zip(left, fit[i]))
+            count += 1
+        return out
+
+    return best(0, room)
+
+
+def test_most_factors_matches_enumeration():
+    """Seeded draws of 1-5 variables, up to 6 generators and 15% inf
+    coordinates of room.  A third of them put each generator in one of 2-3
+    disjoint blocks of variables, so that several groups of generators
+    sharing finite coordinates occur in one call."""
+    rng = random.Random(36)
+    seen = {"inf": 0, "split": 0, "two shared blocks": 0}
+    for draw in range(3000):
+        split = draw % 3 == 0
+        n = rng.randint(2 if split else 1, 5)
+        room = tuple(math.inf if rng.random() < 0.15 else rng.randint(0, 4)
+                     for _ in range(n))
+        blocks = [range(n)]
+        if split:
+            cuts = sorted(rng.sample(range(1, n),
+                                     min(n - 1, rng.randint(1, 2))))
+            blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
+        gens = []
+        for _ in range(rng.randint(3 if split else 0, 6)):
+            block = rng.choice(blocks)
+            g = [rng.choice((0, 1, 1, 2)) if v in block else 0
+                 for v in range(n)]
+            if not any(g) and rng.random() < 0.8:
+                g[rng.choice(block)] = 1
+            gens.append(tuple(g))
+        expected = _most_factors_by_enumeration(gens, room)
+        assert _most_factors(gens, room) == expected, (gens, room)
+        fit = [g for g in gens if all(e <= r for e, r in zip(g, room))]
+        shared = [b for b in blocks if any(
+            g[v] and h[v] and room[v] != math.inf
+            for i, g in enumerate(fit) for h in fit[i + 1:] for v in b)]
+        seen["inf"] += expected == math.inf
+        seen["split"] += split
+        seen["two shared blocks"] += len(shared) >= 2
+    assert seen["inf"] >= 100, seen
+    assert seen["split"] == 1000, seen
+    assert seen["two shared blocks"] >= 100, seen
 
 
 def _exhaustive_span(ideal, bound):

@@ -8,8 +8,9 @@ no cache that grows without bound, spectrum.py
 references no level walker, ring.py keeps one rule index, which the normal
 form and the level walk both read, the corner layer reads no
 Monomial.exponent, no call passes _power_kill_exponent more than its three
-arguments, every span name the benchmark tracer wraps resolves in the
-package, and each package attribute named after a module is that module.
+arguments, _most_factors keeps one recursion and no other module names it,
+every span name the benchmark tracer wraps resolves in the package, and
+each package attribute named after a module is that module.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -41,6 +42,11 @@ RULE_INDEX_READERS = ("_first_applicable", "_next_level")
 SECOND_RULE_INDEX = {"_power_index", "_lhs_index"}
 # The monomial kill exponent is exact, so no call passes it a cap.
 KILL_EXPONENT = "_power_kill_exponent"
+# The one generator count: one recursion, run per group of generators
+# that share finite coordinates, private to ideals.py.  The masks of the
+# shortcut it replaced.
+GENERATOR_COUNT = "_most_factors"
+SHORTCUT_MASKS = {"seen", "twice"}
 # The corner layer reads exponent tuples: each handle converts its
 # generators once (IdealHandle._vectors), through ring._exponent_vector.
 CORNER_LAYER = ("ring.py", "ideals.py", "spectrum.py")
@@ -457,18 +463,22 @@ def test_unbounded_cache_is_reported():
     assert _one_entry_caches(tree) == {"k"}
 
 
-def _walker_references(tree):
-    """(line, name) of each name, attribute or imported name under tree
-    that is a level walker."""
-    out = []
+def _names(tree):
+    """(line, name) of each name, attribute or imported name under tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.alias):
             name = node.name
         else:
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-        if name in LEVEL_WALKERS:
-            out.append((node.lineno, name))
-    return sorted(out)
+        if name is not None:
+            yield node.lineno, name
+
+
+def _walker_references(tree):
+    """(line, name) of each name, attribute or imported name under tree
+    that is a level walker."""
+    return sorted((line, name) for line, name in _names(tree)
+                  if name in LEVEL_WALKERS)
 
 
 def test_assassin_scans_walk_no_level():
@@ -590,6 +600,58 @@ def test_kill_exponent_cap_is_reported():
                      "n = _power_kill_exponent(a, m, t)\n"
                      "n = power_kill_exponent(a, m, t, 2)\n")
     assert _kill_exponent_calls_past_three(tree) == [1, 2]
+
+
+def _generator_count_faults(trees):
+    """(file, line, fault) for each name seen or twice that _most_factors
+    in ideals.py assigns, for its nested functions when there is not
+    exactly one, and for each name, attribute or imported name
+    _most_factors in any other module."""
+    faults = []
+    for path, tree in trees.items():
+        if path != "ideals.py":
+            faults += [(path, line, "reference")
+                       for line, name in _names(tree)
+                       if name == GENERATOR_COUNT]
+            continue
+        count = next((node for node in tree.body if isinstance(node, FUNCTIONS)
+                      and node.name == GENERATOR_COUNT), None)
+        if count is None:
+            faults.append((path, 0, "missing"))
+            continue
+        faults += [(path, node.lineno, "assigns " + node.id)
+                   for node in ast.walk(count) if isinstance(node, ast.Name)
+                   and isinstance(node.ctx, ast.Store)
+                   and node.id in SHORTCUT_MASKS]
+        nested = [node for node in ast.walk(count)
+                  if isinstance(node, FUNCTIONS) and node is not count]
+        if len(nested) != 1:
+            faults.append((path, count.lineno, "%d nested" % len(nested)))
+    return sorted(faults)
+
+
+def test_generator_count_keeps_one_recursion():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _generator_count_faults(trees) == []
+
+
+def test_generator_count_fault_is_reported():
+    ideals = ast.parse("def _most_factors(gens, room):\n"
+                       "    fit, seen, twice = [], 0, 0\n"
+                       "    twice |= seen\n"
+                       "    def most(j):\n        pass\n"
+                       "    def count(g):\n        pass\n")
+    torsion = ast.parse("from .ideals import _most_factors\n"
+                        "n = ideals._most_factors(g, r)\n"
+                        "most_factors = 0\n")
+    assert _generator_count_faults({"ideals.py": ideals,
+                                    "torsion.py": torsion}) == [
+        ("ideals.py", 1, "2 nested"), ("ideals.py", 2, "assigns seen"),
+        ("ideals.py", 2, "assigns twice"), ("ideals.py", 3, "assigns twice"),
+        ("torsion.py", 1, "reference"), ("torsion.py", 2, "reference")]
+    assert _generator_count_faults({"ideals.py": ast.parse("x = 1\n")}) == [
+        ("ideals.py", 0, "missing")]
 
 
 def _load_spans():
