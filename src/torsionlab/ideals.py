@@ -9,7 +9,9 @@ rule binomials lhs - c*rhs.  Results map back by normal forms.
   colon by a monomial, intersection, saturation and radical have closed
   forms over its reduced monomial basis, and minimal primes and the step
   count of a saturation are read off staircase corners, the irreducible
-  components of the radical and of the ideal.
+  components of the radical and of the ideal.  So is a saturation that is
+  the unit ideal or the ideal itself; any other meets the closed forms of
+  the saturations by each generator.
 * general mode: anything else, in a confluent ring.  Confluent rules are a
   Groebner basis of the rule ideal for a degree-compatible order, so each
   handle completes its generators and the rules to one reduced Groebner
@@ -471,8 +473,8 @@ class IdealHandle:
         return cls(ring, [])
 
     @classmethod
-    def unit(cls, ring):
-        return cls(ring, [Element.constant(ring, 1)])
+    def unit(cls, ring, complete=True):
+        return cls(ring, [Element.constant(ring, 1)], complete=complete)
 
     @property
     def is_monomial_mode(self):
@@ -715,12 +717,20 @@ def ideal_colon(ideal, f):
 
 
 def ideal_colon_ideal(ideal, other):
-    """(I : J) as the intersection over generators g of J of (I : g)."""
+    """(I : J) as the intersection over generators g of J of (I : g).  In
+    monomial mode a g inside I has (I : g) = R and is skipped, so the
+    result is the unit ideal when every g is."""
     _check_shared_ring(ideal, other)
     if other.is_zero:
         return IdealHandle.unit(ideal.ring)
+    gens = other.generators
+    if ideal.is_monomial_mode and other.is_monomial_mode:
+        gens = [g for g, m in zip(gens, other.monomial_generators())
+                if not ideal.contains_monomial(m)]
+        if not gens:
+            return IdealHandle.unit(ideal.ring, complete=ideal.complete)
     acc = None
-    for g in other.generators:
+    for g in gens:
         part = ideal_colon(ideal, g)
         acc = part if acc is None else ideal_intersection(acc, part)
     return acc
@@ -744,7 +754,10 @@ def _most_factors(gens, room):
     this set packing (NP-hard; Karp 1972).  A group of one takes
     min(room_v // g_v); a larger one, one memoized recursion over its
     counts by that division, largest first, each skipped when it plus
-    (room left) // (least degree to come) cannot beat the best so far.
+    (room left) // (least degree to come) cannot beat the best so far.  The
+    recursion goes one generator deeper per level, so it runs on an
+    explicit stack: a group of any size stays clear of the interpreter's
+    recursion limit.
     """
     groups = {}
     for g in gens:
@@ -767,20 +780,38 @@ def _most_factors(gens, room):
         least = list(accumulate(reversed(degree), min, initial=math.inf))[::-1]
         memo = {}
 
-        def most(j, left):
+        def state(j, left):
+            """The count of state (j, left) when it is known, or its frame
+            [j, left, room left summed, count to try, best so far]."""
             if j == len(group) or (j, left) in memo:
                 return memo.get((j, left), 0)
-            g, free, best = group[j], sum(left), 0
+            g = group[j]
             top = (min(r // e for e, r in zip(g, left) if e)
                    if _below(g, left) else 0)
-            for taken in range(top, -1, -1):
-                if taken + (free - taken * degree[j]) // least[j + 1] > best:
-                    best = max(best, taken + most(j + 1, tuple(
-                        r - taken * e for e, r in zip(g, left))))
-            memo[j, left] = best
-            return best
+            return [j, left, sum(left), top, 0]
 
-        total += most(0, tuple(compress(room, finite)))
+        # value is the count of the state last finished, not yet added to
+        # the frame on top, which tried it.
+        stack, value = [state(0, tuple(compress(room, finite)))], None
+        while stack:
+            frame = stack[-1]
+            j, left, free, taken, best = frame
+            if value is not None:
+                best, taken, value = max(best, taken + value), taken - 1, None
+            while taken >= 0 and (taken + (free - taken * degree[j])
+                                  // least[j + 1] <= best):
+                taken -= 1
+            if taken < 0:
+                memo[j, left] = value = best
+                stack.pop()
+                continue
+            frame[3:] = taken, best
+            value = state(j + 1, tuple(
+                r - taken * e for e, r in zip(group[j], left)))
+            if type(value) is list:
+                stack.append(value)
+                value = None
+        total += value
     return total
 
 
@@ -870,9 +901,11 @@ def ideal_saturation(ideal, other):
     At step 0 the result is I itself.  Past WORK_BUDGET it is (I, False, 0),
     the only case with stabilized False.
 
-    The interned handle of I keeps each result under the handle of J.
-    Principal saturations are the memo's unit: each (I : g^inf) is
-    computed once, and any other (I : J^inf) meets the stored ones.
+    In monomial mode the result is read off the corners of I when it is R
+    or I (_corner_saturation).  Otherwise a principal J is closed form, and
+    any other J meets the principal saturations (I : g^inf) of its
+    generators.  The interned handle of I keeps each result under the
+    handle of J, so each is computed once per ring.
     """
     _check_shared_ring(ideal, other)
     if other not in ideal._saturations:
@@ -890,13 +923,39 @@ def _principal_saturations(ideal, other):
     return meet, parts
 
 
+def _corner_saturation(ideal, other):
+    """(I : J^inf) read off the corners of I when it is R or I, in monomial
+    mode with J nonzero; None otherwise.
+
+    Each corner c of I is an irreducible component Q_c, primary to the
+    prime spanned by the finite coordinates of c, its mask (Miller &
+    Sturmfels, GTM 227, ch. 5).  (Q_c : g^inf) is R when the monomial g
+    lies in that prime and Q_c when it does not, so (I : J^inf) is the
+    meet of the Q_c kept, those whose mask misses the support of some
+    generator of J (Atiyah & Macdonald, ch. 4).  That is R when no corner
+    is kept and I when every one is.
+    """
+    if not (ideal.is_monomial_mode and other.is_monomial_mode
+            and other.generators):
+        return None
+    supports = {sum(1 << v for v, e in enumerate(g) if e)
+                for g in other._vectors()}
+    corners = ideal._components()
+    kept = sum(any(not mask & s for s in supports) for _, mask in corners)
+    if not kept:
+        return IdealHandle.unit(ideal.ring, complete=ideal.complete)
+    return ideal if kept == len(corners) else None
+
+
 def _compute_saturation(ideal, other):
-    """ideal_saturation without the memo; a principal J is closed form."""
+    """ideal_saturation without the memo: the corner read, else a principal
+    J in closed form, else the meet of the principal saturations."""
     steps = None
     try:
-        if len(other.generators) == 1:
-            sat, parts = _saturate_by(ideal, other.generators[0]), ()
-        else:
+        sat, parts = _corner_saturation(ideal, other), ()
+        if sat is None and len(other.generators) == 1:
+            sat = _saturate_by(ideal, other.generators[0])
+        elif sat is None:
             sat, parts = _principal_saturations(ideal, other)
         # An intersection past WORK_BUDGET comes back incomplete.
         if (all(part.stabilized for part in parts)

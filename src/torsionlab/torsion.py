@@ -9,9 +9,12 @@ For the cyclic module R/b and an ideal a:
   b at the principal ideal (g): each generator must reach b at some
   individual power.
 
-Both preimages meet the principal saturations (b : g^inf), one per generator
-g of a, that the interned handle of b keeps, so neither functor repeats one
-that the other, fairness or the harness asked for before.
+The interned handle of b keeps every saturation asked of it, so neither
+functor repeats one that the other, fairness or the harness asked for
+before.  In monomial mode a saturation that is R or b is read off the
+corners of b; the small preimage is otherwise the meet of the principal
+saturations (b : g^inf), one per generator g of a, and the large preimage
+always is.
 
 Fairness predicates compare assassins of the torsion submodule and of the
 quotient by it against intersections and differences with the variety of a.

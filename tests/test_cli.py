@@ -557,6 +557,47 @@ def test_cost_ladder_disjoint_cliques(monkeypatch, k):
     assert comparisons
 
 
+@pytest.mark.parametrize("k", [8, 12])
+def test_cost_ladder_partial_corner_saturation(monkeypatch, k):
+    """Rung (i): the rule-free Q[X0..X(2k-1)], b = (X0*X1, X2*X3, ...),
+    a = (X0).  Half of b's 2^k corners miss X0, so b : a^inf is neither R
+    nor b and takes the principal route: the count stays linear in
+    variables * (generators + corners), where meeting the kept components
+    through their dual took more than 8,448 comparisons at k = 8."""
+    variables, generators, corners = 2 * k, k, 2 ** k
+    comparisons = _count_cost(
+        monkeypatch, 2 * variables * (generators + corners))
+    pairs = ", ".join("X[%d]*X[%d]" % (v, v + 1) for v in range(0, 2 * k, 2))
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..%d]\nideal a = < X[0] >\nideal b = < %s >\n"
+        "query saturation(b; a)\nquery gamma(a; b)\nquery gammabar(a; b)\n"
+        % (variables - 1, pairs)))
+    assert code == 0, tree
+    saturated = "ideal(X1, %s)" % ", ".join(
+        "X%d*X%d" % (v, v + 1) for v in range(2, 2 * k, 2))
+    saturation, gamma, gammabar = (
+        s["result"] for s in tree["statements"][-3:])
+    assert saturation == {"ideal": saturated, "stabilized": True, "steps": 1}
+    assert [(r["preimage"], r["stabilized"], r["steps"])
+            for r in (gamma, gammabar)] == [(saturated, True, 1)] * 2
+    assert comparisons
+
+
+@pytest.mark.parametrize("n", [44, 45])
+def test_kill_exponent_of_a_thousand_shared_generators(n):
+    """Q[X0..X(n-1)]/(X_i^3), a every X_i*X_j, b = 0: one group of
+    n(n-1)/2 generators that share variables.  Its count is walked on an
+    explicit stack, so 990 generators at n = 45 end in steps n + 1 (an
+    n-cycle of pair factors, plus one), not past the recursion limit."""
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..%d] rules { X[i]^3 -> 0 for i in 0..%d }\n"
+        "ideal a = < X[i]*X[j] for i in 0..%d, j in 0..%d if i < j >\n"
+        "ideal b = < 0 >\nquery saturation(b; a)\n" % ((n - 1,) * 4)))
+    assert code == 0, tree
+    assert tree["statements"][-1]["result"] == {
+        "ideal": "ideal(1)", "stabilized": True, "steps": n + 1}
+
+
 def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
     failing = ExampleReport(
         tag="nil40A", levels=(4,), window=2, seed=42,

@@ -77,14 +77,16 @@ def test_warm_caches_leave_check_instance_unchanged(monkeypatch):
     """A second check_instance on one instance saturates nothing anew and
     answers as one run on a fresh copy of the ring."""
     saturations = []
-    real = ideals_module._saturate_by
-    monkeypatch.setattr(ideals_module, "_saturate_by",
+    real = ideals_module._compute_saturation
+    monkeypatch.setattr(ideals_module, "_compute_saturation",
                         lambda *args: saturations.append(args) or real(*args))
     rng = random.Random(107)
     for i in range(40):
         instance = random_instance(i, rng)
+        start = len(saturations)
         check_instance(instance)
         before = len(saturations)
+        assert before > start
         warm = check_instance(instance)
         assert len(saturations) == before
         assert warm == check_instance(_fresh_copy(instance))

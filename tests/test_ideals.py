@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -721,6 +723,34 @@ def _general_saturation_pairs(rng):
             yield b, a
 
 
+def _ring_with_free_variables(rng):
+    """A ring of 2 or 3 variables, at least one of them rule-free, so an
+    ideal's corners can have infinite coordinates."""
+    n = rng.randint(2, 3)
+    free = rng.randrange(n)
+    rules = [RewriteRule(_var(v, rng.randint(2, 3))) for v in range(n)
+             if v != free and rng.random() < 0.6]
+    return RingPresentation(n, rules)
+
+
+def _free_ring_saturation_pairs(count, seed):
+    """Monomial-mode pairs (b, a), a nonzero, on rings with a rule-free
+    variable: b of 1 to 3 generators of degree 1 to 3, a of 1 or 2 of
+    degree 1 or 2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ring = _ring_with_free_variables(rng)
+
+        def ideal(size, low, high):
+            return IdealHandle.from_monomials(ring, [
+                _random_monomial(rng, ring.num_vars, rng.randint(low, high))
+                for _ in range(rng.randint(1, size))])
+
+        b, a = ideal(3, 1, 3), ideal(2, 1, 2)
+        if not a.is_zero:
+            yield b, a
+
+
 def test_saturation_matches_the_colon_chain(monkeypatch):
     """The closed form prints the ideal the colon chain stops at, with its
     step count, in both modes, and never runs the chain."""
@@ -731,6 +761,7 @@ def test_saturation_matches_the_colon_chain(monkeypatch):
                         lambda *args: chain_calls.append(args) or real(*args))
     modes, steps_seen, chain_cut = set(), set(), 0
     pairs = list(_saturation_pairs(40, 61))
+    pairs.extend(_free_ring_saturation_pairs(100, 67))
     pairs.extend(_general_saturation_pairs(random.Random(103)))
     assert sum(not b.is_monomial_mode for b, _ in pairs) >= 300
     for ideal, other in pairs:
@@ -752,6 +783,89 @@ def test_saturation_matches_the_colon_chain(monkeypatch):
     assert not chain_calls
     assert len(modes) == 2 and {0, 1, 2, 3} <= steps_seen
     assert chain_cut == 1
+
+
+def _principal_route(ideal, other):
+    """(I : J^inf) and its steps in monomial mode by the principal route
+    alone: the meet of the closed forms (I : g^inf) over the generators g
+    of J, and the least n with J^n * (I : J^inf) inside I; I at step 0."""
+    import torsionlab.ideals as ideals_module
+    sat = reduce(ideal_intersection, [ideals_module._saturate_by(ideal, g)
+                                      for g in other.generators])
+    steps = _power_kill_exponent(other, sat, ideal)
+    return (ideal if steps == 0 else sat), steps
+
+
+def test_corner_saturation_matches_the_principal_route():
+    """Read off the corners of I, (I : J^inf) is R, I, or neither, which
+    the principal route computes.  In each case the saturation equals that
+    route and the oracle, on artinian harness rings and on rings with a
+    rule-free variable, and each outcome occurs at least 20 times."""
+    import torsionlab.ideals as ideals_module
+    outcomes = Counter()
+    for kind, pairs in (("artinian", _saturation_pairs(40, 61)),
+                        ("free", _free_ring_saturation_pairs(300, 67))):
+        for ideal, other in pairs:
+            corner = ideals_module._corner_saturation(ideal, other)
+            got = ideal_saturation(ideal, other)
+            expected, steps = _principal_route(ideal, other)
+            assert (got.ideal, got.stabilized, got.steps) == (
+                expected, True, steps)
+            if corner is not None:
+                assert got.ideal is (ideal if steps == 0 else corner)
+            ring = ideal.ring
+            oracle = saturation_monomials(ideal, other, 3, power_cap=steps)
+            assert [m for m in ring.normal_monomials_up_to(3)
+                    if got.ideal.contains_monomial(m)] == oracle
+            outcomes[kind, "partial" if corner is None
+                     else "R" if corner.is_unit else "I"] += 1
+    assert min(outcomes[kind, outcome] for kind, outcome in (
+        ("artinian", "R"), ("artinian", "I"), ("free", "R"), ("free", "I"),
+        ("free", "partial"))) >= 20, outcomes
+
+
+def test_colon_by_an_ideal_skips_generators_inside(monkeypatch):
+    """(I : J) in monomial mode equals the meet of the (I : g) over the
+    generators g of J when none, some or all of them lie in I, and takes
+    the colon by only those outside I."""
+    import torsionlab.ideals as ideals_module
+    colons = []
+    monkeypatch.setattr(ideals_module, "ideal_colon",
+                        lambda *args: colons.append(args)
+                        or ideal_colon(*args))
+    rng = random.Random(73)
+    cases = Counter()
+    instances = random.Random(79)
+    for i in range(150):
+        if i % 2:
+            ring = _ring_with_free_variables(rng)
+            b = IdealHandle.from_monomials(ring, [
+                _random_monomial(rng, ring.num_vars, rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))])
+        else:
+            instance = random_instance(i, instances)
+            ring, b = instance.ring, instance.relations
+        inside = [m.mul(_random_monomial(rng, ring.num_vars,
+                                         rng.randint(0, 1)))
+                  for m in b.monomial_generators()]
+        picks = [rng.choice(inside) if inside and rng.random() < 0.5
+                 else _random_monomial(rng, ring.num_vars, rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 3))]
+        other = IdealHandle.from_monomials(ring, picks)
+        if other.is_zero:
+            continue
+        outside = [g for g, m in zip(other.generators,
+                                     other.monomial_generators())
+                   if not b.contains_monomial(m)]
+        del colons[:]
+        got = ideal_colon_ideal(b, other)
+        assert [args[1] for args in colons] == outside
+        expected = reduce(ideal_intersection,
+                          [ideal_colon(b, g) for g in other.generators])
+        assert got is expected
+        cases["none" if len(outside) == len(other.generators)
+              else "some" if outside else "all"] += 1
+    assert min(cases[case] for case in ("none", "some", "all")) >= 20, cases
 
 
 @pytest.mark.parametrize("cap", (1, 2, 3, 64))

@@ -138,14 +138,16 @@ def test_torsion_vanishing_against_weak_assassins():
 
 
 def _count_walks(monkeypatch):
-    """The names of the saturation walks called from now on, in order."""
+    """(name, arguments) of each saturation computed, by either route
+    (_compute_saturation), and of each kill exponent read from now on, in
+    order."""
     calls = []
-    for name in ("_saturate_by", "_power_kill_exponent"):
+    for name in ("_compute_saturation", "_power_kill_exponent"):
         real = getattr(ideals_module, name)
         monkeypatch.setattr(
             ideals_module, name,
-            lambda *args, _name=name, _real=real, **kwargs:
-            calls.append(_name) or _real(*args, **kwargs))
+            lambda *args, _name=name, _real=real:
+            calls.append((_name, args)) or _real(*args))
     return calls
 
 
@@ -168,7 +170,7 @@ def test_repeated_saturations_read_the_ring_memo(monkeypatch):
         instance = random_instance(i, rng)
         a, b = instance.acting, instance.relations
         sat = ideal_saturation(b, a)
-        assert "_saturate_by" in calls
+        assert ("_compute_saturation", (b, a)) in calls
         del calls[:]
         small = gamma_small_cyclic(a, b)
         assert not calls
@@ -182,8 +184,8 @@ def test_repeated_saturations_read_the_ring_memo(monkeypatch):
 
 
 def test_large_torsion_reads_the_principal_saturations(monkeypatch):
-    """Once b : a^inf is known, the large torsion saturates by no
-    generator of a again: both functors read the same (b : g^inf)."""
+    """After b : a^inf, the large torsion computes each b : g^inf once, one
+    per generator g of a, and a second large torsion walks nothing."""
     calls = _count_walks(monkeypatch)
     rng = random.Random(42)
     checked = 0
@@ -193,9 +195,14 @@ def test_large_torsion_reads_the_principal_saturations(monkeypatch):
         if len(a.generators) < 2:
             continue
         ideal_saturation(b, a)
+        gamma_large_cyclic(a, b)
+        computed = [args for name, args in calls
+                    if name == "_compute_saturation"]
+        assert computed == [(b, a)] + [
+            (b, IdealHandle(b.ring, [g])) for g in a.generators]
         del calls[:]
         gamma_large_cyclic(a, b)
-        assert "_saturate_by" not in calls
+        assert not calls
         checked += 1
     assert checked >= 20
 
