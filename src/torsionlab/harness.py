@@ -244,8 +244,8 @@ def check_instance(instance):
 
     # The saturation that gave g already found the least n with a^n * g
     # inside b (small.steps), so only whether it stabilized matters here.
-    # h has g's reduced generators (functors_agree, checked above), so the
-    # same n kills h.
+    # h is the very handle g (gamma_large_cyclic returns the small
+    # preimage), so the same n kills h.
     if small.stabilized:
         if not intersect_variety(quo_s_ass.primes, a):
             ck.check("bounded-small-fair", report.verdict("fair"))

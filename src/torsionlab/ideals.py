@@ -914,13 +914,9 @@ def ideal_saturation(ideal, other):
 
 
 def _principal_saturations(ideal, other):
-    """(meet, parts): the memo's (I : g^inf) for each generator g of J, and
-    the intersection of their ideals (the unit ideal when J is zero)."""
-    parts = [ideal_saturation(ideal, IdealHandle(ideal.ring, [g]))
-             for g in other.generators]
-    meet = reduce(ideal_intersection, [part.ideal for part in parts]
-                  or [IdealHandle.unit(ideal.ring)])
-    return meet, parts
+    """The memo's (I : g^inf), one per generator g of J."""
+    return [ideal_saturation(ideal, IdealHandle(ideal.ring, [g]))
+            for g in other.generators]
 
 
 def _corner_saturation(ideal, other):
@@ -956,7 +952,9 @@ def _compute_saturation(ideal, other):
         if sat is None and len(other.generators) == 1:
             sat = _saturate_by(ideal, other.generators[0])
         elif sat is None:
-            sat, parts = _principal_saturations(ideal, other)
+            parts = _principal_saturations(ideal, other)
+            sat = reduce(ideal_intersection, [part.ideal for part in parts]
+                         or [IdealHandle.unit(ideal.ring)])
         # An intersection past WORK_BUDGET comes back incomplete.
         if (all(part.stabilized for part in parts)
                 and (sat.complete or not ideal.complete)):

@@ -5,7 +5,10 @@ definitions, avoiding the algorithms under test: no lifted-basis quotients,
 no transversal enumeration, no reduced-basis comparisons, no Groebner
 completion.  They are deliberately slow and meant for small instances.
 Nothing here imports the ideal, spectrum, torsion, family or harness
-modules, so the oracles share no code with what they check.
+modules.  The oracles still read two engine methods on the objects they are
+given: IdealHandle.contains_monomial, the handle's membership memo, decides
+monomial membership, and RingPresentation.normal_monomials_up_to, the rule
+index's level walk, enumerates normal monomials.
 
 The assassin oracles share two enumerations, each kept for one input only.
 The witness annihilators (relations : m) are computed once per module and

@@ -4,17 +4,16 @@ For the cyclic module R/b and an ideal a:
 
 * small torsion: elements killed by a power of the whole ideal.  Its
   preimage in R is the saturation of b at a.
-* large torsion: elements x with a inside the radical of (b : x).  Its
-  preimage is the intersection over generators g of a of the saturation of
-  b at the principal ideal (g): each generator must reach b at some
-  individual power.
+* large torsion: elements x with a inside the radical of (b : x).  As a
+  is finitely generated (g_i^(n_i) x = 0 for its k generators gives
+  a^(n_1 + ... + n_k - k + 1) x = 0), its preimage is the very handle the
+  small functor returns.  Only its steps are its own: the most any
+  principal saturation (b : g^inf), g a generator of a, takes.
 
 The interned handle of b keeps every saturation asked of it, so neither
 functor repeats one that the other, fairness or the harness asked for
 before.  In monomial mode a saturation that is R or b is read off the
-corners of b; the small preimage is otherwise the meet of the principal
-saturations (b : g^inf), one per generator g of a, and the large preimage
-always is.
+corners of b, and otherwise ideal_saturation meets the principal ones.
 
 Fairness predicates compare assassins of the torsion submodule and of the
 quotient by it against intersections and differences with the variety of a.
@@ -63,12 +62,15 @@ def gamma_small_cyclic(acting, relations):
 
 
 def gamma_large_cyclic(acting, relations):
-    """Preimage of the large torsion submodule of R/relations."""
-    acc, sats = _principal_saturations(relations, acting)
-    # An intersection past the work budget is flagged incomplete.
-    stabilized = all(sat.stabilized for sat in sats) and acc.complete
-    return TorsionResult(LARGE, acting, relations, acc, stabilized,
-                         max((sat.steps for sat in sats), default=0))
+    """Preimage of the large torsion submodule of R/relations: the small
+    preimage, with the most steps any principal saturation takes."""
+    sat = ideal_saturation(relations, acting)
+    parts = _principal_saturations(relations, acting)
+    # A preimage past the work budget is flagged incomplete.
+    stabilized = (sat.stabilized and sat.ideal.complete
+                  and all(part.stabilized for part in parts))
+    return TorsionResult(LARGE, acting, relations, sat.ideal, stabilized,
+                         max((part.steps for part in parts), default=0))
 
 
 def bounded_torsion_exponent(acting, preimage, relations):

@@ -295,6 +295,27 @@ def test_saturation_of_a_deep_exponent():
         "ideal": "ideal(1)", "stabilized": True, "steps": 1999}
 
 
+def test_general_mode_large_torsion_prints_the_small_preimage():
+    # b : a^inf is b itself at step 0, and the large torsion returns that
+    # very handle, so it prints b's generators, with its own steps.
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..2] rules { X[0]^2 -> X[0]; X[1]^2 -> X[1];"
+        " X[2]^2 -> X[2]; X[0]*X[1]*X[2] -> 0 }\n"
+        "ideal a = < -1 - 2*X[1]*X[2], X[2] + 2*X[1]*X[2] >\n"
+        "ideal b = < X[2], -1*X[0] + X[1]*X[2] >\n"
+        "query gammabar(a; b)\n"
+        "query gamma(a; b)\n"
+        "query saturation(b; a)\n"))
+    assert code == 0, tree
+    large, small, sat = (s["result"] for s in tree["statements"][3:])
+    assert large == {
+        "kind": "large", "preimage": "ideal(X2, -1*X0 + X1*X2)",
+        "stabilized": True, "steps": 1, "zero_submodule": True,
+        "whole_module": False}
+    assert small["preimage"] == sat["ideal"] == large["preimage"]
+    assert (small["steps"], sat["steps"]) == (0, 0)
+
+
 def test_nil40D_assassins_at_level_10_from_a_script():
     # L has 11! normal divisors; the witnesses are read off b's 10
     # staircase corners.

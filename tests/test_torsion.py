@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import torsionlab.ideals as ideals_module
 from torsionlab.harness import random_instance
@@ -15,6 +16,12 @@ from torsionlab.torsion import (
     gamma_large_cyclic,
     gamma_small_cyclic,
     radical_probe,
+)
+
+from test_ideals import (
+    _free_ring_saturation_pairs,
+    _general_saturation_pairs,
+    _saturation_pairs,
 )
 
 
@@ -207,10 +214,10 @@ def test_large_torsion_reads_the_principal_saturations(monkeypatch):
     assert checked >= 20
 
 
-def test_general_mode_large_torsion_completes_only_its_meet(monkeypatch):
+def test_general_mode_large_torsion_runs_no_completion(monkeypatch):
     """In Q[X0..X2]/(X_i^2 - X_i), after the small torsion of R/b at
-    a = (X0, X1), the large torsion runs at most one completion: the meet
-    of the principal saturations, which the small one did not keep."""
+    a = (X0, X1), the large torsion runs no completion: its preimage is the
+    small one, and its principal saturations are in the memo."""
     ring = RingPresentation(3, [RewriteRule(_var(i, 2), (1, _var(i)))
                                 for i in range(3)])
     x0, x1, x2 = (Element.from_monomial(ring, _var(i)) for i in range(3))
@@ -222,9 +229,47 @@ def test_general_mode_large_torsion_completes_only_its_meet(monkeypatch):
     monkeypatch.setattr(ideals_module, "_complete",
                         lambda *args: calls.append(args) or real(*args))
     large = gamma_large_cyclic(a, b)
-    assert len(calls) <= 1
+    assert not calls
     assert large.preimage.equals(small.preimage) is True
     assert (large.stabilized, large.steps) == (True, 1)
+
+
+def test_large_torsion_is_the_small_preimage(monkeypatch):
+    """a is finitely generated, so the large preimage is b : a^inf, the
+    very handle of the small torsion.  Only the steps are the large
+    torsion's own, the most any principal saturation b : g^inf takes, and
+    its flag is that of the meet of those parts: each part stabilized and
+    the meet complete.  Asked after the small torsion it meets nothing.  In
+    monomial mode the meet is the same interned handle, so only a
+    general-mode preimage prints other generators than the meet did."""
+    meets = []
+    real = ideals_module.ideal_intersection
+    monkeypatch.setattr(ideals_module, "ideal_intersection",
+                        lambda *args: meets.append(args) or real(*args))
+    pairs = list(_saturation_pairs(300, 61))
+    pairs.extend(_free_ring_saturation_pairs(1000, 67))
+    for seed in (5, 103):
+        pairs.extend(_general_saturation_pairs(random.Random(seed)))
+    moved = 0
+    for b, a in pairs:
+        small = gamma_small_cyclic(a, b)
+        del meets[:]
+        large = gamma_large_cyclic(a, b)
+        assert not meets
+        assert large.preimage is small.preimage
+        parts = [ideal_saturation(b, IdealHandle(b.ring, [g]))
+                 for g in a.generators]
+        assert large.steps == max((part.steps for part in parts), default=0)
+        meet = reduce(real, [part.ideal for part in parts]
+                      or [IdealHandle.unit(b.ring)])
+        assert large.stabilized == (
+            all(part.stabilized for part in parts) and meet.complete)
+        if meet is not large.preimage:
+            assert not b.is_monomial_mode
+            assert meet.equals(large.preimage) is True
+            moved += 1
+    assert sum(not b.is_monomial_mode for b, _ in pairs) == 600
+    assert len(pairs) - 600 >= 3000 and moved >= 50
 
 
 def test_zero_and_unit_acting_ideals():
