@@ -474,7 +474,11 @@ class IdealHandle:
 
     @classmethod
     def unit(cls, ring, complete=True):
-        return cls(ring, [Element.constant(ring, 1)], complete=complete)
+        """The unit ideal, as IdealHandle(ring, [1], complete) interns it;
+        the ring's ideal table keeps it under (complete, WORK_BUDGET) too."""
+        key = (complete, WORK_BUDGET)
+        return ring._ideals.get(key) or ring._ideals.setdefault(
+            key, cls(ring, [Element.constant(ring, 1)], complete=complete))
 
     @property
     def is_monomial_mode(self):
@@ -917,6 +921,20 @@ def _principal_saturations(ideal, other):
     """The memo's (I : g^inf), one per generator g of J."""
     return [ideal_saturation(ideal, IdealHandle(ideal.ring, [g]))
             for g in other.generators]
+
+
+def _principal_steps(ideal, other):
+    """The most steps any (I : g^inf) takes, g a generator of J, read off
+    the corners of I in monomial mode.  (I : g^inf) is the lifted basis of I
+    zeroed on supp(g) (_saturate_by), and keeps each corner whose mask
+    misses supp(g), so none of its generators lies below one.  Below a
+    corner c whose mask meets supp(g) lies one zero on supp(g), as c exceeds
+    each kept corner, incomparable to it, off supp(g).  Its kill exponent is
+    thus the largest 1 + _most_factors((g,), c) over such c, else 0."""
+    corners = ideal._components()
+    return max((1 + _most_factors((g,), c) for g in other._vectors()
+                for s in [sum(1 << v for v, e in enumerate(g) if e)]
+                for c, mask in corners if mask & s), default=0)
 
 
 def _corner_saturation(ideal, other):

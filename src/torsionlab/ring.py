@@ -392,11 +392,11 @@ class RingPresentation:
     so far, extended on demand by normal_monomials_of_degree), the critical
     pairs that do not join, kept by the first check_local_confluence, the
     lift of ideals._lift: the rule binomials as Groebner basis entries and
-    the term order, the staircase corners of the rule-lhs ideal, which
-    every ideal handle's corners start from, and the ideal table of
-    ideals.IdealHandle, mapping each (reduced generators, complete flag,
-    work budget) key built so far to its one handle, which keeps every fact
-    computed about that ideal.
+    the term order, the staircase corners of the rule-lhs ideal, which every
+    ideal handle's corners start from, and the ideal table of IdealHandle,
+    mapping each (reduced generators, complete flag, work budget) key built
+    so far to its one handle, which keeps every fact computed about that
+    ideal, and (complete flag, work budget) to the unit ideal's handle.
     Cached normal forms are shared, immutable Elements: Element.from_monomial
     with coefficient 1 and the monic generators of every ideal handle are
     these objects themselves.

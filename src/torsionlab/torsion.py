@@ -8,7 +8,8 @@ For the cyclic module R/b and an ideal a:
   is finitely generated (g_i^(n_i) x = 0 for its k generators gives
   a^(n_1 + ... + n_k - k + 1) x = 0), its preimage is the very handle the
   small functor returns.  Only its steps are its own: the most any
-  principal saturation (b : g^inf), g a generator of a, takes.
+  principal saturation (b : g^inf), g a generator of a, takes, read off
+  the corners of b in monomial mode and off those parts in general mode.
 
 The interned handle of b keeps every saturation asked of it, so neither
 functor repeats one that the other, fairness or the harness asked for
@@ -27,6 +28,7 @@ from .ideals import (
     IdealHandle,
     _power_kill_exponent,
     _principal_saturations,
+    _principal_steps,
     ideal_saturation,
 )
 from .spectrum import assassin_scan, difference_variety, intersect_variety
@@ -63,14 +65,19 @@ def gamma_small_cyclic(acting, relations):
 
 def gamma_large_cyclic(acting, relations):
     """Preimage of the large torsion submodule of R/relations: the small
-    preimage, with the most steps any principal saturation takes."""
+    preimage, with the most steps any principal saturation takes: read off
+    the corners of relations in monomial mode, off the parts in general."""
     sat = ideal_saturation(relations, acting)
-    parts = _principal_saturations(relations, acting)
     # A preimage past the work budget is flagged incomplete.
-    stabilized = (sat.stabilized and sat.ideal.complete
-                  and all(part.stabilized for part in parts))
+    stabilized = sat.stabilized and sat.ideal.complete
+    if relations.is_monomial_mode and acting.is_monomial_mode:
+        steps = _principal_steps(relations, acting)
+    else:
+        parts = _principal_saturations(relations, acting)
+        stabilized = stabilized and all(part.stabilized for part in parts)
+        steps = max((part.steps for part in parts), default=0)
     return TorsionResult(LARGE, acting, relations, sat.ideal, stabilized,
-                         max((part.steps for part in parts), default=0))
+                         steps)
 
 
 def bounded_torsion_exponent(acting, preimage, relations):

@@ -253,6 +253,33 @@ def test_flag_budget_and_ring_each_give_their_own_handle(monkeypatch):
     assert IdealHandle.from_monomials(ring, monos) is handle
 
 
+def test_unit_is_the_interned_handle_of_one(monkeypatch):
+    """IdealHandle.unit is the handle that (1) interns, for each complete
+    flag, in a monomial-mode and a general-mode ring, and under a lower
+    WORK_BUDGET another handle, as every other handle is."""
+    import torsionlab.ideals as ideals_module
+    monomial = RingPresentation(2, [RewriteRule(_var(0, 2))])
+    general = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(0)))])
+    for ring in (monomial, general):
+        units = {}
+        for complete in (True, False):
+            unit = units[complete] = IdealHandle.unit(ring, complete=complete)
+            assert unit is IdealHandle(
+                ring, [Element.constant(ring, 1)], complete=complete)
+            assert unit.complete is complete and unit.is_unit
+            assert IdealHandle.unit(ring, complete=complete) is unit
+        assert units[True].mode == (
+            "monomial" if ring is monomial else "general")
+        monkeypatch.setattr(ideals_module, "WORK_BUDGET", 0)
+        for complete in (True, False):
+            unit = IdealHandle.unit(ring, complete=complete)
+            assert unit is not units[complete]
+            assert unit is IdealHandle(
+                ring, [Element.constant(ring, 1)], complete=complete)
+        monkeypatch.undo()
+        assert IdealHandle.unit(ring) is units[True]
+
+
 def test_generator_with_zero_normal_form_is_dropped():
     """A raw single-term Element outside normal form whose normal form is
     zero leaves the ideal it generates the zero ideal, in both modes."""

@@ -7,7 +7,12 @@ from functools import reduce
 
 import torsionlab.ideals as ideals_module
 from torsionlab.harness import random_instance
-from torsionlab.ideals import IdealHandle, format_ideal, ideal_saturation
+from torsionlab.ideals import (
+    IdealHandle,
+    _corner_saturation,
+    format_ideal,
+    ideal_saturation,
+)
 from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
 from torsionlab.torsion import (
     VERDICT_NAMES,
@@ -190,28 +195,33 @@ def test_repeated_saturations_read_the_ring_memo(monkeypatch):
         assert _report_summary(second) == _report_summary(first)
 
 
-def test_large_torsion_reads_the_principal_saturations(monkeypatch):
-    """After b : a^inf, the large torsion computes each b : g^inf once, one
-    per generator g of a, and a second large torsion walks nothing."""
+def test_large_torsion_builds_no_principal_part(monkeypatch):
+    """After b : a^inf, the large torsion reads its steps off the corners of
+    b in monomial mode: it walks nothing and builds no handle.  In general
+    mode b : a^inf computes each b : g^inf once, g a generator of a, and the
+    large torsion reads them from the memo."""
     calls = _count_walks(monkeypatch)
     rng = random.Random(42)
-    checked = 0
     for i in range(60):
         instance = random_instance(i, rng)
         a, b = instance.acting, instance.relations
-        if len(a.generators) < 2:
-            continue
         ideal_saturation(b, a)
-        gamma_large_cyclic(a, b)
-        computed = [args for name, args in calls
-                    if name == "_compute_saturation"]
-        assert computed == [(b, a)] + [
-            (b, IdealHandle(b.ring, [g])) for g in a.generators]
+        handles = len(b.ring._ideals)
         del calls[:]
         gamma_large_cyclic(a, b)
         assert not calls
-        checked += 1
-    assert checked >= 20
+        assert len(b.ring._ideals) == handles
+    ring = RingPresentation(3, [RewriteRule(_var(i, 2), (1, _var(i)))
+                                for i in range(3)])
+    x0, x1, x2 = (Element.from_monomial(ring, _var(i)) for i in range(3))
+    a = IdealHandle(ring, [x0, x1])
+    b = IdealHandle(ring, [x0.mul(x2).add(x1.mul(x2))])
+    del calls[:]
+    ideal_saturation(b, a)
+    gamma_large_cyclic(a, b)
+    computed = [args for name, args in calls if name == "_compute_saturation"]
+    assert computed == [(b, a)] + [
+        (b, IdealHandle(ring, [g])) for g in a.generators]
 
 
 def test_general_mode_large_torsion_runs_no_completion(monkeypatch):
@@ -241,7 +251,10 @@ def test_large_torsion_is_the_small_preimage(monkeypatch):
     its flag is that of the meet of those parts: each part stabilized and
     the meet complete.  Asked after the small torsion it meets nothing.  In
     monomial mode the meet is the same interned handle, so only a
-    general-mode preimage prints other generators than the meet did."""
+    general-mode preimage prints other generators than the meet did.  Over
+    100 monomial-mode pairs have a part that is neither R nor b, so the
+    steps the large torsion reads off the corners of b meet parts computed
+    in closed form."""
     meets = []
     real = ideals_module.ideal_intersection
     monkeypatch.setattr(ideals_module, "ideal_intersection",
@@ -250,7 +263,7 @@ def test_large_torsion_is_the_small_preimage(monkeypatch):
     pairs.extend(_free_ring_saturation_pairs(1000, 67))
     for seed in (5, 103):
         pairs.extend(_general_saturation_pairs(random.Random(seed)))
-    moved = 0
+    moved = partial = 0
     for b, a in pairs:
         small = gamma_small_cyclic(a, b)
         del meets[:]
@@ -260,6 +273,9 @@ def test_large_torsion_is_the_small_preimage(monkeypatch):
         parts = [ideal_saturation(b, IdealHandle(b.ring, [g]))
                  for g in a.generators]
         assert large.steps == max((part.steps for part in parts), default=0)
+        partial += b.is_monomial_mode and any(
+            _corner_saturation(b, IdealHandle(b.ring, [g])) is None
+            for g in a.generators)
         meet = reduce(real, [part.ideal for part in parts]
                       or [IdealHandle.unit(b.ring)])
         assert large.stabilized == (
@@ -269,7 +285,7 @@ def test_large_torsion_is_the_small_preimage(monkeypatch):
             assert meet.equals(large.preimage) is True
             moved += 1
     assert sum(not b.is_monomial_mode for b, _ in pairs) == 600
-    assert len(pairs) - 600 >= 3000 and moved >= 50
+    assert len(pairs) - 600 >= 3000 and moved >= 50 and partial >= 100
 
 
 def test_zero_and_unit_acting_ideals():
