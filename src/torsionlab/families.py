@@ -381,10 +381,10 @@ def _idem50C_split(m):
 
 
 def _idem50C_member(m):
-    """Exact membership of a normal monomial in the relations ideal:
-    X_0^e * X_S lies in it iff S is nonempty and e >= min(S)."""
-    e, s = _idem50C_split(m)
-    return bool(s) and e >= min(s)
+    """Exact membership of a normal monomial X_0^e * X_S in the relations
+    ideal: S is nonempty and e >= min(S), the variable of the second pair."""
+    p = m.pairs
+    return len(p) > 1 and p[0][0] == 0 and p[1][0] <= p[0][1]
 
 
 def _idem50C_element_member(f):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate, compress
@@ -35,11 +36,11 @@ from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
 from .ring import (
-    FRACTION_ONE,
     Element,
     Monomial,
     _below,
     _exponent_vector,
+    _small,
     _staircase_corners,
     check_local_confluence,
     grlex_key,
@@ -138,7 +139,7 @@ def _lift(ring):
             terms = {rule.lhs: 1}
             if rule.rhs is not None:
                 c, m = rule.rhs
-                terms[m] = _small(-c)
+                terms[m] = -c
             rules.append((rule.lhs, terms, {}))
         ring._lift = (tuple(rules), _TermOrder(ring.num_vars))
     return ring._lift
@@ -150,12 +151,6 @@ def _size(c):
     if type(c) is int:
         return 1 + c.bit_length() // 64
     return 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
-
-
-def _small(c):
-    """A coefficient as an int when it is one: int arithmetic is much
-    faster than Fraction arithmetic, and compares equal to it."""
-    return c.numerator if c.denominator == 1 else c
 
 
 class _Reducers(tuple):
@@ -231,8 +226,7 @@ def _cofactor_sum(ring, parts, budget=None):
                     product = qm if hm.is_one else qm.mul(hm)
                     for m, c in ring.normal_form_monomial(
                             product).terms.items():
-                        part[m] = part.get(m, 0) + (
-                            w if c is FRACTION_ONE else w * c)
+                        part[m] = part.get(m, 0) + w * c
     out = {k: Element(ring, part) for k, part in acc.items()}
     return {k: h for k, h in out.items() if h.terms}
 
@@ -246,7 +240,7 @@ def _entry(ring, rest, parts, quotients, basis, order, budget=None):
     if not rest:
         return None
     lead = max(rest, key=order.__getitem__)
-    inverse = FRACTION_ONE / rest[lead]
+    inverse = Fraction(1, rest[lead])
     poly = {m: _small(c * inverse) for m, c in rest.items()}
     cofactors = None
     if parts is not None:

@@ -3,10 +3,12 @@ arithmetic for truncated monomial-rewriting quotient algebras.
 
 A ring presentation is K[X_0..X_N] modulo a finite set of strictly
 degree-decreasing monomial rewrite rules (lhs a monomial, rhs zero or a
-rational multiple of a smaller monomial).  Coefficients are exact rationals
-throughout.  Normal forms are computed with a fixed deterministic strategy
-(smallest applicable lhs in graded lex order first), so results are
-reproducible even before confluence has been certified.
+rational multiple of a smaller monomial).  Coefficients are exact, under the
+one rule of _small: an int while integral, else a Fraction.  Each division
+is an inverse, Fraction(1, c), as int / int would give a float.  Normal
+forms are computed with a fixed deterministic strategy (smallest applicable
+lhs in graded lex order first), so results are reproducible even before
+confluence has been certified.
 
 A monomial's pairs hold one invariant: variable indices strictly increase
 and exponents are positive.  The public ``Monomial`` constructor checks it
@@ -219,8 +221,12 @@ def _trusted_monomial(pairs, degree):
 
 _ONE = _trusted_monomial((), 0)
 
-# The unit coefficient, shared: Fractions are immutable.
-FRACTION_ONE = Fraction(1)
+
+def _small(c):
+    """The engine's one coefficient rule: c, an int or Fraction, as an int
+    when integral.  Int arithmetic is much faster than Fraction arithmetic,
+    and an int compares, hashes and prints as the equal Fraction does."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def grlex_key(m):
@@ -357,7 +363,7 @@ class RewriteRule:
             raise InvalidPresentation("rule lhs must not be the unit monomial")
         if rhs is not None:
             coeff, mono = rhs
-            coeff = Fraction(coeff)
+            coeff = _small(Fraction(coeff))
             if coeff == 0:
                 raise InvalidPresentation("zero rhs coefficient; use rhs=None")
             if mono.degree >= lhs.degree:
@@ -399,7 +405,7 @@ class RingPresentation:
     ideal, and (complete flag, work budget) to the unit ideal's handle.
     Cached normal forms are shared, immutable Elements: Element.from_monomial
     with coefficient 1 and the monic generators of every ideal handle are
-    these objects themselves.
+    these objects themselves; under integral rules they hold ints (_small).
     """
 
     def __init__(self, num_vars, rules=()):
@@ -463,19 +469,15 @@ class RingPresentation:
         """Normal form of a monomial as an Element (0 or coeff * monomial)."""
         # Every cached key was range-checked, or reached from a checked key
         # by rules whose monomials are in range, so a hit needs no check.
-        cached = self._nf_cache.get(m)
+        cache = self._nf_cache
+        cached = cache.get(m)
         if cached is not None:
             return cached
         self.check_variable_range(m)
         path = []
-        coeff = FRACTION_ONE
+        coeff = 1
         cur = m
-        result = None
         while True:
-            hit = self._nf_cache.get(cur)
-            if hit is not None:
-                result = hit.scale(coeff)
-                break
             rule = self._first_applicable(cur)
             if rule is None:
                 result = Element(self, {cur: coeff})
@@ -486,14 +488,16 @@ class RingPresentation:
                 break
             rc, rm = rule.rhs
             if rc != 1:
-                coeff = coeff * rc
+                coeff = _small(coeff * rc)
             cur = cur.div(rule.lhs).mul(rm)
+            hit = cache.get(cur)
+            if hit is not None:
+                result = hit.scale(coeff)
+                break
         # Cache the normal form of every monomial along the reduction path.
         for mono, c in path:
-            self._nf_cache[mono] = result.scale(FRACTION_ONE / c) if c != 1 else result
-        if m not in self._nf_cache:
-            self._nf_cache[m] = result
-        return self._nf_cache[m]
+            cache[mono] = result.scale(Fraction(1, c)) if c != 1 else result
+        return cache.setdefault(m, result)
 
     def is_normal(self, m):
         self.check_variable_range(m)
@@ -560,6 +564,7 @@ class Element:
         for m, c in pairs:
             if c == 0:
                 continue
+            c = c if type(c) is int else _small(Fraction(c))
             for n, d in ring.normal_form_monomial(m).terms.items():
                 acc[n] = acc.get(n, 0) + d * c
         return cls(ring, acc)
@@ -590,7 +595,7 @@ class Element:
     def scale(self, coeff):
         if coeff == 1:
             return self
-        coeff = Fraction(coeff)
+        coeff = coeff if type(coeff) is int else _small(Fraction(coeff))
         if coeff == 0:
             return Element.zero(self.ring)
         return Element(self.ring, {m: c * coeff for m, c in self.terms.items()})

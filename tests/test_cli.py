@@ -716,9 +716,9 @@ def test_package_resolves_cli_names_lazily():
         torsionlab.no_such_name
 
 
-def test_cached_normal_forms_keep_fraction_coefficients(capsys, monkeypatch):
-    from fractions import Fraction
-
+def test_cached_normal_forms_keep_int_coefficients(capsys, monkeypatch):
+    # Every shipped rule coefficient is an integer, so the coefficient rule
+    # (ring._small) keeps every cached coefficient an int.
     from torsionlab.ring import RingPresentation
     rings = []
     real = RingPresentation.__init__
@@ -736,7 +736,53 @@ def test_cached_normal_forms_keep_fraction_coefficients(capsys, monkeypatch):
     cached = [c for ring in rings for nf in ring._nf_cache.values()
               for c in nf.terms.values()]
     assert len(cached) >= 1000
-    assert all(type(c) is Fraction for c in cached)
+    assert all(type(c) is int for c in cached)
+
+
+def test_non_integral_rules_keep_exact_fraction_coefficients():
+    # A non-integral rule coefficient still gives exact Fractions, and no
+    # coefficient anywhere turns into a float.
+    from fractions import Fraction
+
+    from torsionlab.ideals import IdealHandle, ideal_membership
+    from torsionlab.ring import Element, Monomial, RewriteRule, \
+        RingPresentation
+    x0, x1 = Monomial.variable(0), Monomial.variable(1)
+    half = RingPresentation(2, [RewriteRule(Monomial.variable(0, 2),
+                                            (Fraction(1, 2), x0))])
+    for k in range(1, 9):
+        nf = half.normal_form_monomial(Monomial.variable(0, k))
+        assert nf.terms == {x0: Fraction(1, 2 ** (k - 1))}
+        assert type(nf.terms[x0]) is (int if k == 1 else Fraction)
+    thirds = RingPresentation(2, [RewriteRule(
+        Monomial.variable(0, 2), (Fraction(-2, 3), x1))])
+    # Integral Fractions, as the DSL parses every coefficient, enter as ints.
+    whole = RingPresentation(2, [RewriteRule(
+        Monomial.variable(0, 2), (Fraction(-4, 2), x1))])
+    g = Element.from_terms(whole, [(x0, Fraction(3, 3)), (x1, Fraction(-3))])
+    assert type(whole.rules[0].rhs[0]) is int
+    assert all(type(c) is int
+               for c in g.mul(g).scale(Fraction(4, 2)).terms.values())
+    for ring in (half, thirds):
+        f = Element.from_terms(ring, [(x0, 1), (x1, Fraction(3, 4))])
+        ideal = IdealHandle(ring, [f])
+        assert not ideal.is_monomial_mode
+        seen = list(ideal.generators)
+        for m in ring.normal_monomials_up_to(3):
+            probe = f.mul(Element.from_terms(ring, [(m, 1), (x1, -2)]))
+            answer = ideal_membership(probe, ideal)
+            assert answer.is_yes
+            total = Element.zero(ring)
+            for k, h in answer.certificate:
+                total = total.add(ideal.generators[k].mul(h))
+                seen.append(h)
+            assert total == probe
+        seen.extend(ring._nf_cache.values())
+        coefficients = [c for e in seen for c in e.terms.values()]
+        coefficients += [c for _, poly, _ in ideal._groebner()
+                         for c in poly.values()]
+        assert any(type(c) is Fraction for c in coefficients)
+        assert not any(isinstance(c, float) for c in coefficients)
 
 
 def _readme_script_blocks():

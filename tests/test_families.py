@@ -186,6 +186,25 @@ def _shifted_member(m):
     return bool(s) and e >= min(s) - 1
 
 
+def _set_member(m):
+    """The idem50C membership rule read off the idempotent support set."""
+    e, s = families._idem50C_split(m)
+    return bool(s) and e >= min(s)
+
+
+def test_idem50C_member_agrees_with_the_set_rule():
+    # The family reads the rule off the monomial's pairs instead.
+    members = checked = 0
+    for level in range(0, 13):
+        ring, _ = families._build_idem50C(level)
+        for m in ring.normal_monomials_up_to(4):
+            member = families._idem50C_member(m)
+            assert member == _set_member(m), (level, m)
+            members += member
+            checked += 1
+    assert members >= 400 and checked - members >= 3000
+
+
 def test_idem50C_claims_fail_under_a_shifted_membership_rule(monkeypatch):
     # X_0^p * X_{p+1} and X_1 now count as members: both claims that read
     # the exact rule must notice.

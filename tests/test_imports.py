@@ -9,6 +9,8 @@ references no level walker, ring.py keeps one rule index, which the normal
 form and the level walk both read, the corner layer reads no
 Monomial.exponent, no call passes _power_kill_exponent more than its three
 arguments, _most_factors keeps one recursion and no other module names it,
+ring.py holds the one coefficient rule, which ideals.py imports, neither
+divides a coefficient but by Fraction(1, c), and FRACTION_ONE is gone,
 every span name the benchmark tracer wraps resolves in the package, and
 each package attribute named after a module is that module.
 
@@ -47,6 +49,13 @@ KILL_EXPONENT = "_power_kill_exponent"
 # shortcut it replaced.
 GENERATOR_COUNT = "_most_factors"
 SHORTCUT_MASKS = {"seen", "twice"}
+# The one coefficient rule (an int while integral, else a Fraction), kept
+# in ring.py and imported by ideals.py, the modules that do coefficient
+# arithmetic; they take inverses as Fraction(1, c), since int / int gives a
+# float.  The shared unit Fraction the rule replaced.
+COEFFICIENT_RULE = "_small"
+COEFFICIENT_MODULES = ("ring.py", "ideals.py")
+FRACTION_UNIT = "FRACTION_ONE"
 # The corner layer reads exponent tuples: each handle converts its
 # generators once (IdealHandle._vectors), through ring._exponent_vector.
 CORNER_LAYER = ("ring.py", "ideals.py", "spectrum.py")
@@ -652,6 +661,69 @@ def test_generator_count_fault_is_reported():
         ("torsion.py", 1, "reference"), ("torsion.py", 2, "reference")]
     assert _generator_count_faults({"ideals.py": ast.parse("x = 1\n")}) == [
         ("ideals.py", 0, "missing")]
+
+
+def _coefficient_rule_faults(trees):
+    """(file, line, fault) for each true division in ring.py and ideals.py,
+    each name, attribute or imported name FRACTION_ONE in any module, and
+    each function _small that ideals.py defines; (file, 0, fault) when
+    ring.py defines no module-level _small or ideals.py does not import it
+    from ring."""
+    faults = []
+    for path, tree in trees.items():
+        faults += [(path, line, "names " + FRACTION_UNIT)
+                   for line, name in _names(tree) if name == FRACTION_UNIT]
+        if path in COEFFICIENT_MODULES:
+            faults += [(path, node.lineno, "divides")
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.BinOp, ast.AugAssign))
+                       and isinstance(node.op, ast.Div)]
+    ring, ideals = (trees.get(name, ast.Module(body=[]))
+                    for name in COEFFICIENT_MODULES)
+    if COEFFICIENT_RULE not in {node.name for node in ring.body
+                                if isinstance(node, FUNCTIONS)}:
+        faults.append(("ring.py", 0, "no " + COEFFICIENT_RULE))
+    faults += [("ideals.py", node.lineno, "defines " + COEFFICIENT_RULE)
+               for node in ast.walk(ideals) if isinstance(node, FUNCTIONS)
+               and node.name == COEFFICIENT_RULE]
+    if not any(isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module == "ring"
+               and COEFFICIENT_RULE in {alias.name for alias in node.names}
+               for node in ast.walk(ideals)):
+        faults.append(("ideals.py", 0, "no import of " + COEFFICIENT_RULE))
+    return sorted(faults)
+
+
+def test_one_coefficient_rule():
+    trees = {str(path.relative_to(PACKAGE)): ast.parse(path.read_text())
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert set(COEFFICIENT_MODULES) <= set(trees)
+    assert _coefficient_rule_faults(trees) == []
+
+
+def test_coefficient_rule_fault_is_reported():
+    ring = ast.parse("from fractions import Fraction\n"
+                     "FRACTION_ONE = Fraction(1)\n"
+                     "def _small(c):\n    return c\n"
+                     "x = FRACTION_ONE / c\n")
+    ideals = ast.parse("from .ring import FRACTION_ONE, Element\n"
+                       "def _small(c):\n    return c\n"
+                       "y = 1 // c\n"
+                       "y /= c\n")
+    cli = ast.parse("from . import ring\n"
+                    "z = 1 / 2 * ring.FRACTION_ONE\n")
+    assert _coefficient_rule_faults({"ring.py": ring, "ideals.py": ideals,
+                                     "cli.py": cli}) == [
+        ("cli.py", 2, "names FRACTION_ONE"),
+        ("ideals.py", 0, "no import of _small"),
+        ("ideals.py", 1, "names FRACTION_ONE"),
+        ("ideals.py", 2, "defines _small"),
+        ("ideals.py", 5, "divides"),
+        ("ring.py", 2, "names FRACTION_ONE"),
+        ("ring.py", 5, "divides"),
+        ("ring.py", 5, "names FRACTION_ONE")]
+    assert _coefficient_rule_faults({"ring.py": ast.parse("x = 1\n")}) == [
+        ("ideals.py", 0, "no import of _small"), ("ring.py", 0, "no _small")]
 
 
 def _load_spans():
