@@ -5,20 +5,22 @@ definitions, avoiding the algorithms under test: no lifted-basis quotients,
 no transversal enumeration, no reduced-basis comparisons, no Groebner
 completion.  They are deliberately slow and meant for small instances.
 Nothing here imports the ideal, spectrum, torsion, family or harness
-modules.  The oracles still read two engine methods on the objects they are
-given: IdealHandle.contains_monomial, the handle's membership memo, decides
-monomial membership, and RingPresentation.normal_monomials_up_to, the rule
-index's level walk, enumerates normal monomials.
+modules.
 
-The assassin oracles share two enumerations, each kept for one input only.
-The witness annihilators (relations : m) are computed once per module and
-kept for the last module (_witness_annihilators), which both assassin_sets
-and weak_assassin_sets read.  Each bounded primality probe is computed once
-per ring and kept for the last ring (_ring_probes), which those two and
-minimal_prime_sets read.  Every answer is still read from the definitions:
-a shared annihilator is the same colon_monomials set, a shared probe the
-same enumeration.  A test that needs cold caches calls
-_witness_annihilators.cache_clear() and _ring_probes.cache_clear().
+The monomial-mode oracles (colon, saturation, radical, minimal primes and
+both assassins) read only ring.rules, ring.num_vars and the ideals'
+generators, and call no engine method.  Every rule rewrites to zero, so a
+monomial lies in an ideal exactly when a rule lhs or a generator divides
+it.  They decide this on exponent vectors packed into ints (_Codes): each
+variable owns a WIDTH-bit field with a guard bit above it, so a product is
+one addition and a divisibility test one subtraction.  A call whose degree
+or exponent could pass a field raises ValueError; nothing carries.
+
+Three facts are kept, each for the last input only: the ring's
+(_ring_probes), with its normal monomials and primality probes; the
+monomials outside the last ideal asked about (_outside); and the witness
+annihilators of the last module (_witness_annihilators), which both
+assassin oracles read.  A test that needs cold caches clears all three.
 """
 
 from __future__ import annotations
@@ -30,18 +32,8 @@ from itertools import combinations, product
 from .errors import RingMismatch
 from .ring import Element, Monomial, grlex_key
 
-
-def _all_monomials_up_to(num_vars, bound):
-    out = [Monomial.one()]
-    frontier = [Monomial.one()]
-    for _ in range(bound):
-        nxt = []
-        for m in frontier:
-            for v in range(max(m.max_var(), 0), num_vars):
-                nxt.append(m.mul(Monomial.variable(v)))
-        out.extend(nxt)
-        frontier = nxt
-    return sorted(set(out), key=grlex_key)
+# The exponent bits of a variable's field in a code, below its guard bit.
+WIDTH = 15
 
 
 def _solve_exact(columns, target):
@@ -62,7 +54,7 @@ def _solve_exact(columns, target):
                 return vec, combo
             key = min(applicable, key=grlex_key)
             pcol, pcombo = pivots[key]
-            factor = vec[key] / pcol[key]
+            factor = Fraction(vec[key]) / pcol[key]
             for kk, vv in pcol.items():
                 vec[kk] = vec.get(kk, 0) - factor * vv
             for idx, vv in pcombo.items():
@@ -94,11 +86,13 @@ def brute_force_membership(f, ideal, degree_bound):
         raise RingMismatch("element and ideal live in different rings")
     if f.is_zero:
         return ()
+    every = _Codes(ring.num_vars, ())  # no rule lhs: every monomial
+    monos = [every.monomial(c) for c in every.up_to(degree_bound)]
     columns = []
     labels = []
     seen_cols = set()
     for k, g in enumerate(ideal.generators):
-        for m in _all_monomials_up_to(ring.num_vars, degree_bound):
+        for m in monos:
             prod = g.mul(Element(ring, {m: Fraction(1)}))
             if prod.is_zero:
                 continue
@@ -185,90 +179,159 @@ def exhaustive_normal_forms(ring, m):
     return forms(m)
 
 
+class _Codes:
+    """One ring's monomials as ints, and its facts: the rule lhs, the
+    normal monomials, the probe answers, the candidate masks of each bound
+    and the decoded Monomials.  X0 owns the top field, so inside a degree
+    grlex order is descending code order."""
+
+    def __init__(self, n, lhs):
+        self.shifts = [(n - 1 - v) * (WIDTH + 1) for v in range(n)]
+        self.guards = sum(1 << s + WIDTH for s in self.shifts)
+        self.lhs = [self.code(m) for m in lhs]
+        self.normal = _Outside(self, self.lhs)
+        self.probes, self.candidates, self.monomials = {}, {}, {}
+
+    def code(self, m):
+        for v, e in m.pairs:
+            if e >> WIDTH:
+                raise ValueError("exponent %d of X%d passes the %d-bit field"
+                                 % (e, v, WIDTH))
+        return sum(e << self.shifts[v] for v, e in m.pairs)
+
+    def monomial(self, code):
+        if code not in self.monomials:
+            self.monomials[code] = Monomial(
+                [(v, code >> s & (1 << WIDTH) - 1)
+                 for v, s in enumerate(self.shifts)])
+        return self.monomials[code]
+
+    def mask(self, vars_set):
+        """The fields of these variables, which a code's AND with it keeps."""
+        return sum((1 << WIDTH) - 1 << self.shifts[v] for v in vars_set)
+
+    def divided(self, x, basis):
+        """Does some code d of basis divide x: does no field of
+        (x | guards) - d borrow its guard bit?"""
+        g = self.guards
+        x |= g
+        for d in basis:
+            if (x - d) & g == g:
+                return True
+        return False
+
+    def up_to(self, d):
+        """The normal codes of degree <= d, in grlex order."""
+        self.normal.members_up_to(d)
+        return [x for level in self.normal.levels[:d + 1] for x in level]
+
+
+class _Outside:
+    """The codes no code of a basis divides, by degree in grlex order, each
+    degree the one below times each variable less the basis multiples, as
+    far as a call needs.  They are closed under division, so all past an
+    empty degree are empty: up to the degree grown, a code is a multiple
+    exactly when it is no member."""
+
+    def __init__(self, codes, basis):
+        self.codes, self.basis = codes, basis
+        self.levels = [[] if codes.divided(0, basis) else [0]]
+        self.members = set(self.levels[0])
+
+    def members_up_to(self, d):
+        if d >> WIDTH:  # an exponent of degree d could pass its field
+            raise ValueError("degree %d passes the %d-bit field" % (d, WIDTH))
+        while len(self.levels) <= d and self.levels[-1]:
+            self._grow()
+        return self.members
+
+    def _grow(self):
+        codes = self.codes
+        grown = {x + (1 << s) for x in self.levels[-1] for s in codes.shifts}
+        self.levels.append(sorted((y for y in grown
+                                   if not codes.divided(y, self.basis)),
+                                  reverse=True))
+        self.members.update(self.levels[-1])
+
+
+@lru_cache(maxsize=1)
+def _ring_probes(ring):
+    """The facts of one ring (_Codes), its probe answers among them: all
+    that the monomial oracles read of the ring is its rules and num_vars."""
+    if any(rule.rhs is not None for rule in ring.rules):
+        raise ValueError("the monomial oracles need rules -> 0")
+    return _Codes(ring.num_vars, [rule.lhs for rule in ring.rules])
+
+
+@lru_cache(maxsize=1)
+def _outside(ideal):
+    """The normal monomials outside the last ideal asked about."""
+    codes = _ring_probes(ideal.ring)
+    return _Outside(codes, codes.lhs + _generator_codes(ideal, codes))
+
+
+def _generator_codes(ideal, codes):
+    if any(len(g.terms) != 1 for g in ideal.generators):
+        raise ValueError("the monomial oracles need monomial generators")
+    return [codes.code(m) for g in ideal.generators for m in g.terms]
+
+
 def colon_monomials(ideal, factor, bound):
     """All normal monomials m of degree <= bound with m * factor in the
     ideal, straight from the definition."""
-    ring = ideal.ring
-    out = []
-    for m in ring.normal_monomials_up_to(bound):
-        if ideal.contains_monomial(m.mul(factor)):
-            out.append(m)
-    return out
+    outside = _outside(ideal).members_up_to(bound + factor.degree)
+    codes = _ring_probes(ideal.ring)
+    f = codes.code(factor)
+    return [codes.monomial(m) for m in codes.up_to(bound)
+            if m + f not in outside]
 
 
 def saturation_monomials(relations, acting, bound, power_cap):
     """All normal monomials m of degree <= bound with acting^n * m inside
     relations for some n <= power_cap.
 
-    Ideal powers are expanded as raw generator product lists, not through
+    Ideal powers are expanded as raw generator product sets, not through
     the ideal engine.
     """
-    ring = relations.ring
-    gen_monos = [g.single_term()[0] for g in acting.generators]
-    powers = [[Monomial.one()]]
+    codes = _ring_probes(relations.ring)
+    gens = _generator_codes(acting, codes)
+    top = max((g.degree for g in acting.generators), default=0)
+    outside = _outside(relations).members_up_to(bound + power_cap * top)
+    powers = [{0}]
     for _ in range(power_cap):
-        powers.append(sorted(set(
-            p.mul(g) for p in powers[-1] for g in gen_monos),
-            key=lambda m: m.pairs))
-    out = []
-    for m in ring.normal_monomials_up_to(bound):
-        for power in powers:
-            if all(relations.contains_monomial(m.mul(p)) for p in power):
-                out.append(m)
-                break
-    return out
+        powers.append({p + g for p in powers[-1] for g in gens})
+    return [codes.monomial(m) for m in codes.up_to(bound)
+            if any(outside.isdisjoint(map(m.__add__, power))
+                   for power in powers)]
 
 
 def radical_monomials(ideal, bound, exponent_cap=6):
     """All normal monomials m of degree <= bound with m^k in the ideal for
     some k <= exponent_cap."""
-    ring = ideal.ring
-    out = []
-    for m in ring.normal_monomials_up_to(bound):
-        if any(ideal.contains_monomial(m.pow(k))
-               for k in range(1, exponent_cap + 1)):
-            out.append(m)
-    return out
-
-
-def _contained_in_variable_ideal(ideal, vars_set):
-    """Is the ideal inside the ideal generated by these variables?  A normal
-    monomial lies in a variable ideal exactly when its support meets the
-    variable set, so generator supports decide this."""
-    return all(g.support & set(vars_set)
-               for g in ideal.monomial_generators())
+    outside = _outside(ideal).members_up_to(exponent_cap * bound)
+    codes = _ring_probes(ideal.ring)
+    powers = range(1, exponent_cap + 1)
+    return [codes.monomial(m) for m in codes.up_to(bound)
+            if not outside.issuperset(map(m.__mul__, powers))]
 
 
 def _variable_ideal_is_prime(ring, vars_set, probe_bound):
     """Bounded primality probe: for all normal u, w up to the bound,
-    u*w in the ideal implies u or w is.  Membership of a normal monomial is
-    support intersection; a product can also vanish outside any prime."""
-    vs = set(vars_set)
-    monos = ring.normal_monomials_up_to(probe_bound)
-    for u in monos:
-        if u.support & vs:
-            continue
-        for w in monos:
-            if w.support & vs:
-                continue
-            prod = ring.normal_form_monomial(u.mul(w))
-            if prod.is_zero:
-                return False
-            if prod.single_term()[0].support & vs:
-                return False
-    return True
-
-
-@lru_cache(maxsize=1)
-def _ring_probes(ring):
-    """The probe answers of one ring, keyed by (variable set, bound)."""
-    return {}
+    u*w in the ideal implies u or w is.  A normal monomial lies in a
+    variable ideal when its support meets the set, and u*w is zero or the
+    normal monomial of their joint support, so the probe fails exactly
+    when a product of two normal monomials off the set is not normal."""
+    codes = _ring_probes(ring)
+    mask = codes.mask(vars_set)
+    off = [u for u in codes.up_to(probe_bound) if not u & mask]
+    normal = codes.normal.members_up_to(2 * probe_bound)
+    return {u + w for u in off for w in off} <= normal
 
 
 def _is_prime(ring, vars_set, probe_bound):
     """_variable_ideal_is_prime, each (variable set, bound) probed once
     per ring."""
-    probes = _ring_probes(ring)
+    probes = _ring_probes(ring).probes
     key = vars_set, probe_bound
     if key not in probes:
         probes[key] = _variable_ideal_is_prime(ring, vars_set, probe_bound)
@@ -283,36 +346,50 @@ def _variable_sets(n):
 
 def minimal_prime_sets(ideal, probe_bound=3):
     """Inclusion-minimal variable sets whose ideal is prime (by bounded
-    probe) and contains the given ideal, by subset enumeration."""
+    probe) and contains the given ideal, by subset enumeration: the
+    ideal of s contains it when every generator's support meets s."""
     ring = ideal.ring
+    codes = _ring_probes(ring)
+    gens = _generator_codes(ideal, codes)
     containing = []
     for s in _variable_sets(ring.num_vars):
-        if any(c <= s for c in containing):
-            continue
-        if (_contained_in_variable_ideal(ideal, s)
+        if (not any(c <= s for c in containing)
+                and all(g & codes.mask(s) for g in gens)
                 and _is_prime(ring, s, probe_bound)):
             containing.append(s)
     return sorted(containing, key=lambda s: (len(s), sorted(s)))
 
 
+def _bits(flags):
+    """An int with one byte per flag, the last flag in the lowest byte."""
+    return int.from_bytes(bytes(flags), "big")
+
+
 @lru_cache(maxsize=1)
 def _witness_annihilators(relations, witness_bound, verify_bound):
-    """The distinct annihilators (relations : m), m a normal monomial of
-    degree <= witness_bound outside relations, each the frozenset of
-    colon_monomials up to verify_bound, in witness order."""
-    ring = relations.ring
+    """The distinct annihilators (relations : w), w a normal monomial of
+    degree <= witness_bound outside relations, in witness order.  Each is
+    a mask (_bits) over the normal monomials f up to verify_bound, set
+    where w*f lies outside relations: the complement of the annihilator."""
+    outside = _outside(relations).members_up_to(witness_bound + verify_bound)
+    codes = _ring_probes(relations.ring)
+    monos = codes.up_to(verify_bound)
     return tuple(dict.fromkeys(
-        frozenset(colon_monomials(relations, m, verify_bound))
-        for m in ring.normal_monomials_up_to(witness_bound)
-        if not relations.contains_monomial(m)))
+        _bits(map(outside.__contains__, map(w.__add__, monos)))
+        for w in codes.up_to(witness_bound) if w in outside))
 
 
 def _variable_ideal_sets(ring, bound):
-    """(s, P_s) for every variable set s, P_s the normal monomials of
-    degree <= bound in the ideal of s: those whose support meets s."""
-    monos = ring.normal_monomials_up_to(bound)
-    return [(s, frozenset(f for f in monos if f.support & s))
-            for s in _variable_sets(ring.num_vars)]
+    """(s, mask) for every variable set s, the mask over the normal
+    monomials f up to the bound set where the support of f misses s: the
+    complement of the ideal of s.  Kept per bound."""
+    codes = _ring_probes(ring)
+    if bound not in codes.candidates:
+        monos = codes.up_to(bound)
+        masks = [(s, codes.mask(s)) for s in _variable_sets(ring.num_vars)]
+        codes.candidates[bound] = [(s, _bits(not f & mask for f in monos))
+                                   for s, mask in masks]
+    return codes.candidates[bound]
 
 
 def assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
@@ -321,8 +398,8 @@ def assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
     monomials up to the verification bound."""
     ring = relations.ring
     by_ideal = {}
-    for s, ideal in _variable_ideal_sets(ring, verify_bound):
-        by_ideal.setdefault(ideal, []).append(s)
+    for s, mask in _variable_ideal_sets(ring, verify_bound):
+        by_ideal.setdefault(mask, []).append(s)
     found = set()
     for ann in _witness_annihilators(relations, witness_bound, verify_bound):
         found.update(s for s in by_ideal.get(ann, ())
@@ -332,16 +409,16 @@ def assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
 
 def weak_assassin_sets(relations, witness_bound, verify_bound, probe_bound=3):
     """Union over witnesses of the minimal prime variable sets containing
-    the witness annihilator, by subset enumeration."""
+    the witness annihilator, by subset enumeration: the ideal of s contains
+    it when every monomial off s is off the annihilator too."""
     ring = relations.ring
     candidates = _variable_ideal_sets(ring, verify_bound)
     found = set()
     for ann in _witness_annihilators(relations, witness_bound, verify_bound):
         containing = []
-        for s, ideal in candidates:
-            if any(c <= s for c in containing):
-                continue
-            if ann <= ideal and _is_prime(ring, s, probe_bound):
+        for s, mask in candidates:
+            if (not any(c <= s for c in containing) and mask & ~ann == 0
+                    and _is_prime(ring, s, probe_bound)):
                 containing.append(s)
         found.update(containing)
     return sorted(found, key=lambda s: (len(s), sorted(s)))

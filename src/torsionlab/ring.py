@@ -608,7 +608,8 @@ class Element:
         self._check_ring(other)
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
+            c += acc.get(m, 0)
+            acc[m] = c if type(c) is int else _small(c)
         return Element(self.ring, acc)
 
     def sub(self, other):
@@ -622,7 +623,8 @@ class Element:
                 c12 = c1 * c2
                 nf = self.ring.normal_form_monomial(m1.mul(m2))
                 for m, c in nf.terms.items():
-                    acc[m] = acc.get(m, 0) + c * c12
+                    c = acc.get(m, 0) + c * c12
+                    acc[m] = c if type(c) is int else _small(c)
         return Element(self.ring, acc)
 
     def __eq__(self, other):

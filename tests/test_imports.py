@@ -372,9 +372,58 @@ def test_engine_import_is_reported():
         (2, "ideals"), (3, "torsion"), (4, "spectrum")]
 
 
-# The caches of oracles.py, each of which keeps one entry: the witness
-# annihilators of the last module and the prime probes of the last ring.
-ORACLE_CACHES = {"_witness_annihilators", "_ring_probes"}
+# The engine methods the oracles check, which oracles.py must not call: the
+# membership memo, the level walkers, normal forms, the generator and
+# corner facts of a handle, and its Groebner basis.
+ENGINE_READS = {"contains_monomial", "normal_form_monomial", "is_normal",
+                "monomial_generators", "_components", "_vectors",
+                "lifted_monomials", "_groebner"}
+ENGINE_READ_PREFIX = "normal_monomials_"
+
+
+def _engine_reads(tree):
+    """(line, name) of each attribute or name under tree that is an engine
+    method the oracles check."""
+    return sorted((line, name) for line, name in _names(tree)
+                  if name in ENGINE_READS
+                  or name.startswith(ENGINE_READ_PREFIX))
+
+
+def test_oracles_call_no_engine_method():
+    """The oracles decide from ring.rules, ring.num_vars and generators."""
+    engine = [ast.parse((PACKAGE / name).read_text())
+              for name in ("ring.py", "ideals.py")]
+    defined = {node.name for tree in engine for node in ast.walk(tree)
+               if isinstance(node, FUNCTIONS)}
+    # The methods still exist, so the check cannot pass vacuously.
+    assert ENGINE_READS <= defined
+    assert any(name.startswith(ENGINE_READ_PREFIX) for name in defined)
+    oracles = ast.parse((PACKAGE / "oracles.py").read_text())
+    assert _engine_reads(oracles) == []
+
+
+def test_oracle_engine_read_is_reported():
+    tree = ast.parse("ok = ideal.contains_monomial(m)\n"
+                     "for m in ring.normal_monomials_up_to(3):\n"
+                     "    ring.normal_form_monomial(m).is_zero\n"
+                     "gens = [g for g in ideal.monomial_generators()]\n"
+                     "walk = ring.normal_monomials_of_degree\n"
+                     "ideal._vectors(); ring._components()\n"
+                     "basis = ideal._groebner() or ideal.lifted_monomials()\n"
+                     "from .ring import is_normal\n"
+                     "normal = contains = monomials_up_to = 0\n")
+    assert _engine_reads(tree) == [
+        (1, "contains_monomial"), (2, "normal_monomials_up_to"),
+        (3, "normal_form_monomial"), (4, "monomial_generators"),
+        (5, "normal_monomials_of_degree"), (6, "_components"),
+        (6, "_vectors"), (7, "_groebner"), (7, "lifted_monomials"),
+        (8, "is_normal")]
+
+
+# The caches of oracles.py, each of which keeps one entry: the facts of the
+# last ring, the monomials outside the last ideal and the witness
+# annihilators of the last module.
+ORACLE_CACHES = {"_ring_probes", "_outside", "_witness_annihilators"}
 MUTABLE_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict",
                  "Counter"}
 MUTABLE_DISPLAYS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,

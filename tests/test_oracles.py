@@ -4,13 +4,16 @@ probe per ring, and answer exactly as the loops they replaced.
 The reference below is the loop-based form of assassin_sets,
 weak_assassin_sets and minimal_prime_sets: every witness recomputes its
 annihilator, and every candidate variable set is compared monomial by
-monomial and probed afresh.
+monomial and probed afresh.  The saturation and radical references are
+the same definitions on Monomials; with them the packed oracles are checked
+where exponents fill a field, and refuse what would pass it.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,11 +23,14 @@ from torsionlab.harness import random_instance
 from torsionlab.ideals import IdealHandle
 from torsionlab.oracles import (
     assassin_sets,
+    brute_force_membership,
     colon_monomials,
     minimal_prime_sets,
+    radical_monomials,
+    saturation_monomials,
     weak_assassin_sets,
 )
-from torsionlab.ring import Monomial, RewriteRule, RingPresentation
+from torsionlab.ring import Element, Monomial, RewriteRule, RingPresentation
 
 
 def _reference_is_prime(ring, vars_set, probe_bound):
@@ -103,6 +109,7 @@ def _reference_weak_assassin_sets(relations, witness_bound, verify_bound,
 
 def _clear_caches():
     oracles._witness_annihilators.cache_clear()
+    oracles._outside.cache_clear()
     oracles._ring_probes.cache_clear()
 
 
@@ -189,22 +196,26 @@ def test_dead_variable_rings_share_one_variable_ideal():
         zero, 1, 2)
 
 
-def _count_membership(monkeypatch):
+def _count_enumeration(monkeypatch):
+    """Count the oracle's own degree-by-degree enumerations of the
+    monomials outside a module, by module; the ring's normal monomials,
+    grown once per ring, are not counted."""
     calls = Counter()
-    original = IdealHandle.contains_monomial
+    original = oracles._Outside._grow
 
-    def counted(self, m):
-        calls[self] += 1
-        return original(self, m)
+    def counted(self):
+        if self is not self.codes.normal:
+            calls[self] += 1
+        return original(self)
 
-    monkeypatch.setattr(IdealHandle, "contains_monomial", counted)
+    monkeypatch.setattr(oracles._Outside, "_grow", counted)
     return calls
 
 
 def test_both_assassin_oracles_enumerate_a_module_once(monkeypatch):
     instance = random_instance(0, random.Random(42))
     b, bound = instance.relations, instance.witness_bound
-    calls = _count_membership(monkeypatch)
+    calls = _count_enumeration(monkeypatch)
     _clear_caches()
     ass = assassin_sets(b, bound, bound + 1)
     alone = sum(calls.values())
@@ -241,3 +252,101 @@ def test_each_prime_probe_runs_once_per_ring(monkeypatch):
             weak_assassin_sets(b, bound, bound + 1, probe_bound)
     assert probes
     assert max(probes.values()) == 1
+
+
+# The largest exponent a packed field holds.
+TOP = 2 ** oracles.WIDTH - 1
+
+
+def _reference_saturation(relations, acting, bound, power_cap):
+    """saturation_monomials on Monomials and the engine's membership."""
+    gens = [g.single_term()[0] for g in acting.generators]
+    powers = [[Monomial.one()]]
+    for _ in range(power_cap):
+        powers.append({p.mul(g) for p in powers[-1] for g in gens})
+    return [m for m in relations.ring.normal_monomials_up_to(bound)
+            if any(all(relations.contains_monomial(m.mul(p)) for p in power)
+                   for power in powers)]
+
+
+def _reference_radical(ideal, bound, exponent_cap):
+    """radical_monomials on Monomials and the engine's membership."""
+    return [m for m in ideal.ring.normal_monomials_up_to(bound)
+            if any(ideal.contains_monomial(m.pow(k))
+                   for k in range(1, exponent_cap + 1))]
+
+
+@pytest.mark.parametrize("free", (0, 1))
+def test_oracles_agree_where_exponents_reach_the_field_top(free):
+    """X_free is rule-free and the other variable squares to zero, so the
+    monomials outside (X_free^TOP) stay few up to degree TOP, and the
+    answers turn on exponents that fill the top field or the bottom one."""
+    x = Monomial.variable(free)
+    ring = RingPresentation(2, [RewriteRule(Monomial.variable(1 - free, 2))])
+    b = IdealHandle.from_monomials(ring, [x.pow(TOP)])
+    # m^k reaches X_free^TOP at m = X_free, k = TOP: degree cap * bound.
+    radical = radical_monomials(b, 1, exponent_cap=TOP)
+    assert radical == _reference_radical(b, 1, TOP)
+    assert set(radical) == {x, Monomial.variable(1 - free)}
+    assert radical_monomials(b, 1, exponent_cap=TOP - 1) == [
+        Monomial.variable(1 - free)]
+    # TOP = 1 + 258 * 127: X_free * (X_free^127)^258 is X_free^TOP, at
+    # degree bound + power_cap * 127.
+    a = IdealHandle.from_monomials(ring, [x.pow(127)])
+    for cap in (257, 258):
+        assert saturation_monomials(b, a, 1, cap) == _reference_saturation(
+            b, a, 1, cap)
+    assert saturation_monomials(b, a, 1, 258) == [x]
+    assert colon_monomials(b, x.pow(TOP - 1), 1) == [
+        m for m in ring.normal_monomials_up_to(1)
+        if b.contains_monomial(m.mul(x.pow(TOP - 1)))] == [x]
+
+
+def test_oracles_refuse_exponents_past_the_guard_bit():
+    """An exponent of 2**WIDTH would carry into the guard bit: the oracles
+    raise, naming it, for a generator that holds it and for a call whose
+    degree lets a product reach it."""
+    x = Monomial.variable(0)
+    ring = RingPresentation(2, [RewriteRule(Monomial.variable(1, 2))])
+    past = IdealHandle.from_monomials(ring, [x.pow(TOP + 1)])
+    for oracle in (lambda: colon_monomials(past, x, 1),
+                   lambda: saturation_monomials(past, past, 1, 1),
+                   lambda: radical_monomials(past, 1),
+                   lambda: minimal_prime_sets(past),
+                   lambda: assassin_sets(past, 1, 1),
+                   lambda: weak_assassin_sets(past, 1, 1)):
+        _clear_caches()
+        with pytest.raises(ValueError, match="exponent %d " % (TOP + 1)):
+            oracle()
+    b = IdealHandle.from_monomials(ring, [x.pow(TOP)])
+    a = IdealHandle.from_monomials(ring, [x.pow(127)])
+    for degree, oracle in (
+            (TOP + 1, lambda: colon_monomials(b, x.pow(TOP), 1)),
+            (1 + 259 * 127, lambda: saturation_monomials(b, a, 1, 259)),
+            (TOP + 1, lambda: radical_monomials(b, 1, exponent_cap=TOP + 1)),
+            (TOP + 1, lambda: assassin_sets(b, TOP, 1))):
+        with pytest.raises(ValueError, match="degree %d " % degree):
+            oracle()
+
+
+def test_brute_force_membership_eliminates_exactly_on_int_coefficients():
+    """The engine keeps integral coefficients as ints, so the elimination
+    must divide as Fractions: X0 = 2/5 * (3*X0 + X1) - 1/5 * (X0 + 2*X1)
+    exactly, where int / int would leave a float residue."""
+    x0, x1 = Monomial.variable(0), Monomial.variable(1)
+    ring = RingPresentation(2, [RewriteRule(x0.pow(2)),
+                                RewriteRule(x1.pow(2))])
+
+    def line(a, b):
+        return Element.from_monomial(ring, x0, a).add(
+            Element.from_monomial(ring, x1, b))
+
+    ideal = IdealHandle(ring, [line(3, 1), line(1, 2)])
+    f = Element.from_monomial(ring, x0)
+    certificate = brute_force_membership(f, ideal, 0)
+    total = Element.zero(ring)
+    for k, h in certificate:
+        total = total.add(ideal.generators[k].mul(h))
+    assert total == f
+    assert {c for _, h in certificate for c in h.terms.values()} == {
+        Fraction(2, 5), Fraction(-1, 5)}

@@ -6,6 +6,7 @@ import importlib
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +230,21 @@ def test_element_ring_axioms(sa, sb, sc):
     assert a.mul(b.mul(c)) == a.mul(b).mul(c)
     assert a.mul(b.add(c)) == a.mul(b).add(a.mul(c))
     assert a.sub(a).is_zero
+
+
+def test_sums_and_products_keep_integral_coefficients_int():
+    """In Q[X0]/(X0^2 - 1/2*X0) an integral coefficient formed by
+    Element.mul or Element.add is an int, as everywhere in the engine."""
+    half = Fraction(1, 2)
+    ring = RingPresentation(1, [RewriteRule(_var(0, 2), (half, _var(0)))])
+    x = Element.from_monomial(ring, _var(0))
+    product = Element.from_monomial(ring, _var(0), 2).mul(x)
+    assert product.terms == {_var(0): 1}
+    assert type(product.terms[_var(0)]) is int
+    halves = Element.constant(ring, half)
+    total = halves.add(halves)
+    assert total.terms == {Monomial.one(): 1}
+    assert type(total.terms[Monomial.one()]) is int
 
 
 def test_format_round_trip_examples():
