@@ -19,8 +19,12 @@ rule binomials lhs - c*rhs.  Results map back by normal forms.
   and Algorithms, ch. 2).  Membership is division by it, with cofactors
   that certify a yes, equality compares reduced bases, intersection
   eliminates a tag variable and colon divides the intersection with (f)
-  by f (ch. 4, sections 3-4).  A completion that spends WORK_BUDGET
-  stops; the answer then carries the existing incomplete flag.
+  by f (ch. 4, sections 3-4).  A colon or saturation by a term whose
+  variables occur in no basis entry of two or more terms needs neither:
+  it keeps those entries and takes the monomial closed form on the
+  monomial entries (_monomial_split).  A completion that spends
+  WORK_BUDGET stops; the answer then carries the existing incomplete
+  flag.
 """
 
 from __future__ import annotations
@@ -613,6 +617,53 @@ def _image(ring, basis, complete):
                               for _, poly, _ in basis], complete=complete)
 
 
+def _monomial_split(basis, m):
+    """(P, monomials) of a reduced Groebner basis for a monomial m: P the
+    entries of two or more terms, without cofactors, and the leads of the
+    monomial entries.  None when a variable of m occurs in a term of P.
+
+    Let J be the ideal of the basis, Z the variables of m and Y the others,
+    and write m = z^c and each monomial entry g = y^a z^b.  Then
+        (J : m)     = (P) + (g / gcd(g, m)),
+        (J : m^inf) = (P) + (g with Z zeroed),
+    and these generators are Groebner bases, so _reduced turns them into
+    the unique reduced basis, the very one elimination finds.
+
+    Proof.  P lies in K[Y], so K[X]/(P) = (K[Y]/(P))[Z], and J's image
+    there, spanned by the g, is graded by Z-exponents: its part of Z-degree
+    e is I_e z^e, I_e = (P, y^a : b <= e) in K[Y].  So f lies in (J : m)
+    exactly when each Z-part f_d z^d of f has f_d in I_{d+c}, the part of
+    Z-degree d of (P) + (g / gcd(g, m)), and in (J : m^inf) exactly when
+    each f_d lies in the union of the I_e, (P, every y^a), as c > 0 on Z.
+    A polynomial's leading term is that of one of its Z-parts, and the
+    basis of J gives LT(I_e) = (LT(P), y^a : b <= e) for every e.  So the
+    leading terms of the colon and the saturation are spanned, degree by
+    degree, by those of the new generators.
+
+    A reduced basis of a binomial ideal holds only binomials and monomials
+    (Eisenbud & Sturmfels, Binomial ideals, Duke Math. J. 84, 1996,
+    Prop. 1.1), so under binomial rules the monomial closed forms (Miller
+    & Sturmfels, GTM 227, ch. 1) apply in every variable that no binomial
+    entry touches.
+    """
+    support = m.support
+    polys, monos = [], []
+    for lead, poly, _ in basis:
+        if len(poly) == 1:
+            monos.append(lead)
+        elif any(not support.isdisjoint(t.support) for t in poly):
+            return None
+        else:
+            polys.append((lead, poly, None))
+    return polys, monos
+
+
+def _with_monomials(ring, polys, monos):
+    """Reduced Groebner basis entries of (P) + (monos), P and monos from a
+    _monomial_split, which together are a Groebner basis already."""
+    return _reduced(ring, polys + [(g, {g: 1}, None) for g in monos])
+
+
 def _check_shared_ring(a, b):
     if a.ring is not b.ring:
         raise RingMismatch("operands live in different rings")
@@ -685,33 +736,49 @@ def ideal_colon(ideal, f):
     """(I : f) = {g | g*f in I}.
 
     Monomial-mode I and a single-term f: divisibility quotients of the
-    lifted generators.  Otherwise the image of ((lifted I) cap (f)) / f, by
-    elimination; dividing a Groebner basis of the intersection by f gives
-    one of the colon.  Past WORK_BUDGET I itself, inside (I : f), flagged
-    incomplete.
+    lifted generators.  General-mode I and f = c*m, m avoiding every term
+    of the basis entries of two or more terms: those entries plus each
+    monomial entry g divided by gcd(g, m) (_monomial_split).  Otherwise the
+    image of ((lifted I) cap (f)) / f, by elimination; dividing a Groebner
+    basis of the intersection by f gives one of the colon.  Past
+    WORK_BUDGET I itself, inside (I : f), flagged incomplete.
     """
     if f.ring is not ideal.ring:
         raise RingMismatch("element and ideal live in different rings")
     ring = ideal.ring
     if f.is_zero:
         return IdealHandle.unit(ring)
-    if ideal.is_monomial_mode and f.is_single_term:
+    m = f.single_term()[0] if f.is_single_term else None
+    if ideal.is_monomial_mode and m is not None:
         # Non-normal quotients are zero in the ring; the handle drops them.
         return IdealHandle.from_monomials(
-            ring, _colon_basis(ideal.lifted_monomials(), f.single_term()[0]),
+            ring, _colon_basis(ideal.lifted_monomials(), m),
             complete=ideal.complete)
     try:
-        meet = _eliminate(ring, ideal._groebner(), [f.terms])
+        basis = ideal._groebner()
+        split = None if m is None else _monomial_split(basis, m)
+        if split is None:
+            entries = _colon_entries(ring, basis, f)
+        else:
+            polys, monos = split
+            entries = _with_monomials(
+                ring, polys, [g.div(g.gcd(m)) for g in monos])
     except _OutOfBudget:
         return IdealHandle(ring, ideal.generators, complete=False)
+    return _image(ring, entries, ideal.complete)
+
+
+def _colon_entries(ring, basis, f):
+    """Reduced Groebner basis entries of (B : f), B the ideal with Groebner
+    basis ``basis``: a basis of B cap (f), by elimination, divided by f."""
     order = _lift(ring)[1]
     divisor = _Reducers([_entry(ring, f.terms, None, {}, (), order)])
     quotients = []
-    for lead, poly, _ in meet:
+    for lead, poly, _ in _eliminate(ring, basis, [f.terms]):
         parts = {}
         _divide(poly, divisor, order, parts)
         quotients.append((lead.div(divisor[0][0]), parts[0], None))
-    return _image(ring, _reduced(ring, quotients), ideal.complete)
+    return _reduced(ring, quotients)
 
 
 def ideal_colon_ideal(ideal, other):
@@ -874,22 +941,38 @@ def _saturate_by(ideal, g):
 
     With I in monomial mode and g a monomial, the lifted basis of I with the
     exponents on supp(g) set to zero (Miller & Sturmfels, GTM 227, ch. 1).
-    Otherwise the tag-free part of a Groebner basis of the lifted I plus
-    (1 - t*g) (Cox, Little & O'Shea, ch. 4 section 4).  Raises _OutOfBudget
-    past WORK_BUDGET.
+    In general mode with g = c*m, m avoiding every term of the basis
+    entries of two or more terms, the same on the monomial entries, the
+    others kept (_monomial_split).  Otherwise the tag-free part of a
+    Groebner basis of the lifted I plus (1 - t*g) (Cox, Little & O'Shea,
+    ch. 4 section 4).  Raises _OutOfBudget past WORK_BUDGET.
     """
     ring = ideal.ring
-    if ideal.is_monomial_mode and g.is_single_term:
-        drop = g.single_term()[0].support
+    m = g.single_term()[0] if g.is_single_term else None
+    if ideal.is_monomial_mode and m is not None:
         return IdealHandle.from_monomials(ring, [
-            m.without(drop) for m in ideal.lifted_monomials()],
+            q.without(m.support) for q in ideal.lifted_monomials()],
             complete=ideal.complete)
+    basis = ideal._groebner()
+    split = None if m is None else _monomial_split(basis, m)
+    if split is None:
+        entries = _saturation_entries(ring, basis, g)
+    else:
+        polys, monos = split
+        entries = _with_monomials(
+            ring, polys, [q.without(m.support) for q in monos])
+    return _image(ring, entries, ideal.complete)
+
+
+def _saturation_entries(ring, basis, g):
+    """Reduced Groebner basis entries of (B : g^inf), B the ideal with
+    Groebner basis ``basis``: the tag-free part of a Groebner basis of B
+    plus (1 - t*g)."""
     tag = Monomial.variable(ring.num_vars)
     fresh = {m.mul(tag): -c for m, c in g.terms.items()}
     fresh[Monomial.one()] = 1
-    known = [(lead, poly, None) for lead, poly, _ in ideal._groebner()]
-    return _image(ring, _tag_free(ring, known, [(fresh, None)]),
-                  ideal.complete)
+    known = [(lead, poly, None) for lead, poly, _ in basis]
+    return _tag_free(ring, known, [(fresh, None)])
 
 
 def ideal_saturation(ideal, other):

@@ -14,13 +14,17 @@ monomial lies in an ideal exactly when a rule lhs or a generator divides
 it.  They decide this on exponent vectors packed into ints (_Codes): each
 variable owns a WIDTH-bit field with a guard bit above it, so a product is
 one addition and a divisibility test one subtraction.  A call whose degree
-or exponent could pass a field raises ValueError; nothing carries.
+or exponent could pass a field raises ValueError; nothing carries.  The
+general-mode membership oracle and exhaustive_normal_forms read the same
+and rewrite on the same codes (_Rewriting): a rule step subtracts the lhs
+code and adds the rhs code.
 
-Three facts are kept, each for the last input only: the ring's
+Four facts are kept, each for the last input only: the ring's
 (_ring_probes), with its normal monomials and primality probes; the
-monomials outside the last ideal asked about (_outside); and the witness
+monomials outside the last ideal asked about (_outside); the witness
 annihilators of the last module (_witness_annihilators), which both
-assassin oracles read.  A test that needs cold caches clears all three.
+assassin oracles read; and the rewriting of the last ring (_rewriting).
+A test that needs cold caches clears them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from .errors import RingMismatch
+from .errors import NonConfluent, RingMismatch
 from .ring import Element, Monomial, grlex_key
 
 # The exponent bits of a variable's field in a code, below its guard bit.
@@ -79,29 +83,37 @@ def brute_force_membership(f, ideal, degree_bound):
 
     Exact Gaussian elimination over the rationals on the products of the
     generators with every such monomial, so a None reads "no certificate up
-    to this bound", never a hard no.
+    to this bound", never a hard no.  Each product is rewritten with
+    ring.rules on codes (_Rewriting), as exhaustive_normal_forms rewrites;
+    NonConfluent when two strategies reach two normal forms.
     """
     ring = f.ring
     if ring is not ideal.ring:
         raise RingMismatch("element and ideal live in different rings")
     if f.is_zero:
         return ()
-    every = _Codes(ring.num_vars, ())  # no rule lhs: every monomial
-    monos = [every.monomial(c) for c in every.up_to(degree_bound)]
+    _check_degree(max((g.degree for g in ideal.generators), default=0)
+                  + degree_bound)
+    rewriting = _rewriting(ring)
+    codes = rewriting.codes  # no rule lhs: every monomial is a member
+    gens = [[(codes.code(t), c) for t, c in g.terms.items()]
+            for g in ideal.generators]
     columns = []
     labels = []
     seen_cols = set()
-    for k, g in enumerate(ideal.generators):
-        for m in monos:
-            prod = g.mul(Element(ring, {m: Fraction(1)}))
-            if prod.is_zero:
-                continue
-            vec = tuple(sorted((mm.pairs, c) for mm, c in prod.terms.items()))
-            if vec in seen_cols:
+    for k, terms in enumerate(gens):
+        for y in codes.up_to(degree_bound):
+            prod = {}
+            for x, c in terms:
+                for z, d in rewriting.normal_form(x + y):
+                    prod[z] = prod.get(z, 0) + c * d
+            prod = {z: c for z, c in prod.items() if c}
+            vec = frozenset(prod.items())
+            if not vec or vec in seen_cols:
                 continue
             seen_cols.add(vec)
-            columns.append(dict(prod.terms))
-            labels.append((k, m))
+            columns.append({codes.monomial(z): c for z, c in prod.items()})
+            labels.append((k, codes.monomial(y)))
     solution = _solve_exact(columns, dict(f.terms))
     if solution is None:
         return None
@@ -156,27 +168,66 @@ def exhaustive_normal_forms(ring, m):
 
     On a confluent rule set the returned set is a singleton.
     """
-    cache = {}
+    _check_degree(m.degree)
+    rewriting = _rewriting(ring)
+    return frozenset(
+        tuple((rewriting.codes.monomial(x).pairs, c) for x, c in key)
+        for key in rewriting.forms(rewriting.codes.code(m)))
 
-    def forms(mono):
-        cached = cache.get(mono)
+
+@lru_cache(maxsize=1)
+def _rewriting(ring):
+    """The last ring's rules on codes, with the normal forms reached so far
+    (_Rewriting).  A rule lowers degree, so no exponent passes the degree
+    a call checks for its start."""
+    codes = _Codes(ring.num_vars, ())
+    return _Rewriting(codes, [(codes.code(rule.lhs), None if rule.rhs is None
+                               else (rule.rhs[0], codes.code(rule.rhs[1])))
+                              for rule in ring.rules])
+
+
+class _Rewriting:
+    """Rules as (lhs code, None or (coeff, rhs code)) on _Codes, in ring
+    order, and, per code, the normal forms reachable from it under every
+    rewriting strategy: () for zero and ((code, coeff),) for
+    coeff * monomial."""
+
+    def __init__(self, codes, rules):
+        self.codes, self.rules, self.reached = codes, rules, {}
+
+    def forms(self, x):
+        cached = self.reached.get(x)
         if cached is not None:
             return cached
+        g = self.codes.guards
         out = set()
-        applicable = [rule for rule in ring.rules if rule.lhs.divides(mono)]
+        applicable = [(lhs, rhs) for lhs, rhs in self.rules
+                      if ((x | g) - lhs) & g == g]
         if not applicable:
-            out.add(((mono.pairs, 1),))
-        for rule in applicable:
-            if rule.rhs is None:
+            out.add(((x, 1),))
+        for lhs, rhs in applicable:
+            if rhs is None:
                 out.add(())
                 continue
-            rc, rm = rule.rhs
-            for key in forms(mono.div(rule.lhs).mul(rm)):
-                out.add(tuple((pairs, c * rc) for pairs, c in key))
-        result = cache[mono] = frozenset(out)
+            rc, rm = rhs
+            for key in self.forms(x - lhs + rm):
+                out.add(tuple((y, c * rc) for y, c in key))
+        result = self.reached[x] = frozenset(out)
         return result
 
-    return forms(m)
+    def normal_form(self, x):
+        """The one normal form of code x, as a key of forms; NonConfluent
+        when two strategies reach two."""
+        key, *others = self.forms(x)
+        if others:
+            raise NonConfluent("two normal forms of %r"
+                               % (self.codes.monomial(x),))
+        return key
+
+
+def _check_degree(d):
+    if d >> WIDTH:  # an exponent of degree d could pass its field
+        raise ValueError("degree %d passes the %d-bit field" % (d, WIDTH))
 
 
 class _Codes:
@@ -239,8 +290,7 @@ class _Outside:
         self.members = set(self.levels[0])
 
     def members_up_to(self, d):
-        if d >> WIDTH:  # an exponent of degree d could pass its field
-            raise ValueError("degree %d passes the %d-bit field" % (d, WIDTH))
+        _check_degree(d)
         while len(self.levels) <= d and self.levels[-1]:
             self._grow()
         return self.members

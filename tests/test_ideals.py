@@ -692,6 +692,143 @@ def test_general_mode_colon_by_ideal_is_exact(monkeypatch):
     assert other.equals(result) is True
 
 
+def _count_calls(monkeypatch, module, names):
+    """A Counter of the calls to each of these module functions."""
+    calls = Counter()
+    for name in names:
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _real=real:
+                            calls.update([_name]) or _real(*args))
+    return calls
+
+
+def test_free_variable_colon_and_saturation_eliminate_nothing(monkeypatch):
+    """On idem50C, colon and saturation by the free variable X0 read b's
+    Groebner basis: no completion and no elimination runs once it is
+    built, and the result is the handle elimination interns."""
+    import torsionlab.ideals as ideals_module
+    from torsionlab.families import get_family, instantiate
+    from torsionlab.ideals import _colon_entries, _image, _saturation_entries
+    calls = _count_calls(monkeypatch, ideals_module,
+                         ("_complete", "_eliminate"))
+    for level in range(4, 11):
+        ring, ideals = instantiate(get_family("idem50C"), level)
+        b = ideals["b"]
+        basis = b._groebner()
+        x0 = Element.from_monomial(ring, _var(0))
+        calls.clear()
+        colon = ideal_colon(b, x0)
+        saturation = ideal_saturation(b, IdealHandle(ring, [x0]))
+        assert not calls, (level, calls)
+        assert saturation.stabilized
+        assert colon is _image(ring, _colon_entries(ring, basis, x0), True)
+        assert saturation.ideal is _image(
+            ring, _saturation_entries(ring, basis, x0), True)
+
+
+def test_script_colon_by_the_free_variable_eliminates_nothing(monkeypatch):
+    """scripts/idem50C.tl's query colon(b; X[0]) runs after its membership
+    queries built b's Groebner basis, and completes and eliminates
+    nothing."""
+    import torsionlab.ideals as ideals_module
+    from pathlib import Path
+
+    from torsionlab import cli
+    from torsionlab.dsl import parse
+    script = Path(__file__).resolve().parent.parent / "scripts" / "idem50C.tl"
+    calls = _count_calls(monkeypatch, ideals_module,
+                         ("_complete", "_eliminate"))
+    during = {}
+    real = cli._execute_statement
+
+    def execute(session, stmt):
+        calls.clear()
+        payload = real(session, stmt)
+        during[stmt.render().strip()] = Counter(calls)
+        return payload
+
+    monkeypatch.setattr(cli, "_execute_statement", execute)
+    _, code = cli.execute(parse(script.read_text()))
+    assert code == 0
+    assert during["query membership(X[0]^3*X[3]; b)"] == Counter(
+        _complete=1)
+    assert during["query colon(b; X[0])"] == Counter()
+
+
+def test_colon_by_a_term_in_a_binomial_tail_eliminates(monkeypatch):
+    """In Q[X0, X1]/(X0^2 - X1), that is Q[X0], the colon of b = (X0^5)
+    by X1^2 = X0^4 is (X0).  X1 occurs only in the tail of the rule
+    binomial, so the colon takes the elimination route."""
+    import torsionlab.ideals as ideals_module
+    ring = RingPresentation(2, [RewriteRule(_var(0, 2), (1, _var(1)))])
+    b = IdealHandle.from_monomials(ring, [_var(0).mul(_var(1, 2))])
+    assert format_ideal(b) == "ideal(X0*X1^2)" and not b.is_monomial_mode
+    b._groebner()
+    calls = _count_calls(monkeypatch, ideals_module,
+                         ("_complete", "_eliminate"))
+    colon = ideal_colon(b, Element.from_monomial(ring, _var(1, 2)))
+    assert calls == Counter(_complete=1, _eliminate=1)
+    # The image of the lifted colon's reduced basis, (X0, X1).
+    assert format_ideal(colon) == "ideal(X0, X1)"
+    assert colon.equals(IdealHandle.from_monomials(ring, [_var(0)])) is True
+
+
+def _term_colon_cases(rng, count):
+    """(ideal, basis, f) with f = c*m a nonzero term: general-mode ideals
+    of one to three generators over random confluent rings with one or two
+    extra rule-free variables, each with its complete Groebner basis."""
+    cases = 0
+    while cases < count:
+        rules = _random_ring(rng)
+        if check_local_confluence(rules):
+            continue
+        ring = RingPresentation(rules.num_vars + rng.randint(1, 2),
+                                list(rules.rules))
+        terms = ring.normal_monomials_up_to(2)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            f = Element.zero(ring)
+            for t in rng.sample(terms, min(len(terms), rng.randint(1, 3))):
+                f = f.add(Element.from_monomial(
+                    ring, t, _random_coefficient(rng)))
+            gens.append(f)
+        ideal = IdealHandle(ring, gens)
+        f = Element.from_monomial(ring, _random_monomial(
+            rng, ring.num_vars, rng.randint(1, 2)), _random_coefficient(rng))
+        if ideal.is_monomial_mode or f.is_zero:
+            continue
+        cases += 1
+        yield ideal, ideal._groebner(), f
+
+
+def test_term_colon_and_saturation_match_the_elimination_route():
+    """A colon or saturation by a term is the very handle the elimination
+    route interns, whether it takes the closed form or falls back; the
+    closed form and the fallback for a term that meets only a binomial's
+    tail each occur often."""
+    import torsionlab.ideals as ideals_module
+    from torsionlab.ideals import (
+        _colon_entries,
+        _image,
+        _monomial_split,
+        _saturation_entries,
+    )
+    closed = tail_only = 0
+    for ideal, basis, f in _term_colon_cases(random.Random(7), 520):
+        ring, m = ideal.ring, f.single_term()[0]
+        colon = ideal_colon(ideal, f)
+        saturation = ideals_module._saturate_by(ideal, f)
+        assert colon is _image(ring, _colon_entries(ring, basis, f), True)
+        assert saturation is _image(
+            ring, _saturation_entries(ring, basis, f), True)
+        if _monomial_split(basis, m) is not None:
+            closed += 1
+        elif all(m.support.isdisjoint(lead.support)
+                 for lead, poly, _ in basis if len(poly) > 1):
+            tail_only += 1
+    assert closed >= 200 and tail_only >= 20, (closed, tail_only)
+
+
 def _colon_chain(ideal, other, cap):
     """The ascending chain I, (I:J), ((I:J):J), ... run explicitly, as
     (ideal, stabilized, steps).  A colon past the work budget (flagged

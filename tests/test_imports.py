@@ -11,6 +11,8 @@ Monomial.exponent, no call passes _power_kill_exponent more than its three
 arguments, _most_factors keeps one recursion and no other module names it,
 ring.py holds the one coefficient rule, which ideals.py imports, neither
 divides a coefficient but by Fraction(1, c), and FRACTION_ONE is gone,
+ideal_colon and _saturate_by test a term against the Groebner basis only
+through _monomial_split,
 every span name the benchmark tracer wraps resolves in the package, and
 each package attribute named after a module is that module.
 
@@ -56,6 +58,11 @@ SHORTCUT_MASKS = {"seen", "twice"}
 COEFFICIENT_RULE = "_small"
 COEFFICIENT_MODULES = ("ring.py", "ideals.py")
 FRACTION_UNIT = "FRACTION_ONE"
+# A colon or saturation by a term asks one helper whether the term avoids
+# every Groebner basis entry of two or more terms; neither tests it itself.
+TERM_SPLIT = "_monomial_split"
+TERM_SPLIT_CALLERS = ("ideal_colon", "_saturate_by")
+DISJOINTNESS_CALLS = {"isdisjoint", "intersection"}
 # The corner layer reads exponent tuples: each handle converts its
 # generators once (IdealHandle._vectors), through ring._exponent_vector.
 CORNER_LAYER = ("ring.py", "ideals.py", "spectrum.py")
@@ -374,10 +381,12 @@ def test_engine_import_is_reported():
 
 # The engine methods the oracles check, which oracles.py must not call: the
 # membership memo, the level walkers, normal forms, the generator and
-# corner facts of a handle, and its Groebner basis.
+# corner facts of a handle, its Groebner basis, and products: Element.mul
+# reduces through the engine's normal form, and Monomial.mul shares its
+# name, so the oracles multiply on packed codes and call no mul at all.
 ENGINE_READS = {"contains_monomial", "normal_form_monomial", "is_normal",
                 "monomial_generators", "_components", "_vectors",
-                "lifted_monomials", "_groebner"}
+                "lifted_monomials", "_groebner", "mul"}
 ENGINE_READ_PREFIX = "normal_monomials_"
 
 
@@ -411,19 +420,21 @@ def test_oracle_engine_read_is_reported():
                      "ideal._vectors(); ring._components()\n"
                      "basis = ideal._groebner() or ideal.lifted_monomials()\n"
                      "from .ring import is_normal\n"
-                     "normal = contains = monomials_up_to = 0\n")
+                     "normal = contains = monomials_up_to = 0\n"
+                     "prod = g.mul(Element(ring, {m: Fraction(1)}))\n")
     assert _engine_reads(tree) == [
         (1, "contains_monomial"), (2, "normal_monomials_up_to"),
         (3, "normal_form_monomial"), (4, "monomial_generators"),
         (5, "normal_monomials_of_degree"), (6, "_components"),
         (6, "_vectors"), (7, "_groebner"), (7, "lifted_monomials"),
-        (8, "is_normal")]
+        (8, "is_normal"), (10, "mul")]
 
 
 # The caches of oracles.py, each of which keeps one entry: the facts of the
-# last ring, the monomials outside the last ideal and the witness
-# annihilators of the last module.
-ORACLE_CACHES = {"_ring_probes", "_outside", "_witness_annihilators"}
+# last ring, the monomials outside the last ideal, the witness
+# annihilators of the last module and the rewriting of the last ring.
+ORACLE_CACHES = {"_ring_probes", "_outside", "_witness_annihilators",
+                 "_rewriting"}
 MUTABLE_CALLS = {"dict", "set", "list", "defaultdict", "OrderedDict",
                  "Counter"}
 MUTABLE_DISPLAYS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,
@@ -773,6 +784,58 @@ def test_coefficient_rule_fault_is_reported():
         ("ring.py", 5, "names FRACTION_ONE")]
     assert _coefficient_rule_faults({"ring.py": ast.parse("x = 1\n")}) == [
         ("ideals.py", 0, "no import of _small"), ("ring.py", 0, "no _small")]
+
+
+def _term_split_faults(ideals):
+    """(line, fault) for each disjointness test (an isdisjoint or
+    intersection call, or an &) in ideal_colon or _saturate_by of the
+    ideals.py tree; (0, fault) for either of them that does not call
+    _monomial_split, or when _monomial_split is missing or tests nothing
+    with isdisjoint."""
+    functions = {node.name: node for node in ideals.body
+                 if isinstance(node, FUNCTIONS)}
+    faults = []
+    helper = functions.get(TERM_SPLIT)
+    if helper is None or "isdisjoint" not in {
+            name for _, name in _names(helper)}:
+        faults.append((0, "no test in " + TERM_SPLIT))
+    for caller in TERM_SPLIT_CALLERS:
+        node = functions.get(caller, ast.Module(body=[]))
+        if TERM_SPLIT not in {name for _, name in _names(node)}:
+            faults.append((0, caller + " skips " + TERM_SPLIT))
+        faults += [(sub.lineno, caller + " tests disjointness")
+                   for sub in ast.walk(node)
+                   if (isinstance(sub, ast.Call) and getattr(
+                       sub.func, "attr", None) in DISJOINTNESS_CALLS)
+                   or (isinstance(sub, (ast.BinOp, ast.AugAssign))
+                       and isinstance(sub.op, ast.BitAnd))]
+    return sorted(faults)
+
+
+def test_term_colon_and_saturation_split_through_one_helper():
+    ideals = ast.parse((PACKAGE / "ideals.py").read_text())
+    assert _term_split_faults(ideals) == []
+
+
+def test_term_split_fault_is_reported():
+    ideals = ast.parse(
+        "def _monomial_split(basis, m):\n    return basis\n\n"
+        "def ideal_colon(ideal, f):\n"
+        "    s = f.support\n"
+        "    if any(not s.isdisjoint(t.support) for t in f.terms):\n"
+        "        return s.intersection(f)\n\n"
+        "def _saturate_by(ideal, g):\n"
+        "    hit = _monomial_split(ideal, g) or g.mask & ideal.mask\n")
+    assert _term_split_faults(ideals) == [
+        (0, "ideal_colon skips _monomial_split"),
+        (0, "no test in _monomial_split"),
+        (6, "ideal_colon tests disjointness"),
+        (7, "ideal_colon tests disjointness"),
+        (10, "_saturate_by tests disjointness")]
+    assert _term_split_faults(ast.parse("x = 1\n")) == [
+        (0, "_saturate_by skips _monomial_split"),
+        (0, "ideal_colon skips _monomial_split"),
+        (0, "no test in _monomial_split")]
 
 
 def _load_spans():

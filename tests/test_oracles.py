@@ -19,6 +19,7 @@ from itertools import combinations
 import pytest
 
 from torsionlab import oracles
+from torsionlab.errors import NonConfluent
 from torsionlab.harness import random_instance
 from torsionlab.ideals import IdealHandle
 from torsionlab.oracles import (
@@ -350,3 +351,19 @@ def test_brute_force_membership_eliminates_exactly_on_int_coefficients():
     assert total == f
     assert {c for _, h in certificate for c in h.terms.values()} == {
         Fraction(2, 5), Fraction(-1, 5)}
+
+
+def test_brute_force_membership_refuses_two_normal_forms():
+    """The oracle rewrites with ring.rules under every strategy, so a
+    product with two normal forms is refused, not reduced one way: in
+    X0*X1 -> X2, X1*X2 -> 0, X2^2 -> X0, X0 * X1*X2 reaches X0 and 0."""
+    x0, x1, x2 = (Monomial.variable(v) for v in range(3))
+    ring = RingPresentation(3, [RewriteRule(x0.mul(x1), (1, x2)),
+                                RewriteRule(x1.mul(x2)),
+                                RewriteRule(x2.pow(2), (1, x0))])
+    ideal = IdealHandle(ring, [Element.from_monomial(ring, x0)])
+    f = Element.from_monomial(ring, x2)
+    assert brute_force_membership(f, ideal, 1) == (
+        (0, Element.from_monomial(ring, x1)),)
+    with pytest.raises(NonConfluent, match="two normal forms"):
+        brute_force_membership(f, ideal, 2)
