@@ -5,6 +5,11 @@ nilpotent by a rule), so every saturation stabilizes and the noetherian
 forms of the propositions apply.
 A violation therefore indicates an implementation bug, and each one carries
 a script reproducing its instance.
+
+The acting ideal is finitely generated, so the large torsion's preimage is
+the small one's handle and the fairness report scans three modules.  No
+check compares a large fact with its small twin; the checks that carry a
+large name compare it with the base scans.
 """
 
 from __future__ import annotations
@@ -16,12 +21,7 @@ from .dsl import CheckStatement, Script, ideal_statement, ring_statement
 from .ideals import IdealHandle, ideal_colon_ideal, ideal_sum
 from .ring import Monomial, RewriteRule, RingPresentation
 from .spectrum import assassin_scan, difference_variety, intersect_variety
-from .torsion import (
-    centredness_flags,
-    fairness_report,
-    gamma_large_cyclic,
-    gamma_small_cyclic,
-)
+from .torsion import centredness_flags, fairness_report, gamma_small_cyclic
 
 DEFAULT_INSTANCES = 500
 DEFAULT_SEED = 42
@@ -156,58 +156,42 @@ def check_instance(instance):
     report = fairness_report(a, b)
     small, large = report.small, report.large
     g = small.preimage
-    h = large.preimage
-    ((base_ass, base_assf), (sub_s_ass, sub_s_assf), (quo_s_ass, quo_s_assf),
-     (sub_l_ass, sub_l_assf), (quo_l_ass, quo_l_assf)) = report.scans
+    ((base_ass, base_assf), (sub_ass, sub_assf),
+     (quo_ass, quo_assf)) = report.scans
 
     ck.check("subfunctor-chain",
-             all(g.contains_monomial(m) for m in b.monomial_generators())
-             and all(h.contains_monomial(m) for m in g.monomial_generators()))
+             all(g.contains_monomial(m) for m in b.monomial_generators()))
 
     meet_ass = frozenset(intersect_variety(base_ass.primes, a))
     meet_assf = frozenset(intersect_variety(base_assf.primes, a))
     diff_ass = frozenset(difference_variety(base_ass.primes, a))
     diff_assf = frozenset(difference_variety(base_assf.primes, a))
 
-    ck.check("small-sub-ass-eq", sub_s_ass.prime_set == meet_ass)
-    ck.check("small-sub-assf-sub", sub_s_assf.prime_set <= meet_assf)
-    ck.check("small-quot-ass-sup", quo_s_ass.prime_set >= diff_ass)
-    ck.check("small-quot-assf-sup", quo_s_assf.prime_set >= diff_assf)
-
-    ck.check("large-sub-ass-eq",
-             sub_l_ass.prime_set == meet_ass
-             and sub_l_ass.prime_set == sub_s_ass.prime_set)
-    ck.check("large-sub-assf-sub", sub_l_assf.prime_set <= meet_assf)
-    ck.check("large-quot-ass-sup", quo_l_ass.prime_set >= diff_ass)
-    ck.check("large-quot-assf-sup", quo_l_assf.prime_set >= diff_assf)
+    ck.check("small-sub-ass-eq", sub_ass.prime_set == meet_ass)
+    ck.check("small-sub-assf-sub", sub_assf.prime_set <= meet_assf)
+    ck.check("small-quot-ass-sup", quo_ass.prime_set >= diff_ass)
+    ck.check("small-quot-assf-sup", quo_assf.prime_set >= diff_assf)
 
     small_zero = small.is_zero_submodule
     large_zero = large.is_zero_submodule
-    assf_inside = base_assf.prime_set <= meet_assf
     ck.check("vanishing-chain",
              (bool(meet_assf) or large_zero)
-             and ((not large_zero) or small_zero)
              and ((not small_zero) or not meet_ass))
     ck.check("whole-module-chain",
-             ((not small.is_whole_module) or assf_inside)
-             and (assf_inside == large.is_whole_module))
+             (base_assf.prime_set <= meet_assf) == large.is_whole_module)
     ck.check("large-vanishing-iff", large_zero == (not meet_assf))
 
     ck.check("quot-large-avoids-variety",
-             not intersect_variety(quo_l_ass.primes, a))
+             not intersect_variety(quo_ass.primes, a))
 
     ck.check("fairness-complete", report.complete)
     wf = report.verdict("weakly_fair")
     wq = report.verdict("weakly_quasifair")
-    wlf = report.verdict("weakly_large_fair")
-    wlq = report.verdict("weakly_large_quasifair")
     ck.check("weak-fair-implies-quasifair", (not wf) or wq)
-    ck.check("weak-large-fair-implies-quasifair", (not wlf) or wlq)
-    ck.check("weak-quasifair-implies-large", (not wq) or wlq)
 
     ck.check("noetherian-all-fair",
              report.all_hold and report.centred_witness_ok
-             and report.half_centred_witness_ok and report.functors_agree,
+             and report.half_centred_witness_ok,
              "verdicts %s" % (tuple(cmp.holds for cmp in report.comparisons),))
 
     small2 = gamma_small_cyclic(a2, b)
@@ -216,10 +200,6 @@ def check_instance(instance):
         intersect_variety(base_assf.primes, a2))
     ck.check("between-quasifair-implication", (not wq2) or wq)
 
-    ck.check("ass-subset-weak",
-             all(r_ass.prime_set <= r_assf.prime_set
-                 and r_ass.prime_set == r_assf.prime_set
-                 for r_ass, r_assf in report.scans))
     ck.check("zero-module-iff-empty-weak",
              b.is_unit == (not base_assf.prime_set))
 
@@ -244,24 +224,17 @@ def check_instance(instance):
 
     # The saturation that gave g already found the least n with a^n * g
     # inside b (small.steps), so only whether it stabilized matters here.
-    # h is the very handle g (gamma_large_cyclic returns the small
-    # preimage), so the same n kills h.
+    # The large preimage is g itself, so the same n kills it.
     if small.stabilized:
-        if not intersect_variety(quo_s_ass.primes, a):
+        if not intersect_variety(quo_ass.primes, a):
             ck.check("bounded-small-fair", report.verdict("fair"))
-        if not intersect_variety(quo_s_assf.primes, a):
+        if not intersect_variety(quo_assf.primes, a):
             ck.check("bounded-small-weak-fair",
                      report.verdict("fair") and wf)
         ck.check("bounded-large-fair", report.verdict("large_fair"))
-        if not intersect_variety(quo_l_assf.primes, a):
-            ck.check("bounded-large-weak-fair", wlf)
 
-    small_again = gamma_small_cyclic(a, g)
-    large_again = gamma_large_cyclic(a, h)
     ck.check("small-torsion-radical",
-             small_again.preimage.equals(g) is True)
-    ck.check("large-torsion-radical",
-             large_again.preimage.equals(h) is True)
+             gamma_small_cyclic(a, g).preimage.equals(g) is True)
 
     a_sum = ideal_sum(a, a2)
     witness_flags = {

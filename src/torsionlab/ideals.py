@@ -984,9 +984,10 @@ def ideal_saturation(ideal, other):
 
     In monomial mode the result is read off the corners of I when it is R
     or I (_corner_saturation).  Otherwise a principal J is closed form, and
-    any other J meets the principal saturations (I : g^inf) of its
-    generators.  The interned handle of I keeps each result under the
-    handle of J, so each is computed once per ring.
+    any other J meets the (I : g^inf) of its generators: their closed forms
+    in monomial mode, the memo's principal saturations in general mode.
+    The interned handle of I keeps each result under the handle of J, so
+    each is computed once per ring.
     """
     _check_shared_ring(ideal, other)
     if other not in ideal._saturations:
@@ -995,7 +996,7 @@ def ideal_saturation(ideal, other):
 
 
 def _principal_saturations(ideal, other):
-    """The memo's (I : g^inf), one per generator g of J."""
+    """The memo's (I : g^inf), one per generator g of J, in general mode."""
     return [ideal_saturation(ideal, IdealHandle(ideal.ring, [g]))
             for g in other.generators]
 
@@ -1040,16 +1041,21 @@ def _corner_saturation(ideal, other):
 
 def _compute_saturation(ideal, other):
     """ideal_saturation without the memo: the corner read, else a principal
-    J in closed form, else the meet of the principal saturations."""
+    J in closed form, else the meet of the (I : g^inf), g in J; in monomial
+    mode these take no memo entry and no kill exponent of their own."""
     steps = None
     try:
         sat, parts = _corner_saturation(ideal, other), ()
         if sat is None and len(other.generators) == 1:
             sat = _saturate_by(ideal, other.generators[0])
         elif sat is None:
-            parts = _principal_saturations(ideal, other)
-            sat = reduce(ideal_intersection, [part.ideal for part in parts]
-                         or [IdealHandle.unit(ideal.ring)])
+            if ideal.is_monomial_mode and other.is_monomial_mode:
+                meet = [_saturate_by(ideal, g) for g in other.generators]
+            else:
+                parts = _principal_saturations(ideal, other)
+                meet = [part.ideal for part in parts]
+            sat = reduce(ideal_intersection,
+                         meet or [IdealHandle.unit(ideal.ring)])
         # An intersection past WORK_BUDGET comes back incomplete.
         if (all(part.stabilized for part in parts)
                 and (sat.complete or not ideal.complete)):

@@ -6,6 +6,7 @@ import random
 from functools import reduce
 
 import torsionlab.ideals as ideals_module
+import torsionlab.torsion as torsion_module
 from torsionlab.harness import random_instance
 from torsionlab.ideals import (
     IdealHandle,
@@ -222,6 +223,54 @@ def test_large_torsion_builds_no_principal_part(monkeypatch):
     computed = [args for name, args in calls if name == "_compute_saturation"]
     assert computed == [(b, a)] + [
         (b, IdealHandle(ring, [g])) for g in a.generators]
+
+
+def test_monomial_partial_saturation_reads_one_kill_exponent(monkeypatch):
+    """A monomial-mode b : a^inf that the corners of b do not settle meets
+    the closed forms of the b : g^inf, g a generator of a: it computes one
+    saturation and reads one kill exponent, and leaves no principal part in
+    the memo.  Its ideal is the meet of the principal saturations."""
+    calls = _count_walks(monkeypatch)
+    seen = 0
+    for b, a in _free_ring_saturation_pairs(1000, 67):
+        if len(a.generators) < 2 or _corner_saturation(b, a) is not None:
+            continue
+        del calls[:]
+        sat = ideal_saturation(b, a)
+        assert [(name, args[:2]) for name, args in calls] == [
+            ("_compute_saturation", (b, a)),
+            ("_power_kill_exponent", (a, sat.ideal))]
+        assert list(b._saturations) == [a]
+        parts = [ideal_saturation(b, IdealHandle(b.ring, [g])).ideal
+                 for g in a.generators]
+        assert reduce(ideals_module.ideal_intersection, parts) is sat.ideal
+        seen += 1
+    assert seen >= 40
+
+
+def test_fairness_report_scans_three_modules(monkeypatch):
+    """A fresh fairness report scans R/b, the small torsion and R/small
+    preimage, which the large torsion shares, and no other module.  Each
+    large verdict is its small twin's comparison under the large name."""
+    scans = []
+    real = torsion_module.assassin_scan
+    monkeypatch.setattr(torsion_module, "assassin_scan",
+                        lambda *args: scans.append(args) or real(*args))
+    rng = random.Random(71)
+    for i in range(20):
+        instance = random_instance(i, rng)
+        a, b = instance.acting, instance.relations
+        del scans[:]
+        report = fairness_report(a, b)
+        unit, preimage = IdealHandle.unit(b.ring), report.small.preimage
+        assert scans == [(unit, b), (preimage, b), (unit, preimage)]
+        assert len(report.scans) == 3
+        assert report.large.preimage is preimage
+        small, large = report.comparisons[:3], report.comparisons[3:]
+        assert tuple(c.name for c in large) == VERDICT_NAMES[3:]
+        for twin, comparison in zip(small, large):
+            assert (comparison.left, comparison.right, comparison.holds) == (
+                twin.left, twin.right, twin.holds)
 
 
 def test_general_mode_large_torsion_runs_no_completion(monkeypatch):
