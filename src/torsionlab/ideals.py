@@ -227,11 +227,11 @@ def _cofactor_sum(ring, parts, budget=None):
                         # h is in normal form already.
                         part[hm] = part.get(hm, 0) + w
                         continue
-                    product = qm if hm.is_one else qm.mul(hm)
                     for m, c in ring.normal_form_monomial(
-                            product).terms.items():
+                            qm.mul(hm)).terms.items():
                         part[m] = part.get(m, 0) + w * c
-    out = {k: Element(ring, part) for k, part in acc.items()}
+    out = {k: Element(ring, {m: _small(c) for m, c in part.items()})
+           for k, part in acc.items()}
     return {k: h for k, h in out.items() if h.terms}
 
 

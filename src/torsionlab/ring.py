@@ -13,7 +13,15 @@ confluence has been certified.
 A monomial's pairs hold one invariant: variable indices strictly increase
 and exponents are positive.  The public ``Monomial`` constructor checks it
 on every input; the private ``_trusted_monomial`` assumes it and serves
-only the monomial operations of this module, whose results keep it.
+only the monomial operations of this module, whose results keep it.  Its
+twin ``_trusted_element`` trusts that coefficients are nonzero and obey
+_small, for the normal form and ``Element.scale``, whose coefficients are
+products of nonzero ones.
+
+The rule index (_rules_by_var) files each rule under the largest variable
+of its lhs, with the lhs's exponent there: the normal form skips, with no
+divisibility walk, a rule whose exponent exceeds m's, which under
+idempotent or square-zero rules is every rule for a normal monomial.
 
 The ring keeps the staircase corners of its rule-lhs ideal
 (_staircase_corners): the top normal degree is read off them, and every
@@ -39,9 +47,13 @@ class Monomial:
     indices of ``pairs`` strictly increase and every exponent is positive;
     an absent index means exponent zero.  ``Monomial(...)`` takes pairs from
     outside (the DSL, the harness, the families) and checks the invariant.
-    ``mul``, ``div``, ``gcd``, ``lcm``, ``pow``, ``squarefree`` and
-    ``without`` build their results from operands that already hold it, so
-    they go through ``_trusted_monomial``, which checks nothing.
+    ``mul``, ``div``, ``div_mul``, ``gcd``, ``lcm``, ``pow``, ``squarefree``
+    and ``without`` build their results from operands that already hold it,
+    so they go through ``_trusted_monomial``, which checks nothing; results
+    reuse the operands' untouched (var, exp) tuples.  Fast paths: ``mul``
+    by 1 returns the other operand, and ``divides`` is False at once when
+    self has the larger degree.  A rewrite step is one fused walk,
+    ``div_mul``, which ``div`` reuses.
     """
 
     __slots__ = ("pairs", "degree", "_hash", "_support")
@@ -98,6 +110,10 @@ class Monomial:
 
     def mul(self, other):
         a, b = self.pairs, other.pairs
+        if not a:
+            return other
+        if not b:
+            return self
         na, nb = len(a), len(b)
         out = []
         i = j = 0
@@ -126,6 +142,8 @@ class Monomial:
                                  self.degree * k)
 
     def divides(self, other):
+        if self.degree > other.degree:
+            return False
         # One merge walk over both sorted pair tuples.
         theirs = iter(other.pairs)
         for v, e in self.pairs:
@@ -140,22 +158,39 @@ class Monomial:
 
     def div(self, other):
         """Exact quotient self / other; other must divide self."""
-        out = []
-        mine = iter(self.pairs)
-        for w, f in other.pairs:
-            for p in mine:
-                if p[0] >= w:
-                    break
-                out.append(p)
+        return self.div_mul(other, _ONE)
+
+    def div_mul(self, lhs, rhs):
+        """self / lhs * rhs, lhs dividing self, in one merge walk."""
+        rp, out, i = rhs.pairs, [], 0
+        nr = len(rp)
+        lhs_pairs = iter(lhs.pairs)
+        w, f = next(lhs_pairs, (math.inf, 0))
+        for p in self.pairs:
+            v = p[0]
+            while i < nr and rp[i][0] < v:
+                out.append(rp[i])
+                i += 1
+            if v >= w:
+                if v > w or p[1] < f:
+                    raise ValueError("non-exact monomial division")
+                e = p[1] - f
+                w, f = next(lhs_pairs, (math.inf, 0))
+            elif i < nr and rp[i][0] == v:
+                e = p[1]
             else:
-                raise ValueError("non-exact monomial division")
-            v, e = p
-            if v != w or e < f:
-                raise ValueError("non-exact monomial division")
-            if e != f:
-                out.append((v, e - f))
-        out.extend(mine)
-        return _trusted_monomial(tuple(out), self.degree - other.degree)
+                out.append(p)
+                continue
+            if i < nr and rp[i][0] == v:
+                out.append((v, e + rp[i][1]) if e else rp[i])
+                i += 1
+            elif e:
+                out.append((v, e))
+        if w != math.inf:
+            raise ValueError("non-exact monomial division")
+        out.extend(rp[i:])
+        return _trusted_monomial(tuple(out),
+                                 self.degree - lhs.degree + rhs.degree)
 
     def gcd(self, other):
         a, b = self.pairs, other.pairs
@@ -255,18 +290,17 @@ def _next_level(ring, level):
     largest variable, in grlex order as ``level`` is (within a degree, lex
     order of the sorted variable indices).  As m is outside the ideal, a
     rule lhs dividing m * X_v ends in v with the exponent of v there, so
-    only the rules the ring files under v (_rules_by_var) are tried.
+    only v's rules with that exponent (_rules_by_var) are tried.
     """
     buckets, out = ring._rules_by_var, []
     for m in level:
         pairs = m.pairs
         last, e = pairs[-1] if pairs else (0, 0)
         for v in range(last, ring.num_vars):
-            head, top = (pairs[:-1], (v, e + 1)) if v == last else (
-                pairs, (v, 1))
-            cand = _trusted_monomial(head + (top,), m.degree + 1)
-            for _, rule in buckets.get(v, ()):
-                if rule.lhs.pairs[-1] == top and rule.lhs.divides(cand):
+            head, top = (pairs[:-1], e + 1) if v == last else (pairs, 1)
+            cand = _trusted_monomial(head + ((v, top),), m.degree + 1)
+            for _, f, rule in buckets.get(v, ()):
+                if f == top and rule.lhs.divides(cand):
                     break
             else:
                 out.append(cand)
@@ -405,7 +439,7 @@ class RingPresentation:
     ideal, and (complete flag, work budget) to the unit ideal's handle.
     Cached normal forms are shared, immutable Elements: Element.from_monomial
     with coefficient 1 and the monic generators of every ideal handle are
-    these objects themselves; under integral rules they hold ints (_small).
+    these objects themselves; they hold ints where integral (_small).
     """
 
     def __init__(self, num_vars, rules=()):
@@ -427,13 +461,13 @@ class RingPresentation:
         self.num_vars = num_vars
         self.rules = tuple(sorted(rules, key=lambda r: grlex_key(r.lhs)))
         self.all_rhs_zero = all(rule.rhs is None for rule in self.rules)
-        # The one rule index: a rule can apply to m only if the largest
-        # variable of its lhs occurs in m, so bucket the rules by that
-        # variable, each with its position in the grlex rule order.
+        # The one rule index: a rule applies to m only if m has the largest
+        # variable of its lhs, to at least the lhs's exponent there, so file
+        # the rules under that variable, with that exponent and their rank.
         self._rules_by_var = {}
         for pos, rule in enumerate(self.rules):
-            self._rules_by_var.setdefault(rule.lhs.max_var(), []).append(
-                (pos, rule))
+            v, f = rule.lhs.pairs[-1]
+            self._rules_by_var.setdefault(v, []).append((pos, f, rule))
         self._nf_cache = {}
         # No rule lhs is the unit monomial, so degree 0 holds just 1.
         self._levels = [(Monomial.one(),)]
@@ -456,11 +490,11 @@ class RingPresentation:
         best = None
         best_pos = len(self.rules)
         buckets = self._rules_by_var
-        for v, _ in m.pairs:
-            for pos, rule in buckets.get(v, ()):
+        for v, e in m.pairs:
+            for pos, f, rule in buckets.get(v, ()):
                 if pos >= best_pos:
                     break
-                if rule.lhs.divides(m):
+                if f <= e and rule.lhs.divides(m):
                     best, best_pos = rule, pos
                     break
         return best
@@ -480,7 +514,7 @@ class RingPresentation:
         while True:
             rule = self._first_applicable(cur)
             if rule is None:
-                result = Element(self, {cur: coeff})
+                result = _trusted_element(self, {cur: coeff})
                 break
             path.append((cur, coeff))
             if rule.rhs is None:
@@ -489,7 +523,7 @@ class RingPresentation:
             rc, rm = rule.rhs
             if rc != 1:
                 coeff = _small(coeff * rc)
-            cur = cur.div(rule.lhs).mul(rm)
+            cur = cur.div_mul(rule.lhs, rm)
             hit = cache.get(cur)
             if hit is not None:
                 result = hit.scale(coeff)
@@ -566,7 +600,8 @@ class Element:
                 continue
             c = c if type(c) is int else _small(Fraction(c))
             for n, d in ring.normal_form_monomial(m).terms.items():
-                acc[n] = acc.get(n, 0) + d * c
+                d = acc.get(n, 0) + d * c
+                acc[n] = d if type(d) is int else _small(d)
         return cls(ring, acc)
 
     @classmethod
@@ -598,7 +633,8 @@ class Element:
         coeff = coeff if type(coeff) is int else _small(Fraction(coeff))
         if coeff == 0:
             return Element.zero(self.ring)
-        return Element(self.ring, {m: c * coeff for m, c in self.terms.items()})
+        return _trusted_element(self.ring, {
+            m: _small(c * coeff) for m, c in self.terms.items()})
 
     def _check_ring(self, other):
         if self.ring is not other.ring:
@@ -642,6 +678,14 @@ class Element:
         return "Element(%s)" % format_element(self)
 
 
+def _trusted_element(ring, terms):
+    """An Element whose terms are trusted to be nonzero and obey _small."""
+    e = object.__new__(Element)
+    e.ring = ring
+    e.terms = terms
+    return e
+
+
 def format_element(e):
     if e.is_zero:
         return "0"
@@ -679,7 +723,7 @@ def _reduct_normal_form(ring, overlap, rule):
     if rule.rhs is None:
         return Element.zero(ring)
     rc, rm = rule.rhs
-    return ring.normal_form_monomial(overlap.div(rule.lhs).mul(rm)).scale(rc)
+    return ring.normal_form_monomial(overlap.div_mul(rule.lhs, rm)).scale(rc)
 
 
 def check_local_confluence(ring):

@@ -783,6 +783,9 @@ def test_non_integral_rules_keep_exact_fraction_coefficients():
                          for c in poly.values()]
         assert any(type(c) is Fraction for c in coefficients)
         assert not any(isinstance(c, float) for c in coefficients)
+        # Integral coefficients are ints here too, certificates included.
+        assert not any(type(c) is Fraction and c.denominator == 1
+                       for c in coefficients)
 
 
 def _readme_script_blocks():

@@ -2,9 +2,9 @@
 module-level function and private method is referenced somewhere in the
 package and does more than forward its own parameters to another
 callable, every private attribute a class sets in __init__ is read
-somewhere in the package, the unchecked Monomial constructor is used only
-in ring.py, the oracles import none of the modules they check and keep
-no cache that grows without bound, spectrum.py
+somewhere in the package, the unchecked Monomial and Element
+constructors are used only in ring.py, the oracles import none of the
+modules they check and keep no cache that grows without bound, spectrum.py
 references no level walker, ring.py keeps one rule index, which the normal
 form and the level walk both read, the corner layer reads no
 Monomial.exponent, no call passes _power_kill_exponent more than its three
@@ -32,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torsionlab"
 SPANS = ROOT / "perfbench" / "spans.py"
-TRUSTED_CONSTRUCTOR = "_trusted_monomial"
+# The unchecked constructors of ring.py: Monomial and Element.
+TRUSTED_CONSTRUCTORS = ("_trusted_monomial", "_trusted_element")
 # Span names the tracer still lists although the package no longer has
 # them; the tracer belongs to the benchmark and is mended with it.
 STALE_SPAN_NAMES = {"torsion.fairness_from_parts", "spectrum._witness_scan"}
@@ -210,15 +211,15 @@ def _unread_init_attributes(trees):
 
 
 def _trusted_constructor_uses(trees):
-    """(file, line) of each reference to ring._trusted_monomial outside
-    ring.py, which alone keeps the invariant that constructor skips."""
+    """(file, line, name) of each reference to an unchecked constructor of
+    ring.py outside ring.py, which alone keeps the invariants they skip."""
     return sorted(
-        (path, node.lineno)
+        (path, node.lineno, name)
         for path, tree in trees.items() if path != "ring.py"
         for node in ast.walk(tree)
-        if TRUSTED_CONSTRUCTOR in (getattr(node, "id", None),
-                                   getattr(node, "attr", None),
-                                   getattr(node, "name", None)))
+        for name in TRUSTED_CONSTRUCTORS
+        if name in (getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)))
 
 
 def test_no_unused_imports():
@@ -327,23 +328,29 @@ def test_unread_new_attribute_is_reported():
 def test_trusted_constructor_stays_in_ring():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(PACKAGE.glob("*.py"))}
-    # The name still exists, so the check below cannot pass vacuously.
-    assert TRUSTED_CONSTRUCTOR in {node.name for node in trees["ring.py"].body
-                                   if isinstance(node, ast.FunctionDef)}
+    # The names still exist, so the check below cannot pass vacuously.
+    assert set(TRUSTED_CONSTRUCTORS) <= {
+        node.name for node in trees["ring.py"].body
+        if isinstance(node, ast.FunctionDef)}
     assert _trusted_constructor_uses(trees) == []
 
 
 def test_trusted_constructor_use_is_reported():
     trees = {
         "ring.py": ast.parse("def _trusted_monomial(p, d):\n    pass\n\n"
-                             "one = _trusted_monomial((), 0)\n"),
+                             "one = _trusted_monomial((), 0)\n"
+                             "zero = _trusted_element(None, {})\n"),
         "ideals.py": ast.parse("from .ring import _trusted_monomial\n"),
         "cli.py": ast.parse("from . import ring\n\n"
-                            "m = ring._trusted_monomial(((0, 1),), 1)\n"),
-        "dsl.py": ast.parse("trusted_monomial = 1\n"),
+                            "m = ring._trusted_monomial(((0, 1),), 1)\n"
+                            "e = ring._trusted_element(r, {m: 1})\n"),
+        "spectrum.py": ast.parse("from .ring import _trusted_element as te\n"),
+        "dsl.py": ast.parse("trusted_monomial = trusted_element = 1\n"),
     }
-    assert _trusted_constructor_uses(trees) == [("cli.py", 3),
-                                                ("ideals.py", 1)]
+    assert _trusted_constructor_uses(trees) == [
+        ("cli.py", 3, "_trusted_monomial"), ("cli.py", 4, "_trusted_element"),
+        ("ideals.py", 1, "_trusted_monomial"),
+        ("spectrum.py", 1, "_trusted_element")]
 
 
 ENGINE_MODULES = {"ideals", "spectrum", "torsion", "families", "harness"}

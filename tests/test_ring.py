@@ -247,6 +247,20 @@ def test_sums_and_products_keep_integral_coefficients_int():
     assert type(total.terms[Monomial.one()]) is int
 
 
+def test_scaled_and_summed_terms_keep_integral_coefficients_int():
+    """In Q[X0]/(X0^2 - 1/2*X0), X0^2 normalizes to 1/2*X0, so twice it is
+    X0 with the int coefficient 1, however the Element is formed."""
+    ring = RingPresentation(1, [RewriteRule(_var(0, 2),
+                                            (Fraction(1, 2), _var(0)))])
+    for element in (Element.from_terms(ring, [(_var(0, 2), 2)]),
+                    Element.from_monomial(ring, _var(0, 2), 2),
+                    ring.normal_form_monomial(_var(0, 2)).scale(2),
+                    Element.from_terms(ring, [(_var(0, 2), 1),
+                                              (_var(0, 3), 2)])):
+        assert element.terms == {_var(0): 1}
+        assert type(element.terms[_var(0)]) is int
+
+
 def test_format_round_trip_examples():
     ring = _square_zero(2)
     e = Element.from_terms(ring, [(_var(0).mul(_var(1)), 2), (Monomial.one(), -1)])
