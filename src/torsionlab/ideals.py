@@ -19,12 +19,15 @@ rule binomials lhs - c*rhs.  Results map back by normal forms.
   and Algorithms, ch. 2).  Membership is division by it, with cofactors
   that certify a yes, equality compares reduced bases, intersection
   eliminates a tag variable and colon divides the intersection with (f)
-  by f (ch. 4, sections 3-4).  A colon or saturation by a term whose
-  variables occur in no basis entry of two or more terms needs neither:
-  it keeps those entries and takes the monomial closed form on the
-  monomial entries (_monomial_split).  A completion that spends
-  WORK_BUDGET stops; the answer then carries the existing incomplete
-  flag.
+  by f (ch. 4, sections 3-4).  A completion that spends WORK_BUDGET
+  stops; the answer then carries the existing incomplete flag.
+
+Colon and saturation by a term c*m take one route (_term_quotient) and
+differ only in a monomial closed form and an elimination: the closed form
+on the lifted basis in monomial mode, or on the Groebner basis's monomial
+entries when m avoids every entry of two or more terms (_monomial_split),
+else the elimination.  A quotient by an ideal meets those by its
+generators.
 """
 
 from __future__ import annotations
@@ -658,10 +661,31 @@ def _monomial_split(basis, m):
     return polys, monos
 
 
-def _with_monomials(ring, polys, monos):
-    """Reduced Groebner basis entries of (P) + (monos), P and monos from a
-    _monomial_split, which together are a Groebner basis already."""
-    return _reduced(ring, polys + [(g, {g: 1}, None) for g in monos])
+def _term_quotient(ideal, f, closed_form, eliminate):
+    """A colon or saturation of I by a nonzero f: closed_form(monomials, m)
+    gives its generators for a monomial ideal and f = c*m, and
+    eliminate(ring, basis, f) its reduced entries for any f.  Monomial
+    mode takes the closed form on the lifted basis; general mode, when
+    _monomial_split applies, the kept entries plus the closed form on the
+    monomial ones, a Groebner basis that _reduced makes the one the
+    elimination finds; otherwise the elimination.  Raises _OutOfBudget
+    past WORK_BUDGET."""
+    ring = ideal.ring
+    m = f.single_term()[0] if f.is_single_term else None
+    if ideal.is_monomial_mode and m is not None:
+        # Non-normal monomials are zero in the ring; the handle drops them.
+        return IdealHandle.from_monomials(
+            ring, closed_form(ideal.lifted_monomials(), m),
+            complete=ideal.complete)
+    basis = ideal._groebner()
+    split = None if m is None else _monomial_split(basis, m)
+    if split is None:
+        entries = eliminate(ring, basis, f)
+    else:
+        polys, monos = split
+        entries = _reduced(ring, polys + [
+            (g, {g: 1}, None) for g in closed_form(monos, m)])
+    return _image(ring, entries, ideal.complete)
 
 
 def _check_shared_ring(a, b):
@@ -735,42 +759,24 @@ def ideal_intersection(a, b):
 def ideal_colon(ideal, f):
     """(I : f) = {g | g*f in I}.
 
-    Monomial-mode I and a single-term f: divisibility quotients of the
-    lifted generators.  General-mode I and f = c*m, m avoiding every term
-    of the basis entries of two or more terms: those entries plus each
-    monomial entry g divided by gcd(g, m) (_monomial_split).  Otherwise the
-    image of ((lifted I) cap (f)) / f, by elimination; dividing a Groebner
-    basis of the intersection by f gives one of the colon.  Past
-    WORK_BUDGET I itself, inside (I : f), flagged incomplete.
+    _term_quotient, with the closed form g / gcd(g, m) (_colon_basis) and
+    the elimination _colon_entries.  Past WORK_BUDGET I itself, inside
+    (I : f), flagged incomplete.
     """
     if f.ring is not ideal.ring:
         raise RingMismatch("element and ideal live in different rings")
-    ring = ideal.ring
     if f.is_zero:
-        return IdealHandle.unit(ring)
-    m = f.single_term()[0] if f.is_single_term else None
-    if ideal.is_monomial_mode and m is not None:
-        # Non-normal quotients are zero in the ring; the handle drops them.
-        return IdealHandle.from_monomials(
-            ring, _colon_basis(ideal.lifted_monomials(), m),
-            complete=ideal.complete)
+        return IdealHandle.unit(ideal.ring)
     try:
-        basis = ideal._groebner()
-        split = None if m is None else _monomial_split(basis, m)
-        if split is None:
-            entries = _colon_entries(ring, basis, f)
-        else:
-            polys, monos = split
-            entries = _with_monomials(
-                ring, polys, [g.div(g.gcd(m)) for g in monos])
+        return _term_quotient(ideal, f, _colon_basis, _colon_entries)
     except _OutOfBudget:
-        return IdealHandle(ring, ideal.generators, complete=False)
-    return _image(ring, entries, ideal.complete)
+        return IdealHandle(ideal.ring, ideal.generators, complete=False)
 
 
 def _colon_entries(ring, basis, f):
     """Reduced Groebner basis entries of (B : f), B the ideal with Groebner
-    basis ``basis``: a basis of B cap (f), by elimination, divided by f."""
+    basis ``basis``: a basis of B cap (f), by elimination, divided by f,
+    is one of the colon."""
     order = _lift(ring)[1]
     divisor = _Reducers([_entry(ring, f.terms, None, {}, (), order)])
     quotients = []
@@ -782,23 +788,16 @@ def _colon_entries(ring, basis, f):
 
 
 def ideal_colon_ideal(ideal, other):
-    """(I : J) as the intersection over generators g of J of (I : g).  In
+    """(I : J), the meet of the (I : g) over the generators g of J.  In
     monomial mode a g inside I has (I : g) = R and is skipped, so the
-    result is the unit ideal when every g is."""
+    result is R, the empty meet, when every g is."""
     _check_shared_ring(ideal, other)
-    if other.is_zero:
-        return IdealHandle.unit(ideal.ring)
     gens = other.generators
     if ideal.is_monomial_mode and other.is_monomial_mode:
         gens = [g for g, m in zip(gens, other.monomial_generators())
                 if not ideal.contains_monomial(m)]
-        if not gens:
-            return IdealHandle.unit(ideal.ring, complete=ideal.complete)
-    acc = None
-    for g in gens:
-        part = ideal_colon(ideal, g)
-        acc = part if acc is None else ideal_intersection(acc, part)
-    return acc
+    return reduce(ideal_intersection, [ideal_colon(ideal, g) for g in gens]
+                  or [IdealHandle.unit(ideal.ring)])
 
 
 @dataclass(frozen=True)
@@ -937,37 +936,20 @@ def power_order(acting, m):
 
 
 def _saturate_by(ideal, g):
-    """(I : g^inf) for a nonzero g.
-
-    With I in monomial mode and g a monomial, the lifted basis of I with the
-    exponents on supp(g) set to zero (Miller & Sturmfels, GTM 227, ch. 1).
-    In general mode with g = c*m, m avoiding every term of the basis
-    entries of two or more terms, the same on the monomial entries, the
-    others kept (_monomial_split).  Otherwise the tag-free part of a
-    Groebner basis of the lifted I plus (1 - t*g) (Cox, Little & O'Shea,
-    ch. 4 section 4).  Raises _OutOfBudget past WORK_BUDGET.
+    """(I : g^inf) for a nonzero g: _term_quotient, with the closed form
+    that zeroes the exponents on supp(m) (Miller & Sturmfels, GTM 227,
+    ch. 1) and the elimination _saturation_entries.  Raises _OutOfBudget
+    past WORK_BUDGET.
     """
-    ring = ideal.ring
-    m = g.single_term()[0] if g.is_single_term else None
-    if ideal.is_monomial_mode and m is not None:
-        return IdealHandle.from_monomials(ring, [
-            q.without(m.support) for q in ideal.lifted_monomials()],
-            complete=ideal.complete)
-    basis = ideal._groebner()
-    split = None if m is None else _monomial_split(basis, m)
-    if split is None:
-        entries = _saturation_entries(ring, basis, g)
-    else:
-        polys, monos = split
-        entries = _with_monomials(
-            ring, polys, [q.without(m.support) for q in monos])
-    return _image(ring, entries, ideal.complete)
+    return _term_quotient(
+        ideal, g, lambda basis, m: [q.without(m.support) for q in basis],
+        _saturation_entries)
 
 
 def _saturation_entries(ring, basis, g):
     """Reduced Groebner basis entries of (B : g^inf), B the ideal with
     Groebner basis ``basis``: the tag-free part of a Groebner basis of B
-    plus (1 - t*g)."""
+    plus (1 - t*g) (Cox, Little & O'Shea, ch. 4 section 4)."""
     tag = Monomial.variable(ring.num_vars)
     fresh = {m.mul(tag): -c for m, c in g.terms.items()}
     fresh[Monomial.one()] = 1
@@ -996,16 +978,17 @@ def ideal_saturation(ideal, other):
 
 
 def _principal_saturations(ideal, other):
-    """The memo's (I : g^inf), one per generator g of J, in general mode."""
+    """The memo's (I : g^inf), one per generator g of J."""
     return [ideal_saturation(ideal, IdealHandle(ideal.ring, [g]))
             for g in other.generators]
 
 
 def _principal_steps(ideal, other):
     """The most steps any (I : g^inf) takes, g a generator of J, read off
-    the corners of I in monomial mode.  (I : g^inf) is the lifted basis of I
-    zeroed on supp(g) (_saturate_by), and keeps each corner whose mask
-    misses supp(g), so none of its generators lies below one.  Below a
+    the corners of I in monomial mode, with no saturation built.  The
+    closed form of _saturate_by's quotient by the term g zeroes the lifted
+    basis of I on supp(g) (_term_quotient), which keeps each corner whose
+    mask misses supp(g), so none of its generators lies below one.  Below a
     corner c whose mask meets supp(g) lies one zero on supp(g), as c exceeds
     each kept corner, incomparable to it, off supp(g).  Its kill exponent is
     thus the largest 1 + _most_factors((g,), c) over such c, else 0."""
@@ -1040,20 +1023,20 @@ def _corner_saturation(ideal, other):
 
 
 def _compute_saturation(ideal, other):
-    """ideal_saturation without the memo: the corner read, else a principal
-    J in closed form, else the meet of the (I : g^inf), g in J; in monomial
-    mode these take no memo entry and no kill exponent of their own."""
+    """ideal_saturation without the memo: the corner read, else the meet of
+    the (I : g^inf), g in J.  These take no memo entry and no kill exponent
+    of their own, except for a general-mode J of two or more generators,
+    which meets the memo's principal saturations."""
     steps = None
     try:
         sat, parts = _corner_saturation(ideal, other), ()
-        if sat is None and len(other.generators) == 1:
-            sat = _saturate_by(ideal, other.generators[0])
-        elif sat is None:
-            if ideal.is_monomial_mode and other.is_monomial_mode:
-                meet = [_saturate_by(ideal, g) for g in other.generators]
-            else:
+        if sat is None:
+            if len(other.generators) > 1 and not (
+                    ideal.is_monomial_mode and other.is_monomial_mode):
                 parts = _principal_saturations(ideal, other)
                 meet = [part.ideal for part in parts]
+            else:
+                meet = [_saturate_by(ideal, g) for g in other.generators]
             sat = reduce(ideal_intersection,
                          meet or [IdealHandle.unit(ideal.ring)])
         # An intersection past WORK_BUDGET comes back incomplete.
@@ -1069,10 +1052,9 @@ def _compute_saturation(ideal, other):
 
 def ideal_radical(ideal):
     """Radical of a monomial-mode ideal: squarefree parts of the lifted
-    generators, mapped back into the quotient."""
+    generators, mapped back into the quotient.  The unit ideal's lifted
+    basis is (1,), its own squarefree part."""
     ideal._require_monomial()
-    if ideal.is_unit:
-        return IdealHandle.unit(ideal.ring)
     return IdealHandle.from_monomials(
         ideal.ring, [g.squarefree() for g in ideal.lifted_monomials()],
         complete=ideal.complete)

@@ -14,8 +14,9 @@ For the cyclic module R/b and an ideal a:
 The interned handle of b keeps every saturation asked of it, so neither
 functor repeats one that the other, fairness or the harness asked for
 before.  In monomial mode a saturation that is R or b is read off the
-corners of b, and otherwise ideal_saturation meets the closed forms of the
-principal ones; in general mode it meets the memo's principal saturations.
+corners of b, and otherwise ideal_saturation meets the principal ones, as
+for a principal a; a general-mode a of two or more generators meets the
+memo's principal saturations.
 
 Fairness predicates compare assassins of the torsion submodule and of the
 quotient by it against intersections and differences with the variety of a.
@@ -27,12 +28,14 @@ twin's comparison under the large name.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 
 from .ideals import (
     IdealHandle,
     _power_kill_exponent,
     _principal_saturations,
     _principal_steps,
+    ideal_intersection,
     ideal_saturation,
 )
 from .spectrum import assassin_scan, difference_variety, intersect_variety
@@ -210,7 +213,9 @@ def radical_probe(acting, corpus):
     """Is each torsion functor a radical on these modules?
 
     For every relations ideal b: applying the functor to the quotient by
-    its own torsion must give zero.  The large leg must hold on every
+    its own torsion must give zero.  The large leg reads the large
+    functor's own definition on R/P, P the preimage: the meet of the
+    (P : g^inf), g a generator of a, must be P.  It must hold on every
     instance; the small leg can fail outside noetherian or idempotent
     settings, so it is reported per instance rather than asserted.
     """
@@ -219,11 +224,14 @@ def radical_probe(acting, corpus):
         small = gamma_small_cyclic(acting, relations)
         large = gamma_large_cyclic(acting, relations)
         small_again = gamma_small_cyclic(acting, small.preimage)
-        large_again = gamma_large_cyclic(acting, large.preimage)
+        parts = _principal_saturations(small.preimage, acting)
+        large_again = reduce(ideal_intersection, [
+            part.ideal for part in parts] or [IdealHandle.unit(acting.ring)])
         rows.append({
             "small_radical": small_again.preimage.equals(small.preimage) is True,
-            "large_radical": large_again.preimage.equals(large.preimage) is True,
+            "large_radical": large_again.equals(small.preimage) is True,
             "stabilized": (small.stabilized and large.stabilized
-                           and small_again.stabilized and large_again.stabilized),
+                           and small_again.stabilized
+                           and all(part.stabilized for part in parts)),
         })
     return rows

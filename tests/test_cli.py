@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
 import os
@@ -632,6 +633,65 @@ def test_failed_example_claim_exits_one(tmp_path, capsys, monkeypatch):
     assert "status: fail" in out
     code, out, _ = _run(capsys, "examples", "--run", "nil40A")
     assert code == 1
+
+
+def test_failed_fairness_check_exits_one(tmp_path, capsys, monkeypatch):
+    real = cli.fairness_report
+
+    def failing(acting, relations):
+        report = real(acting, relations)
+        return dataclasses.replace(report, comparisons=tuple(
+            dataclasses.replace(c, holds=False) for c in report.comparisons))
+
+    monkeypatch.setattr(cli, "fairness_report", failing)
+    code, out, _ = _run(capsys, "run", _write(tmp_path, DEMO))
+    assert code == 1
+    assert "status: fail" in out
+    assert "all_hold: false" in out
+
+
+def test_unit_ideal_radical_and_minimal_primes(tmp_path, capsys):
+    path = _write(tmp_path, "ring R = vars X[0..1] rules { X[0]^2 -> 0 }\n"
+                            "ideal b = < 1 >\n"
+                            "query radical(b)\n"
+                            "query minprimes(b)\n")
+    code, out, _ = _run(capsys, "--format", "json", "run", path)
+    assert code == 2
+    tree = json.loads(out)
+    assert tree["status"] == "error" and tree["error_at"] == 4
+    radical, minprimes = tree["statements"][2:]
+    assert radical["result"] == {"ideal": "ideal(1)"}
+    assert minprimes["error"] == "the unit ideal has no minimal primes"
+
+
+def test_query_on_ideals_of_two_rings_is_a_script_error(tmp_path, capsys):
+    path = _write(tmp_path, "ring R = vars X[0..1] rules { X[0]^2 -> 0 }\n"
+                            "ideal a = < X[0] >\n"
+                            "ring S = vars X[0..1] rules { X[1]^2 -> 0 }\n"
+                            "ideal b = < X[1] >\n"
+                            "query colon(b; a)\n")
+    code, out, _ = _run(capsys, "--format", "json", "run", path)
+    assert code == 2
+    tree = json.loads(out)
+    assert tree["status"] == "error" and tree["error_at"] == 5
+    assert tree["statements"][-1]["error"] == (
+        "ideals a, b live in different rings")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["harness", "--instances", "0"], "must be positive"),
+    (["examples", "--run", "nil40A", "--window", "0"], "must be positive"),
+    (["examples", "--run", "nil40A", "--levels", "4"], "expected a..b"),
+    (["examples", "--run", "nil40A", "--levels", "a..b"],
+     "expected a..b with integers"),
+])
+def test_bad_numeric_flags_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(message)
 
 
 def test_stability_window_flag_validated_at_execution(tmp_path, capsys):

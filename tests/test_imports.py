@@ -11,8 +11,8 @@ Monomial.exponent, no call passes _power_kill_exponent more than its three
 arguments, _most_factors keeps one recursion and no other module names it,
 ring.py holds the one coefficient rule, which ideals.py imports, neither
 divides a coefficient but by Fraction(1, c), and FRACTION_ONE is gone,
-ideal_colon and _saturate_by test a term against the Groebner basis only
-through _monomial_split,
+ideal_colon and _saturate_by take one route, _term_quotient, which alone
+tests a term against the Groebner basis, through _monomial_split,
 every span name the benchmark tracer wraps resolves in the package, and
 each package attribute named after a module is that module.
 
@@ -59,10 +59,13 @@ SHORTCUT_MASKS = {"seen", "twice"}
 COEFFICIENT_RULE = "_small"
 COEFFICIENT_MODULES = ("ring.py", "ideals.py")
 FRACTION_UNIT = "FRACTION_ONE"
-# A colon or saturation by a term asks one helper whether the term avoids
-# every Groebner basis entry of two or more terms; neither tests it itself.
+# A colon or saturation by a term takes one route, the quotient by a term,
+# which asks one helper whether the term avoids every Groebner basis entry
+# of two or more terms; none of them tests it itself.
 TERM_SPLIT = "_monomial_split"
-TERM_SPLIT_CALLERS = ("ideal_colon", "_saturate_by")
+TERM_QUOTIENT = "_term_quotient"
+TERM_SPLIT_CALLERS = (TERM_QUOTIENT,)
+TERM_QUOTIENT_CALLERS = ("ideal_colon", "_saturate_by")
 DISJOINTNESS_CALLS = {"isdisjoint", "intersection"}
 # The corner layer reads exponent tuples: each handle converts its
 # generators once (IdealHandle._vectors), through ring._exponent_vector.
@@ -795,10 +798,11 @@ def test_coefficient_rule_fault_is_reported():
 
 def _term_split_faults(ideals):
     """(line, fault) for each disjointness test (an isdisjoint or
-    intersection call, or an &) in ideal_colon or _saturate_by of the
-    ideals.py tree; (0, fault) for either of them that does not call
-    _monomial_split, or when _monomial_split is missing or tests nothing
-    with isdisjoint."""
+    intersection call, or an &) in _term_quotient, ideal_colon or
+    _saturate_by of the ideals.py tree; (0, fault) when _term_quotient does
+    not call _monomial_split, when ideal_colon or _saturate_by does not
+    call _term_quotient or calls _monomial_split itself, or when
+    _monomial_split is missing or tests nothing with isdisjoint."""
     functions = {node.name: node for node in ideals.body
                  if isinstance(node, FUNCTIONS)}
     faults = []
@@ -806,10 +810,16 @@ def _term_split_faults(ideals):
     if helper is None or "isdisjoint" not in {
             name for _, name in _names(helper)}:
         faults.append((0, "no test in " + TERM_SPLIT))
-    for caller in TERM_SPLIT_CALLERS:
+    for caller in TERM_SPLIT_CALLERS + TERM_QUOTIENT_CALLERS:
         node = functions.get(caller, ast.Module(body=[]))
-        if TERM_SPLIT not in {name for _, name in _names(node)}:
+        names = {name for _, name in _names(node)}
+        if caller in TERM_SPLIT_CALLERS and TERM_SPLIT not in names:
             faults.append((0, caller + " skips " + TERM_SPLIT))
+        if caller in TERM_QUOTIENT_CALLERS:
+            if TERM_QUOTIENT not in names:
+                faults.append((0, caller + " skips " + TERM_QUOTIENT))
+            if TERM_SPLIT in names:
+                faults.append((0, caller + " calls " + TERM_SPLIT))
         faults += [(sub.lineno, caller + " tests disjointness")
                    for sub in ast.walk(node)
                    if (isinstance(sub, ast.Call) and getattr(
@@ -827,21 +837,28 @@ def test_term_colon_and_saturation_split_through_one_helper():
 def test_term_split_fault_is_reported():
     ideals = ast.parse(
         "def _monomial_split(basis, m):\n    return basis\n\n"
+        "def _term_quotient(ideal, f, closed_form, eliminate):\n"
+        "    return f.support & ideal.support\n\n"
         "def ideal_colon(ideal, f):\n"
         "    s = f.support\n"
         "    if any(not s.isdisjoint(t.support) for t in f.terms):\n"
         "        return s.intersection(f)\n\n"
         "def _saturate_by(ideal, g):\n"
-        "    hit = _monomial_split(ideal, g) or g.mask & ideal.mask\n")
+        "    hit = _monomial_split(ideal, g) or g.mask & ideal.mask\n"
+        "    return _term_quotient(ideal, g, hit, None)\n")
     assert _term_split_faults(ideals) == [
-        (0, "ideal_colon skips _monomial_split"),
+        (0, "_saturate_by calls _monomial_split"),
+        (0, "_term_quotient skips _monomial_split"),
+        (0, "ideal_colon skips _term_quotient"),
         (0, "no test in _monomial_split"),
-        (6, "ideal_colon tests disjointness"),
-        (7, "ideal_colon tests disjointness"),
-        (10, "_saturate_by tests disjointness")]
+        (5, "_term_quotient tests disjointness"),
+        (9, "ideal_colon tests disjointness"),
+        (10, "ideal_colon tests disjointness"),
+        (13, "_saturate_by tests disjointness")]
     assert _term_split_faults(ast.parse("x = 1\n")) == [
-        (0, "_saturate_by skips _monomial_split"),
-        (0, "ideal_colon skips _monomial_split"),
+        (0, "_saturate_by skips _term_quotient"),
+        (0, "_term_quotient skips _monomial_split"),
+        (0, "ideal_colon skips _term_quotient"),
         (0, "no test in _monomial_split")]
 
 

@@ -136,6 +136,51 @@ def test_radical_probe_on_truncated_instances():
             assert row["small_radical"]
 
 
+def _corner_saturation_kept_by_every_generator(ideal, other):
+    """_corner_saturation with one fault: a corner is kept only when every
+    generator of J misses its mask, not when some generator does."""
+    if not (ideal.is_monomial_mode and other.is_monomial_mode
+            and other.generators):
+        return None
+    supports = {sum(1 << v for v, e in enumerate(g) if e)
+                for g in other._vectors()}
+    corners = ideal._components()
+    kept = sum(all(not mask & s for s in supports) for _, mask in corners)
+    if not kept:
+        return IdealHandle.unit(ideal.ring, complete=ideal.complete)
+    return ideal if kept == len(corners) else None
+
+
+def test_radical_probe_large_leg_catches_a_corner_fault(monkeypatch):
+    """The large leg meets the principal saturations of the small preimage
+    P, so it is no copy of the small leg.  Both legs hold on rings with a
+    rule-free variable, where P need not be R.  With a corner read that
+    keeps too few corners, a b : a^inf of two generators can read R, no
+    power of a then kills it, and the preimage falls back to b
+    unstabilized: saturating b by a again gives b, so the small leg holds,
+    while the meet of the b : g^inf, which no fault reaches, is larger
+    than b."""
+    rows = [row for b, a in _free_ring_saturation_pairs(300, 67)
+            for row in radical_probe(a, [b])]
+    assert len(rows) == 298
+    assert all(row["small_radical"] and row["large_radical"]
+               and row["stabilized"] for row in rows)
+    pairs = list(_free_ring_saturation_pairs(300, 67))
+    monkeypatch.setattr(ideals_module, "_corner_saturation",
+                        _corner_saturation_kept_by_every_generator)
+    rows = [row for b, a in pairs for row in radical_probe(a, [b])]
+    assert all(row["small_radical"] for row in rows)
+    failed = [row for row in rows if not row["large_radical"]]
+    assert len(failed) == 17
+    assert not any(row["stabilized"] for row in failed)
+    # The large functor applied again to its own preimage reads the memo
+    # entry the small leg reads, so it cannot see the fault.
+    for b, a in pairs:
+        large = gamma_large_cyclic(a, b)
+        again = gamma_large_cyclic(a, large.preimage)
+        assert again.preimage.equals(large.preimage) is True
+
+
 def test_torsion_vanishing_against_weak_assassins():
     from torsionlab.spectrum import in_variety, weak_assassins_cyclic
     rng = random.Random(59)
