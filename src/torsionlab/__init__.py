@@ -4,6 +4,7 @@ truncated monomial-rewriting quotient algebras."""
 __version__ = "0.1.0"
 
 from .errors import (
+    ExponentOverflow,
     InvalidPresentation,
     InvalidSchedule,
     NonConfluent,

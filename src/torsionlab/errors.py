@@ -33,6 +33,10 @@ class UnitIdeal(TorsionlabError):
     """Operation requires a proper ideal."""
 
 
+class ExponentOverflow(TorsionlabError):
+    """An exponent passes the field of an exponent code."""
+
+
 class PatternError(TorsionlabError):
     """A script template expands to a bad index, exponent or rule."""
 

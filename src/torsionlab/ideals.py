@@ -11,7 +11,8 @@ rule binomials lhs - c*rhs.  Results map back by normal forms.
   count of a saturation are read off staircase corners, the irreducible
   components of the radical and of the ideal.  So is a saturation that is
   the unit ideal or the ideal itself; any other meets the closed forms of
-  the saturations by each generator.
+  the saturations by each generator.  Corners, generators and rooms are
+  the ring's exponent codes (ring._ExponentCodes).
 * general mode: anything else, in a confluent ring.  Confluent rules are a
   Groebner basis of the rule ideal for a degree-compatible order, so each
   handle completes its generators and the rules to one reduced Groebner
@@ -32,21 +33,18 @@ generators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
-from itertools import accumulate, compress
-from operator import or_, sub
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
 from .ring import (
     Element,
     Monomial,
-    _below,
-    _exponent_vector,
     _small,
     _staircase_corners,
     check_local_confluence,
@@ -410,12 +408,13 @@ class IdealHandle:
     the ring's normal-form cache holds for its monomial; a single term with
     normal form zero is dropped, and a multi-term Element is trusted to be
     in normal form.  Facts are filled on first use: in monomial mode the
-    generators' exponent tuples, the reduced lifted basis and the staircase
-    corners of the lifted ideal, its irreducible components; in general
-    mode the reduced Groebner basis of the lifted ideal, with cofactors over
-    the generators, or None when that one completion ran out of
-    WORK_BUDGET; saturations; assassin reports; and, in monomial mode, the
-    membership answer for each monomial asked of contains_monomial.
+    generators' exponent codes (ring._ExponentCodes), the reduced lifted
+    basis and the staircase corners of the lifted ideal, its irreducible
+    components, as codes with the bitmask of their finite coordinates; in
+    general mode the reduced Groebner basis of the lifted ideal, with
+    cofactors over the generators, or None when that one completion ran out
+    of WORK_BUDGET; saturations; assassin reports; and, in monomial mode,
+    the membership answer for each monomial asked of contains_monomial.
     """
 
     __slots__ = ("ring", "generators", "mode", "complete", "_monomial_gens",
@@ -512,12 +511,11 @@ class IdealHandle:
             raise NotMonomialMode("operation requires a monomial-mode ideal")
 
     def _vectors(self):
-        """The exponent tuples of the monomial generators, in their order
-        (ring._exponent_vector): the one form the corner layer reads."""
+        """The exponent codes of the monomial generators, in their order
+        (ring._ExponentCodes): the one form the corner layer reads."""
         if self._exponents is None:
-            n = self.ring.num_vars
-            self._exponents = tuple(_exponent_vector(g, n)
-                                    for g in self.monomial_generators())
+            self._exponents = tuple(map(self.ring._codes.encode,
+                                        self.monomial_generators()))
         return self._exponents
 
     def lifted_monomials(self):
@@ -535,11 +533,10 @@ class IdealHandle:
         of its finite coordinates: the ring's corners split by the
         generators (ring._staircase_corners)."""
         if self._corners is None:
-            bits = [1 << v for v in range(self.ring.num_vars)]
+            codes = self.ring._codes
             self._corners = tuple(
-                (c, sum(compress(bits, map(math.isfinite, c))))
-                for c in _staircase_corners(self._vectors(),
-                                            self.ring._components()))
+                (c, codes.bits(codes.finite(c))) for c in _staircase_corners(
+                    codes, self._vectors(), self.ring._components()))
         return self._corners
 
     def contains_monomial(self, m):
@@ -807,11 +804,11 @@ class SaturationResult:
     steps: int
 
 
-def _most_factors(gens, room):
+def _most_factors(codes, gens, room):
     """The most generators, repeats allowed, whose exponent sum lies below
-    the exponent tuple ``room``, where an ``inf`` coordinate is unbounded;
-    ``inf`` when a generator that fits there has no finite coordinate of
-    room in its support.
+    the code ``room``, where a free coordinate is unbounded; None when a
+    generator that fits there has no finite coordinate of room in its
+    support.  Generators are codes too (ring._ExponentCodes).
 
     Only finite coordinates bound a count, so it is a sum over the groups
     of fitting generators joined by shared finite coordinates, the parts of
@@ -823,40 +820,39 @@ def _most_factors(gens, room):
     explicit stack: a group of any size stays clear of the interpreter's
     recursion limit.
     """
+    below, finite = codes.below, codes.finite(room)
     groups = {}
     for g in gens:
-        if _below(g, room):
-            mask = sum(1 << v for v, e in enumerate(g)
-                       if e and room[v] != math.inf)
+        if below(g, room):
+            mask = codes.support(g) & finite
             if not mask:
-                return math.inf
+                return None
             hit = [m for m in groups if m & mask]
             groups[reduce(or_, hit, mask)] = sum(map(groups.pop, hit), [g])
     total = 0
     for mask, group in groups.items():
+        on = codes.spread(mask)
+        group, start = [g & on for g in group], room & on
         if len(group) == 1:
-            total += min(r // e for e, r in zip(group[0], room)
-                         if e and r != math.inf)
+            total += codes.copies(group[0], start)
             continue
-        finite = [mask >> v & 1 for v in range(len(room))]
-        group = [tuple(compress(g, finite)) for g in group]
-        degree = list(map(sum, group))
-        least = list(accumulate(reversed(degree), min, initial=math.inf))[::-1]
+        degree = list(map(codes.degree, group))
+        least = list(accumulate(reversed(degree), min,
+                                initial=codes.degree(start) + 1))[::-1]
         memo = {}
 
-        def state(j, left):
+        def state(j, left, free):
             """The count of state (j, left) when it is known, or its frame
             [j, left, room left summed, count to try, best so far]."""
             if j == len(group) or (j, left) in memo:
                 return memo.get((j, left), 0)
             g = group[j]
-            top = (min(r // e for e, r in zip(g, left) if e)
-                   if _below(g, left) else 0)
-            return [j, left, sum(left), top, 0]
+            top = codes.copies(g, left) if below(g, left) else 0
+            return [j, left, free, top, 0]
 
         # value is the count of the state last finished, not yet added to
         # the frame on top, which tried it.
-        stack, value = [state(0, tuple(compress(room, finite)))], None
+        stack, value = [state(0, start, codes.degree(start))], None
         while stack:
             frame = stack[-1]
             j, left, free, taken, best = frame
@@ -870,8 +866,8 @@ def _most_factors(gens, room):
                 stack.pop()
                 continue
             frame[3:] = taken, best
-            value = state(j + 1, tuple(
-                r - taken * e for e, r in zip(group[j], left)))
+            value = state(j + 1, left - taken * group[j],
+                          free - taken * degree[j])
             if type(value) is list:
                 stack.append(value)
                 value = None
@@ -886,9 +882,10 @@ def _power_kill_exponent(acting, module, target):
     In monomial mode n is read off the corners of target (_components): a
     product p of generators of acting sends the module generator m outside
     target exactly when p * m lies below a corner c, that is, m lies below
-    c and p below c - m.  So the products of 1 + _most_factors(gens,
-    c - m) generators are the first that send m past c, n is the largest
-    of these over such (c, m), and 0 when no m lies below a corner.
+    c and p below c - m (free where c is).  So the products of 1 +
+    _most_factors(gens, c - m) generators are the first that send m past
+    c, n is the largest of these over such (c, m), and 0 when no m lies
+    below a corner.
 
     Otherwise walks the products of n generators of acting, level by level,
     keeping each with the module generators it still sends outside target,
@@ -900,10 +897,12 @@ def _power_kill_exponent(acting, module, target):
     section 2).
     """
     if all(h.is_monomial_mode for h in (acting, module, target)):
-        n = max((1 + _most_factors(acting._vectors(), tuple(map(sub, c, m)))
-                 for c, _ in target._components()
-                 for m in module._vectors() if _below(m, c)), default=0)
-        return None if n == math.inf else n
+        codes = target.ring._codes
+        counts = [_most_factors(codes, acting._vectors(),
+                                c - (m & codes.spread(codes.finite(c))))
+                  for c, _ in target._components()
+                  for m in module._vectors() if codes.below(m, c)]
+        return None if None in counts else max(counts, default=-1) + 1
     budget = _Budget()
     try:
         gens, products = acting.generators, [
@@ -930,9 +929,9 @@ def _power_kill_exponent(acting, module, target):
 def power_order(acting, m):
     """Largest k with the normal monomial m in acting^k (monomial mode): the
     most generators of acting whose product divides m (_most_factors on
-    m's exponents).  Unbounded (inf) when acting is the unit ideal."""
-    return _most_factors(acting._vectors(),
-                         _exponent_vector(m, acting.ring.num_vars))
+    m's code).  None when acting is the unit ideal: every power holds m."""
+    codes = acting.ring._codes
+    return _most_factors(codes, acting._vectors(), codes.encode(m))
 
 
 def _saturate_by(ideal, g):
@@ -992,9 +991,9 @@ def _principal_steps(ideal, other):
     corner c whose mask meets supp(g) lies one zero on supp(g), as c exceeds
     each kept corner, incomparable to it, off supp(g).  Its kill exponent is
     thus the largest 1 + _most_factors((g,), c) over such c, else 0."""
-    corners = ideal._components()
-    return max((1 + _most_factors((g,), c) for g in other._vectors()
-                for s in [sum(1 << v for v, e in enumerate(g) if e)]
+    codes, corners = ideal.ring._codes, ideal._components()
+    return max((1 + _most_factors(codes, (g,), c) for g in other._vectors()
+                for s in [codes.bits(codes.support(g))]
                 for c, mask in corners if mask & s), default=0)
 
 
@@ -1013,8 +1012,8 @@ def _corner_saturation(ideal, other):
     if not (ideal.is_monomial_mode and other.is_monomial_mode
             and other.generators):
         return None
-    supports = {sum(1 << v for v, e in enumerate(g) if e)
-                for g in other._vectors()}
+    codes = ideal.ring._codes
+    supports = {codes.bits(codes.support(g)) for g in other._vectors()}
     corners = ideal._components()
     kept = sum(any(not mask & s for s in supports) for _, mask in corners)
     if not kept:

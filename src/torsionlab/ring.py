@@ -25,19 +25,23 @@ idempotent or square-zero rules is every rule for a normal monomial.
 
 The ring keeps the staircase corners of its rule-lhs ideal
 (_staircase_corners): the top normal degree is read off them, and every
-ideal handle splits its own corners from them by its generators' exponent
-tuples (_exponent_vector).
+ideal handle splits its own corners from them by its generators' codes.
+The corner layer reads one form of exponents, packed into ints
+(_ExponentCodes): corners, generators, rooms and witnesses alike.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
-from operator import itemgetter, le
+from functools import reduce
+from itertools import chain, compress, islice
+from operator import floordiv, or_
 
-from .errors import InvalidPresentation, RingMismatch, VariableOutOfRange
+from .errors import (ExponentOverflow, InvalidPresentation, RingMismatch,
+                     VariableOutOfRange)
 
 
 class Monomial:
@@ -307,84 +311,165 @@ def _next_level(ring, level):
     return out
 
 
-def _below(d, k):
-    """Does the exponent tuple d lie below k in every coordinate?"""
-    return all(map(le, d, k))
+# The exponent bits of a variable's field in an exponent code, under its
+# guard bit: two bytes a field, which struct reads at C speed.  The
+# all-ones field is a free coordinate, so the largest exponent is 32766.
+CODE_WIDTH = 15
+_FREE = (1 << CODE_WIDTH) - 1
 
 
-def _staircase_corners(points, corners):
+class _ExponentCodes:
+    """Exponent vectors over one ring's variables packed into ints, the one
+    form of the corner layer.  X0 owns the top field, each field has a
+    guard bit above it, and a corner's free coordinate is the all-ones
+    field.  So d lies below k in every coordinate exactly when no field of
+    (k | guards) - d borrows its guard bit, and inside a degree grlex order
+    is descending code order.  A set of variables (a prime, the finite
+    coordinates of a code, its support) is a flag mask, the guard bits of
+    its fields; spread, it masks those fields, so the sigma-part of a code
+    is one AND with sigma's spread and its off-sigma part, free on sigma,
+    one OR.  A prime is named by an int bitmask, bit v for X_v (bits).
+    The Monomial stays at the Element boundary (encode, decode).
+    """
+
+    __slots__ = ("shifts", "ones", "guards", "_bits", "_struct")
+
+    def __init__(self, n):
+        self.shifts = tuple((CODE_WIDTH + 1) * (n - 1 - v) for v in range(n))
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guards = self.ones << CODE_WIDTH
+        self._bits = tuple(1 << v for v in range(n))
+        self._struct = struct.Struct(">%dH" % n)
+
+    def encode(self, m):
+        """The code of the monomial m; ExponentOverflow past 32766."""
+        x = 0
+        for v, e in m.pairs:
+            if e >= _FREE:
+                raise ExponentOverflow(
+                    "exponent %d of X%d passes the largest exponent code, %d"
+                    % (e, v, _FREE - 1))
+            x |= e << self.shifts[v]
+        return x
+
+    def decode(self, x):
+        """The monomial of a code whose every field is finite."""
+        t = self.fields(x)
+        return _trusted_monomial(tuple((v, e) for v, e in enumerate(t) if e),
+                                 sum(t))
+
+    def fields(self, x):
+        """The fields of x, X0's first."""
+        return self._struct.unpack(x.to_bytes(self._struct.size, "big"))
+
+    def degree(self, x):
+        """The exponent sum of x, every field finite."""
+        return sum(self.fields(x))
+
+    def grlex(self, x):
+        """Sort key that orders codes as grlex_key orders monomials."""
+        return self.degree(x), -x
+
+    def below(self, d, k):
+        """Does d lie below k in every coordinate?"""
+        g = self.guards
+        return ((k | g) - d) & g == g
+
+    def copies(self, d, k):
+        """The most copies of d, nonzero, whose sum lies below k."""
+        t = self.fields(d)
+        return min(map(floordiv, compress(self.fields(k), t), filter(None, t)))
+
+    def lcm(self, x, y):
+        """The field-wise max of x and y."""
+        g = self.guards
+        kept = self.spread(((x | g) - y) & g)  # the fields where x >= y
+        return y ^ (x ^ y) & kept
+
+    def finite(self, x):
+        """The flag mask of the finite coordinates of x."""
+        g = self.guards
+        return g ^ (x + self.ones) & g
+
+    def support(self, x):
+        """The flag mask of the nonzero coordinates of x."""
+        g = self.guards
+        return ((x | g) - self.ones) & g
+
+    @staticmethod
+    def spread(flags):
+        """The mask of the fields whose guard bits these flags are."""
+        return flags - (flags >> CODE_WIDTH)
+
+    def bits(self, flags):
+        """The int bitmask, bit v for X_v, of a flag mask."""
+        return sum(compress(self._bits, self.fields(flags >> CODE_WIDTH)))
+
+
+def _staircase_corners(codes, points, corners):
     """The staircase corners of J + (X^u for u in ``points``), J the
-    monomial ideal with these ``corners``, as a list of exponent tuples in
-    no particular order; a free coordinate is ``math.inf``.  The points are
-    exponent tuples too, as long as the corners.
+    monomial ideal with these ``corners``, as a list of exponent codes
+    (_ExponentCodes) in no particular order; a free coordinate is the
+    all-ones field.  The points are codes of the same ring.
 
     A corner c stands for the irreducible component generated by
     X_v^(c_v + 1) over its finite coordinates v, and the ideal is the
     intersection of its components: a monomial lies outside it exactly when
     it lies below a corner (Miller & Sturmfels, Combinatorial Commutative
-    Algebra, ch. 5).  The polynomial ring's one corner is all ``inf``, and
-    the unit ideal has none.  Berge's step (Berge, Hypergraphs, ch. 2) adds
-    one point u at a time: every corner c above u gives way to one
+    Algebra, ch. 5).  The polynomial ring's one corner is free everywhere,
+    and the unit ideal has none.  Berge's step (Berge, Hypergraphs, ch. 2)
+    adds one point u at a time: every corner c above u gives way to one
     candidate per coordinate v where u is nonzero, c with v lowered to
     u_v - 1.  A candidate is dropped when a corner that u does not reach
     lies above it, or a reached corner with a lower v coordinate than c's
     does (it lies above the candidate from that corner and v); any other
     corner above it would lie above c.  No two candidates are compared.
     """
+    below = codes.below
     corners = set(corners)
     for u in points:
-        hit = [c for c in corners if _below(u, c)]
+        hit = [c for c in corners if below(u, c)]
         if not hit:
             continue
         corners.difference_update(hit)
         grown = []
-        for v, e in filter(itemgetter(1), enumerate(u)):
-            hit.sort(key=itemgetter(v))
+        for s, e in zip(codes.shifts, codes.fields(u)):
+            if not e:
+                continue
+            hit.sort(key=lambda c: c >> s & _FREE)
             lower = 0
             for c in hit:
-                while hit[lower][v] < c[v]:
+                k = c >> s & _FREE
+                while hit[lower] >> s & _FREE < k:
                     lower += 1
-                d = c[:v] + (e - 1,) + c[v + 1:]
-                if not any(_below(d, k)
-                           for k in chain(corners, islice(hit, lower))):
+                d = c - ((k - e + 1) << s)
+                for x in chain(corners, islice(hit, lower)):
+                    if below(d, x):
+                        break
+                else:
                     grown.append(d)
         corners.update(grown)
     return list(corners)
 
 
-def _exponent_vector(m, n):
-    """The exponent tuple of the monomial m over n variables, the inverse
-    of _exponent_monomial."""
-    t = [0] * n
-    for v, e in m.pairs:
-        t[v] = e
-    return tuple(t)
-
-
-def _exponent_monomial(t):
-    """The monomial with the exponent tuple t, every exponent finite."""
-    return _trusted_monomial(tuple((v, e) for v, e in enumerate(t) if e),
-                             sum(t))
-
-
-def _meet_generators(corners):
-    """The minimal generators, as exponent tuples, of the meet of the
+def _meet_generators(codes, corners):
+    """The minimal generators, as exponent codes, of the meet of the
     irreducible components with these ``corners``, a nonempty list.
 
     Alexander duality (Miller & Sturmfels, ch. 5) in the box a one past
     each coordinate's largest finite exponent, 0 where none is: m lies
     below the corner c exactly when a - m is a multiple of X^(a - c), with
     0 for a free coordinate of c, so the generators reflect the corners in
-    the box of the dual ideal, whose generators are these exponent tuples
+    the box of the dual ideal, whose generators are these codes
     (_staircase_corners).  The dual generators go by degree, so one that an
     earlier one divides splits no corner.
     """
-    box = [max((e + 1 for e in column if e != math.inf), default=0)
-           for column in zip(*corners)]
-    dual = sorted((tuple(0 if e == math.inf else a - e
-                         for a, e in zip(box, c)) for c in corners), key=sum)
-    return [tuple(map(int.__sub__, box, k))
-            for k in _staircase_corners(dual, [tuple(box)])]
+    finite = [codes.spread(codes.finite(c)) for c in corners]
+    parts = [c & f for c, f in zip(corners, finite)]
+    box = reduce(codes.lcm, parts) + (reduce(or_, finite) & codes.ones)
+    dual = sorted(((box - p) & f for p, f in zip(parts, finite)),
+                  key=codes.degree)
+    return [box - k for k in _staircase_corners(codes, dual, [box])]
 
 
 class RewriteRule:
@@ -473,6 +558,7 @@ class RingPresentation:
         self._levels = [(Monomial.one(),)]
         self._confluence_failures = None
         self._lift = None
+        self._codes = _ExponentCodes(num_vars)
         self._corners = None
         self._ideals = {}
 
@@ -560,17 +646,20 @@ class RingPresentation:
         """The staircase corners of the rule-lhs ideal, whatever the rhs
         (_staircase_corners), computed on the first call."""
         if self._corners is None:
+            codes = self._codes
             self._corners = tuple(_staircase_corners(
-                (_exponent_vector(r.lhs, self.num_vars) for r in self.rules),
-                [(math.inf,) * self.num_vars]))
+                codes, (codes.encode(r.lhs) for r in self.rules),
+                [codes.spread(codes.guards)]))
         return self._corners
 
     def finite_basis_max_degree(self):
         """Largest degree of a normal monomial, the largest corner degree,
         or None if there are infinitely many: exactly when a corner has a
         free coordinate."""
-        top = max(map(sum, self._components()))
-        return None if top == math.inf else top
+        codes, corners = self._codes, self._components()
+        if any(codes.finite(c) != codes.guards for c in corners):
+            return None
+        return max(map(codes.degree, corners))
 
 
 class Element:

@@ -35,20 +35,22 @@ Lying below a corner is closed under division and grlex is a monomial
 order, so each first witness is one of these lcms.  When R/J is artinian
 both meets are empty: the ass witness is the grlex-least corner above a
 numerator generator, and the ass^f witness the grlex-least numerator
-generator outside J.  Primes stay int bitmasks until a report is built,
-which converts each distinct prime to its variable set once.
+generator outside J.  Corners, generators and witnesses are the ring's
+exponent codes (ring._ExponentCodes): a sigma-part is one AND with
+sigma's fields, an off-sigma part one OR, and inside a degree grlex order
+is descending code order.  Primes stay int bitmasks and witnesses codes
+until a report is built, which converts each distinct prime to its
+variable set and each witness to its Monomial once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from operator import neg
 from typing import Optional
 
 from .errors import RingMismatch
 from .ideals import IdealHandle, _mask_vars, minimal_primes, prime_key
-from .ring import Monomial, _below, _exponent_monomial, _meet_generators
+from .ring import Monomial, _meet_generators
 
 
 def format_prime(vars_set):
@@ -122,30 +124,23 @@ class AssassinReport:
         return frozenset(self.primes)
 
 
-def _grlex(t):
-    """A sort key that orders exponent tuples as grlex_key orders their
-    monomials: by degree, then the larger exponent at the first variable
-    where two differ first."""
-    return sum(t), tuple(map(neg, t))
-
-
-def _lcms(corners, gens):
+def _lcms(codes, corners, gens):
     """lcm(u, g) for u among the minimal generators of the meet of the
     components with these corners (1 alone for none) and g in gens, in
     grlex order if gens are."""
     if not corners:
         return gens
-    return sorted({tuple(map(max, u, g))
-                   for u in _meet_generators(corners) for g in gens},
-                  key=_grlex)
+    return sorted({codes.lcm(u, g) for u in _meet_generators(codes, corners)
+                   for g in gens}, key=codes.grlex)
 
 
 def _first_witnesses(numerator, denominator):
     """(ass, ass^f) first-witness dicts of (numerator + denominator) /
-    denominator, each prime mask mapped to the exponent tuple of its
-    grlex-first witness, read off the denominator's corners as the module
+    denominator, each prime mask mapped to the code of its grlex-first
+    witness, read off the denominator's corners as the module
     docstring describes."""
-    n = numerator.ring.num_vars
+    codes = numerator.ring._codes
+    below = codes.below
     components = denominator._components()
     gens = numerator._vectors()
     ass_first, assf_first = {}, {}
@@ -154,47 +149,47 @@ def _first_witnesses(numerator, denominator):
         lower = [c for c, mask in components
                  if mask | sigma == sigma and mask != sigma]
         # Reduced generators are grlex-sorted.
-        first = next((t for t in _lcms(lower, gens)
-                      if any(_below(t, c) for c in group)), None)
+        first = next((t for t in _lcms(codes, lower, gens)
+                      if any(below(t, c) for c in group)), None)
         if first is None:
             # ass and ass^f have the same primes: sigma is in neither.
             continue
         assf_first[sigma] = first
-        # inf on sigma, 0 off it: the min with a corner is its sigma-part,
-        # the max its off-sigma part, each a corner again.
-        mark = tuple(math.inf if sigma >> v & 1 else 0 for v in range(n))
+        # sigma's fields, the finite ones of its corners: a corner's AND
+        # with them is its sigma-part, its OR its off-sigma part, each a
+        # corner again.
+        on = codes.spread(codes.finite(group[0]))
         # A corner whose mask lies in sigma is never bad: it would lie
         # above a corner of mask sigma.
         others = [d for d, mask in components if mask | sigma != sigma]
         witnesses = []
         for c in group:
-            floor = tuple(map(min, c, mark))
+            floor = c & on
             # lcm(floor, g) has c's exponents on sigma and g's off it.
-            lifted = {tuple(map(max, floor, g)) for g in gens if _below(g, c)}
+            lifted = {floor | g & ~on for g in gens if below(g, c)}
             if lifted:
-                # Above c on sigma, with another sigma-part: inf where d
+                # Above c on sigma, with another sigma-part: free where d
                 # misses part of sigma, or a different exponent.
-                bad = [tuple(map(max, d, mark)) for d in others
-                       if _below(floor, d)
-                       and tuple(map(min, d, mark)) != floor]
-                witnesses.extend(_lcms(bad, lifted))
-        ass_first[sigma] = min(witnesses, key=_grlex)
+                bad = [d | on for d in others
+                       if below(floor, d) and d & on != floor]
+                witnesses.extend(_lcms(codes, bad, lifted))
+        ass_first[sigma] = min(witnesses, key=codes.grlex)
     return ass_first, assf_first
 
 
-def _sorted_primes(first):
-    """(primes, witnesses) from a dict mapping each prime mask to the
-    exponent tuple of its grlex-first witness; each distinct prime becomes
-    a variable set once."""
-    witnesses = sorted(((_mask_vars(mask), _exponent_monomial(t))
+def _sorted_primes(codes, first):
+    """(primes, witnesses) from a dict mapping each prime mask to the code
+    of its grlex-first witness; each distinct prime becomes a variable set
+    once."""
+    witnesses = sorted(((_mask_vars(mask), codes.decode(t))
                         for mask, t in first.items()),
                        key=lambda w: prime_key(w[0]))
     return tuple(p for p, _ in witnesses), tuple(witnesses)
 
 
-def _report_pair(ass_first, assf_first):
+def _report_pair(codes, ass_first, assf_first):
     """The (ass, ass^f) reports of one scan from its first-witness dicts."""
-    return tuple(AssassinReport(*_sorted_primes(first))
+    return tuple(AssassinReport(*_sorted_primes(codes, first))
                  for first in (ass_first, assf_first))
 
 
@@ -208,7 +203,7 @@ def assassin_scan(numerator, denominator):
         raise RingMismatch("numerator and denominator in different rings")
     if numerator not in denominator._assassins:
         denominator._assassins[numerator] = _report_pair(
-            *_first_witnesses(numerator, denominator))
+            numerator.ring._codes, *_first_witnesses(numerator, denominator))
     return denominator._assassins[numerator]
 
 

@@ -391,15 +391,16 @@ def test_disjoint_pairs_cost_one_comparison_per_corner(monkeypatch):
 
 
 def _count_cost(monkeypatch, bound):
-    """The list that grows by one per call of ring._below, in every module
-    that holds it, and per monomial membership asked of a handle
-    (IdealHandle.contains_monomial), which a product walk would ask once
-    per product.  The count fails the test as soon as it passes ``bound``,
-    and so does any level walked (ring._next_level) or any general-mode
-    division (ideals._divide), so a rung that regresses fails fast."""
+    """The list that grows by one per corner comparison, a call of
+    ring._ExponentCodes.below, and per monomial membership asked of a
+    handle (IdealHandle.contains_monomial), which a product walk would ask
+    once per product.  The count fails the test as soon as it passes
+    ``bound``, and so does any level walked (ring._next_level) or any
+    general-mode division (ideals._divide), so a rung that regresses fails
+    fast."""
     ring_module = importlib.import_module("torsionlab.ring")
     ideals_module = importlib.import_module("torsionlab.ideals")
-    real = ring_module._below
+    real = ring_module._ExponentCodes.below
     member = ideals_module.IdealHandle.contains_monomial
     comparisons = []
 
@@ -407,9 +408,9 @@ def _count_cost(monkeypatch, bound):
         comparisons.append(1)
         assert len(comparisons) <= bound, "more than %d comparisons" % bound
 
-    def below(d, k):
+    def below(codes, d, k):
         count()
-        return real(d, k)
+        return real(codes, d, k)
 
     def contains(handle, m):
         count()
@@ -421,10 +422,7 @@ def _count_cost(monkeypatch, bound):
     def divide(*args, **kwargs):
         raise AssertionError("a polynomial was divided")
 
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("torsionlab")
-                and getattr(module, "_below", None) is real):
-            monkeypatch.setattr(module, "_below", below)
+    monkeypatch.setattr(ring_module._ExponentCodes, "below", below)
     monkeypatch.setattr(ring_module, "_next_level", walk)
     monkeypatch.setattr(ideals_module, "_divide", divide)
     monkeypatch.setattr(ideals_module.IdealHandle, "contains_monomial",
@@ -474,6 +472,42 @@ def test_cost_ladder_two_variables_high_exponent(monkeypatch, e):
     assert assf == [{"prime": "prime(X0)", "witness": "1"},
                     {"prime": "prime(X1)", "witness": "1"}]
     assert comparisons
+
+
+@pytest.mark.parametrize("source, exponent, variable", [
+    ("ring R = vars X[0..1]\nideal b = < X[0]*X[1]^32767 >\n", 32767, 1),
+    ("ring R = vars X[0..1] rules { X[0]^40000 -> 0 }\nideal b = < X[1] >\n",
+     40000, 0)])
+def test_exponent_past_the_code_field_exits_2(source, exponent, variable):
+    """The corner layer packs exponents into fields of 15 bits (the
+    all-ones field is free), so a generator or rule exponent past 32766
+    ends the query that needs its corners in exit 2, naming it."""
+    tree, code = cli.execute(parse(source + "query ass(b)\n"))
+    assert code == 2
+    assert tree["status"] == "error" and tree["error_at"] == 3
+    assert tree["statements"][-1]["error"] == (
+        "exponent %d of X%d passes the largest exponent code, 32766"
+        % (exponent, variable))
+
+
+def test_largest_exponent_code_is_accepted():
+    """X0^32766 fits its field: the scans, the kill exponent and the
+    minimal primes read its corners, one of them 32765 high."""
+    tree, code = cli.execute(parse(
+        "ring R = vars X[0..1]\nideal a = < X[0] >\n"
+        "ideal b = < X[0]^32766*X[1] >\nquery ass(b)\nquery assf(b)\n"
+        "query saturation(b; a)\nquery minprimes(b)\n"))
+    assert code == 0, tree
+    ass, assf, saturation, minimal = (
+        s["result"] for s in tree["statements"][-4:])
+    assert ass["witnesses"] == [
+        {"prime": "prime(X0)", "witness": "X0^32765*X1"},
+        {"prime": "prime(X1)", "witness": "X0^32766"}]
+    assert assf["witnesses"] == [{"prime": "prime(X0)", "witness": "1"},
+                                 {"prime": "prime(X1)", "witness": "1"}]
+    assert saturation == {"ideal": "ideal(X1)", "stabilized": True,
+                          "steps": 32766}
+    assert minimal == {"primes": ["prime(X0)", "prime(X1)"]}
 
 
 @pytest.mark.parametrize("k", [12, 14, 20])

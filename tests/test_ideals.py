@@ -48,21 +48,38 @@ from torsionlab.oracles import (
     saturation_monomials,
 )
 from torsionlab.ring import (
+    CODE_WIDTH,
     Element,
     Monomial,
     RewriteRule,
     RingPresentation,
-    _below,
-    _exponent_vector,
+    _ExponentCodes,
     _meet_generators,
     _staircase_corners,
     check_local_confluence,
 )
 from torsionlab.torsion import gamma_large_cyclic, gamma_small_cyclic
 
+# The all-ones field of an exponent code: a free coordinate.
+FREE = (1 << CODE_WIDTH) - 1
+
 
 def _var(i, e=1):
     return Monomial.variable(i, e)
+
+
+def _code(t):
+    """The exponent code of the tuple t: X0 in the top field, a guard bit
+    over each field, and the all-ones field where t is inf."""
+    return sum((FREE if e == math.inf else e) << (CODE_WIDTH + 1) * v
+               for v, e in enumerate(reversed(t)))
+
+
+def _vector(n, x):
+    """The exponent tuple of the code x over n variables, inf where a
+    field is all ones; the inverse of _code."""
+    fields = (x >> (CODE_WIDTH + 1) * (n - 1 - v) & FREE for v in range(n))
+    return tuple(math.inf if e == FREE else e for e in fields)
 
 
 def _free(n):
@@ -453,14 +470,18 @@ def test_staircase_corners_match_brute_force():
         ring, ideal = _random_monomial_ideal(rng)
         n = ring.num_vars
         basis = ideal.lifted_monomials()
-        vectors = [_exponent_vector(g, n) for g in basis]
+        vectors = [tuple(map(g.exponent, range(n))) for g in basis]
         expected = _brute_force_corners(n, basis)
-        assert sorted(_staircase_corners(vectors, [(math.inf,) * n])) \
+        codes = ring._codes
+        assert sorted(_vector(n, c) for c in _staircase_corners(
+            codes, map(_code, vectors), [_code((math.inf,) * n)])) \
             == expected, basis
-        split = _staircase_corners(ideal._vectors(), ring._components())
-        assert sorted(split) == expected, basis
-        assert sorted(c for c, _ in ideal._components()) == expected
-        assert sorted(_meet_generators(expected)) == sorted(vectors), basis
+        split = _staircase_corners(codes, ideal._vectors(), ring._components())
+        assert sorted(_vector(n, c) for c in split) == expected, basis
+        assert sorted(_vector(n, c) for c, _ in ideal._components()) \
+            == expected
+        assert sorted(_vector(n, u) for u in _meet_generators(
+            codes, list(map(_code, expected)))) == sorted(vectors), basis
         free += any(math.inf in c for c in expected)
         shapes["one corner"] += len(expected) == 1
         shapes["several corners"] += len(expected) > 1
@@ -1167,12 +1188,13 @@ def _shares_fitting_variables(acting, module, target):
     gens = [tuple(map(g.exponent, width))
             for g in acting.monomial_generators()]
     for c, _ in target._components():
+        c = _vector(len(width), c)
         for m in module.monomial_generators():
             m = tuple(map(m.exponent, width))
-            if not _below(m, c):
+            if not all(map(operator.le, m, c)):
                 continue
-            fit = [g for g in gens
-                   if _below(g, tuple(map(operator.sub, c, m)))]
+            room = tuple(map(operator.sub, c, m))
+            fit = [g for g in gens if all(map(operator.le, g, room))]
             if any(g[v] and h[v] and math.isfinite(c[v])
                    for i, g in enumerate(fit) for h in fit[i + 1:]
                    for v in width):
@@ -1243,7 +1265,9 @@ def test_power_order_matches_power_membership():
                 order = power_order(acting, m)
                 f = Element.from_monomial(ring, m)
                 for n, power in enumerate(powers):
-                    assert (order >= n) == ideal_membership(f, power).is_yes
+                    # None: the unit ideal, whose every power holds m.
+                    assert (order is None or order >= n) \
+                        == ideal_membership(f, power).is_yes
                     checked += 1
     assert checked >= 5000
 
@@ -1261,7 +1285,8 @@ def test_power_order_of_a_deep_exponent():
                                                _var(0).mul(_var(1))])
     assert len(acting.generators) == 2
     assert power_order(acting, _var(0, 3000).mul(_var(1))) == 1500
-    assert _most_factors([(1, 0), (1, 1)], (3000, 1)) == 3000
+    assert _most_factors(ring._codes, [_code((1, 0)), _code((1, 1))],
+                         _code((3000, 1))) == 3000
 
 
 def _most_factors_by_enumeration(gens, room):
@@ -1312,7 +1337,9 @@ def test_most_factors_matches_enumeration():
                 g[rng.choice(block)] = 1
             gens.append(tuple(g))
         expected = _most_factors_by_enumeration(gens, room)
-        assert _most_factors(gens, room) == expected, (gens, room)
+        got = _most_factors(_ExponentCodes(n), list(map(_code, gens)),
+                            _code(room))
+        assert (math.inf if got is None else got) == expected, (gens, room)
         fit = [g for g in gens if all(e <= r for e, r in zip(g, room))]
         shared = [b for b in blocks if any(
             g[v] and h[v] and room[v] != math.inf

@@ -7,7 +7,8 @@ constructors are used only in ring.py, the oracles import none of the
 modules they check and keep no cache that grows without bound, spectrum.py
 references no level walker, ring.py keeps one rule index, which the normal
 form and the level walk both read, the corner layer reads no
-Monomial.exponent, no call passes _power_kill_exponent more than its three
+Monomial.exponent and, in ideals.py and spectrum.py, nothing of the tuple
+form its exponent codes replaced, no call passes _power_kill_exponent more than its three
 arguments, _most_factors keeps one recursion and no other module names it,
 ring.py holds the one coefficient rule, which ideals.py imports, neither
 divides a coefficient but by Fraction(1, c), and FRACTION_ONE is gone,
@@ -67,9 +68,15 @@ TERM_QUOTIENT = "_term_quotient"
 TERM_SPLIT_CALLERS = (TERM_QUOTIENT,)
 TERM_QUOTIENT_CALLERS = ("ideal_colon", "_saturate_by")
 DISJOINTNESS_CALLS = {"isdisjoint", "intersection"}
-# The corner layer reads exponent tuples: each handle converts its
-# generators once (IdealHandle._vectors), through ring._exponent_vector.
+# The corner layer reads one form of exponents, the ring's packed codes
+# (ring._ExponentCodes): each handle encodes its generators once
+# (IdealHandle._vectors).  Its readers in ideals.py and spectrum.py keep
+# nothing of the tuple form the codes replaced: no math.inf for a free
+# coordinate, no tuple converter, no tuple comparison and no tuple grlex.
 CORNER_LAYER = ("ring.py", "ideals.py", "spectrum.py")
+CODE_READERS = ("ideals.py", "spectrum.py")
+CODE_CLASS = "_ExponentCodes"
+TUPLE_FORM = {"_exponent_vector", "_exponent_monomial", "_below", "_grlex"}
 
 
 def _unused_imports(tree):
@@ -646,6 +653,48 @@ def test_monomial_exponent_read_is_reported():
                      "exponent = m.exponents\n"
                      "def exponent(self, var):\n    pass\n")
     assert _exponent_reads(tree) == [1, 2]
+
+
+def _tuple_form_reads(tree):
+    """(line, name) of each tuple-form name under tree, and of each
+    infinity: math.inf, inf imported from math, or float("inf")."""
+    reads = [(line, name) for line, name in _names(tree)
+             if name in TUPLE_FORM]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "inf"
+                and getattr(node.value, "id", None) == "math"
+                or isinstance(node, ast.ImportFrom) and node.module == "math"
+                and any(alias.name == "inf" for alias in node.names)
+                or isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "float"
+                and any(getattr(arg, "value", None) == "inf"
+                        for arg in node.args)):
+            reads.append((node.lineno, "math.inf"))
+    return sorted(reads)
+
+
+def test_corner_layer_reads_one_exponent_form():
+    ring = ast.parse((PACKAGE / "ring.py").read_text())
+    # The code class exists, so the check cannot pass vacuously.
+    assert CODE_CLASS in {node.name for node in ast.walk(ring)
+                          if isinstance(node, ast.ClassDef)}
+    reads = {name: _tuple_form_reads(ast.parse((PACKAGE / name).read_text()))
+             for name in CODE_READERS}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_tuple_form_read_is_reported():
+    tree = ast.parse("from math import inf\n"
+                     "room = (math.inf,) * n\n"
+                     "t = ring._exponent_vector(m, n)\n"
+                     "if _below(t, c):\n"
+                     "    free = float('inf')\n"
+                     "from .ring import _exponent_monomial, _grlex\n"
+                     "fits = codes.below(d, k) and math.isfinite(e)\n")
+    assert _tuple_form_reads(tree) == [
+        (1, "math.inf"), (2, "math.inf"), (3, "_exponent_vector"),
+        (4, "_below"), (5, "math.inf"), (6, "_exponent_monomial"),
+        (6, "_grlex")]
 
 
 def _kill_exponent_calls(tree):

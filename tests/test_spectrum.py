@@ -600,19 +600,17 @@ def test_assassin_scan_converts_each_distinct_prime_once(monkeypatch):
 
 def test_each_handle_converts_its_generators_once(monkeypatch):
     """Two scans of one module and one kill exponent turn each generator of
-    the three handles, and each rule lhs, into an exponent tuple exactly
-    once: the handle keeps the tuples (IdealHandle._vectors)."""
+    the three handles, and each rule lhs, into an exponent code exactly
+    once: the handle keeps the codes (IdealHandle._vectors)."""
     converted = []
-    real = importlib.import_module("torsionlab.ring")._exponent_vector
+    codes = importlib.import_module("torsionlab.ring")._ExponentCodes
+    real = codes.encode
 
-    def count(m, n):
+    def count(self, m):
         converted.append(m)
-        return real(m, n)
+        return real(self, m)
 
-    for name in ("ring", "ideals", "spectrum"):
-        module = importlib.import_module("torsionlab." + name)
-        if hasattr(module, "_exponent_vector"):
-            monkeypatch.setattr(module, "_exponent_vector", count)
+    monkeypatch.setattr(codes, "encode", count)
     # X3 is free, so the scan meets a free coordinate.
     ring = RingPresentation(4, [RewriteRule(_var(v, 3)) for v in range(3)])
     numerator = IdealHandle.from_monomials(ring, [_var(0), _var(1, 2)])

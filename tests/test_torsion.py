@@ -142,8 +142,8 @@ def _corner_saturation_kept_by_every_generator(ideal, other):
     if not (ideal.is_monomial_mode and other.is_monomial_mode
             and other.generators):
         return None
-    supports = {sum(1 << v for v, e in enumerate(g) if e)
-                for g in other._vectors()}
+    codes = ideal.ring._codes
+    supports = {codes.bits(codes.support(g)) for g in other._vectors()}
     corners = ideal._components()
     kept = sum(all(not mask & s for s in supports) for _, mask in corners)
     if not kept:
