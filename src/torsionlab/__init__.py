@@ -42,7 +42,6 @@ from .ideals import (
     ideal_sum,
     minimal_primes,
 )
-from .oracles import brute_force_membership
 from .spectrum import (
     AssassinReport,
     assassins_cyclic,
@@ -83,14 +82,18 @@ from .dsl import Script, expand_ideal, expand_ring, parse
 
 # The cli names resolve on first use: importing torsionlab.cli here would
 # make `python -m torsionlab.cli` find the module already loaded and warn.
+# The oracle resolves on first use too, so a script run never loads it.
 _CLI_NAMES = ("execute", "main")
 
 __all__ = [name for name in dir() if not name.startswith("_")] + [
-    "cli", *_CLI_NAMES]
+    "cli", "oracles", *_CLI_NAMES, "brute_force_membership"]
 
 
 def __getattr__(name):
     if name in _CLI_NAMES:
         from . import cli
         return getattr(cli, name)
+    if name == "brute_force_membership":
+        from .oracles import brute_force_membership
+        return brute_force_membership
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -118,6 +118,12 @@ def _execute_query(session, stmt):
 def _execute_statement(session, stmt):
     if isinstance(stmt, RingStatement):
         ring = expand_ring(stmt)
+        # Each exponent must fit its corner code field: ExponentOverflow
+        # here names the statement that wrote it.
+        for rule in ring.rules:
+            ring._codes.encode(rule.lhs)
+            if rule.rhs is not None:
+                ring._codes.encode(rule.rhs[1])
         failures = check_local_confluence(ring)
         if failures:
             raise NonConfluent(str(failures[0]))
@@ -131,6 +137,9 @@ def _execute_statement(session, stmt):
                                   % stmt.name)
         ring = session.rings[session.current_ring]
         handle = expand_ideal(stmt, ring)
+        for g in handle.generators:
+            for m in g.terms:
+                ring._codes.encode(m)
         session.ideals[stmt.name] = (session.current_ring, handle)
         return {"ideal": stmt.name, "value": format_ideal(handle)}
     if isinstance(stmt, QueryStatement):

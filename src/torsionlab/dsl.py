@@ -23,15 +23,13 @@ are comparisons joined by "and".
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Optional
 
 from .errors import ParseError, PatternError
 from .ideals import IdealHandle
-from .ring import Element, Monomial, RewriteRule, RingPresentation
+from .ring import Element, Monomial, RewriteRule, RingPresentation, _Record
 
 # Query kind -> argument kinds.  An argument is an ideal name, an element,
 # or either (colon divides by both).
@@ -63,12 +61,15 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # int | ident | punct (value holds the spelling) | end
-    value: str
-    line: int
-    column: int
+class Token(_Record):
+    __slots__ = ("kind", "value", "line", "column")
+
+    def __init__(self, kind, value, line, column):
+        # int | ident | punct (value holds the spelling) | end
+        self.kind = kind
+        self.value = value
+        self.line = line
+        self.column = column
 
 
 def tokenize(source):
@@ -97,11 +98,14 @@ def tokenize(source):
 
 # -------------------------------------------------------------------- AST
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(_Record):
     """Sum of integer multiples of loop variables plus a constant."""
-    constant: int
-    coeffs: tuple  # of (name, coeff), sorted by name
+
+    __slots__ = ("constant", "coeffs")
+
+    def __init__(self, constant, coeffs):
+        self.constant = constant
+        self.coeffs = coeffs  # of (name, coeff), sorted by name
 
     def evaluate(self, env):
         total = self.constant
@@ -134,10 +138,12 @@ def _affine_const(n):
     return Affine(n, ())
 
 
-@dataclass(frozen=True)
-class VarFactor:
-    index: Affine
-    exponent: Affine
+class VarFactor(_Record):
+    __slots__ = ("index", "exponent")
+
+    def __init__(self, index, exponent):
+        self.index = index
+        self.exponent = exponent
 
     def render(self):
         body = "X[%s]" % self.index.render()
@@ -148,10 +154,12 @@ class VarFactor:
         return "%s^(%s)" % (body, self.exponent.render())
 
 
-@dataclass(frozen=True)
-class TermTemplate:
-    coeff: Fraction
-    factors: tuple  # of VarFactor
+class TermTemplate(_Record):
+    __slots__ = ("coeff", "factors")
+
+    def __init__(self, coeff, factors):
+        self.coeff = coeff
+        self.factors = factors  # of VarFactor
 
     def render(self):
         if not self.factors:
@@ -162,9 +170,11 @@ class TermTemplate:
         return "%s*%s" % (self.coeff, body)
 
 
-@dataclass(frozen=True)
-class ElementTemplate:
-    terms: tuple  # of TermTemplate
+class ElementTemplate(_Record):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms  # of TermTemplate
 
     def render(self):
         if not self.terms:
@@ -178,11 +188,13 @@ class ElementTemplate:
         return out
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str
-    lhs: Affine
-    rhs: Affine
+class Comparison(_Record):
+    __slots__ = ("op", "lhs", "rhs")
+
+    def __init__(self, op, lhs, rhs):
+        self.op = op
+        self.lhs = lhs
+        self.rhs = rhs
 
     def holds(self, env):
         a, b = self.lhs.evaluate(env), self.rhs.evaluate(env)
@@ -193,20 +205,24 @@ class Comparison:
         return "%s %s %s" % (self.lhs.render(), self.op, self.rhs.render())
 
 
-@dataclass(frozen=True)
-class RangeBinding:
-    names: tuple  # one or more loop variables sharing the range
-    low: int
-    high: int
+class RangeBinding(_Record):
+    __slots__ = ("names", "low", "high")
+
+    def __init__(self, names, low, high):
+        self.names = names  # one or more loop variables sharing the range
+        self.low = low
+        self.high = high
 
     def render(self):
         return "%s in %d..%d" % (", ".join(self.names), self.low, self.high)
 
 
-@dataclass(frozen=True)
-class Comprehension:
-    bindings: tuple  # of RangeBinding
-    guard: tuple  # of Comparison, conjunction
+class Comprehension(_Record):
+    __slots__ = ("bindings", "guard")
+
+    def __init__(self, bindings, guard):
+        self.bindings = bindings  # of RangeBinding
+        self.guard = guard  # of Comparison, conjunction
 
     def render(self):
         out = "for " + ", ".join(b.render() for b in self.bindings)
@@ -229,11 +245,13 @@ class Comprehension:
                 yield env
 
 
-@dataclass(frozen=True)
-class RuleTemplate:
-    lhs: TermTemplate  # coefficient must be 1
-    rhs: Optional[TermTemplate]  # None encodes "-> 0"
-    comprehension: Optional[Comprehension]
+class RuleTemplate(_Record):
+    __slots__ = ("lhs", "rhs", "comprehension")
+
+    def __init__(self, lhs, rhs, comprehension):
+        self.lhs = lhs  # coefficient must be 1
+        self.rhs = rhs  # None encodes "-> 0"
+        self.comprehension = comprehension
 
     def render(self):
         rhs = "0" if self.rhs is None else self.rhs.render()
@@ -243,10 +261,12 @@ class RuleTemplate:
         return out
 
 
-@dataclass(frozen=True)
-class GeneratorTemplate:
-    element: ElementTemplate
-    comprehension: Optional[Comprehension]
+class GeneratorTemplate(_Record):
+    __slots__ = ("element", "comprehension")
+
+    def __init__(self, element, comprehension):
+        self.element = element
+        self.comprehension = comprehension
 
     def render(self):
         out = self.element.render()
@@ -255,11 +275,13 @@ class GeneratorTemplate:
         return out
 
 
-@dataclass(frozen=True)
-class RingStatement:
-    name: str
-    level: int  # variables X[0..level]
-    rules: tuple  # of RuleTemplate
+class RingStatement(_Record):
+    __slots__ = ("name", "level", "rules")
+
+    def __init__(self, name, level, rules):
+        self.name = name
+        self.level = level  # variables X[0..level]
+        self.rules = rules  # of RuleTemplate
 
     def render(self):
         head = "ring %s = vars X[0..%d]" % (self.name, self.level)
@@ -269,10 +291,12 @@ class RingStatement:
             head, "; ".join(r.render() for r in self.rules))
 
 
-@dataclass(frozen=True)
-class IdealStatement:
-    name: str
-    generators: tuple  # of GeneratorTemplate
+class IdealStatement(_Record):
+    __slots__ = ("name", "generators")
+
+    def __init__(self, name, generators):
+        self.name = name
+        self.generators = generators  # of GeneratorTemplate
 
     def render(self):
         if not self.generators:
@@ -281,56 +305,68 @@ class IdealStatement:
             self.name, ", ".join(g.render() for g in self.generators))
 
 
-@dataclass(frozen=True)
-class QueryStatement:
-    kind: str
-    arguments: tuple  # of NameRef or ElementTemplate
+class QueryStatement(_Record):
+    __slots__ = ("kind", "arguments")
+
+    def __init__(self, kind, arguments):
+        self.kind = kind
+        self.arguments = arguments  # of NameRef or ElementTemplate
 
     def render(self):
         args = "; ".join(a.render() for a in self.arguments)
         return "query %s(%s)" % (self.kind, args)
 
 
-@dataclass(frozen=True)
-class NameRef:
-    name: str
+class NameRef(_Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
     def render(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class CheckStatement:
-    acting: str
-    relations: str
+class CheckStatement(_Record):
+    __slots__ = ("acting", "relations")
+
+    def __init__(self, acting, relations):
+        self.acting = acting
+        self.relations = relations
 
     def render(self):
         return "check fairness(%s; %s)" % (self.acting, self.relations)
 
 
-@dataclass(frozen=True)
-class FamilyStatement:
-    tag: str
-    low: int
-    high: int
-    window: int
+class FamilyStatement(_Record):
+    __slots__ = ("tag", "low", "high", "window")
+
+    def __init__(self, tag, low, high, window):
+        self.tag = tag
+        self.low = low
+        self.high = high
+        self.window = window
 
     def render(self):
         return "family %s levels %d..%d window %d" % (
             self.tag, self.low, self.high, self.window)
 
 
-@dataclass(frozen=True)
-class RunExampleStatement:
-    tag: str
+class RunExampleStatement(_Record):
+    __slots__ = ("tag",)
+
+    def __init__(self, tag):
+        self.tag = tag
 
     def render(self):
         return "run example %s" % self.tag
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+class Script(_Record):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements):
+        self.statements = statements
 
     def render(self):
         return "".join(s.render() + "\n" for s in self.statements)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InvalidSchedule, NonConfluent, UnknownTag
@@ -45,6 +44,7 @@ from .ring import (
     Monomial,
     RewriteRule,
     RingPresentation,
+    _Record,
     check_local_confluence,
 )
 
@@ -54,41 +54,50 @@ DEFAULT_WINDOW = 3
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class WindowedClaim:
-    name: str
-    description: str
-    evaluate: object  # callable(ring, ideals, level, rng) -> bool
+class WindowedClaim(_Record):
+    __slots__ = ("name", "description", "evaluate")
+
+    def __init__(self, name, description, evaluate):
+        self.name = name
+        self.description = description
+        self.evaluate = evaluate  # callable(ring, ideals, level, rng) -> bool
 
     def run(self, ring, ideals, level, rng):
         return bool(self.evaluate(ring, ideals, level, rng))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    tag: str
-    description: str
-    build: object  # callable(N) -> (RingPresentation, dict of IdealHandle)
-    claims: tuple  # of WindowedClaim
+class FamilySpec(_Record):
+    __slots__ = ("tag", "description", "build", "claims")
+
+    def __init__(self, tag, description, build, claims):
+        self.tag = tag
+        self.description = description
+        # callable(N) -> (RingPresentation, dict of IdealHandle)
+        self.build = build
+        self.claims = claims  # of WindowedClaim
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    name: str
-    description: str
-    values: tuple  # of (level, bool)
-    passed: bool  # every level true
-    stable: bool  # last window values identical
+class ClaimResult(_Record):
+    __slots__ = ("name", "description", "values", "passed", "stable")
+
+    def __init__(self, name, description, values, passed, stable):
+        self.name = name
+        self.description = description
+        self.values = values  # of (level, bool)
+        self.passed = passed  # every level true
+        self.stable = stable  # last window values identical
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    tag: str
-    levels: tuple
-    window: int
-    seed: int
-    claims: tuple  # of ClaimResult
-    confluence_ok: bool
+class ExampleReport(_Record):
+    __slots__ = ("tag", "levels", "window", "seed", "claims", "confluence_ok")
+
+    def __init__(self, tag, levels, window, seed, claims, confluence_ok):
+        self.tag = tag
+        self.levels = levels
+        self.window = window
+        self.seed = seed
+        self.claims = claims  # of ClaimResult
+        self.confluence_ok = confluence_ok
 
     @property
     def all_pass(self):

@@ -15,11 +15,10 @@ large name compare it with the base scans.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .dsl import CheckStatement, Script, ideal_statement, ring_statement
 from .ideals import IdealHandle, ideal_colon_ideal, ideal_sum
-from .ring import Monomial, RewriteRule, RingPresentation
+from .ring import Monomial, RewriteRule, RingPresentation, _Record
 from .spectrum import assassin_scan, difference_variety, intersect_variety
 from .torsion import centredness_flags, fairness_report, gamma_small_cyclic
 
@@ -27,17 +26,21 @@ DEFAULT_INSTANCES = 500
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class HarnessInstance:
-    index: int
-    ring: RingPresentation
-    acting: IdealHandle
-    relations: IdealHandle
-    extension: IdealHandle  # contains relations
-    between: IdealHandle  # between acting and its radical
-    # One past the largest normal degree.  The engine no longer reads it;
-    # it stays because perfbench's workloads do, until ROADMAP item 1.
-    witness_bound: int
+class HarnessInstance(_Record):
+    __slots__ = ("index", "ring", "acting", "relations", "extension",
+                 "between", "witness_bound")
+
+    def __init__(self, index, ring, acting, relations, extension, between,
+                 witness_bound):
+        self.index = index
+        self.ring = ring
+        self.acting = acting
+        self.relations = relations
+        self.extension = extension  # contains relations
+        self.between = between  # between acting and its radical
+        # One past the largest normal degree.  The engine no longer reads it;
+        # it stays because perfbench's workloads do, until ROADMAP item 1.
+        self.witness_bound = witness_bound
 
     @property
     def script(self):
@@ -45,20 +48,24 @@ class HarnessInstance:
         return instance_script(self)
 
 
-@dataclass(frozen=True)
-class HarnessViolation:
-    instance_index: int
-    proposition: str
-    detail: str
-    script: str
+class HarnessViolation(_Record):
+    __slots__ = ("instance_index", "proposition", "detail", "script")
+
+    def __init__(self, instance_index, proposition, detail, script):
+        self.instance_index = instance_index
+        self.proposition = proposition
+        self.detail = detail
+        self.script = script
 
 
-@dataclass(frozen=True)
-class HarnessReport:
-    seed: int
-    instances: int
-    checks_run: int
-    violations: tuple
+class HarnessReport(_Record):
+    __slots__ = ("seed", "instances", "checks_run", "violations")
+
+    def __init__(self, seed, instances, checks_run, violations):
+        self.seed = seed
+        self.instances = instances
+        self.checks_run = checks_run
+        self.violations = violations
 
     @property
     def ok(self):

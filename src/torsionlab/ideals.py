@@ -33,18 +33,17 @@ generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import accumulate
 from operator import or_
-from typing import Optional
 
 from .errors import NonConfluent, NotMonomialMode, RingMismatch, UnitIdeal
 from .ring import (
     Element,
     Monomial,
+    _Record,
     _small,
     _staircase_corners,
     check_local_confluence,
@@ -597,14 +596,17 @@ def format_ideal(ideal):
         format_element(g) for g in ideal.generators)
 
 
-@dataclass(frozen=True)
-class MembershipAnswer:
+class MembershipAnswer(_Record):
     """A membership decision.  Yes answers always carry a certificate
     ((generator index, multiplier), ...) that re-multiplies to f.  The
     verdict is yes or no, except "unknown" when the ideal's Groebner
     completion ran out of WORK_BUDGET."""
-    verdict: str  # "yes" | "no" | "unknown"
-    certificate: Optional[tuple] = None  # ((generator index, Element), ...)
+
+    __slots__ = ("verdict", "certificate")
+
+    def __init__(self, verdict, certificate=None):
+        self.verdict = verdict  # "yes" | "no" | "unknown"
+        self.certificate = certificate  # ((generator index, Element), ...)
 
     @property
     def is_yes(self):
@@ -797,11 +799,13 @@ def ideal_colon_ideal(ideal, other):
                   or [IdealHandle.unit(ideal.ring)])
 
 
-@dataclass(frozen=True)
-class SaturationResult:
-    ideal: IdealHandle
-    stabilized: bool
-    steps: int
+class SaturationResult(_Record):
+    __slots__ = ("ideal", "stabilized", "steps")
+
+    def __init__(self, ideal, stabilized, steps):
+        self.ideal = ideal
+        self.stabilized = stabilized
+        self.steps = steps
 
 
 def _most_factors(codes, gens, room):

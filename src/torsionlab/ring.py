@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, islice
@@ -42,6 +41,32 @@ from operator import floordiv, or_
 
 from .errors import (ExponentOverflow, InvalidPresentation, RingMismatch,
                      VariableOutOfRange)
+
+
+class _Record:
+    """The value semantics of a frozen dataclass for a plain slotted class
+    whose ``__slots__`` name its fields in order and whose ``__init__``
+    assigns them: equality field by field between instances of one class,
+    the hash of the field tuple, and a ``Name(field=value, ...)`` repr.
+    Records are immutable by convention: no code assigns a field after
+    ``__init__``."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
 
 
 class Monomial:
@@ -790,15 +815,18 @@ def format_element(e):
     return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class CriticalPairResult:
+class CriticalPairResult(_Record):
     """A critical pair whose two one-step reducts have different normal
     forms."""
-    lhs1: Monomial
-    lhs2: Monomial
-    overlap: Monomial
-    left: Element  # normal form of the reduct by the lhs1 rule
-    right: Element  # normal form of the reduct by the lhs2 rule
+
+    __slots__ = ("lhs1", "lhs2", "overlap", "left", "right")
+
+    def __init__(self, lhs1, lhs2, overlap, left, right):
+        self.lhs1 = lhs1
+        self.lhs2 = lhs2
+        self.overlap = overlap
+        self.left = left  # normal form of the reduct by the lhs1 rule
+        self.right = right  # normal form of the reduct by the lhs2 rule
 
     def __str__(self):
         return "rules on %s and %s do not join at %s: %s vs %s" % (

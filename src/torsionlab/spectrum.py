@@ -45,19 +45,16 @@ variable set and each witness to its Monomial once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .errors import RingMismatch
 from .ideals import IdealHandle, _mask_vars, minimal_primes, prime_key
-from .ring import Monomial, _meet_generators
+from .ring import Monomial, _Record, _meet_generators
 
 
 def format_prime(vars_set):
     return "prime(%s)" % ", ".join("X%d" % v for v in sorted(vars_set))
 
 
-def prime_variable_set(ideal) -> Optional[frozenset]:
+def prime_variable_set(ideal):
     """The canonical variable set if the ideal is prime, else None."""
     ideal._require_monomial()
     return _basis_prime(ideal.lifted_monomials())
@@ -113,11 +110,15 @@ def difference_variety(primes, ideal):
     return [p for p in primes if not in_variety(p, ideal)]
 
 
-@dataclass(frozen=True)
-class AssassinReport:
+class AssassinReport(_Record):
     """Primes with one monomial witness each, the grlex-first one."""
-    primes: tuple  # of frozenset, sorted
-    witnesses: tuple  # of (frozenset, Monomial), aligned with primes
+
+    __slots__ = ("primes", "witnesses")
+
+    def __init__(self, primes, witnesses):
+        self.primes = primes  # of frozenset, sorted
+        # of (frozenset, Monomial), aligned with primes
+        self.witnesses = witnesses
 
     @property
     def prime_set(self):

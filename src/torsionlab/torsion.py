@@ -27,7 +27,6 @@ twin's comparison under the large name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from .ideals import (
@@ -38,21 +37,26 @@ from .ideals import (
     ideal_intersection,
     ideal_saturation,
 )
+from .ring import _Record
 from .spectrum import assassin_scan, difference_variety, intersect_variety
 
 SMALL = "small"
 LARGE = "large"
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(_Record):
     """Preimage in R of the torsion submodule of R/relations."""
-    kind: str  # SMALL or LARGE
-    ideal: IdealHandle  # the acting ideal a
-    relations: IdealHandle  # b
-    preimage: IdealHandle  # contains b; torsion submodule is preimage/b
-    stabilized: bool
-    steps: int
+
+    __slots__ = ("kind", "ideal", "relations", "preimage", "stabilized",
+                 "steps")
+
+    def __init__(self, kind, ideal, relations, preimage, stabilized, steps):
+        self.kind = kind  # SMALL or LARGE
+        self.ideal = ideal  # the acting ideal a
+        self.relations = relations  # b
+        self.preimage = preimage  # contains b; torsion submodule is preimage/b
+        self.stabilized = stabilized
+        self.steps = steps
 
     @property
     def is_zero_submodule(self):
@@ -108,27 +112,36 @@ VERDICT_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class FairnessComparison:
-    name: str
-    left: tuple  # primes computed from the torsion side, sorted
-    right: tuple  # primes from the base module restricted by the variety
-    holds: bool
+class FairnessComparison(_Record):
+    __slots__ = ("name", "left", "right", "holds")
+
+    def __init__(self, name, left, right, holds):
+        self.name = name
+        self.left = left  # primes computed from the torsion side, sorted
+        # primes from the base module restricted by the variety
+        self.right = right
+        self.holds = holds
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    acting: IdealHandle
-    relations: IdealHandle
-    small: TorsionResult
-    large: TorsionResult
-    comparisons: tuple  # of FairnessComparison, in VERDICT_NAMES order
-    centred_witness_ok: bool
-    half_centred_witness_ok: bool
-    complete: bool  # both saturations stabilized
-    # (ass, ass^f) report pairs of R/relations, the small torsion and
-    # R/small preimage, which the large torsion shares; not rendered.
-    scans: tuple
+class FairnessReport(_Record):
+    __slots__ = ("acting", "relations", "small", "large", "comparisons",
+                 "centred_witness_ok", "half_centred_witness_ok", "complete",
+                 "scans")
+
+    def __init__(self, acting, relations, small, large, comparisons,
+                 centred_witness_ok, half_centred_witness_ok, complete, scans):
+        self.acting = acting
+        self.relations = relations
+        self.small = small
+        self.large = large
+        # of FairnessComparison, in VERDICT_NAMES order
+        self.comparisons = comparisons
+        self.centred_witness_ok = centred_witness_ok
+        self.half_centred_witness_ok = half_centred_witness_ok
+        self.complete = complete  # both saturations stabilized
+        # (ass, ass^f) report pairs of R/relations, the small torsion and
+        # R/small preimage, which the large torsion shares; not rendered.
+        self.scans = scans
 
     @property
     def functors_agree(self):
@@ -198,8 +211,8 @@ def fairness_report(acting, relations):
         _compare("weakly_quasifair", sub_assf, assf_meet),
     )
     comparisons = small_comparisons + tuple(
-        replace(comparison, name=name)
-        for comparison, name in zip(small_comparisons, VERDICT_NAMES[3:]))
+        FairnessComparison(name, c.left, c.right, c.holds)
+        for c, name in zip(small_comparisons, VERDICT_NAMES[3:]))
 
     centred_ok, half_centred_ok = centredness_flags(acting, small, base_assf)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import os
@@ -17,6 +16,7 @@ import pytest
 from torsionlab import cli
 from torsionlab.dsl import parse
 from torsionlab.families import ClaimResult, ExampleReport
+from torsionlab.torsion import FairnessComparison, FairnessReport
 
 DEMO = """\
 ring R = vars X[0..1] rules { X[0]^2 -> 0; X[1]^3 -> 0 }
@@ -477,14 +477,20 @@ def test_cost_ladder_two_variables_high_exponent(monkeypatch, e):
 @pytest.mark.parametrize("source, exponent, variable", [
     ("ring R = vars X[0..1]\nideal b = < X[0]*X[1]^32767 >\n", 32767, 1),
     ("ring R = vars X[0..1] rules { X[0]^40000 -> 0 }\nideal b = < X[1] >\n",
-     40000, 0)])
+     40000, 0),
+    ("ring R = vars X[0..1] rules { X[1]^40000 -> 0 }\nideal b = < X[0] >\n"
+     "query radical(b)\n", 40000, 1)])
 def test_exponent_past_the_code_field_exits_2(source, exponent, variable):
     """The corner layer packs exponents into fields of 15 bits (the
     all-ones field is free), so a generator or rule exponent past 32766
-    ends the query that needs its corners in exit 2, naming it."""
+    ends the script in exit 2 at the statement that writes it, naming it,
+    before any query runs: the ring (statement 1) for a rule, the ideal
+    (statement 2) for a generator."""
+    written_at = source[:source.index("^%d" % exponent)].count("\n") + 1
+    assert written_at == (1 if "rules" in source else 2)
     tree, code = cli.execute(parse(source + "query ass(b)\n"))
     assert code == 2
-    assert tree["status"] == "error" and tree["error_at"] == 3
+    assert tree["status"] == "error" and tree["error_at"] == written_at
     assert tree["statements"][-1]["error"] == (
         "exponent %d of X%d passes the largest exponent code, 32766"
         % (exponent, variable))
@@ -673,9 +679,13 @@ def test_failed_fairness_check_exits_one(tmp_path, capsys, monkeypatch):
     real = cli.fairness_report
 
     def failing(acting, relations):
-        report = real(acting, relations)
-        return dataclasses.replace(report, comparisons=tuple(
-            dataclasses.replace(c, holds=False) for c in report.comparisons))
+        r = real(acting, relations)
+        comparisons = tuple(FairnessComparison(c.name, c.left, c.right, False)
+                            for c in r.comparisons)
+        return FairnessReport(
+            r.acting, r.relations, r.small, r.large, comparisons,
+            r.centred_witness_ok, r.half_centred_witness_ok, r.complete,
+            r.scans)
 
     monkeypatch.setattr(cli, "fairness_report", failing)
     code, out, _ = _run(capsys, "run", _write(tmp_path, DEMO))
@@ -774,8 +784,8 @@ def test_run_bad_family_schedule_is_script_error(tmp_path, capsys):
     assert tree["statements"][0]["error"] == "level 16 outside 0..15"
 
 
-def _run_module(*argv):
-    """``python -m ARGV`` in a fresh interpreter at the checkout root, with
+def _run_python(*argv):
+    """``python ARGV`` in a fresh interpreter at the checkout root, with
     ``src`` on the path."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -783,8 +793,12 @@ def _run_module(*argv):
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
     return subprocess.run(
-        [sys.executable, "-m", *argv],
+        [sys.executable, *argv],
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run_module(*argv):
+    return _run_python("-m", *argv)
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -803,11 +817,23 @@ def test_package_runs_as_a_module():
 
 def test_package_resolves_cli_names_lazily():
     import torsionlab
+    from torsionlab import oracles
     assert torsionlab.main is cli.main
     assert torsionlab.execute is cli.execute
-    assert {"main", "execute"} <= set(torsionlab.__all__)
+    assert torsionlab.brute_force_membership is oracles.brute_force_membership
+    assert {"main", "execute", "brute_force_membership"} <= set(
+        torsionlab.__all__)
     with pytest.raises(AttributeError):
         torsionlab.no_such_name
+    # A fresh process: importing the package loads no oracle, and reading
+    # the oracle's name loads it.
+    done = _run_python(
+        "-S", "-c", "import sys, torsionlab\n"
+        "print('torsionlab.oracles' in sys.modules)\n"
+        "torsionlab.brute_force_membership\n"
+        "print('torsionlab.oracles' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_cached_normal_forms_keep_int_coefficients(capsys, monkeypatch):

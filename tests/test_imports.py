@@ -14,8 +14,10 @@ ring.py holds the one coefficient rule, which ideals.py imports, neither
 divides a coefficient but by Fraction(1, c), and FRACTION_ONE is gone,
 ideal_colon and _saturate_by take one route, _term_quotient, which alone
 tests a term against the Groebner basis, through _monomial_split,
-every span name the benchmark tracer wraps resolves in the package, and
-each package attribute named after a module is that module.
+every span name the benchmark tracer wraps resolves in the package,
+each package attribute named after a module is that module, and no
+module imports dataclasses or typing, nor does importing the package
+load them or inspect.
 
 Checked with the standard-library ast module over src/torsionlab/*.py.
 The package __init__.py is exempt from the import check: its imports are
@@ -27,6 +29,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -77,6 +82,12 @@ CORNER_LAYER = ("ring.py", "ideals.py", "spectrum.py")
 CODE_READERS = ("ideals.py", "spectrum.py")
 CODE_CLASS = "_ExponentCodes"
 TUPLE_FORM = {"_exponent_vector", "_exponent_monomial", "_below", "_grlex"}
+# The package's records are plain slotted classes (ring._Record), so no
+# module needs the class machinery of the standard library, and importing
+# the package loads none of it: dataclasses compiles each generated method
+# through exec, and it imports inspect.
+CLASS_MACHINERY = {"dataclasses", "typing"}
+UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "typing")
 
 
 def _unused_imports(tree):
@@ -951,3 +962,47 @@ def test_package_attributes_name_their_modules():
     for name in names:
         module = importlib.import_module("torsionlab." + name)
         assert getattr(package, name) is module, name
+
+
+def _machinery_imports(tree):
+    """(line, module) of each import of a CLASS_MACHINERY module."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out.extend((node.lineno, name) for name in names
+                   if name.split(".")[0] in CLASS_MACHINERY)
+    return sorted(out)
+
+
+def test_no_module_imports_class_machinery():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = ["%s:%d %s" % (path.name, line, name)
+             for path in modules
+             for line, name in _machinery_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_class_machinery_import_is_reported():
+    tree = ast.parse("import os, dataclasses\nfrom typing import Optional\n"
+                     "from .typing import x\nimport typingx\n"
+                     "def f():\n    from dataclasses import replace\n")
+    assert _machinery_imports(tree) == [
+        (1, "dataclasses"), (2, "typing"), (6, "dataclasses")]
+
+
+def test_package_import_loads_no_class_machinery():
+    """A fresh interpreter without site imports the package from src."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, torsionlab\nprint(*sorted(set(sys.modules) & %r))"
+         % (set(UNLOADED_AT_IMPORT),)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
