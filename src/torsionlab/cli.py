@@ -118,12 +118,6 @@ def _execute_query(session, stmt):
 def _execute_statement(session, stmt):
     if isinstance(stmt, RingStatement):
         ring = expand_ring(stmt)
-        # Each exponent must fit its corner code field: ExponentOverflow
-        # here names the statement that wrote it.
-        for rule in ring.rules:
-            ring._codes.encode(rule.lhs)
-            if rule.rhs is not None:
-                ring._codes.encode(rule.rhs[1])
         failures = check_local_confluence(ring)
         if failures:
             raise NonConfluent(str(failures[0]))
@@ -137,9 +131,10 @@ def _execute_statement(session, stmt):
                                   % stmt.name)
         ring = session.rings[session.current_ring]
         handle = expand_ideal(stmt, ring)
-        for g in handle.generators:
-            for m in g.terms:
-                ring._codes.encode(m)
+        # A monomial-mode handle's generators become exponent codes, as a
+        # ring's rule lhs do: ExponentOverflow names the statement here.
+        if handle.is_monomial_mode:
+            handle._vectors()
         session.ideals[stmt.name] = (session.current_ring, handle)
         return {"ideal": stmt.name, "value": format_ideal(handle)}
     if isinstance(stmt, QueryStatement):

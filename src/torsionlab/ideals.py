@@ -409,7 +409,7 @@ class IdealHandle:
     in normal form.  Facts are filled on first use: in monomial mode the
     generators' exponent codes (ring._ExponentCodes), the reduced lifted
     basis and the staircase corners of the lifted ideal, its irreducible
-    components, as codes with the bitmask of their finite coordinates; in
+    components, as codes with the flag mask of their finite coordinates; in
     general mode the reduced Groebner basis of the lifted ideal, with
     cofactors over the generators, or None when that one completion ran out
     of WORK_BUDGET; saturations; assassin reports; and, in monomial mode,
@@ -528,13 +528,13 @@ class IdealHandle:
         return self._lifted
 
     def _components(self):
-        """The staircase corners of the lifted ideal, each with the bitmask
-        of its finite coordinates: the ring's corners split by the
+        """The staircase corners of the lifted ideal, each with the flag
+        mask of its finite coordinates: the ring's corners split by the
         generators (ring._staircase_corners)."""
         if self._corners is None:
             codes = self.ring._codes
             self._corners = tuple(
-                (c, codes.bits(codes.finite(c))) for c in _staircase_corners(
+                (c, codes.finite(c)) for c in _staircase_corners(
                     codes, self._vectors(), self.ring._components()))
         return self._corners
 
@@ -903,8 +903,8 @@ def _power_kill_exponent(acting, module, target):
     if all(h.is_monomial_mode for h in (acting, module, target)):
         codes = target.ring._codes
         counts = [_most_factors(codes, acting._vectors(),
-                                c - (m & codes.spread(codes.finite(c))))
-                  for c, _ in target._components()
+                                c - (m & codes.spread(finite)))
+                  for c, finite in target._components()
                   for m in module._vectors() if codes.below(m, c)]
         return None if None in counts else max(counts, default=-1) + 1
     budget = _Budget()
@@ -997,7 +997,7 @@ def _principal_steps(ideal, other):
     thus the largest 1 + _most_factors((g,), c) over such c, else 0."""
     codes, corners = ideal.ring._codes, ideal._components()
     return max((1 + _most_factors(codes, (g,), c) for g in other._vectors()
-                for s in [codes.bits(codes.support(g))]
+                for s in [codes.support(g)]
                 for c, mask in corners if mask & s), default=0)
 
 
@@ -1017,7 +1017,7 @@ def _corner_saturation(ideal, other):
             and other.generators):
         return None
     codes = ideal.ring._codes
-    supports = {codes.bits(codes.support(g)) for g in other._vectors()}
+    supports = {codes.support(g) for g in other._vectors()}
     corners = ideal._components()
     kept = sum(any(not mask & s for s in supports) for _, mask in corners)
     if not kept:
@@ -1069,11 +1069,6 @@ def prime_key(vars_set):
     return len(vars_set), sorted(vars_set)
 
 
-def _mask_vars(mask):
-    """The variable set of an int bitmask."""
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 def minimal_primes(ideal):
     """Minimal primes over a proper monomial-mode ideal, as variable sets.
 
@@ -1085,5 +1080,5 @@ def minimal_primes(ideal):
     components = ideal_radical(ideal)._components()
     if not components:
         raise UnitIdeal("the unit ideal has no minimal primes")
-    return sorted((_mask_vars(mask) for _, mask in components),
-                  key=prime_key)
+    variables = ideal.ring._codes.variables
+    return sorted((variables(mask) for _, mask in components), key=prime_key)

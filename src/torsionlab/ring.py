@@ -36,7 +36,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
 from operator import floordiv, or_
 
 from .errors import (ExponentOverflow, InvalidPresentation, RingMismatch,
@@ -353,17 +353,16 @@ class _ExponentCodes:
     coordinates of a code, its support) is a flag mask, the guard bits of
     its fields; spread, it masks those fields, so the sigma-part of a code
     is one AND with sigma's spread and its off-sigma part, free on sigma,
-    one OR.  A prime is named by an int bitmask, bit v for X_v (bits).
-    The Monomial stays at the Element boundary (encode, decode).
+    one OR.  Only a report turns a prime into its variables (variables),
+    and the Monomial stays at the Element boundary (encode, decode).
     """
 
-    __slots__ = ("shifts", "ones", "guards", "_bits", "_struct")
+    __slots__ = ("shifts", "ones", "guards", "_struct")
 
     def __init__(self, n):
         self.shifts = tuple((CODE_WIDTH + 1) * (n - 1 - v) for v in range(n))
         self.ones = sum(1 << s for s in self.shifts)
         self.guards = self.ones << CODE_WIDTH
-        self._bits = tuple(1 << v for v in range(n))
         self._struct = struct.Struct(">%dH" % n)
 
     def encode(self, m):
@@ -426,9 +425,9 @@ class _ExponentCodes:
         """The mask of the fields whose guard bits these flags are."""
         return flags - (flags >> CODE_WIDTH)
 
-    def bits(self, flags):
-        """The int bitmask, bit v for X_v, of a flag mask."""
-        return sum(compress(self._bits, self.fields(flags >> CODE_WIDTH)))
+    def variables(self, flags):
+        """The variable set, v for X_v, of a flag mask."""
+        return frozenset(compress(count(), self.fields(flags >> CODE_WIDTH)))
 
 
 def _staircase_corners(codes, points, corners):
@@ -584,6 +583,9 @@ class RingPresentation:
         self._confluence_failures = None
         self._lift = None
         self._codes = _ExponentCodes(num_vars)
+        # The corners start from these codes; an lhs exponent past the code
+        # field raises ExponentOverflow here, where the ring is written.
+        self._lhs_codes = tuple(self._codes.encode(r.lhs) for r in self.rules)
         self._corners = None
         self._ideals = {}
 
@@ -673,8 +675,7 @@ class RingPresentation:
         if self._corners is None:
             codes = self._codes
             self._corners = tuple(_staircase_corners(
-                codes, (codes.encode(r.lhs) for r in self.rules),
-                [codes.spread(codes.guards)]))
+                codes, self._lhs_codes, [codes.spread(codes.guards)]))
         return self._corners
 
     def finite_basis_max_degree(self):

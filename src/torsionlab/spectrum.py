@@ -38,15 +38,17 @@ numerator generator, and the ass^f witness the grlex-least numerator
 generator outside J.  Corners, generators and witnesses are the ring's
 exponent codes (ring._ExponentCodes): a sigma-part is one AND with
 sigma's fields, an off-sigma part one OR, and inside a degree grlex order
-is descending code order.  Primes stay int bitmasks and witnesses codes
+is descending code order.  Primes stay flag masks and witnesses codes
 until a report is built, which converts each distinct prime to its
 variable set and each witness to its Monomial once.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import RingMismatch
-from .ideals import IdealHandle, _mask_vars, minimal_primes, prime_key
+from .ideals import IdealHandle, minimal_primes, prime_key
 from .ring import Monomial, _Record, _meet_generators
 
 
@@ -81,11 +83,12 @@ def prime_ideal(ring, vars_set):
 def spectrum(ring):
     """All canonical primes of a monomial-mode ring, sorted by size then
     by variable indices: the variable sets that contain a minimal prime of
-    the zero ideal.  Exponential in the variable count."""
-    least = [sum(1 << v for v in p)
-             for p in minimal_primes(IdealHandle.zero(ring))]
-    return sorted((_mask_vars(mask) for mask in range(1 << ring.num_vars)
-                   if any(p & mask == p for p in least)), key=prime_key)
+    the zero ideal.  Exponential in the variable count.  Subsets listed by
+    size, each size in lexicographic order, come in prime_key order."""
+    least = minimal_primes(IdealHandle.zero(ring))
+    return [s for k in range(ring.num_vars + 1)
+            for s in map(frozenset, combinations(range(ring.num_vars), k))
+            if any(p <= s for p in least)]
 
 
 def in_variety(vars_set, ideal) -> bool:
@@ -137,8 +140,8 @@ def _lcms(codes, corners, gens):
 
 def _first_witnesses(numerator, denominator):
     """(ass, ass^f) first-witness dicts of (numerator + denominator) /
-    denominator, each prime mask mapped to the code of its grlex-first
-    witness, read off the denominator's corners as the module
+    denominator, each prime's flag mask mapped to the code of its
+    grlex-first witness, read off the denominator's corners as the module
     docstring describes."""
     codes = numerator.ring._codes
     below = codes.below
@@ -159,7 +162,7 @@ def _first_witnesses(numerator, denominator):
         # sigma's fields, the finite ones of its corners: a corner's AND
         # with them is its sigma-part, its OR its off-sigma part, each a
         # corner again.
-        on = codes.spread(codes.finite(group[0]))
+        on = codes.spread(sigma)
         # A corner whose mask lies in sigma is never bad: it would lie
         # above a corner of mask sigma.
         others = [d for d, mask in components if mask | sigma != sigma]
@@ -179,10 +182,10 @@ def _first_witnesses(numerator, denominator):
 
 
 def _sorted_primes(codes, first):
-    """(primes, witnesses) from a dict mapping each prime mask to the code
-    of its grlex-first witness; each distinct prime becomes a variable set
-    once."""
-    witnesses = sorted(((_mask_vars(mask), codes.decode(t))
+    """(primes, witnesses) from a dict mapping each prime's flag mask to
+    the code of its grlex-first witness; each distinct prime becomes a
+    variable set once."""
+    witnesses = sorted(((codes.variables(mask), codes.decode(t))
                         for mask, t in first.items()),
                        key=lambda w: prime_key(w[0]))
     return tuple(p for p, _ in witnesses), tuple(witnesses)

@@ -496,6 +496,25 @@ def test_exponent_past_the_code_field_exits_2(source, exponent, variable):
         % (exponent, variable))
 
 
+@pytest.mark.parametrize("source, answers", [
+    ("ring R = vars X[0..1] rules { X[1]^2 -> X[1] }\n"
+     "ideal b = < X[0]^40000 + X[1] >\n"
+     "query membership(X[0]^40000*X[1] + X[1]; b)\nquery colon(b; X[1])\n",
+     [{"verdict": "yes",
+       "certificate": [{"generator": 0, "multiplier": "X1"}]},
+      {"ideal": "ideal(-1 + X1, 1 + X0^40000)", "complete": True}]),
+    ("ring R = vars X[0..1] rules { X[0]^20000*X[1]^20000 -> X[1]^32767 }\n"
+     "ideal b = < X[0] >\nquery membership(X[1]; b)\n",
+     [{"verdict": "no"}])], ids=["general_generator", "rule_rhs"])
+def test_exponents_that_never_become_codes_are_accepted(source, answers):
+    """Only a rule lhs and a monomial-mode generator become exponent
+    codes, so a rule rhs or a general-mode generator term may pass 32766:
+    the Groebner route answers these scripts."""
+    tree, code = cli.execute(parse(source))
+    assert code == 0, tree
+    assert [s["result"] for s in tree["statements"][2:]] == answers
+
+
 def test_largest_exponent_code_is_accepted():
     """X0^32766 fits its field: the scans, the kill exponent and the
     minimal primes read its corners, one of them 32765 high."""

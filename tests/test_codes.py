@@ -29,10 +29,6 @@ def _pack(t):
                for v, e in enumerate(reversed(t)))
 
 
-def _bitmask(variables):
-    return sum(1 << v for v in variables)
-
-
 def _monomial(t):
     return Monomial((v, e) for v, e in enumerate(t))
 
@@ -90,11 +86,11 @@ def test_codes_match_exponent_tuples():
             tuple(map(max, a, b))), (a, b)
         seen["lcm"] += 1
 
-        # finite coordinates and support, as flag masks and bitmasks
+        # finite coordinates and support, as flag masks and variable sets
         finite = [v for v, e in enumerate(a) if e != math.inf]
-        assert codes.bits(codes.finite(x)) == _bitmask(finite), a
+        assert codes.variables(codes.finite(x)) == frozenset(finite), a
         seen["finite mask"] += 1
-        assert codes.bits(codes.support(x)) == _bitmask(
+        assert codes.variables(codes.support(x)) == frozenset(
             v for v, e in enumerate(a) if e), a
         seen["support"] += 1
 
@@ -102,7 +98,7 @@ def test_codes_match_exponent_tuples():
         sigma = [v for v in range(n) if rng.random() < 0.5]
         flags = codes.support(codes.encode(_monomial(
             [1 if v in sigma else 0 for v in range(n)])))
-        assert codes.bits(flags) == _bitmask(sigma)
+        assert codes.variables(flags) == frozenset(sigma)
         on = codes.spread(flags)
         assert x & on == _pack(tuple(e if v in sigma else 0
                                      for v, e in enumerate(a)))

@@ -14,7 +14,9 @@ ring.py holds the one coefficient rule, which ideals.py imports, neither
 divides a coefficient but by Fraction(1, c), and FRACTION_ONE is gone,
 ideal_colon and _saturate_by take one route, _term_quotient, which alone
 tests a term against the Groebner basis, through _monomial_split,
-every span name the benchmark tracer wraps resolves in the package,
+no module but oracles.py names the int-bitmask form of a prime, which
+the code class's flag masks replaced, every span name the benchmark
+tracer wraps resolves in the package,
 each package attribute named after a module is that module, and no
 module imports dataclasses or typing, nor does importing the package
 load them or inspect.
@@ -88,6 +90,13 @@ TUPLE_FORM = {"_exponent_vector", "_exponent_monomial", "_below", "_grlex"}
 # through exec, and it imports inspect.
 CLASS_MACHINERY = {"dataclasses", "typing"}
 UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "typing")
+# A prime has one form in the engine, the code class's flag mask, whose
+# variable set variables alone builds.  The int-bitmask form it replaced:
+# its converters and their slot.  oracles.py keeps a _bits of its own, as
+# it stays independent of the engine.
+PRIME_CONVERTER = "variables"
+BITMASK_FORM = {"bits", "_bits", "_mask_vars"}
+BITMASK_EXEMPT = "oracles.py"
 
 
 def _unused_imports(tree):
@@ -706,6 +715,48 @@ def test_tuple_form_read_is_reported():
         (1, "math.inf"), (2, "math.inf"), (3, "_exponent_vector"),
         (4, "_below"), (5, "math.inf"), (6, "_exponent_monomial"),
         (6, "_grlex")]
+
+
+def _bitmask_names(tree):
+    """(line, name) of each bitmask-form name under tree: a name,
+    attribute or imported name, a function, class or parameter defined, or
+    a string such as a slot."""
+    found = [(line, name) for line, name in _names(tree)
+             if name in BITMASK_FORM]
+    for node in ast.walk(tree):
+        name = (node.name if isinstance(node, FUNCTIONS + (ast.ClassDef,))
+                else node.arg if isinstance(node, ast.arg)
+                else node.value if isinstance(node, ast.Constant) else None)
+        if name in BITMASK_FORM:
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_engine_keeps_one_prime_form():
+    ring = ast.parse((PACKAGE / "ring.py").read_text())
+    # The converter exists, so the check cannot pass vacuously.
+    assert PRIME_CONVERTER in {
+        node.name for cls in ast.walk(ring)
+        if isinstance(cls, ast.ClassDef) and cls.name == CODE_CLASS
+        for node in cls.body if isinstance(node, FUNCTIONS)}
+    found = {path.name: _bitmask_names(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != BITMASK_EXEMPT}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_bitmask_form_is_reported():
+    tree = ast.parse("class _ExponentCodes:\n"
+                     "    __slots__ = ('shifts', '_bits')\n"
+                     "    def bits(self, flags):\n"
+                     "        return sum(compress(self._bits, flags))\n"
+                     "from .ideals import _mask_vars\n"
+                     "prime = codes.bits(codes.finite(c))\n"
+                     "def convert(_mask_vars):\n    pass\n"
+                     "variables = codes.variables(flags)\n")
+    assert _bitmask_names(tree) == [
+        (2, "_bits"), (3, "bits"), (4, "_bits"), (5, "_mask_vars"),
+        (6, "bits"), (7, "_mask_vars")]
 
 
 def _kill_exponent_calls(tree):

@@ -577,18 +577,17 @@ def test_annihilator_hand_cases():
 
 
 def test_assassin_scan_converts_each_distinct_prime_once(monkeypatch):
-    """Primes stay bitmasks through the scan: one scan converts exactly
+    """Primes stay flag masks through the scan: one scan converts exactly
     as many masks to variable sets as its two reports hold primes."""
-    ideals_module = importlib.import_module("torsionlab.ideals")
+    codes = importlib.import_module("torsionlab.ring")._ExponentCodes
     converted = []
-    real = ideals_module._mask_vars
+    real = codes.variables
 
-    def count(mask):
+    def count(self, mask):
         converted.append(mask)
-        return real(mask)
+        return real(self, mask)
 
-    monkeypatch.setattr(ideals_module, "_mask_vars", count)
-    monkeypatch.setattr(spectrum_module, "_mask_vars", count)
+    monkeypatch.setattr(codes, "variables", count)
     rng = random.Random(97)
     for i in range(40):
         instance = random_instance(i, rng)

@@ -143,7 +143,7 @@ def _corner_saturation_kept_by_every_generator(ideal, other):
             and other.generators):
         return None
     codes = ideal.ring._codes
-    supports = {codes.bits(codes.support(g)) for g in other._vectors()}
+    supports = {codes.support(g) for g in other._vectors()}
     corners = ideal._components()
     kept = sum(all(not mask & s for s in supports) for _, mask in corners)
     if not kept:
